@@ -21,6 +21,7 @@ namespace
 struct Block
 {
     std::atomic<std::uint64_t> ticks[kNumStages] = {};
+    std::atomic<std::uint64_t> counts[kNumCounters] = {};
 };
 
 std::mutex g_blocksMutex;
@@ -100,6 +101,37 @@ stageName(Stage s)
     return "?";
 }
 
+const char *
+counterName(Counter c)
+{
+    switch (c) {
+      case Counter::IssueVisits:   return "issue_visits";
+      case Counter::WakeResets:    return "wake_resets";
+      case Counter::SteppedCycles: return "stepped_cycles";
+    }
+    return "?";
+}
+
+void
+addCount(Counter c, std::uint64_t n)
+{
+    threadBlock()
+        .counts[static_cast<std::size_t>(c)]
+        .fetch_add(n, std::memory_order_relaxed);
+}
+
+std::uint64_t
+counterValue(Counter c)
+{
+    std::lock_guard<std::mutex> lock(g_blocksMutex);
+    std::uint64_t sum = 0;
+    for (const Block *b : blocks()) {
+        sum += b->counts[static_cast<std::size_t>(c)].load(
+            std::memory_order_relaxed);
+    }
+    return sum;
+}
+
 void
 setEnabled(bool on)
 {
@@ -150,6 +182,8 @@ resetAll()
     for (Block *b : blocks()) {
         for (std::size_t s = 0; s < kNumStages; ++s)
             b->ticks[s].store(0, std::memory_order_relaxed);
+        for (std::size_t c = 0; c < kNumCounters; ++c)
+            b->counts[c].store(0, std::memory_order_relaxed);
     }
 }
 
@@ -189,6 +223,12 @@ reportJson(std::uint64_t uops, double wallSeconds)
         stages.set(stageName(static_cast<Stage>(s)), std::move(e));
     }
     v.set("stages", std::move(stages));
+    json::Value counters = json::Value::object();
+    for (std::size_t c = 0; c < kNumCounters; ++c) {
+        const auto id = static_cast<Counter>(c);
+        counters.set(counterName(id), json::Value(counterValue(id)));
+    }
+    v.set("counters", std::move(counters));
     v.set("instrumented_seconds",
           json::Value(static_cast<double>(totalTicks) / tps));
     v.set("wall_seconds", json::Value(wallSeconds));
@@ -215,6 +255,12 @@ reportText(std::uint64_t uops, double wallSeconds)
                      v.at("instrumented_seconds").asDouble());
     out += strprintf("  wall     %10.4f s   %.0f uops/sec\n",
                      wallSeconds, v.at("uops_per_sec").asDouble());
+    out += "kernel work (simulated, deterministic):\n";
+    for (const auto &kv : v.at("counters").members()) {
+        out += strprintf("  %-15s %llu\n", kv.first.c_str(),
+                         static_cast<unsigned long long>(
+                             kv.second.asU64()));
+    }
     return out;
 }
 

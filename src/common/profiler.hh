@@ -56,6 +56,28 @@ constexpr std::size_t kNumStages = 5;
 /** Names matching Stage, for reports. */
 const char *stageName(Stage s);
 
+/**
+ * Deterministic kernel work counters, reported beside the stage
+ * times. Unlike host ticks they depend only on the simulated work, so
+ * two runs of the same command report the same values on any host.
+ */
+enum class Counter
+{
+    IssueVisits,   ///< waiting slots the issue stage visited
+    WakeResets,    ///< cached wake times zeroed by producer events
+    SteppedCycles, ///< cycles executed one by one (not skipped)
+};
+constexpr std::size_t kNumCounters = 3;
+
+/** snake_case names matching Counter, for reports. */
+const char *counterName(Counter c);
+
+/** Add @p n to counter @p c in this thread's block. */
+void addCount(Counter c, std::uint64_t n);
+
+/** Sum of counter @p c across all threads. */
+std::uint64_t counterValue(Counter c);
+
 /** Globally enable/disable collection (default off). */
 void setEnabled(bool on);
 
@@ -103,8 +125,9 @@ std::uint64_t stageTicks(Stage s);
 
 /**
  * Aggregate report: per-stage seconds + share of the instrumented
- * total, the total, and uops/sec derived from @p uops and
- * @p wallSeconds (end-to-end wall time measured by the caller).
+ * total, the total, the work counters, and uops/sec derived from
+ * @p uops and @p wallSeconds (end-to-end wall time measured by the
+ * caller).
  */
 json::Value reportJson(std::uint64_t uops, double wallSeconds);
 

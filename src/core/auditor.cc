@@ -162,6 +162,55 @@ StateAuditor::check(const AuditView &v, Cycle cycle)
                 " uops are in flight");
     }
 
+    // 9. Waiting list: exactly the Waiting entries, oldest first.
+    if (v.waitList.size() != static_cast<std::size_t>(v.rsCount)) {
+        bad("wait_list", "list holds " +
+                             std::to_string(v.waitList.size()) +
+                             " seqs but rsCount is " +
+                             std::to_string(v.rsCount));
+    }
+    std::vector<SeqNum> waitingSeqs;
+    for (const AuditView::Entry &e : v.entries) {
+        if (e.waiting)
+            waitingSeqs.push_back(e.seq);
+    }
+    if (v.waitList != waitingSeqs) {
+        bad("wait_list", "list is not the " +
+                             std::to_string(waitingSeqs.size()) +
+                             " Waiting seqs in age order");
+    }
+
+    // 10. Cached wake times are never late.
+    const auto producer = [&](int slot, SeqNum seq)
+        -> const AuditView::Entry * {
+        if (slot < 0 || !inFlight(seq))
+            return nullptr;
+        const std::uint64_t idx = seq - v.headSeq;
+        if (idx >= v.entries.size() || v.entries[idx].seq != seq)
+            return nullptr;
+        return &v.entries[idx];
+    };
+    for (const AuditView::Entry &e : v.entries) {
+        if (!e.waiting)
+            continue;
+        const AuditView::Entry *p1 = producer(e.src1Slot, e.src1Seq);
+        const AuditView::Entry *p2 = producer(e.src2Slot, e.src2Seq);
+        Cycle bound = std::max({e.stall, p1 ? p1->est : Cycle{0},
+                                p2 ? p2->est : Cycle{0}});
+        if (e.unclassifiedLoad) {
+            bound = std::min(bound,
+                             std::max(p1 ? p1->actual : Cycle{0},
+                                      p2 ? p2->actual : Cycle{0}));
+        }
+        if (e.wake > std::max(bound, cycle)) {
+            bad("wake@" + seqStr(e.seq),
+                "cached wake time " + std::to_string(e.wake) +
+                    " is later than the recomputed " +
+                    std::to_string(bound) +
+                    ": the issue stage would skip a visit that acts");
+        }
+    }
+
     return diags;
 }
 

@@ -55,9 +55,18 @@ struct AuditView
         SeqNum src1Seq = 0, src2Seq = 0;
         bool isPairedStd = false;
         SeqNum pairSeq = 0;
+        // Timing lanes and the cached wake time (Waiting entries).
+        Cycle est = kCycleNever;    ///< wakeup estimate it shows
+        Cycle actual = kCycleNever; ///< true data-ready time
+        Cycle stall = 0;            ///< replay backoff horizon
+        Cycle wake = 0;             ///< cached earliest useful visit
+        bool unclassifiedLoad = false;
     };
     /** In-flight entries, oldest first (seq == headSeq + index). */
     std::vector<Entry> entries;
+
+    /** The core's waiting list, as seqs in list order. */
+    std::vector<SeqNum> waitList;
 
     /** MOB stores' STA sequence numbers, queue order (oldest first). */
     std::vector<SeqNum> mobStores;
@@ -84,6 +93,15 @@ struct AuditView
  *     the STA is still in flight the MOB must know it.
  *  8. MOB ordering: store seqs strictly ascending, all < nextSeq,
  *     and no more in-window stores than ROB entries.
+ *  9. waiting list: exactly the Waiting entries' seqs, oldest first,
+ *     and as long as rsCount.
+ * 10. wake times: no Waiting entry's cached wake time is later than
+ *     max(threshold, cycle), where the threshold is recomputed from
+ *     the timing lanes — max(stall, both sources' estimates), or for
+ *     an unclassified load the smaller of that and both sources'
+ *     data time. A source reads as ready at 0 when it has no
+ *     producer or its producer left the window. A cached time at or
+ *     below the cycle is always safe: the slot is visited anyway.
  */
 class StateAuditor
 {

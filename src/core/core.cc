@@ -91,9 +91,11 @@ OooCore::OooCore(const MachineConfig &cfg)
       robEst_(cfg.robSize, kCycleNever),
       robActual_(cfg.robSize, kCycleNever),
       robComplete_(cfg.robSize, kCycleNever),
-      robStall_(cfg.robSize, 0),
+      robStall_(cfg.robSize, 0), robWake_(cfg.robSize, 0),
+      consHead_(cfg.robSize, -1), consNext_(2 * cfg.robSize, -1),
       renameTable_(kNumArchRegs, -1), renameSeq_(kNumArchRegs, 0)
 {
+    waitList_.reserve(cfg_.schedWindow);
     if (cfg_.usesCht() || cfg_.chtShadow) {
         ChtParams cp = cfg_.cht;
         if (cfg_.scheme == OrderingScheme::Exclusive)
@@ -280,7 +282,7 @@ OooCore::beginRun(TraceStream &trace)
     trace.reset();
     now_ = 0;
     headSeq_ = nextSeq_ = 0;
-    rsCount_ = 0;
+    waitList_.clear();
     poolUsed_ = 0;
     fetchBlockedUntil_ = 0;
     branchPending_ = false;
@@ -321,6 +323,23 @@ bool
 OooCore::advanceTo(TraceStream &trace, Cycle stop_at)
 {
     const bool skip_ahead = cycleSkipAhead();
+    // Hand the work counters to the profiler on every way out, and
+    // zero them either way so a later enable never sees stale counts.
+    struct CounterFlush
+    {
+        OooCore &c;
+        ~CounterFlush()
+        {
+            if (prof::enabled()) {
+                prof::addCount(prof::Counter::IssueVisits,
+                               c.issueVisits_);
+                prof::addCount(prof::Counter::WakeResets, c.wakeResets_);
+                prof::addCount(prof::Counter::SteppedCycles,
+                               c.steppedCycles_);
+            }
+            c.issueVisits_ = c.wakeResets_ = c.steppedCycles_ = 0;
+        }
+    } flush{*this};
     while (!traceDone_ || headSeq_ != nextSeq_) {
         // Side-effect-free stop check first: state on return is bit-
         // identical to an uninterrupted run entering cycle stop_at.
@@ -346,6 +365,7 @@ OooCore::advanceTo(TraceStream &trace, Cycle stop_at)
                 "simulation interrupted by request", now_));
         }
         cycleActivity_ = 0;
+        ++steppedCycles_;
         {
             prof::Scope ps(prof::Stage::Execute);
             resolvePendingCollisions();
@@ -364,12 +384,12 @@ OooCore::advanceTo(TraceStream &trace, Cycle stop_at)
         }
         ++now_;
         if (hOccSched_) {
-            hOccSched_->record(static_cast<std::uint64_t>(rsCount_));
+            hOccSched_->record(waitList_.size());
             hOccRob_->record(nextSeq_ - headSeq_);
             hOccMob_->record(mob_.size());
         }
         if (cfg_.statsInterval) {
-            iv_.occSched += static_cast<std::uint64_t>(rsCount_);
+            iv_.occSched += waitList_.size();
             iv_.occRob += nextSeq_ - headSeq_;
             if (--iv_.countdown == 0) {
                 snapshotInterval();
@@ -413,14 +433,12 @@ OooCore::advanceTo(TraceStream &trace, Cycle stop_at)
                 const Cycle k = target - now_;
                 if (k > 0) {
                     if (hOccSched_) {
-                        hOccSched_->record(
-                            static_cast<std::uint64_t>(rsCount_), k);
+                        hOccSched_->record(waitList_.size(), k);
                         hOccRob_->record(nextSeq_ - headSeq_, k);
                         hOccMob_->record(mob_.size(), k);
                     }
                     if (cfg_.statsInterval) {
-                        iv_.occSched +=
-                            k * static_cast<std::uint64_t>(rsCount_);
+                        iv_.occSched += k * waitList_.size();
                         iv_.occRob += k * (nextSeq_ - headSeq_);
                         iv_.countdown -= k;
                     }
@@ -466,26 +484,19 @@ OooCore::nextEventCycle() const
     // Fetch resumes at fetchBlockedUntil_ — but only if something is
     // fetchable then: with the trace drained nothing arrives, and
     // with a mispredicted branch pending the unblock is driven by the
-    // branch's own issue (covered by its slot thresholds below).
+    // branch's own issue (covered by its wake time below).
     if (!traceDone_ && !branchPending_)
         consider(fetchBlockedUntil_);
-    // Every in-flight slot's time thresholds: replay backoff and
-    // wakeup estimate gate issue, actual readiness gates the
-    // burn-vs-issue decision, completion gates retirement (and store
-    // completion queries against the MOB, whose STA/STD timestamps
-    // are set from these same issue events).
-    for (SeqNum s = headSeq_; s != nextSeq_; ++s) {
-        const int slot = slotOf(s);
-        if (robState_[slot] == State::Waiting)
-            consider(robStall_[slot]);
-        consider(robEst_[slot]);
-        consider(robActual_[slot]);
-        consider(robComplete_[slot]);
-    }
-    // Belt and braces: in-window stores' STA/STD completion times.
-    // Every future one is mirrored by an in-flight STA/STD uop's
-    // completeAt above, but the scan is cheap and an underestimate
-    // only costs one extra (idle) stepped cycle.
+    // A waiting slot's visit does nothing before its wake time, and
+    // this cycle's visits left every cached wake time exact.
+    for (const int slot : waitList_)
+        consider(robWake_[slot]);
+    // Retirement is in order: only the head's completion can retire
+    // anything, and a new head appears only through a retirement.
+    if (headSeq_ != nextSeq_)
+        consider(robComplete_[slotOf(headSeq_)]);
+    // Store parts completing open the ordering schemes' MOB gates for
+    // loads whose wake time has already passed.
     for (std::size_t i = 0, n = mob_.size(); i < n; ++i) {
         const Mob::StoreRec &r = mob_.storeAt(i);
         consider(r.staDoneAt);
@@ -551,7 +562,7 @@ OooCore::saveState() const
     core.set("now", now_);
     core.set("head_seq", headSeq_);
     core.set("next_seq", nextSeq_);
-    core.set("rs_count", static_cast<std::uint64_t>(rsCount_));
+    core.set("rs_count", static_cast<std::uint64_t>(waitList_.size()));
     core.set("pool_used", static_cast<std::uint64_t>(poolUsed_));
     core.set("fetch_blocked_until", fetchBlockedUntil_);
     core.set("branch_pending", branchPending_);
@@ -684,7 +695,6 @@ OooCore::loadState(const json::Value &state, TraceStream &trace)
         stateio::fail("core", "occupancy exceeds the configured "
                               "window/pool sizes");
     }
-    rsCount_ = static_cast<int>(rs);
     poolUsed_ = static_cast<int>(pool);
     fetchBlockedUntil_ = stateio::needU64(core, "fetch_blocked_until");
     branchPending_ = stateio::needBool(core, "branch_pending");
@@ -767,6 +777,10 @@ OooCore::loadState(const json::Value &state, TraceStream &trace)
             static_cast<std::uint8_t>(row.at(35).asU64());
         e.uop.taken = loadBool(row, 36);
     }
+    rebuildWakeState();
+    if (waitList_.size() != rs)
+        stateio::fail("core", "rs_count disagrees with the Waiting ROB "
+                              "entries");
 
     const json::Value &iv = stateio::need(state, "interval");
     iv_.cycle = stateio::needU64(iv, "cycle");
@@ -891,8 +905,11 @@ OooCore::auditView() const
     v.regPool = cfg_.regPool;
     v.headSeq = headSeq_;
     v.nextSeq = nextSeq_;
-    v.rsCount = rsCount_;
+    v.rsCount = static_cast<int>(waitList_.size());
     v.poolUsed = poolUsed_;
+    v.waitList.reserve(waitList_.size());
+    for (const int slot : waitList_)
+        v.waitList.push_back(robSeq_[slot]);
     v.entries.reserve(nextSeq_ - headSeq_);
     for (SeqNum s = headSeq_; s < nextSeq_; ++s) {
         const int slot = slotOf(s);
@@ -907,6 +924,12 @@ OooCore::auditView() const
         e.src2Seq = re.src2Seq;
         e.isPairedStd = re.isPairedStd;
         e.pairSeq = re.pairSeq;
+        e.est = robEst_[slot];
+        e.actual = robActual_[slot];
+        e.stall = robStall_[slot];
+        e.wake = robWake_[slot];
+        e.unclassifiedLoad =
+            re.uop.isLoad() && re.cls == LoadClass::Unclassified;
         v.entries.push_back(e);
     }
     v.mobStores.reserve(mob_.size());
@@ -991,6 +1014,73 @@ OooCore::srcActual(int slot, SeqNum seq) const
     return robActual_[slot];
 }
 
+Cycle
+OooCore::wakeOf(int slot) const
+{
+    const RobEntry &e = rob_[slot];
+    const Cycle gate = std::max({robStall_[slot],
+                                 srcEstimate(e.src1Slot, e.src1Seq),
+                                 srcEstimate(e.src2Slot, e.src2Seq)});
+    if (!e.uop.isLoad() || e.cls != LoadClass::Unclassified)
+        return gate;
+    return std::min(gate, std::max(srcActual(e.src1Slot, e.src1Seq),
+                                   srcActual(e.src2Slot, e.src2Seq)));
+}
+
+void
+OooCore::wakeConsumers(int slot)
+{
+    for (int link = consHead_[slot]; link >= 0; link = consNext_[link]) {
+        robWake_[link >> 1] = 0;
+        ++wakeResets_;
+    }
+}
+
+void
+OooCore::rebuildWakeState()
+{
+    // Renaming in age order rebuilds the same chains the run built
+    // (up to order, which resets do not depend on). Producers that
+    // already retired get no link: they can never move again.
+    waitList_.clear();
+    std::fill(consHead_.begin(), consHead_.end(), -1);
+    const auto live = [this](int p, SeqNum seq) {
+        return p >= 0 && p < cfg_.robSize && robSeq_[p] == seq &&
+               inWindow(seq);
+    };
+    for (SeqNum s = headSeq_; s < nextSeq_; ++s) {
+        const int slot = slotOf(s);
+        const RobEntry &e = rob_[slot];
+        if (live(e.src1Slot, e.src1Seq))
+            linkConsumer(e.src1Slot, slot, 0);
+        if (live(e.src2Slot, e.src2Seq))
+            linkConsumer(e.src2Slot, slot, 1);
+        if (robState_[slot] == State::Waiting) {
+            waitList_.push_back(slot);
+            robWake_[slot] = 0; // visit once before trusting a cache
+        }
+    }
+}
+
+void
+OooCore::retireOrphanSta()
+{
+    // A trace that ends between a store's STA and its STD leaves the
+    // STA's MOB record with no STD to retire it. Once the trace is
+    // done and that STA has retired, release the record so the MOB
+    // again holds only in-window stores. Any STD renamed later pairs
+    // with lastStaSeq_ and, until it retires, is still in the window.
+    if (!traceDone_ || !haveLastSta_ || lastStaSeq_ >= headSeq_ ||
+        mob_.get(lastStaSeq_) == nullptr)
+        return;
+    for (SeqNum s = headSeq_; s != nextSeq_; ++s) {
+        const RobEntry &e = rob_[slotOf(s)];
+        if (e.isPairedStd && e.pairSeq == lastStaSeq_)
+            return;
+    }
+    mob_.retire(lastStaSeq_);
+}
+
 void
 OooCore::resolvePendingCollisions()
 {
@@ -1022,6 +1112,7 @@ OooCore::resolvePendingCollisions()
             traceUop(TraceEvent::Forward, slot);
             if (hLoadUse_)
                 hLoadUse_->record(robComplete_[slot] - now_);
+            wakeConsumers(slot);
             continue;
         }
         if (rec->staDoneAt != kCycleNever &&
@@ -1040,6 +1131,7 @@ OooCore::resolvePendingCollisions()
                 hLoadUse_->record(data - now_);
             if (e.violationSquash)
                 fetchBlockedUntil_ = std::max(fetchBlockedUntil_, data);
+            wakeConsumers(slot);
             continue;
         }
         pendingCollision_[w++] = slot;
@@ -1088,6 +1180,12 @@ OooCore::retireStage()
         ++res_.uops;
         ++cycleActivity_;
         traceUop(TraceEvent::Retire, slot);
+        // Retired, the value reads as architectural (ready at 0). Only
+        // an estimate still ahead of now (AH-PM: data + the hit-
+        // indication wait) can make that a sooner wakeup; an expired
+        // one gated nothing a visit this cycle does not see.
+        if (robEst_[slot] > now_)
+            wakeConsumers(slot);
         const Uop &u = e.uop;
         if (u.isLoad()) {
             ++res_.loads;
@@ -1127,6 +1225,8 @@ OooCore::retireStage()
         ++headSeq_;
         ++retired;
     }
+    if (retired > 0)
+        retireOrphanSta();
 }
 
 bool
@@ -1473,7 +1573,6 @@ OooCore::issueEntry(int slot)
     RobEntry &e = rob_[slot];
     const Uop &u = e.uop;
     robState_[slot] = State::Issued;
-    --rsCount_;
     ++cycleActivity_;
     traceUop(TraceEvent::Issue, slot);
 
@@ -1522,6 +1621,8 @@ OooCore::issueEntry(int slot)
         executeLoad(slot);
         break;
     }
+    // The estimate and data time just left kCycleNever.
+    wakeConsumers(slot);
 }
 
 void
@@ -1552,10 +1653,9 @@ OooCore::issueStage()
     for (unsigned b = 0; b < cfg_.numBanks; ++b)
         mp.bankFree[b] = 1;
 
-    for (SeqNum seq = headSeq_; seq != nextSeq_; ++seq) {
-        const int slot = slotOf(seq);
-        if (robState_[slot] != State::Waiting)
-            continue;
+    // One visit: every early return leaves the slot Waiting with
+    // nothing changed but what the visit itself recorded.
+    const auto visit = [&](int slot) {
         RobEntry &e = rob_[slot];
 
         const bool is_mem = e.uop.isMem();
@@ -1593,17 +1693,17 @@ OooCore::issueStage()
         }
 
         if (*pool <= 0)
-            continue;
+            return;
         if (robStall_[slot] > now_)
-            continue;
+            return;
 
         const Cycle e1 = srcEstimate(e.src1Slot, e.src1Seq);
         const Cycle e2 = srcEstimate(e.src2Slot, e.src2Seq);
         if (std::max(e1, e2) > now_)
-            continue; // not woken yet
+            return; // not woken yet
 
         if (e.uop.isLoad() && !schemeAllowsLoad(slot))
-            continue;
+            return;
 
         if (true_ready > now_) {
             // Speculatively woken too early (producer's latency was
@@ -1636,16 +1736,36 @@ OooCore::issueStage()
                 // costs the reschedule penalty.
                 robStall_[slot] = true_ready + cfg_.reschedulePenalty;
             }
-            continue;
+            return;
         }
 
         if (is_mem) {
             issueMemUop(slot, mp);
-            continue;
+            return;
         }
         --*pool;
         issueEntry(slot);
+    };
+
+    // Walk the waiting list oldest first, compacting it in place with
+    // a write cursor as entries issue. A slot whose cached wake time
+    // is still ahead is skipped without a visit: that visit would
+    // change nothing. An issuing producer zeroes its consumers' wake
+    // times, and consumers are younger, so they are still ahead of
+    // the read cursor and get their visit this same cycle.
+    std::size_t w = 0;
+    for (std::size_t r = 0, n = waitList_.size(); r < n; ++r) {
+        const int slot = waitList_[r];
+        if (robWake_[slot] <= now_) {
+            ++issueVisits_;
+            visit(slot);
+            if (robState_[slot] != State::Waiting)
+                continue;
+            robWake_[slot] = wakeOf(slot);
+        }
+        waitList_[w++] = slot;
     }
+    waitList_.resize(w);
 }
 
 void
@@ -1741,7 +1861,7 @@ OooCore::renameStage(TraceStream &trace)
     for (int i = 0; i < cfg_.fetchWidth; ++i) {
         if (static_cast<int>(nextSeq_ - headSeq_) >= cfg_.robSize)
             return;
-        if (rsCount_ >= cfg_.schedWindow)
+        if (static_cast<int>(waitList_.size()) >= cfg_.schedWindow)
             return;
         if (poolUsed_ >= cfg_.regPool)
             return;
@@ -1750,6 +1870,7 @@ OooCore::renameStage(TraceStream &trace)
         if (!u) {
             traceDone_ = true;
             ++cycleActivity_; // one-time transition, not an idle read
+            retireOrphanSta();
             return;
         }
 
@@ -1765,8 +1886,10 @@ OooCore::renameStage(TraceStream &trace)
         robActual_[slot] = kCycleNever;
         robComplete_[slot] = kCycleNever;
         robStall_[slot] = 0;
+        robWake_[slot] = 0;
+        consHead_[slot] = -1;
+        waitList_.push_back(slot);
         e.uop = *u;
-        ++rsCount_;
         ++cycleActivity_;
         traceUop(TraceEvent::Rename, slot);
 
@@ -1776,6 +1899,7 @@ OooCore::renameStage(TraceStream &trace)
                 inWindow(renameSeq_[u->src1])) {
                 e.src1Slot = ps;
                 e.src1Seq = renameSeq_[u->src1];
+                linkConsumer(ps, slot, 0);
             }
         }
         if (u->src2 >= 0) {
@@ -1784,6 +1908,7 @@ OooCore::renameStage(TraceStream &trace)
                 inWindow(renameSeq_[u->src2])) {
                 e.src2Slot = ps;
                 e.src2Seq = renameSeq_[u->src2];
+                linkConsumer(ps, slot, 1);
             }
         }
         if (u->dst >= 0) {

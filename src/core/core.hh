@@ -148,12 +148,12 @@ class OooCore
     };
 
     /**
-     * Cold per-slot bookkeeping. The six fields every per-cycle stage
-     * scan reads (seq, state, estReady, actualReady, completeAt,
+     * Cold per-slot bookkeeping. The six fields the per-cycle stages
+     * read (seq, state, estReady, actualReady, completeAt,
      * stallUntil) live in the parallel structure-of-arrays vectors
-     * below (robSeq_ .. robStall_, same slot index) so the hot scans
-     * stream over dense flat arrays instead of striding through this
-     * record (docs/PERFORMANCE.md).
+     * below (robSeq_ .. robStall_, same slot index) so the hot loops
+     * read dense flat arrays instead of striding through this record
+     * (docs/PERFORMANCE.md).
      */
     struct RobEntry
     {
@@ -268,12 +268,44 @@ class OooCore
     void countLoadClass(const RobEntry &e);
 
     /**
+     * Earliest cycle at which an issue-stage visit to the Waiting
+     * slot could do anything, from the current lanes: the replay
+     * stall and both source estimates must have passed before it can
+     * issue or burn, and an unclassified load classifies as soon as
+     * both sources' data is ready (docs/PERFORMANCE.md, "Event-driven
+     * wakeup").
+     */
+    Cycle wakeOf(int slot) const;
+
+    /**
+     * The readiness @p slot shows its consumers just moved: zero the
+     * cached wake time of every consumer linked to it, so each is
+     * visited again before its cache is trusted.
+     */
+    void wakeConsumers(int slot);
+
+    /** Link source @p which (0/1) of @p consumer to @p producer. */
+    void
+    linkConsumer(int producer, int consumer, int which)
+    {
+        const int link = 2 * consumer + which;
+        consNext_[link] = consHead_[producer];
+        consHead_[producer] = link;
+    }
+
+    /** Rebuild the waiting list, links and wake times (loadState). */
+    void rebuildWakeState();
+
+    /** Drop a trace-truncated store's STA from the MOB (see .cc). */
+    void retireOrphanSta();
+
+    /**
      * Earliest future cycle at which any stage could mutate state,
      * given that the current cycle mutated nothing (cycleActivity_ ==
-     * 0): the min over every in-flight slot's stall/est/actual/
-     * complete thresholds, every MOB store's STA/STD completion, and
-     * the fetch-unblock horizon. Returns kCycleNever when no such
-     * event exists (a drained or genuinely stuck machine).
+     * 0): the min over the waiting slots' wake times, the ROB head's
+     * completion, every MOB store's STA/STD completion, and the
+     * fetch-unblock horizon. Returns kCycleNever when no such event
+     * exists (a drained or genuinely stuck machine).
      */
     Cycle nextEventCycle() const;
 
@@ -319,9 +351,9 @@ class OooCore
 
     /**
      * SoA hot state, parallel to rob_ (same slot indexing): the six
-     * fields the per-cycle scans (issue, retire, wakeup, skip-ahead)
-     * read for every in-flight slot, pulled into dense flat arrays so
-     * those scans touch only the bytes they need. Defaults match a
+     * fields the per-cycle stages (issue, retire, wakeup, skip-ahead)
+     * read, pulled into dense flat arrays so those loops touch only
+     * the bytes they need. Defaults match a
      * fresh RobEntry's former field initialisers; renameStage resets
      * the slot's lane entries alongside the cold record.
      */
@@ -332,9 +364,24 @@ class OooCore
     std::vector<Cycle> robComplete_; ///< retirement-ready time
     std::vector<Cycle> robStall_;    ///< replay backoff horizon
 
+    /**
+     * Event-driven wakeup state, all derived (rebuilt by loadState,
+     * never serialized). waitList_ holds the slots in State::Waiting,
+     * oldest first; its length is the scheduling-window occupancy.
+     * robWake_ caches wakeOf() per Waiting slot as of its last visit;
+     * it may be early, never late, because every event that moves a
+     * producer's visible readiness zeroes its consumers' entries.
+     * Consumers hang off their producers as intrusive links: link
+     * 2 * slot + src sits in producer consHead_[p]'s chain, threaded
+     * through consNext_ (-1 ends a chain).
+     */
+    std::vector<int> waitList_;
+    std::vector<Cycle> robWake_;
+    std::vector<int> consHead_;
+    std::vector<int> consNext_;
+
     SeqNum headSeq_ = 0;        ///< oldest in-flight seq
     SeqNum nextSeq_ = 0;        ///< next seq to insert
-    int rsCount_ = 0;           ///< Waiting entries (scheduling window)
     int poolUsed_ = 0;          ///< allocated rename registers
 
     std::vector<int> renameTable_;   ///< arch reg -> producer slot
@@ -389,6 +436,15 @@ class OooCore
     std::uint64_t auditCountdown_ = 0;
 
     /**
+     * Deterministic kernel work counters, handed to the profiler at
+     * the end of each advanceTo() while it is enabled (the "counters"
+     * member of the --profile block) and zeroed there either way.
+     */
+    std::uint64_t issueVisits_ = 0;   ///< waiting slots visited
+    std::uint64_t wakeResets_ = 0;    ///< cached wake times zeroed
+    std::uint64_t steppedCycles_ = 0; ///< cycles run, not skipped
+
+    /**
      * Interval-series bookkeeping: totals at the last snapshot (for
      * deltas) and occupancy accumulators over the open interval.
      */
@@ -402,7 +458,7 @@ class OooCore
         std::uint64_t chtMis = 0;
         std::uint64_t hmpMis = 0;
         std::uint64_t bankMis = 0;
-        std::uint64_t occSched = 0; ///< sum of rsCount_ per cycle
+        std::uint64_t occSched = 0; ///< sum of window occupancy per cycle
         std::uint64_t occRob = 0;   ///< sum of ROB entries per cycle
         std::uint64_t countdown = 0;
     } iv_;

@@ -44,6 +44,12 @@ soundView()
     v.entries[2].isPairedStd = true;
     v.entries[2].pairSeq = 11;
     v.mobStores = {11};
+    // 11 and 12 wait, in age order. 10 issued: its consumer 12 may
+    // wake at 10's estimate (cycle 50), and 12 caches exactly that.
+    v.waitList = {11, 12};
+    v.entries[0].est = 50;
+    v.entries[0].actual = 50;
+    v.entries[2].wake = 50;
     return v;
 }
 
@@ -149,6 +155,69 @@ TEST(Auditor, CatchesMobGhostStore)
     AuditView v = soundView();
     v.mobStores = {11, 50}; // 50 was never renamed
     EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "mob_order"));
+}
+
+TEST(Auditor, CatchesWaitListOutOfAgeOrder)
+{
+    AuditView v = soundView();
+    v.waitList = {12, 11};
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "wait_list"));
+}
+
+TEST(Auditor, CatchesWaitListMissingAWaitingEntry)
+{
+    AuditView v = soundView();
+    v.waitList = {12};
+    v.rsCount = 1;
+    // rsCount (1) also disagrees with the two Waiting entries.
+    const auto diags = StateAuditor::check(v, 1);
+    EXPECT_TRUE(hasParam(diags, "wait_list"));
+    EXPECT_TRUE(hasParam(diags, "rs_count"));
+}
+
+TEST(Auditor, CatchesWaitListLengthApartFromRsCount)
+{
+    AuditView v = soundView();
+    v.waitList = {11, 12, 12};
+    const auto diags = StateAuditor::check(v, 1);
+    EXPECT_TRUE(hasParam(diags, "wait_list"));
+    EXPECT_FALSE(hasParam(diags, "rs_count"));
+}
+
+TEST(Auditor, CatchesLateCachedWakeTime)
+{
+    AuditView v = soundView();
+    // 10's estimate says 50; a cached 60 would skip the visits at
+    // cycles 50-59 that can issue 12.
+    v.entries[2].wake = 60;
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "wake@12"));
+    // The cache may be early: it only costs a visit.
+    v.entries[2].wake = 20;
+    EXPECT_TRUE(StateAuditor::check(v, 1).empty());
+}
+
+TEST(Auditor, CachedWakeTimeAtOrBeforeTheCycleIsAlwaysSafe)
+{
+    AuditView v = soundView();
+    // 10 left the window, so 12's source now reads ready at 0; a
+    // cached 50 is stale but 12 is visited on every cycle >= 50.
+    v.headSeq = 11;
+    v.entries.erase(v.entries.begin());
+    v.mobStores = {11};
+    EXPECT_TRUE(StateAuditor::check(v, 50).empty());
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 49), "wake@12"));
+}
+
+TEST(Auditor, UnclassifiedLoadWakesWhenItsDataIsReady)
+{
+    AuditView v = soundView();
+    // As an unclassified load, 12 classifies once 10's data lands,
+    // even before the estimate lets it issue.
+    v.entries[0].est = 80;
+    v.entries[2].unclassifiedLoad = true;
+    EXPECT_TRUE(StateAuditor::check(v, 1).empty());
+    v.entries[2].wake = 51;
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "wake@12"));
 }
 
 TEST(Auditor, ViolationDiagsCarryTheCycle)
