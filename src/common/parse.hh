@@ -16,13 +16,24 @@
  * unsigned 64-bit integer: one or more ASCII digits, nothing else.
  * No sign, no whitespace, no hex/octal prefix, no partial consumption,
  * and overflow past 2^64−1 is rejected rather than clamped.
+ * parseUnsigned<T>() adds the range check for a narrower field, so a
+ * value that does not fit is rejected rather than truncated.
+ *
+ * EnumName tables give each config enum its spellings in one place:
+ * the name config files and CLI flags use, and the display name that
+ * results, cell keys and test names use.
  */
 
 #ifndef LRS_COMMON_PARSE_HH
 #define LRS_COMMON_PARSE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace lrs
 {
@@ -34,6 +45,72 @@ namespace lrs
  * empty string, leading '-'/'+', whitespace anywhere, and overflow.
  */
 bool tryParseU64(std::string_view s, std::uint64_t &out) noexcept;
+
+/**
+ * Parse @p s as tryParseU64() does into an integer type T that must
+ * hold the value.
+ * @throws std::invalid_argument on malformed or out-of-range input.
+ */
+template <typename T = std::uint64_t>
+T
+parseUnsigned(std::string_view s)
+{
+    static_assert(std::is_integral_v<T>);
+    std::uint64_t v = 0;
+    if (!tryParseU64(s, v)) {
+        throw std::invalid_argument("not an unsigned integer: '" +
+                                    std::string(s) + "'");
+    }
+    constexpr auto max =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (v > max) {
+        throw std::invalid_argument("'" + std::string(s) +
+                                    "' is out of range (max " +
+                                    std::to_string(max) + ")");
+    }
+    return static_cast<T>(v);
+}
+
+/** One row of an enum's name table. */
+template <typename E>
+struct EnumName
+{
+    E value;
+    const char *ini;     ///< config files and CLI flags
+    const char *display; ///< results, cell keys and test names
+};
+
+/** The row of @p v in @p names; its names are "?" if it has none. */
+template <typename E, std::size_t N>
+const EnumName<E> &
+enumName(const EnumName<E> (&names)[N], E v)
+{
+    static constexpr EnumName<E> unknown{E{}, "?", "?"};
+    for (const EnumName<E> &n : names) {
+        if (n.value == v)
+            return n;
+    }
+    return unknown;
+}
+
+/**
+ * The value spelt @p s in @p names.
+ * @throws std::invalid_argument listing the accepted spellings.
+ */
+template <typename E, std::size_t N>
+E
+parseEnumName(const EnumName<E> (&names)[N], std::string_view s)
+{
+    std::string accepted;
+    for (const EnumName<E> &n : names) {
+        if (s == n.ini)
+            return n.value;
+        accepted += accepted.empty() ? "" : "|";
+        accepted += n.ini;
+    }
+    throw std::invalid_argument("'" + std::string(s) +
+                                "' is not one of " + accepted);
+}
 
 } // namespace lrs
 

@@ -1,11 +1,11 @@
 #include "core/config_io.hh"
 
+#include <algorithm>
 #include <fstream>
-#include <functional>
 #include <istream>
-#include <map>
-#include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "common/diag.hh"
 #include "common/parse.hh"
@@ -17,14 +17,125 @@ namespace lrs
 namespace
 {
 
-std::string
-trim(const std::string &s)
+constexpr EnumName<OrderingScheme> kSchemeNames[] = {
+    {OrderingScheme::Traditional, "traditional", "Traditional"},
+    {OrderingScheme::Opportunistic, "opportunistic", "Opportunistic"},
+    {OrderingScheme::Postponing, "postponing", "Postponing"},
+    {OrderingScheme::Inclusive, "inclusive", "Inclusive"},
+    {OrderingScheme::Exclusive, "exclusive", "Exclusive"},
+    {OrderingScheme::Perfect, "perfect", "Perfect"},
+    {OrderingScheme::StoreBarrier, "storebarrier", "StoreBarrier"},
+    {OrderingScheme::StoreSets, "storesets", "StoreSets"},
+};
+
+constexpr EnumName<HmpKind> kHmpNames[] = {
+    {HmpKind::AlwaysHit, "always-hit", "always-hit"},
+    {HmpKind::Local, "local", "local"},
+    {HmpKind::Chooser, "chooser", "chooser"},
+    {HmpKind::LocalTiming, "local+timing", "local+timing"},
+    {HmpKind::Perfect, "perfect", "perfect"},
+};
+
+constexpr EnumName<BankMode> kBankModeNames[] = {
+    {BankMode::TrueMultiPorted, "multiported", "true-multiported"},
+    {BankMode::Conventional, "conventional", "conventional-banked"},
+    {BankMode::DualScheduled, "dual", "dual-scheduled"},
+    {BankMode::Sliced, "sliced", "sliced-banked"},
+};
+
+constexpr EnumName<BankPredKind> kBankPredNames[] = {
+    {BankPredKind::None, "none", "none"},
+    {BankPredKind::A, "A", "A"},
+    {BankPredKind::B, "B", "B"},
+    {BankPredKind::C, "C", "C"},
+    {BankPredKind::Addr, "addr", "addr"},
+};
+
+// The name table of each enum field type, found by overload.
+constexpr const auto &namesOf(OrderingScheme) { return kSchemeNames; }
+constexpr const auto &namesOf(HmpKind) { return kHmpNames; }
+constexpr const auto &namesOf(BankMode) { return kBankModeNames; }
+constexpr const auto &namesOf(BankPredKind) { return kBankPredNames; }
+constexpr const auto &namesOf(ChtKind) { return kChtKindNames; }
+
+/** The field at the end of a member-pointer path from MachineConfig. */
+template <auto... Path>
+auto &
+member(MachineConfig &c)
 {
-    const auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    const auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
+    return (c .* ... .* Path);
+}
+
+template <typename T>
+using FieldRef = T &(*)(MachineConfig &);
+
+/** One INI key and the MachineConfig field it reads and writes. */
+struct Field
+{
+    const char *key;
+    std::variant<FieldRef<int>, FieldRef<unsigned>,
+                 FieldRef<std::uint64_t>, FieldRef<bool>,
+                 FieldRef<OrderingScheme>, FieldRef<HmpKind>,
+                 FieldRef<BankMode>, FieldRef<BankPredKind>,
+                 FieldRef<ChtKind>>
+        ref;
+};
+
+using M = MachineConfig;
+using H = HierarchyParams;
+
+// The one description of the INI format, in output order. INI read,
+// INI write (and so --dump-config and snapshot headers), grid files
+// and the lrs_sim config flags all go through this table.
+const Field kFields[] = {
+    {"scheme", &member<&M::scheme>},
+    {"hmp", &member<&M::hmp>},
+    {"bank_mode", &member<&M::bankMode>},
+    {"bank_pred", &member<&M::bankPred>},
+    {"num_banks", &member<&M::numBanks>},
+    {"sched_window", &member<&M::schedWindow>},
+    {"rob_size", &member<&M::robSize>},
+    {"reg_pool", &member<&M::regPool>},
+    {"fetch_width", &member<&M::fetchWidth>},
+    {"retire_width", &member<&M::retireWidth>},
+    {"int_units", &member<&M::intUnits>},
+    {"mem_units", &member<&M::memUnits>},
+    {"fp_units", &member<&M::fpUnits>},
+    {"complex_units", &member<&M::complexUnits>},
+    {"std_ports", &member<&M::stdPorts>},
+    {"collision_penalty", &member<&M::collisionPenalty>},
+    {"mob_partial_bits", &member<&M::mobPartialBits>},
+    {"branch_mispredict_penalty", &member<&M::branchMispredictPenalty>},
+    {"replay_backoff", &member<&M::replayBackoff>},
+    {"reschedule_penalty", &member<&M::reschedulePenalty>},
+    {"ahpm_penalty", &member<&M::ahpmPenalty>},
+    {"stats_interval", &member<&M::statsInterval>},
+    {"collect_histograms", &member<&M::collectHistograms>},
+    {"audit_interval", &member<&M::auditInterval>},
+    {"max_cycles", &member<&M::maxCycles>},
+    {"exclusive_spec_forward", &member<&M::exclusiveSpecForward>},
+    {"stride_prefetch", &member<&M::stridePrefetch>},
+    {"prefetch_degree", &member<&M::prefetchDegree>},
+    {"cht_kind", &member<&M::cht, &ChtParams::kind>},
+    {"cht_entries", &member<&M::cht, &ChtParams::entries>},
+    {"cht_assoc", &member<&M::cht, &ChtParams::assoc>},
+    {"cht_counter_bits", &member<&M::cht, &ChtParams::counterBits>},
+    {"cht_sticky", &member<&M::cht, &ChtParams::sticky>},
+    {"cht_track_distance", &member<&M::cht, &ChtParams::trackDistance>},
+    {"cht_clear_interval", &member<&M::cht, &ChtParams::clearInterval>},
+    {"cht_path_bits", &member<&M::cht, &ChtParams::pathBits>},
+    {"l1_bytes", &member<&M::mem, &H::l1, &CacheParams::sizeBytes>},
+    {"l2_bytes", &member<&M::mem, &H::l2, &CacheParams::sizeBytes>},
+    {"mem_latency", &member<&M::mem, &H::memLatency>},
+};
+
+const Field *
+findField(const std::string &key)
+{
+    const auto it = std::find_if(
+        std::begin(kFields), std::end(kFields),
+        [&](const Field &f) { return key == f.key; });
+    return it == std::end(kFields) ? nullptr : it;
 }
 
 bool
@@ -37,239 +148,121 @@ parseBool(const std::string &v)
     throw std::invalid_argument("not a boolean: " + v);
 }
 
-std::uint64_t
-parseU64(const std::string &v)
+/** Set @p f of @p cfg from its INI spelling @p v. */
+void
+setField(const Field &f, MachineConfig &cfg, const std::string &v)
 {
-    std::uint64_t n = 0;
-    if (!tryParseU64(v, n)) {
-        throw std::invalid_argument(
-            "not an unsigned integer: '" + v + "'");
-    }
-    return n;
+    std::visit(
+        [&](auto ref) {
+            auto &field = ref(cfg);
+            using T = std::remove_reference_t<decltype(field)>;
+            if constexpr (std::is_same_v<T, bool>)
+                field = parseBool(v);
+            else if constexpr (std::is_enum_v<T>)
+                field = parseEnumName(namesOf(T{}), v);
+            else
+                field = parseUnsigned<T>(v);
+        },
+        f.ref);
+}
+
+/** The INI spelling of @p f in @p cfg. */
+std::string
+fieldText(const Field &f, MachineConfig &cfg)
+{
+    return std::visit(
+        [&](auto ref) -> std::string {
+            const auto &field = ref(cfg);
+            using T = std::remove_cvref_t<decltype(field)>;
+            if constexpr (std::is_same_v<T, bool>)
+                return field ? "true" : "false";
+            else if constexpr (std::is_enum_v<T>)
+                return enumName(namesOf(T{}), field).ini;
+            else
+                return std::to_string(field);
+        },
+        f.ref);
+}
+
+std::string
+trim(const std::string &s)
+{
+    const auto b = s.find_first_not_of(" \t\r");
+    if (b == std::string::npos)
+        return "";
+    const auto e = s.find_last_not_of(" \t\r");
+    return s.substr(b, e - b + 1);
 }
 
 } // namespace
 
+const char *
+orderingSchemeName(OrderingScheme s)
+{
+    return enumName(kSchemeNames, s).display;
+}
+
+const char *
+hmpKindName(HmpKind k)
+{
+    return enumName(kHmpNames, k).display;
+}
+
+const char *
+bankModeName(BankMode m)
+{
+    return enumName(kBankModeNames, m).display;
+}
+
+const char *
+bankPredKindName(BankPredKind k)
+{
+    return enumName(kBankPredNames, k).display;
+}
+
 OrderingScheme
 parseOrderingScheme(const std::string &s)
 {
-    if (s == "traditional") return OrderingScheme::Traditional;
-    if (s == "opportunistic") return OrderingScheme::Opportunistic;
-    if (s == "postponing") return OrderingScheme::Postponing;
-    if (s == "inclusive") return OrderingScheme::Inclusive;
-    if (s == "exclusive") return OrderingScheme::Exclusive;
-    if (s == "perfect") return OrderingScheme::Perfect;
-    if (s == "storebarrier") return OrderingScheme::StoreBarrier;
-    if (s == "storesets") return OrderingScheme::StoreSets;
-    throw std::invalid_argument("unknown scheme: " + s);
+    return parseEnumName(kSchemeNames, s);
 }
 
 HmpKind
 parseHmpKind(const std::string &s)
 {
-    if (s == "always-hit") return HmpKind::AlwaysHit;
-    if (s == "local") return HmpKind::Local;
-    if (s == "chooser") return HmpKind::Chooser;
-    if (s == "local+timing") return HmpKind::LocalTiming;
-    if (s == "perfect") return HmpKind::Perfect;
-    throw std::invalid_argument("unknown hmp: " + s);
+    return parseEnumName(kHmpNames, s);
 }
 
 BankMode
 parseBankMode(const std::string &s)
 {
-    if (s == "multiported") return BankMode::TrueMultiPorted;
-    if (s == "conventional") return BankMode::Conventional;
-    if (s == "dual") return BankMode::DualScheduled;
-    if (s == "sliced") return BankMode::Sliced;
-    throw std::invalid_argument("unknown bank mode: " + s);
+    return parseEnumName(kBankModeNames, s);
 }
 
 BankPredKind
 parseBankPredKind(const std::string &s)
 {
-    if (s == "none") return BankPredKind::None;
-    if (s == "A") return BankPredKind::A;
-    if (s == "B") return BankPredKind::B;
-    if (s == "C") return BankPredKind::C;
-    if (s == "addr") return BankPredKind::Addr;
-    throw std::invalid_argument("unknown bank predictor: " + s);
+    return parseEnumName(kBankPredNames, s);
 }
 
 ChtKind
 parseChtKind(const std::string &s)
 {
-    if (s == "full") return ChtKind::Full;
-    if (s == "tagonly") return ChtKind::TagOnly;
-    if (s == "tagless") return ChtKind::Tagless;
-    if (s == "combined") return ChtKind::Combined;
-    throw std::invalid_argument("unknown CHT kind: " + s);
+    return parseEnumName(kChtKindNames, s);
+}
+
+void
+setMachineConfigKey(MachineConfig &cfg, const std::string &key,
+                    const std::string &value)
+{
+    const Field *f = findField(key);
+    if (!f)
+        throw std::invalid_argument("unknown config key: " + key);
+    setField(*f, cfg, value);
 }
 
 MachineConfig
 machineConfigFromIni(std::istream &is, MachineConfig base)
 {
-    using Setter =
-        std::function<void(MachineConfig &, const std::string &)>;
-    static const std::map<std::string, Setter> setters = {
-        {"scheme",
-         [](MachineConfig &c, const std::string &v) {
-             c.scheme = parseOrderingScheme(v);
-         }},
-        {"hmp",
-         [](MachineConfig &c, const std::string &v) {
-             c.hmp = parseHmpKind(v);
-         }},
-        {"bank_mode",
-         [](MachineConfig &c, const std::string &v) {
-             c.bankMode = parseBankMode(v);
-         }},
-        {"bank_pred",
-         [](MachineConfig &c, const std::string &v) {
-             c.bankPred = parseBankPredKind(v);
-         }},
-        {"num_banks",
-         [](MachineConfig &c, const std::string &v) {
-             c.numBanks = static_cast<unsigned>(parseU64(v));
-         }},
-        {"sched_window",
-         [](MachineConfig &c, const std::string &v) {
-             c.schedWindow = static_cast<int>(parseU64(v));
-         }},
-        {"rob_size",
-         [](MachineConfig &c, const std::string &v) {
-             c.robSize = static_cast<int>(parseU64(v));
-         }},
-        {"reg_pool",
-         [](MachineConfig &c, const std::string &v) {
-             c.regPool = static_cast<int>(parseU64(v));
-         }},
-        {"fetch_width",
-         [](MachineConfig &c, const std::string &v) {
-             c.fetchWidth = static_cast<int>(parseU64(v));
-         }},
-        {"retire_width",
-         [](MachineConfig &c, const std::string &v) {
-             c.retireWidth = static_cast<int>(parseU64(v));
-         }},
-        {"int_units",
-         [](MachineConfig &c, const std::string &v) {
-             c.intUnits = static_cast<int>(parseU64(v));
-         }},
-        {"mem_units",
-         [](MachineConfig &c, const std::string &v) {
-             c.memUnits = static_cast<int>(parseU64(v));
-         }},
-        {"fp_units",
-         [](MachineConfig &c, const std::string &v) {
-             c.fpUnits = static_cast<int>(parseU64(v));
-         }},
-        {"complex_units",
-         [](MachineConfig &c, const std::string &v) {
-             c.complexUnits = static_cast<int>(parseU64(v));
-         }},
-        {"std_ports",
-         [](MachineConfig &c, const std::string &v) {
-             c.stdPorts = static_cast<int>(parseU64(v));
-         }},
-        {"collision_penalty",
-         [](MachineConfig &c, const std::string &v) {
-             c.collisionPenalty = parseU64(v);
-         }},
-        {"mob_partial_bits",
-         [](MachineConfig &c, const std::string &v) {
-             c.mobPartialBits = static_cast<unsigned>(parseU64(v));
-         }},
-        {"branch_mispredict_penalty",
-         [](MachineConfig &c, const std::string &v) {
-             c.branchMispredictPenalty = parseU64(v);
-         }},
-        {"replay_backoff",
-         [](MachineConfig &c, const std::string &v) {
-             c.replayBackoff = parseU64(v);
-         }},
-        {"reschedule_penalty",
-         [](MachineConfig &c, const std::string &v) {
-             c.reschedulePenalty = parseU64(v);
-         }},
-        {"ahpm_penalty",
-         [](MachineConfig &c, const std::string &v) {
-             c.ahpmPenalty = parseU64(v);
-         }},
-        {"stats_interval",
-         [](MachineConfig &c, const std::string &v) {
-             c.statsInterval = parseU64(v);
-         }},
-        {"collect_histograms",
-         [](MachineConfig &c, const std::string &v) {
-             c.collectHistograms = parseBool(v);
-         }},
-        {"audit_interval",
-         [](MachineConfig &c, const std::string &v) {
-             c.auditInterval = parseU64(v);
-         }},
-        {"max_cycles",
-         [](MachineConfig &c, const std::string &v) {
-             c.maxCycles = parseU64(v);
-         }},
-        {"exclusive_spec_forward",
-         [](MachineConfig &c, const std::string &v) {
-             c.exclusiveSpecForward = parseBool(v);
-         }},
-        {"stride_prefetch",
-         [](MachineConfig &c, const std::string &v) {
-             c.stridePrefetch = parseBool(v);
-         }},
-        {"prefetch_degree",
-         [](MachineConfig &c, const std::string &v) {
-             c.prefetchDegree = static_cast<unsigned>(parseU64(v));
-         }},
-        {"cht_kind",
-         [](MachineConfig &c, const std::string &v) {
-             c.cht.kind = parseChtKind(v);
-         }},
-        {"cht_entries",
-         [](MachineConfig &c, const std::string &v) {
-             c.cht.entries = parseU64(v);
-         }},
-        {"cht_assoc",
-         [](MachineConfig &c, const std::string &v) {
-             c.cht.assoc = static_cast<unsigned>(parseU64(v));
-         }},
-        {"cht_counter_bits",
-         [](MachineConfig &c, const std::string &v) {
-             c.cht.counterBits = static_cast<unsigned>(parseU64(v));
-         }},
-        {"cht_sticky",
-         [](MachineConfig &c, const std::string &v) {
-             c.cht.sticky = parseBool(v);
-         }},
-        {"cht_track_distance",
-         [](MachineConfig &c, const std::string &v) {
-             c.cht.trackDistance = parseBool(v);
-         }},
-        {"cht_clear_interval",
-         [](MachineConfig &c, const std::string &v) {
-             c.cht.clearInterval = parseU64(v);
-         }},
-        {"cht_path_bits",
-         [](MachineConfig &c, const std::string &v) {
-             c.cht.pathBits = static_cast<unsigned>(parseU64(v));
-         }},
-        {"l1_bytes",
-         [](MachineConfig &c, const std::string &v) {
-             c.mem.l1.sizeBytes = parseU64(v);
-         }},
-        {"l2_bytes",
-         [](MachineConfig &c, const std::string &v) {
-             c.mem.l2.sizeBytes = parseU64(v);
-         }},
-        {"mem_latency",
-         [](MachineConfig &c, const std::string &v) {
-             c.mem.memLatency = parseU64(v);
-         }},
-    };
-
     std::string line;
     int lineno = 0;
     while (std::getline(is, line)) {
@@ -289,16 +282,14 @@ machineConfigFromIni(std::istream &is, MachineConfig base)
         }
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
-        const auto it = setters.find(key);
-        if (it == setters.end()) {
+        const Field *f = findField(key);
+        if (!f) {
             throw ConfigError(makeDiag(
                 DiagCode::ConfigUnknownKey, "config_io", key,
                 strprintf("unknown key at line %d", lineno)));
         }
         try {
-            it->second(base, value);
-        } catch (const ConfigError &) {
-            throw;
+            setField(*f, base, value);
         } catch (const std::exception &e) {
             throw ConfigError(makeDiag(
                 DiagCode::ConfigInvalid, "config_io", key,
@@ -329,74 +320,11 @@ machineConfigFromFile(const std::string &path, MachineConfig base)
 std::string
 machineConfigToIni(const MachineConfig &cfg)
 {
-    std::ostringstream os;
-    const auto scheme_name = [&] {
-        std::string s = orderingSchemeName(cfg.scheme);
-        for (auto &c : s)
-            c = static_cast<char>(std::tolower(c));
-        return s;
-    }();
-    os << "# lrs machine configuration\n";
-    os << "scheme = " << scheme_name << "\n";
-    os << "hmp = " << hmpKindName(cfg.hmp) << "\n";
-    os << "bank_mode = "
-       << (cfg.bankMode == BankMode::TrueMultiPorted ? "multiported"
-           : cfg.bankMode == BankMode::Conventional  ? "conventional"
-           : cfg.bankMode == BankMode::DualScheduled ? "dual"
-                                                     : "sliced")
-       << "\n";
-    os << "bank_pred = " << bankPredKindName(cfg.bankPred) << "\n";
-    os << "num_banks = " << cfg.numBanks << "\n";
-    os << "sched_window = " << cfg.schedWindow << "\n";
-    os << "rob_size = " << cfg.robSize << "\n";
-    os << "reg_pool = " << cfg.regPool << "\n";
-    os << "fetch_width = " << cfg.fetchWidth << "\n";
-    os << "retire_width = " << cfg.retireWidth << "\n";
-    os << "int_units = " << cfg.intUnits << "\n";
-    os << "mem_units = " << cfg.memUnits << "\n";
-    os << "fp_units = " << cfg.fpUnits << "\n";
-    os << "complex_units = " << cfg.complexUnits << "\n";
-    os << "std_ports = " << cfg.stdPorts << "\n";
-    os << "collision_penalty = " << cfg.collisionPenalty << "\n";
-    os << "mob_partial_bits = " << cfg.mobPartialBits << "\n";
-    os << "branch_mispredict_penalty = "
-       << cfg.branchMispredictPenalty << "\n";
-    os << "replay_backoff = " << cfg.replayBackoff << "\n";
-    os << "reschedule_penalty = " << cfg.reschedulePenalty << "\n";
-    os << "ahpm_penalty = " << cfg.ahpmPenalty << "\n";
-    os << "stats_interval = " << cfg.statsInterval << "\n";
-    os << "collect_histograms = "
-       << (cfg.collectHistograms ? "true" : "false") << "\n";
-    os << "audit_interval = " << cfg.auditInterval << "\n";
-    os << "max_cycles = " << cfg.maxCycles << "\n";
-    os << "exclusive_spec_forward = "
-       << (cfg.exclusiveSpecForward ? "true" : "false") << "\n";
-    os << "stride_prefetch = "
-       << (cfg.stridePrefetch ? "true" : "false") << "\n";
-    os << "prefetch_degree = " << cfg.prefetchDegree << "\n";
-    const auto cht_kind = [&] {
-        switch (cfg.cht.kind) {
-          case ChtKind::Full: return "full";
-          case ChtKind::TagOnly: return "tagonly";
-          case ChtKind::Tagless: return "tagless";
-          case ChtKind::Combined: return "combined";
-        }
-        return "?";
-    }();
-    os << "cht_kind = " << cht_kind << "\n";
-    os << "cht_entries = " << cfg.cht.entries << "\n";
-    os << "cht_assoc = " << cfg.cht.assoc << "\n";
-    os << "cht_counter_bits = " << cfg.cht.counterBits << "\n";
-    os << "cht_sticky = " << (cfg.cht.sticky ? "true" : "false")
-       << "\n";
-    os << "cht_track_distance = "
-       << (cfg.cht.trackDistance ? "true" : "false") << "\n";
-    os << "cht_clear_interval = " << cfg.cht.clearInterval << "\n";
-    os << "cht_path_bits = " << cfg.cht.pathBits << "\n";
-    os << "l1_bytes = " << cfg.mem.l1.sizeBytes << "\n";
-    os << "l2_bytes = " << cfg.mem.l2.sizeBytes << "\n";
-    os << "mem_latency = " << cfg.mem.memLatency << "\n";
-    return os.str();
+    MachineConfig c = cfg; // the field accessors take a mutable config
+    std::string out = "# lrs machine configuration\n";
+    for (const Field &f : kFields)
+        out += std::string(f.key) + " = " + fieldText(f, c) + "\n";
+    return out;
 }
 
 } // namespace lrs

@@ -5,8 +5,11 @@
  * Parses a small INI-style format ("key = value" lines, '#' or ';'
  * comments) into a MachineConfig, and serialises one back, so
  * experiment configurations can be versioned next to results instead
- * of living in command lines. Also exports the enum parsers shared
- * with the lrs_sim CLI.
+ * of living in command lines. Also exports the enum parsers and a
+ * single-key setter for grid files and the lrs_sim CLI.
+ *
+ * Every key, its field and its spelling come from one table, kFields
+ * in config_io.cc; its order is the order machineConfigToIni() writes.
  */
 
 #ifndef LRS_CORE_CONFIG_IO_HH
@@ -28,19 +31,21 @@ BankPredKind parseBankPredKind(const std::string &s);
 ChtKind parseChtKind(const std::string &s);
 
 /**
- * Apply "key = value" lines from @p is on top of @p base.
+ * Set the field of @p cfg that INI key @p key names from @p value,
+ * spelt as in a config file. Integers must be canonical base-10 and
+ * fit their field.
  *
- * Recognised keys (see machineConfigToIni() for the full list with
- * current values): scheme, hmp, bank_mode, bank_pred, num_banks,
- * sched_window, rob_size, reg_pool, fetch_width, retire_width,
- * int_units, mem_units, fp_units, complex_units, std_ports,
- * collision_penalty, branch_mispredict_penalty, replay_backoff,
- * reschedule_penalty, ahpm_penalty, exclusive_spec_forward,
- * cht_kind, cht_entries, cht_assoc, cht_counter_bits, cht_sticky,
- * cht_track_distance, cht_clear_interval, cht_path_bits,
- * l1_bytes, l2_bytes, mem_latency.
+ * @throws std::invalid_argument on an unknown key or a bad value.
+ */
+void setMachineConfigKey(MachineConfig &cfg, const std::string &key,
+                         const std::string &value);
+
+/**
+ * Apply "key = value" lines from @p is on top of @p base, then
+ * validate the result. The keys are those machineConfigToIni() writes.
  *
- * @throws std::invalid_argument on unknown keys or malformed values.
+ * @throws ConfigError on unknown keys, malformed values or an invalid
+ * machine.
  */
 MachineConfig machineConfigFromIni(std::istream &is,
                                    MachineConfig base = {});

@@ -12,60 +12,6 @@
 namespace lrs
 {
 
-const char *
-orderingSchemeName(OrderingScheme s)
-{
-    switch (s) {
-      case OrderingScheme::Traditional:   return "Traditional";
-      case OrderingScheme::Opportunistic: return "Opportunistic";
-      case OrderingScheme::Postponing:    return "Postponing";
-      case OrderingScheme::Inclusive:     return "Inclusive";
-      case OrderingScheme::Exclusive:     return "Exclusive";
-      case OrderingScheme::Perfect:       return "Perfect";
-      case OrderingScheme::StoreBarrier:  return "StoreBarrier";
-      case OrderingScheme::StoreSets:     return "StoreSets";
-    }
-    return "?";
-}
-
-const char *
-bankModeName(BankMode m)
-{
-    switch (m) {
-      case BankMode::TrueMultiPorted: return "true-multiported";
-      case BankMode::Conventional:    return "conventional-banked";
-      case BankMode::DualScheduled:   return "dual-scheduled";
-      case BankMode::Sliced:          return "sliced-banked";
-    }
-    return "?";
-}
-
-const char *
-bankPredKindName(BankPredKind k)
-{
-    switch (k) {
-      case BankPredKind::None: return "none";
-      case BankPredKind::A:    return "A";
-      case BankPredKind::B:    return "B";
-      case BankPredKind::C:    return "C";
-      case BankPredKind::Addr: return "addr";
-    }
-    return "?";
-}
-
-const char *
-hmpKindName(HmpKind k)
-{
-    switch (k) {
-      case HmpKind::AlwaysHit:   return "always-hit";
-      case HmpKind::Local:       return "local";
-      case HmpKind::Chooser:     return "chooser";
-      case HmpKind::LocalTiming: return "local+timing";
-      case HmpKind::Perfect:     return "perfect";
-    }
-    return "?";
-}
-
 namespace
 {
 

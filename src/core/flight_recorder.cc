@@ -13,7 +13,7 @@ namespace lrs
 {
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : buf_(capacity ? capacity : 1)
+    : ring_(capacity)
 {
     notes_.reserve(kMaxNotes);
 }
@@ -53,9 +53,9 @@ FlightRecorder::headerJson() const
     h.set("cell", json::Value(static_cast<std::uint64_t>(cell_)));
     h.set("key", json::Value(key_));
     h.set("capacity",
-          json::Value(static_cast<std::uint64_t>(buf_.size())));
-    h.set("events", json::Value(static_cast<std::uint64_t>(count_)));
-    h.set("total_recorded", json::Value(total_));
+          json::Value(static_cast<std::uint64_t>(capacity())));
+    h.set("events", json::Value(static_cast<std::uint64_t>(size())));
+    h.set("total_recorded", json::Value(totalRecorded()));
     h.set("wrapped", json::Value(wrapped()));
     json::Value notes = json::Value::array();
     for (const Note &n : notes_) {
@@ -70,8 +70,11 @@ FlightRecorder::headerJson() const
     return h;
 }
 
+namespace
+{
+
 json::Value
-FlightRecorder::eventJson(const Event &e) const
+eventJson(const PipelineTracer::Record &e)
 {
     json::Value v = json::Value::object();
     v.set("c", json::Value(e.cycle));
@@ -82,6 +85,8 @@ FlightRecorder::eventJson(const Event &e) const
     return v;
 }
 
+} // namespace
+
 void
 FlightRecorder::dumpNow()
 {
@@ -89,12 +94,8 @@ FlightRecorder::dumpNow()
         return;
 
     std::string out = journalLine(headerJson());
-    // Oldest first, same walk as PipelineTracer::at().
-    const std::size_t start = wrapped() ? next_ : 0;
-    for (std::size_t i = 0; i < count_; ++i) {
-        const std::size_t idx = (start + i) % buf_.size();
-        out += journalLine(eventJson(buf_[idx]));
-    }
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+        out += journalLine(eventJson(ring_.at(i)));
 
     // Temp-write + fsync + rename: whatever instant the process is
     // killed, the path either holds the previous complete snapshot or

@@ -5,12 +5,12 @@
  * A sweep cell that dies — a diagnostic, a deadline, or an outright
  * crash under --isolate — takes its in-memory state with it. The
  * flight recorder keeps a bounded ring of the most recent pipeline
- * lifecycle events (reusing the tracer's TraceEvent vocabulary) plus
- * a short list of out-of-band notes (diagnostics, audit findings,
- * outcome classification), and dumps them as CRC-framed JSONL using
- * the same `LRSJ1` line discipline as the checkpoint journal
- * (common/journal.hh) — so the dump survives torn tails and is
- * validated by the same reader.
+ * lifecycle events (held in a PipelineTracer, the --trace-events
+ * ring) plus a short list of out-of-band notes (diagnostics, audit
+ * findings, outcome classification), and dumps them as CRC-framed
+ * JSONL using the same `LRSJ1` line discipline as the checkpoint
+ * journal (common/journal.hh) — so the dump survives torn tails and
+ * is validated by the same reader.
  *
  * Crash-survival strategy: the recorder cannot run code at SIGKILL
  * time, so instead it *periodically* rewrites its dump file (write to
@@ -74,17 +74,8 @@ class FlightRecorder
     record(TraceEvent ev, Cycle cycle, SeqNum seq, Addr pc,
            UopClass cls)
     {
-        Event &e = buf_[next_];
-        e.cycle = cycle;
-        e.seq = seq;
-        e.pc = pc;
-        e.ev = ev;
-        e.cls = cls;
-        next_ = next_ + 1 == buf_.size() ? 0 : next_ + 1;
-        if (count_ < buf_.size())
-            ++count_;
-        ++total_;
-        if (flushInterval_ && total_ % flushInterval_ == 0)
+        ring_.record(ev, cycle, seq, pc, cls);
+        if (flushInterval_ && ring_.totalRecorded() % flushInterval_ == 0)
             dumpNow();
     }
 
@@ -102,37 +93,23 @@ class FlightRecorder
     /** Delete the dump file (cell completed fine; leave no debris). */
     void removeDump();
 
-    std::size_t capacity() const { return buf_.size(); }
-    std::size_t size() const { return count_; }
-    std::uint64_t totalRecorded() const { return total_; }
-    bool wrapped() const { return total_ > count_; }
+    std::size_t capacity() const { return ring_.capacity(); }
+    std::size_t size() const { return ring_.size(); }
+    std::uint64_t totalRecorded() const { return ring_.totalRecorded(); }
+    bool wrapped() const { return ring_.wrapped(); }
     const std::string &dumpPath() const { return path_; }
 
     /** The dump's header record (also written as the first line). */
     json::Value headerJson() const;
 
   private:
-    struct Event
-    {
-        Cycle cycle;
-        SeqNum seq;
-        Addr pc;
-        TraceEvent ev;
-        UopClass cls;
-    };
-
     struct Note
     {
         std::string kind;
         std::string text;
     };
 
-    json::Value eventJson(const Event &e) const;
-
-    std::vector<Event> buf_;
-    std::size_t next_ = 0;
-    std::size_t count_ = 0;
-    std::uint64_t total_ = 0;
+    PipelineTracer ring_;
     std::vector<Note> notes_;
     std::uint64_t droppedNotes_ = 0;
     std::size_t cell_ = 0;

@@ -12,13 +12,7 @@ namespace lrs
 const char *
 chtKindName(ChtKind k)
 {
-    switch (k) {
-      case ChtKind::Full:     return "Full";
-      case ChtKind::TagOnly:  return "TagOnly";
-      case ChtKind::Tagless:  return "Tagless";
-      case ChtKind::Combined: return "Combined";
-    }
-    return "?";
+    return enumName(kChtKindNames, k).display;
 }
 
 std::vector<Diag>

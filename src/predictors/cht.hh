@@ -31,6 +31,7 @@
 
 #include "common/diag.hh"
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "common/stats_registry.hh"
 #include "common/types.hh"
 
@@ -46,6 +47,14 @@ enum class ChtKind
     TagOnly,
     Tagless,
     Combined,
+};
+
+/** Config spellings and display names of the CHT kinds. */
+inline constexpr EnumName<ChtKind> kChtKindNames[] = {
+    {ChtKind::Full, "full", "Full"},
+    {ChtKind::TagOnly, "tagonly", "TagOnly"},
+    {ChtKind::Tagless, "tagless", "Tagless"},
+    {ChtKind::Combined, "combined", "Combined"},
 };
 
 const char *chtKindName(ChtKind k);

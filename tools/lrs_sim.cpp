@@ -26,6 +26,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <netdb.h>
 #include <sys/socket.h>
@@ -38,6 +39,7 @@
 #include "common/fault_injector.hh"
 #include "common/histogram.hh"
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "common/profiler.hh"
 #include "common/stats.hh"
 #include "core/config_io.hh"
@@ -79,6 +81,36 @@ constexpr int kExitUsage = 2;
 constexpr int kExitConfig = 3;
 constexpr int kExitIo = 4;
 constexpr int kExitInterrupted = 5;
+
+// Value flags that set one MachineConfig field, each with the INI key
+// it sets: they share the --config file's setter and strict parsing.
+constexpr std::pair<const char *, const char *> kConfigFlags[] = {
+    {"--scheme", "scheme"},
+    {"--hmp", "hmp"},
+    {"--bank-mode", "bank_mode"},
+    {"--bank-pred", "bank_pred"},
+    {"--banks", "num_banks"},
+    {"--window", "sched_window"},
+    {"--int", "int_units"},
+    {"--mem", "mem_units"},
+    {"--cht", "cht_kind"},
+    {"--cht-entries", "cht_entries"},
+    {"--mob-partial-bits", "mob_partial_bits"},
+    {"--max-cycles", "max_cycles"},
+    {"--stats-interval", "stats_interval"},
+    {"--audit-interval", "audit_interval"},
+};
+
+/** The INI key config flag @p flag sets, or null if it is not one. */
+const char *
+configFlagKey(const std::string &flag)
+{
+    for (const auto &[f, key] : kConfigFlags) {
+        if (flag == f)
+            return key;
+    }
+    return nullptr;
+}
 
 [[noreturn]] void
 usage(FILE *out, int code, const char *argv0)
@@ -1147,9 +1179,11 @@ main(int argc, char **argv)
         ::sigaction(SIGTERM, &sa, nullptr);
     }
 
+    // The flag being parsed, so that a bad value's error names it.
+    std::string flag;
     try {
         for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
+            const std::string a = flag = argv[i];
             auto next = [&]() -> std::string {
                 if (i + 1 >= argc)
                     usage(stderr, kExitUsage, argv[0]);
@@ -1160,27 +1194,12 @@ main(int argc, char **argv)
             else if (a == "--champsim") champsim_file = next();
             else if (a == "--families") families = true;
             else if (a == "--max-pages")
-                cs_opts.maxPages = std::stoull(next());
+                cs_opts.maxPages = parseUnsigned(next());
             else if (a == "--max-file-bytes")
-                cs_opts.maxFileBytes = std::stoull(next());
-            else if (a == "--mob-partial-bits")
-                cfg.mobPartialBits =
-                    static_cast<unsigned>(std::stoul(next()));
-            else if (a == "--len") len = std::stoull(next());
-            else if (a == "--scheme") cfg.scheme = parseOrderingScheme(next());
-            else if (a == "--hmp") cfg.hmp = parseHmpKind(next());
-            else if (a == "--bank-mode")
-                cfg.bankMode = parseBankMode(next());
-            else if (a == "--bank-pred")
-                cfg.bankPred = parseBankPredKind(next());
-            else if (a == "--banks")
-                cfg.numBanks = static_cast<unsigned>(std::stoul(next()));
-            else if (a == "--window") cfg.schedWindow = std::stoi(next());
-            else if (a == "--int") cfg.intUnits = std::stoi(next());
-            else if (a == "--mem") cfg.memUnits = std::stoi(next());
-            else if (a == "--cht") cfg.cht.kind = parseChtKind(next());
-            else if (a == "--cht-entries")
-                cfg.cht.entries = std::stoull(next());
+                cs_opts.maxFileBytes = parseUnsigned(next());
+            else if (a == "--len") len = parseUnsigned(next());
+            else if (const char *key = configFlagKey(a))
+                setMachineConfigKey(cfg, key, next());
             else if (a == "--config")
                 cfg = machineConfigFromFile(next(), cfg);
             else if (a == "--dump-config") {
@@ -1192,10 +1211,10 @@ main(int argc, char **argv)
             else if (a == "--submit") submit_addr = next();
             else if (a == "--attach") {
                 attach_set = true;
-                attach_id = std::stoull(next());
+                attach_id = parseUnsigned(next());
             }
             else if (a == "--jobs")
-                jobs_flag = static_cast<unsigned>(std::stoul(next()));
+                jobs_flag = parseUnsigned<unsigned>(next());
             else if (a == "--journal")
                 sweep_opts.journalPath = next();
             else if (a == "--resume") {
@@ -1210,11 +1229,10 @@ main(int argc, char **argv)
                     sweep_opts.journalPath = argv[++i];
             }
             else if (a == "--retries")
-                sweep_opts.retries =
-                    static_cast<unsigned>(std::stoul(next()));
+                sweep_opts.retries = parseUnsigned<unsigned>(next());
             else if (a == "--isolate") sweep_opts.isolate = true;
             else if (a == "--cell-timeout-ms")
-                sweep_opts.cellTimeoutMs = std::stoull(next());
+                sweep_opts.cellTimeoutMs = parseUnsigned(next());
             else if (a == "--histograms")
                 cfg.collectHistograms = true;
             else if (a == "--no-skip-ahead")
@@ -1224,40 +1242,35 @@ main(int argc, char **argv)
             else if (a == "--flight-recorder") flight_dir = next();
             else if (a == "--progress") sweep_opts.progressFd = 2;
             else if (a.rfind("--progress=", 0) == 0)
-                sweep_opts.progressFd = std::stoi(a.substr(11));
+                sweep_opts.progressFd =
+                    parseUnsigned<int>(a.substr(11));
             else if (a == "--check-journal")
                 check_journal_path = next();
             else if (a == "--snapshot") snapshot_path = next();
             else if (a == "--snapshot-after") {
-                snapshot_after = std::stoull(next());
+                snapshot_after = parseUnsigned(next());
                 snapshot_after_set = true;
             }
             else if (a == "--from-snapshot") from_snapshot = next();
             else if (a == "--validate-snapshot")
                 validate_snapshot = true;
-            else if (a == "--max-cycles")
-                cfg.maxCycles = std::stoull(next());
             else if (a == "--dump-trace") dump_path = next();
             else if (a == "--json") json_path = next();
-            else if (a == "--stats-interval")
-                cfg.statsInterval = std::stoull(next());
             else if (a == "--trace-events")
                 trace_events_path = next();
             else if (a == "--trace-buf")
-                trace_buf = std::stoull(next());
+                trace_buf = parseUnsigned(next());
             else if (a == "--audit") {
                 if (cfg.auditInterval == 0)
                     cfg.auditInterval = 8192;
             }
-            else if (a == "--audit-interval")
-                cfg.auditInterval = std::stoull(next());
             else if (a == "--recover") read_opts.recover = true;
             else if (a == "--bad-record-budget")
-                read_opts.badRecordBudget = std::stoull(next());
+                read_opts.badRecordBudget = parseUnsigned(next());
             else if (a == "--inject-trace-faults")
                 inject_trace_faults = true;
             else if (a == "--fault-seed")
-                fault_cfg.seed = std::stoull(next());
+                fault_cfg.seed = parseUnsigned(next());
             else if (a == "--fault-trace-rate")
                 fault_cfg.traceRate = std::stod(next());
             else if (a == "--fault-bit-rate")
@@ -1271,6 +1284,7 @@ main(int argc, char **argv)
                 usage(stderr, kExitUsage, argv[0]);
             }
         }
+        flag.clear();
         if (!check_journal_path.empty()) {
             // Offline CRC validation of any LRSJ1-framed file: a
             // checkpoint journal or a flight-recorder dump.
@@ -1605,8 +1619,10 @@ main(int argc, char **argv)
         std::fprintf(stderr, "interrupted:\n%s\n", e.what());
         return kExitInterrupted;
     } catch (const std::invalid_argument &e) {
-        // Flag-value parse errors (std::stoi and friends).
-        std::fprintf(stderr, "error: %s\n", e.what());
+        // Flag-value parse errors (strict integers, the config flags
+        // and std::stod for the fault rates) name their flag.
+        std::fprintf(stderr, "error: %s%s%s\n", flag.c_str(),
+                     flag.empty() ? "" : ": ", e.what());
         return kExitUsage;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
