@@ -97,6 +97,45 @@ TEST(ThroughputIdentity, EverySchemeMatchesStepping)
     }
 }
 
+TEST(ThroughputIdentity, EveryOrderingGateMatchesSteppingUnderAudit)
+{
+    SkipAheadGuard guard;
+    // allSchemes() holds only the paper's six; the two baselines and
+    // Exclusive's speculative forwarding gate loads on other store
+    // times. Every gate must open on the same cycle whether the idle
+    // cycles are stepped or skipped, and the auditor checks the
+    // cached wake times on every cycle of both runs.
+    struct Gate
+    {
+        OrderingScheme scheme;
+        bool specForward;
+    };
+    const Gate gates[] = {
+        {OrderingScheme::Traditional, false},
+        {OrderingScheme::Opportunistic, false},
+        {OrderingScheme::Postponing, false},
+        {OrderingScheme::Inclusive, false},
+        {OrderingScheme::Exclusive, false},
+        {OrderingScheme::Exclusive, true},
+        {OrderingScheme::Perfect, false},
+        {OrderingScheme::StoreBarrier, false},
+        {OrderingScheme::StoreSets, false},
+    };
+    for (const char *name : {"wd", "gcc", "gcmark"}) {
+        for (const Gate &g : gates) {
+            MachineConfig cfg;
+            cfg.scheme = g.scheme;
+            cfg.exclusiveSpecForward = g.specForward;
+            cfg.cht.trackDistance = true;
+            cfg.auditInterval = 1;
+            EXPECT_EQ(runDumpNamed(cfg, name, 2500, false),
+                      runDumpNamed(cfg, name, 2500, true))
+                << name << "/" << orderingSchemeName(g.scheme)
+                << (g.specForward ? "+spec_forward" : "");
+        }
+    }
+}
+
 TEST(ThroughputIdentity, SparseLongLatencyMatchesStepping)
 {
     SkipAheadGuard guard;
