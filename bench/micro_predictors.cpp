@@ -172,10 +172,11 @@ BM_MobQueries(benchmark::State &state)
             mob.stdExecuted(s * 4, s + 2);
     }
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mob.anyUnknownAddrOlder(1000, 50));
+        benchmark::DoNotOptimize(mob.olderHorizon(1000, Mob::kAddr));
         benchmark::DoNotOptimize(
             mob.youngestOverlapOlder(1000, 0x1100, 8));
-        benchmark::DoNotOptimize(mob.allOlderComplete(1000, 50));
+        benchmark::DoNotOptimize(
+            mob.olderHorizon(1000, Mob::kAddr | Mob::kData));
     }
 }
 

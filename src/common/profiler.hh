@@ -64,7 +64,8 @@ const char *stageName(Stage s);
 enum class Counter
 {
     IssueVisits,   ///< waiting slots the issue stage visited
-    WakeResets,    ///< cached wake times zeroed by producer events
+    WakeResets,    ///< cached wake times recomputed by producer
+                   ///< and store-part events
     SteppedCycles, ///< cycles executed one by one (not skipped)
 };
 constexpr std::size_t kNumCounters = 3;

@@ -43,14 +43,18 @@ throwGrid(const std::string &origin, const std::string &message)
                                "grid", message + " (" + origin + ")"));
 }
 
-std::uint64_t
-parseU64(const std::string &origin, const std::string &key,
+/** Parse @p value into an unsigned @p T; a value that does not fit
+ *  is a grid error, never truncated. */
+template <typename T>
+T
+parseKey(const std::string &origin, const std::string &key,
          const std::string &value)
 {
-    std::uint64_t v = 0;
-    if (!tryParseU64(value, v))
-        throwGrid(origin, "bad " + key + " value '" + value + "'");
-    return v;
+    try {
+        return parseUnsigned<T>(value);
+    } catch (const std::invalid_argument &e) {
+        throwGrid(origin, "bad " + key + " value: " + e.what());
+    }
 }
 
 } // namespace
@@ -93,12 +97,12 @@ parseBatchGrid(std::istream &is, const std::string &origin)
                 }
             }
         } else if (key == "len") {
-            grid.len = parseU64(origin, key, value);
+            grid.len = parseKey<std::uint64_t>(origin, key, value);
         } else if (key == "jobs") {
-            grid.jobs =
-                static_cast<unsigned>(parseU64(origin, key, value));
+            grid.jobs = parseKey<unsigned>(origin, key, value);
         } else if (key == "warmup_snapshot") {
-            grid.warmupSnapshot = parseU64(origin, key, value);
+            grid.warmupSnapshot =
+                parseKey<std::uint64_t>(origin, key, value);
         } else if (key == "snapshot_dir") {
             grid.snapshotDir = value;
         } else {

@@ -90,17 +90,6 @@ Mob::registerStats(StatsGroup g)
     }
 }
 
-bool
-Mob::anyBarrierOlderIncomplete(SeqNum load_seq, Cycle now) const
-{
-    for (std::size_t i = olderCount(load_seq); i-- > 0;) {
-        const StoreRec &r = at(i);
-        if (r.barrier && !r.completeAt(now))
-            return true;
-    }
-    return false;
-}
-
 const Mob::StoreRec *
 Mob::get(SeqNum sta_seq) const
 {
@@ -150,52 +139,22 @@ Mob::clear()
     count_ = 0;
 }
 
-bool
-Mob::anyUnknownAddrOlder(SeqNum load_seq, Cycle now) const
+Cycle
+Mob::olderHorizon(SeqNum load_seq, unsigned parts,
+                  bool barrier_only) const
 {
+    // Youngest first: a part that has not executed is most likely
+    // among the youngest stores, and it ends the walk.
+    Cycle h = 0;
     for (std::size_t i = olderCount(load_seq); i-- > 0;) {
-        if (!at(i).addrKnownAt(now))
-            return true;
+        const StoreRec &r = at(i);
+        if (barrier_only && !r.barrier)
+            continue;
+        h = std::max(h, r.partsDoneAt(parts));
+        if (h == kCycleNever)
+            break;
     }
-    return false;
-}
-
-bool
-Mob::anyIncompleteOlder(SeqNum load_seq, Cycle now) const
-{
-    for (std::size_t i = olderCount(load_seq); i-- > 0;) {
-        if (!at(i).completeAt(now))
-            return true;
-    }
-    return false;
-}
-
-bool
-Mob::allOlderComplete(SeqNum load_seq, Cycle now) const
-{
-    const std::size_t older = olderCount(load_seq);
-    for (std::size_t i = 0; i < older; ++i) {
-        if (!at(i).completeAt(now))
-            return false;
-    }
-    return true;
-}
-
-bool
-Mob::allOlderAddrKnown(SeqNum load_seq, Cycle now) const
-{
-    return !anyUnknownAddrOlder(load_seq, now);
-}
-
-bool
-Mob::allOlderDataKnown(SeqNum load_seq, Cycle now) const
-{
-    const std::size_t older = olderCount(load_seq);
-    for (std::size_t i = 0; i < older; ++i) {
-        if (!at(i).dataKnownAt(now))
-            return false;
-    }
-    return true;
+    return h;
 }
 
 const Mob::StoreRec *

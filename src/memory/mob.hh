@@ -40,6 +40,13 @@ namespace lrs
 class Mob
 {
   public:
+    /** Store parts an ordering query waits on, as a bit mask. */
+    enum Part : unsigned
+    {
+        kAddr = 1, ///< the STA: address known
+        kData = 2, ///< the STD: data available
+    };
+
     /** Status of one in-window store. */
     struct StoreRec
     {
@@ -56,9 +63,21 @@ class Mob
 
         bool addrKnownAt(Cycle now) const { return staDoneAt <= now; }
         bool dataKnownAt(Cycle now) const { return stdDoneAt <= now; }
-        bool completeAt(Cycle now) const
+        bool completeAt(Cycle now) const { return doneAt() <= now; }
+
+        /** First cycle with both parts known (kCycleNever until). */
+        Cycle doneAt() const { return partsDoneAt(kAddr | kData); }
+
+        /** First cycle with every part in @p parts (a mask) known. */
+        Cycle
+        partsDoneAt(unsigned parts) const
         {
-            return addrKnownAt(now) && dataKnownAt(now);
+            Cycle t = 0;
+            if (parts & kAddr)
+                t = staDoneAt;
+            if ((parts & kData) && stdDoneAt > t)
+                t = stdDoneAt;
+            return t;
         }
     };
 
@@ -68,12 +87,6 @@ class Mob
 
     /** Record that a load was wrongly ordered against this store. */
     void markViolation(SeqNum sta_seq);
-
-    /**
-     * True iff some older barrier-marked store is incomplete at
-     * @p now — the Store Barrier Cache's load fence ([Hess95]).
-     */
-    bool anyBarrierOlderIncomplete(SeqNum load_seq, Cycle now) const;
 
     /** The STA executed: address becomes architecturally known. */
     void staExecuted(SeqNum sta_seq, Cycle when);
@@ -122,26 +135,16 @@ class Mob
     }
 
     /**
-     * True iff some store older than @p load_seq has an unknown
-     * address at @p now.
+     * First cycle from which @p parts (a Part mask) of every store
+     * older than @p load_seq are known: the max of their staDoneAt /
+     * stdDoneAt, kCycleNever while one of those parts has not
+     * executed, 0 with no older store. "Every older address is known
+     * at now" is olderHorizon(seq, kAddr) <= now. With
+     * @p barrier_only only barrier-marked stores count — the Store
+     * Barrier Cache's load fence ([Hess95]).
      */
-    bool anyUnknownAddrOlder(SeqNum load_seq, Cycle now) const;
-
-    /**
-     * True iff some store older than @p load_seq is incomplete
-     * (address or data still unknown) at @p now — the load is then
-     * *conflicting*: it cannot yet be scheduled safely.
-     */
-    bool anyIncompleteOlder(SeqNum load_seq, Cycle now) const;
-
-    /** True iff every older store has completed (STA and STD) by now. */
-    bool allOlderComplete(SeqNum load_seq, Cycle now) const;
-
-    /** True iff every older store's address is known by now. */
-    bool allOlderAddrKnown(SeqNum load_seq, Cycle now) const;
-
-    /** True iff every older store's data is known by now. */
-    bool allOlderDataKnown(SeqNum load_seq, Cycle now) const;
+    Cycle olderHorizon(SeqNum load_seq, unsigned parts,
+                       bool barrier_only = false) const;
 
     /**
      * Youngest older store overlapping [addr, addr+size), using oracle

@@ -309,5 +309,26 @@ TEST(ConfigIo, GridRejectsSignedWrapIntegers)
     EXPECT_EQ(grid.warmupSnapshot, 1000u);
 }
 
+TEST(ConfigIo, GridJobsOutOfRangeIsAnErrorNotATruncation)
+{
+    // 2^32 + 2 parses as a 64-bit integer; cast to unsigned it would
+    // load as 2 workers.
+    std::stringstream ss;
+    ss << "traces = wd\njobs = 4294967298\n";
+    try {
+        parseBatchGrid(ss, "test");
+        ADD_FAILURE() << "jobs = 4294967298 was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("jobs"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("out of range"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::stringstream ok;
+    ok << "traces = wd\njobs = 4294967295\n";
+    EXPECT_EQ(parseBatchGrid(ok, "test").jobs, 4294967295u);
+}
+
 } // namespace
 } // namespace lrs

@@ -32,25 +32,23 @@ class MobTest : public ::testing::Test
 
 TEST_F(MobTest, EmptyMobHasNoConflicts)
 {
-    EXPECT_FALSE(mob.anyUnknownAddrOlder(100, 0));
-    EXPECT_FALSE(mob.anyIncompleteOlder(100, 0));
-    EXPECT_TRUE(mob.allOlderComplete(100, 0));
+    EXPECT_EQ(mob.olderHorizon(100, Mob::kAddr), 0u);
+    EXPECT_EQ(mob.olderHorizon(100, Mob::kAddr | Mob::kData), 0u);
     EXPECT_EQ(mob.youngestOverlapOlder(100, 0x1000, 8), nullptr);
 }
 
 TEST_F(MobTest, UnknownAddressUntilStaExecutes)
 {
     mob.insert(10, 0x1000, 8);
-    EXPECT_TRUE(mob.anyUnknownAddrOlder(20, 5));
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kAddr), kCycleNever);
     mob.staExecuted(10, 7);
-    EXPECT_TRUE(mob.anyUnknownAddrOlder(20, 6));  // not yet at 6
-    EXPECT_FALSE(mob.anyUnknownAddrOlder(20, 7)); // known from 7
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kAddr), 7u); // known from 7
 }
 
 TEST_F(MobTest, YoungerStoresDoNotAffectOlderLoads)
 {
     mob.insert(50, 0x1000, 8);
-    EXPECT_FALSE(mob.anyUnknownAddrOlder(40, 0));
+    EXPECT_EQ(mob.olderHorizon(40, Mob::kAddr), 0u);
     EXPECT_FALSE(mob.collidesAt(40, 0x1000, 8, 0));
     EXPECT_EQ(mob.youngestOverlapOlder(40, 0x1000, 8), nullptr);
 }
@@ -59,12 +57,13 @@ TEST_F(MobTest, CompletionNeedsBothParts)
 {
     mob.insert(10, 0x1000, 8);
     mob.staExecuted(10, 5);
-    EXPECT_FALSE(mob.allOlderComplete(20, 6));
-    EXPECT_TRUE(mob.allOlderAddrKnown(20, 6));
-    EXPECT_FALSE(mob.allOlderDataKnown(20, 6));
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kAddr | Mob::kData),
+              kCycleNever);
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kAddr), 5u);
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kData), kCycleNever);
     mob.stdExecuted(10, 8);
-    EXPECT_TRUE(mob.allOlderComplete(20, 8));
-    EXPECT_TRUE(mob.allOlderDataKnown(20, 8));
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kAddr | Mob::kData), 8u);
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kData), 8u);
 }
 
 TEST_F(MobTest, CollidesOnlyWithUnknownAddressOverlap)
@@ -158,10 +157,11 @@ TEST_F(MobTest, IncompleteOlderSeesLateData)
     mob.insert(10, 0x1000, 8);
     mob.staExecuted(10, 2);
     // Address known but data not: incomplete but not unknown-address.
-    EXPECT_FALSE(mob.anyUnknownAddrOlder(20, 5));
-    EXPECT_TRUE(mob.anyIncompleteOlder(20, 5));
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kAddr), 2u);
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kAddr | Mob::kData),
+              kCycleNever);
     mob.stdExecuted(10, 9);
-    EXPECT_FALSE(mob.anyIncompleteOlder(20, 9));
+    EXPECT_EQ(mob.olderHorizon(20, Mob::kAddr | Mob::kData), 9u);
 }
 
 TEST_F(MobTest, ManyStoresScale)
@@ -306,7 +306,7 @@ TEST_F(MobTest, RingWrapPreservesWindowAndQueries)
     EXPECT_EQ(
         mob.overlapDistance(next, 0x1000 + mob.storeAt(0).seq * 8, 8),
         5u);
-    EXPECT_TRUE(mob.allOlderComplete(next, 1000));
+    EXPECT_LE(mob.olderHorizon(next, Mob::kAddr | Mob::kData), 1000u);
     EXPECT_EQ(mob.inserted(), 200u);
 }
 
@@ -329,7 +329,7 @@ TEST_F(MobTest, GrowthWhileWrappedKeepsProgramOrder)
     }
     EXPECT_EQ(mob.youngestOverlapOlder(100, 0x100 * 10, 8)->seq, 9u);
     // The untouched stores all have unknown addresses.
-    EXPECT_TRUE(mob.anyUnknownAddrOlder(100, 1000000));
+    EXPECT_EQ(mob.olderHorizon(100, Mob::kAddr), kCycleNever);
 }
 
 TEST_F(MobTest, StateRoundTripsAfterWrap)
