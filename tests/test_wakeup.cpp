@@ -178,6 +178,43 @@ TEST(EventWakeup, ProducerSlotReusedWhileConsumerWaits)
     }
 }
 
+TEST(EventWakeup, StoreDataReopensAnOlderLoadBehindTheIssueWalk)
+{
+    SkipAheadGuard guard;
+    // seq 2 (L) sits between its store's STA (seq 1) and STD (seq 3)
+    // and reads the stored bytes, so Perfect holds it until both parts
+    // are known. The STA executes at once; the STD waits for seq 0's
+    // cold miss. L's gate horizon is kCycleNever until then, and L is
+    // older than the STD, so the issue walk has already passed it in
+    // the cycle the STD issues: the reopen has to reach back for it.
+    std::vector<Uop> uops;
+    uops.push_back(loadUop(0x1000, 1, 0x900000, -1));
+    Uop sta;
+    sta.pc = 0x1100;
+    sta.cls = UopClass::StoreAddr;
+    sta.addr = 0x5000;
+    sta.memSize = 8;
+    uops.push_back(sta);
+    uops.push_back(loadUop(0x1200, 2, 0x5000, -1));
+    Uop std_uop;
+    std_uop.pc = 0x1101;
+    std_uop.cls = UopClass::StoreData;
+    std_uop.src1 = 1;
+    uops.push_back(std_uop);
+    uops.push_back(aluUop(0x1300, 3, 2));
+    MachineConfig cfg;
+    cfg.scheme = OrderingScheme::Perfect;
+    cfg.auditInterval = 1;
+    for (const bool skip : {false, true}) {
+        const IssueTimes t = runTraced(cfg, uops, skip);
+        EXPECT_EQ(t.result.uops, uops.size());
+        // The gate opens when the STD's data is known, one cycle after
+        // it issues.
+        EXPECT_LT(t.issue[1], t.issue[2]);
+        EXPECT_EQ(t.issue[2], t.issue[3] + cfg.stdLat) << "skip=" << skip;
+    }
+}
+
 TEST(EventWakeup, ProfileWorkCountersAreDeterministic)
 {
     SkipAheadGuard guard;
