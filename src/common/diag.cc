@@ -26,10 +26,6 @@ diagCodeName(DiagCode code)
       case DiagCode::Interrupted:         return "E_INTERRUPTED";
       case DiagCode::JournalInvalid:      return "E_JOURNAL_INVALID";
       case DiagCode::CellCrashed:         return "E_CELL_CRASHED";
-      case DiagCode::ProtocolError:       return "E_PROTOCOL";
-      case DiagCode::QuotaExceeded:       return "E_QUOTA_EXCEEDED";
-      case DiagCode::Draining:            return "E_DRAINING";
-      case DiagCode::NotFound:            return "E_NOT_FOUND";
       case DiagCode::Internal:            return "E_INTERNAL";
     }
     return "E_UNKNOWN";

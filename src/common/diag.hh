@@ -54,10 +54,6 @@ enum class DiagCode : std::uint8_t
     Interrupted,         ///< SIGINT/SIGTERM requested a clean stop
     JournalInvalid,      ///< checkpoint journal rejected (grid mismatch)
     CellCrashed,         ///< an isolated sweep cell died abnormally
-    ProtocolError,       ///< a service client sent an unintelligible line
-    QuotaExceeded,       ///< a service client exceeded an admission quota
-    Draining,            ///< the service is shutting down; no new work
-    NotFound,            ///< a referenced submission does not exist
     Internal,            ///< should-not-happen simulator defect
 };
 

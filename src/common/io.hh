@@ -4,13 +4,12 @@
  *
  * Several layers append whole records to file descriptors — the
  * checkpoint journal, the progress heartbeat stream, the flight
- * recorder's dump, the isolated-cell result pipe, bench JsonReport
- * files, and the sweep service's sockets. Each used to open-code its
- * own write() loop; any copy that forgot EINTR or short-write
- * continuation risked silently truncated records. writeFully() is the
- * one shared discipline: it retries on EINTR and continues partial
- * writes until the buffer is fully on its way or a real error stops
- * it.
+ * recorder's dump, the isolated-cell result pipe and bench JsonReport
+ * files. Each used to open-code its own write() loop; any copy that
+ * forgot EINTR or short-write continuation risked silently truncated
+ * records. writeFully() is the one shared discipline: it retries on
+ * EINTR and continues partial writes until the buffer is fully on its
+ * way or a real error stops it.
  */
 
 #ifndef LRS_COMMON_IO_HH
@@ -31,8 +30,7 @@ namespace lrs
  * signal handler may use it on a pre-opened descriptor.
  *
  * Not for non-blocking descriptors under backpressure: EAGAIN is a
- * real error here (the sweep service keeps its own buffered
- * non-blocking send path for sockets).
+ * real error here.
  */
 bool writeFully(int fd, const void *data, std::size_t len) noexcept;
 

@@ -9,61 +9,6 @@
 namespace lrs
 {
 
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    ++count_;
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
-
-Histogram::Histogram(std::size_t num_buckets, double bucket_width)
-    : counts_(num_buckets, 0), width_(bucket_width)
-{
-}
-
-void
-Histogram::sample(double v, std::uint64_t weight)
-{
-    const auto idx = static_cast<std::size_t>(v / width_);
-    if (v < 0 || idx >= counts_.size())
-        overflow_ += weight;
-    else
-        counts_[idx] += weight;
-    total_ += weight;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    overflow_ = 0;
-    total_ = 0;
-}
-
-double
-Histogram::cdfAt(std::size_t i) const
-{
-    if (total_ == 0)
-        return 0.0;
-    std::uint64_t acc = 0;
-    for (std::size_t b = 0; b <= i && b < counts_.size(); ++b)
-        acc += counts_[b];
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers))
 {

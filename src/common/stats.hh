@@ -1,8 +1,7 @@
 /**
  * @file
- * Lightweight statistics package: named counters, ratios, histograms
- * and a fixed-width table printer used by the figure benches to emit
- * paper-style rows.
+ * Lightweight statistics package: an event counter and a fixed-width
+ * table printer used by the figure benches to emit paper-style rows.
  */
 
 #ifndef LRS_COMMON_STATS_HH
@@ -33,56 +32,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/**
- * Running scalar statistics (count / mean / min / max) over samples.
- */
-class Distribution
-{
-  public:
-    void sample(double v);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/**
- * A fixed-bucket histogram over [0, buckets*width) with an overflow
- * bucket. Used e.g. for load-store collision distance distributions.
- */
-class Histogram
-{
-  public:
-    Histogram(std::size_t num_buckets, double bucket_width);
-
-    void sample(double v, std::uint64_t weight = 1);
-    void reset();
-
-    std::size_t numBuckets() const { return counts_.size(); }
-    double bucketWidth() const { return width_; }
-    std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-    /** Fraction of samples at or below bucket @p i (inclusive CDF). */
-    double cdfAt(std::size_t i) const;
-
-  private:
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-    double width_;
 };
 
 /**

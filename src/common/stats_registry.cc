@@ -42,25 +42,6 @@ StatsRegistry::bindCounter(const std::string &name,
     add(name, desc, Kind::BoundCounter).boundCounter = slot;
 }
 
-Distribution &
-StatsRegistry::distribution(const std::string &name,
-                            const std::string &desc)
-{
-    Stat &s = add(name, desc, Kind::OwnedDistribution);
-    s.dist = std::make_unique<Distribution>();
-    return *s.dist;
-}
-
-Histogram &
-StatsRegistry::histogram(const std::string &name,
-                         std::size_t num_buckets, double bucket_width,
-                         const std::string &desc)
-{
-    Stat &s = add(name, desc, Kind::OwnedHistogram);
-    s.hist = std::make_unique<Histogram>(num_buckets, bucket_width);
-    return *s.hist;
-}
-
 Log2Histogram &
 StatsRegistry::log2hist(const std::string &name,
                         const std::string &desc)
@@ -118,10 +99,6 @@ StatsRegistry::value(const std::string &name) const
             return static_cast<double>(s->ownedCounter->value());
           case Kind::BoundCounter:
             return static_cast<double>(*s->boundCounter);
-          case Kind::OwnedDistribution:
-            return s->dist->mean();
-          case Kind::OwnedHistogram:
-            return static_cast<double>(s->hist->total());
           case Kind::OwnedLog2Histogram:
             return static_cast<double>(s->log2hist->count());
           case Kind::Derived:
@@ -143,12 +120,6 @@ StatsRegistry::reset()
           case Kind::BoundCounter:
             *s->boundCounter = 0;
             break;
-          case Kind::OwnedDistribution:
-            s->dist->reset();
-            break;
-          case Kind::OwnedHistogram:
-            s->hist->reset();
-            break;
           case Kind::OwnedLog2Histogram:
             s->log2hist->reset();
             break;
@@ -168,28 +139,8 @@ StatsRegistry::leafJson(const Stat &s) const
         return json::Value(*s.boundCounter);
       case Kind::Derived:
         return json::Value(s.getter());
-      case Kind::OwnedDistribution: {
-        json::Value v = json::Value::object();
-        v.set("count", s.dist->count());
-        v.set("sum", s.dist->sum());
-        v.set("mean", s.dist->mean());
-        v.set("min", s.dist->min());
-        v.set("max", s.dist->max());
-        return v;
-      }
       case Kind::OwnedLog2Histogram:
         return s.log2hist->toJson();
-      case Kind::OwnedHistogram: {
-        json::Value v = json::Value::object();
-        v.set("bucket_width", s.hist->bucketWidth());
-        json::Value counts = json::Value::array();
-        for (std::size_t i = 0; i < s.hist->numBuckets(); ++i)
-            counts.push(s.hist->bucket(i));
-        v.set("counts", std::move(counts));
-        v.set("overflow", s.hist->overflow());
-        v.set("total", s.hist->total());
-        return v;
-      }
     }
     return json::Value();
 }

@@ -3,7 +3,7 @@
  * Named, hierarchically grouped statistics registry.
  *
  * Components (the core, the MOB, each cache level, each predictor)
- * register their counters/distributions/histograms under dotted names
+ * register their counters and log2 histograms under dotted names
  * ("core.retire.uops", "mem.l1.hits", "pred.cht.updates"); the
  * registry then provides uniform reset, lookup, and JSON export —
  * replacing per-component hand-rolled printf tables as the
@@ -12,7 +12,7 @@
  * Three registration styles:
  *  - owned:   the registry allocates the stat and hands back a
  *             reference the component increments (`counter()`,
- *             `distribution()`, `histogram()`);
+ *             `log2hist()`);
  *  - bound:   the stat lives in the component (e.g. a SimResult
  *             field) and the registry holds a pointer
  *             (`bindCounter()`), so existing struct-field tallies
@@ -58,15 +58,6 @@ class StatsRegistry
     void bindCounter(const std::string &name, std::uint64_t *slot,
                      const std::string &desc = "");
 
-    /** Register an owned distribution. */
-    Distribution &distribution(const std::string &name,
-                               const std::string &desc = "");
-
-    /** Register an owned histogram. */
-    Histogram &histogram(const std::string &name,
-                         std::size_t num_buckets, double bucket_width,
-                         const std::string &desc = "");
-
     /** Register an owned log2 histogram (common/histogram.hh). */
     Log2Histogram &log2hist(const std::string &name,
                             const std::string &desc = "");
@@ -86,8 +77,8 @@ class StatsRegistry
     std::vector<std::string> names() const;
 
     /**
-     * Current scalar value of a stat: counter value, distribution
-     * mean, histogram total, or derived getter result. Throws
+     * Current scalar value of a stat: counter value, log2 histogram
+     * sample count, or derived getter result. Throws
      * std::out_of_range for unknown names.
      */
     double value(const std::string &name) const;
@@ -98,8 +89,7 @@ class StatsRegistry
     /**
      * Export as a nested JSON object: dotted names become nested
      * objects ("mem.l1.hits" -> {"mem":{"l1":{"hits":N}}}).
-     * Distributions and histograms export their component values as
-     * sub-objects.
+     * Log2 histograms export their component values as sub-objects.
      */
     json::Value toJson() const;
 
@@ -108,8 +98,6 @@ class StatsRegistry
     {
         OwnedCounter,
         BoundCounter,
-        OwnedDistribution,
-        OwnedHistogram,
         OwnedLog2Histogram,
         Derived,
     };
@@ -121,8 +109,6 @@ class StatsRegistry
         Kind kind;
         std::unique_ptr<Counter> ownedCounter;
         std::uint64_t *boundCounter = nullptr;
-        std::unique_ptr<Distribution> dist;
-        std::unique_ptr<Histogram> hist;
         std::unique_ptr<Log2Histogram> log2hist;
         std::function<double()> getter;
     };
@@ -157,20 +143,6 @@ class StatsGroup
                 const std::string &desc = "")
     {
         reg_.bindCounter(join(name), slot, desc);
-    }
-
-    Distribution &
-    distribution(const std::string &name, const std::string &desc = "")
-    {
-        return reg_.distribution(join(name), desc);
-    }
-
-    Histogram &
-    histogram(const std::string &name, std::size_t num_buckets,
-              double bucket_width, const std::string &desc = "")
-    {
-        return reg_.histogram(join(name), num_buckets, bucket_width,
-                              desc);
     }
 
     Log2Histogram &

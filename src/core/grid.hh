@@ -1,8 +1,7 @@
 /**
  * @file
  * Batch sweep grids: the (traces × schemes) cross product every
- * figure bench, `lrs_sim --batch` run and `lrs_simd` submission is
- * made of.
+ * figure bench and `lrs_sim --batch` run is made of.
  *
  * A grid is described in a small INI dialect:
  *
@@ -13,10 +12,10 @@
  *   sched_window = 64              # any machineConfigFromIni() key
  *                                  # becomes the shared base config
  *
- * Parsing lives here — not in the CLI — because the sweep service
- * accepts the same text over a socket and must validate it with
- * exactly the rules the CLI applies (one grammar, one error
- * taxonomy). All failures are structured ConfigError/IoError diags.
+ * Parsing and cell expansion live here — not in the CLI — because
+ * the CLI, perfbench and the tests share one grammar, one cell-key
+ * scheme and one error taxonomy. All failures are structured
+ * ConfigError/IoError diags.
  */
 
 #ifndef LRS_CORE_GRID_HH

@@ -467,12 +467,6 @@ SweepSupervisor::runCell(std::size_t cell, unsigned attempt,
     out = std::move(o);
     if (writer_ && completed)
         journalOutcome(cell, key, out);
-    // OK outcomes are final the moment they complete (retries only
-    // re-run failures), so hand them off now — after the journal
-    // record is durable, so a consumer never learns of a result the
-    // journal could still lose. Failures wait for the retry loop.
-    if (opts_.onCell && out.status == CellStatus::Ok)
-        opts_.onCell(cell, out);
     inFlight_.fetch_sub(1, std::memory_order_relaxed);
     if (completed)
         emitProgress();
@@ -513,12 +507,9 @@ SweepSupervisor::run(std::size_t n,
     }
 
     std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i)
         if (outcomes[i].status != CellStatus::Skipped)
             pending.push_back(i);
-        else if (opts_.onCell)
-            opts_.onCell(i, outcomes[i]); // restored: already final
-    }
 
     SimJobPool pool(opts_.workers);
     if (opts_.progressFd >= 0) {
@@ -557,19 +548,6 @@ SweepSupervisor::run(std::size_t n,
                 next.push_back(cell);
         }
         pending = std::move(next);
-    }
-
-    // Failures are final only once every retry round has had its
-    // chance; hand the gave-up cells off now, in ascending id.
-    // Interrupt-cut cells are deliberately excluded: --resume will
-    // re-run them, so nothing about them is final yet.
-    if (opts_.onCell && !sweepInterruptRequested()) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const JobOutcome &o = outcomes[i];
-            if (o.failed &&
-                o.code != diagCodeName(DiagCode::Interrupted))
-                opts_.onCell(i, o);
-        }
     }
 
     for (const JobOutcome &o : outcomes) {

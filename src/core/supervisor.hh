@@ -100,23 +100,6 @@ struct SweepOptions
      * rather than failing the sweep.
      */
     int progressFd = -1;
-    /**
-     * Incremental result hand-off: invoked once per cell when its
-     * outcome becomes **final** —
-     *  - journal-restored (Skipped) cells right after the journal is
-     *    validated, in ascending cell id, before any cell runs;
-     *  - OK cells as they complete (after their journal record is
-     *    durable), from whichever pool worker finished them —
-     *    concurrent invocations for distinct cells are possible, the
-     *    callback must synchronise itself;
-     *  - finally-failed (FAILED/TIMEOUT/CRASHED after every retry)
-     *    cells after the last retry round, in ascending cell id.
-     * Cells cut short by an interrupt are never handed off: they will
-     * re-run on --resume, so their outcome is not final. The sweep
-     * service (src/service/) streams these to clients; callers that
-     * only need the aggregate can leave it unset.
-     */
-    std::function<void(std::size_t cell, const JobOutcome &o)> onCell;
 };
 
 /** Aggregate accounting of one run(), mirrored in stats(). */

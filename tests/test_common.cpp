@@ -236,48 +236,6 @@ TEST(Counter, IncrementAndReset)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Distribution, Moments)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    d.sample(2.0);
-    d.sample(4.0);
-    d.sample(9.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(4, 10.0); // [0,10) [10,20) [20,30) [30,40)
-    h.sample(0);
-    h.sample(9.99);
-    h.sample(10);
-    h.sample(35);
-    h.sample(40); // overflow
-    h.sample(-1); // overflow
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, Cdf)
-{
-    Histogram h(2, 1.0);
-    h.sample(0.5, 3);
-    h.sample(1.5, 1);
-    EXPECT_DOUBLE_EQ(h.cdfAt(0), 0.75);
-    EXPECT_DOUBLE_EQ(h.cdfAt(1), 1.0);
-}
-
 TEST(TextTable, AlignsColumns)
 {
     TextTable t({"a", "bbbb"});

@@ -48,6 +48,14 @@ struct PredictorSpec
     MakeFn make;
 };
 
+// gtest would otherwise print the struct's raw bytes, heap pointers
+// included, into each ctest name; the name keeps them reproducible.
+void
+PrintTo(const PredictorSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 class BinaryPredictorSuite
     : public ::testing::TestWithParam<PredictorSpec>
 {

@@ -15,12 +15,6 @@
 # must converge to the clean reference, regenerating what the crash
 # destroyed.
 #
-# Daemon legs (docs/SERVICE.md, fork-free — they run under TSan too):
-# submit the same grid to lrs_simd over a Unix socket, SIGTERM-drain
-# it (smoke), then for 1/2/8 workers SIGKILL the daemon mid-sweep,
-# restart it on the same state directory and assert the re-delivered
-# client stream is byte-identical to the uninterrupted daemon's.
-#
 # Usage: tools/chaos_sweep.sh [--no-isolate] [build-dir]
 #   --no-isolate  skip the fork-based leg (TSan does not support
 #                 fork() in instrumented multithreaded processes)
@@ -43,10 +37,8 @@ if [ $# -gt 0 ] && [ "$1" = "--no-isolate" ]; then
 fi
 build_dir=${1:-"$repo_root/build"}
 sim="$build_dir/tools/lrs_sim"
-simd="$build_dir/tools/lrs_simd"
-if [ ! -x "$sim" ] || [ ! -x "$simd" ]; then
-    echo "chaos_sweep: $sim / $simd not built" \
-         "(cmake --build $build_dir)" >&2
+if [ ! -x "$sim" ]; then
+    echo "chaos_sweep: $sim not built (cmake --build $build_dir)" >&2
     exit 2
 fi
 
@@ -216,82 +208,5 @@ cmp -s "$work/sref.txt" "$work/sres.txt" \
     || fail "post-crash snapshot resume table differs from clean run"
 cmp -s "$work/sref.json" "$work/sres.json" \
     || fail "post-crash snapshot resume JSON differs from clean run"
-
-# ---------------------------------------------------------------------
-# Daemon legs. Fork-free by construction (no --isolate), so they run
-# in both the ASan/UBSan and TSan passes of tools/run_sanitized.sh.
-# ---------------------------------------------------------------------
-
-# Wait for the daemon's listening socket to appear (bind+listen happen
-# back-to-back before start() returns, so -S is a safe readiness probe).
-wait_socket() {
-    tries=0
-    while [ ! -S "$1" ]; do
-        tries=$((tries + 1))
-        [ "$tries" -gt 600 ] && fail "daemon socket $1 never appeared"
-        sleep 0.05
-    done
-}
-
-echo "chaos_sweep: daemon smoke (submit over a socket, SIGTERM drain)"
-dsock="$work/dsmoke.sock"
-"$simd" --socket "$dsock" --state "$work/dsmoke" --jobs 2 \
-    2> "$work/dsmoke.err" &
-dpid=$!
-wait_socket "$dsock"
-"$sim" --submit "$dsock" --batch "$work/grid.ini" \
-    > "$work/dref.jsonl" 2> "$work/dsub.err" \
-    || fail "daemon submit failed"
-grep -q '"type":"done"' "$work/dref.jsonl" \
-    || fail "daemon stream carries no done record"
-kill -TERM "$dpid"
-wait "$dpid" || fail "daemon drain exited nonzero"
-grep -q "drained" "$work/dsmoke.err" \
-    || fail "daemon did not report a clean drain"
-
-for jobs in 1 2 8; do
-    echo "chaos_sweep: daemon SIGKILL mid-sweep + restart (jobs=$jobs)"
-    dstate="$work/d$jobs"
-    dsock="$work/d$jobs.sock"
-    "$simd" --socket "$dsock" --state "$dstate" --jobs "$jobs" \
-        2>/dev/null &
-    dpid=$!
-    wait_socket "$dsock"
-    "$sim" --submit "$dsock" --batch "$work/grid.ini" \
-        > /dev/null 2>&1 &
-    cpid=$!
-    # Let at least two cells reach the cell journal, then kill -9 the
-    # daemon. If the sweep finished first the restart serves a pure
-    # replay, which must still be byte-identical.
-    cj="$dstate/sub_1.cells.jsonl"
-    tries=0
-    while [ "$(lines "$cj")" -lt 2 ]; do
-        kill -0 "$dpid" 2>/dev/null || break
-        tries=$((tries + 1))
-        [ "$tries" -gt 600 ] && break
-        sleep 0.05
-    done
-    kill -KILL "$dpid" 2>/dev/null || true
-    wait "$dpid" 2>/dev/null || true
-    wait "$cpid" 2>/dev/null || true
-    # SIGKILL leaves the dead daemon's socket file behind; remove it
-    # so wait_socket tracks the restarted daemon's bind, not a stale
-    # path nobody is listening on.
-    rm -f "$dsock"
-    # Restart on the same state directory: the request journal
-    # recovers the submission, the cell journal resumes it, and an
-    # attaching client sees the uninterrupted daemon's exact bytes.
-    "$simd" --socket "$dsock" --state "$dstate" --jobs "$jobs" \
-        2>/dev/null &
-    dpid=$!
-    wait_socket "$dsock"
-    "$sim" --submit "$dsock" --attach 1 > "$work/dres$jobs.jsonl" \
-        2> /dev/null \
-        || fail "attach after daemon restart failed (jobs=$jobs)"
-    kill -TERM "$dpid" 2>/dev/null || true
-    wait "$dpid" 2>/dev/null || true
-    cmp -s "$work/dref.jsonl" "$work/dres$jobs.jsonl" \
-        || fail "daemon replay differs from uninterrupted stream (jobs=$jobs)"
-done
 
 echo "chaos_sweep: all legs passed"

@@ -28,13 +28,7 @@
 #include <string>
 #include <utility>
 
-#include <netdb.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include "common/buildinfo.hh"
-#include "common/io.hh"
 #include "common/diag.hh"
 #include "common/fault_injector.hh"
 #include "common/histogram.hh"
@@ -53,7 +47,6 @@
 #include "core/tracer.hh"
 #include "trace/champsim_reader.hh"
 #include "trace/library.hh"
-#include "service/protocol.hh"
 #include "trace/serialize.hh"
 
 using namespace lrs;
@@ -300,17 +293,6 @@ usage(FILE *out, int code, const char *argv0)
         "  --max-cycles N        deterministic per-run cycle budget; "
         "exceeding it is a\n"
         "                        TIMEOUT outcome (0 disables)\n"
-        "sweep service client (docs/SERVICE.md):\n"
-        "  --submit ADDR         send the --batch grid to a running "
-        "lrs_simd service\n"
-        "                        (ADDR with a '/' is a Unix socket "
-        "path, else\n"
-        "                        host:port) and stream its raw JSONL "
-        "result records\n"
-        "                        (ack/cell/done) to stdout\n"
-        "  --attach N            with --submit: replay submission N's "
-        "result stream\n"
-        "                        instead of submitting a new grid\n"
         "exit codes: 0 ok, 1 runtime/audit failure, 2 usage, "
         "3 bad config, 4 I/O,\n"
         "            5 interrupted (SIGINT/SIGTERM; resume with "
@@ -930,177 +912,6 @@ runThroughput(std::uint64_t len, const std::string &json_path,
     return rc;
 }
 
-/** Connect to an lrs_simd service: a '/' marks a Unix socket path,
- *  anything else is host:port. Throws IoError (exit code 4). */
-int
-connectToService(const std::string &addr)
-{
-    if (addr.find('/') != std::string::npos) {
-        sockaddr_un sa{};
-        sa.sun_family = AF_UNIX;
-        if (addr.size() >= sizeof(sa.sun_path)) {
-            throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim",
-                                   "submit",
-                                   "socket path too long: " + addr));
-        }
-        std::strncpy(sa.sun_path, addr.c_str(),
-                     sizeof(sa.sun_path) - 1);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0 ||
-            ::connect(fd, reinterpret_cast<sockaddr *>(&sa),
-                      sizeof(sa)) != 0) {
-            if (fd >= 0)
-                ::close(fd);
-            throw IoError(makeDiag(
-                DiagCode::IoOpenFailed, "lrs_sim", "submit",
-                "cannot connect to " + addr + " (" +
-                    std::strerror(errno) + ")"));
-        }
-        return fd;
-    }
-    const std::size_t colon = addr.rfind(':');
-    if (colon == std::string::npos || colon + 1 == addr.size())
-        throwConfig("lrs_sim", "submit",
-                    "ADDR must be a socket path (contains '/') or "
-                    "host:port, got " +
-                        addr);
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *res = nullptr;
-    const int gai =
-        ::getaddrinfo(addr.substr(0, colon).c_str(),
-                      addr.substr(colon + 1).c_str(), &hints, &res);
-    if (gai != 0) {
-        throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim",
-                               "submit",
-                               "cannot resolve " + addr + " (" +
-                                   ::gai_strerror(gai) + ")"));
-    }
-    int fd = -1;
-    for (addrinfo *ai = res; ai; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype,
-                      ai->ai_protocol);
-        if (fd < 0)
-            continue;
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
-            break;
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0) {
-        throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim",
-                               "submit",
-                               "cannot connect to " + addr + " (" +
-                                   std::strerror(errno) + ")"));
-    }
-    return fd;
-}
-
-/**
- * Client mode: submit a grid to (or attach to a submission of) an
- * lrs_simd service and relay its result stream. Received ack/cell/
- * done lines are echoed to stdout **verbatim** — the byte-identity
- * contract (docs/SERVICE.md) is about these raw bytes, so the client
- * must not re-serialize them.
- */
-int
-runClient(const std::string &addr, const std::string &batch_path,
-          bool attach_set, std::uint64_t attach_id)
-{
-    std::string request;
-    if (attach_set) {
-        request = service::attachLine(attach_id);
-    } else {
-        std::ifstream is(batch_path, std::ios::binary);
-        if (!is) {
-            throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim",
-                                   "batch",
-                                   "cannot open " + batch_path));
-        }
-        std::ostringstream text;
-        text << is.rdbuf();
-        request = service::submitLine(text.str());
-    }
-
-    const int fd = connectToService(addr);
-    if (!writeFully(fd, request)) {
-        const int err = errno;
-        ::close(fd);
-        throw IoError(makeDiag(DiagCode::IoWriteFailed, "lrs_sim",
-                               "submit",
-                               std::string("send failed (") +
-                                   std::strerror(err) + ")"));
-    }
-
-    // Bound the readline buffer: a result record is a single compact
-    // JSON line, far under this cap. A peer (or a mis-pointed
-    // connection to something that is not lrs_simd) streaming an
-    // endless newline-free byte flood must produce a classified
-    // protocol error, not an unbounded allocation.
-    constexpr std::size_t kMaxLineBytes = 16u << 20;
-    std::string buf;
-    char tmp[65536];
-    while (true) {
-        const std::size_t pos = buf.find('\n');
-        if (pos == std::string::npos) {
-            if (buf.size() > kMaxLineBytes) {
-                ::close(fd);
-                throw IoError(makeDiag(
-                    DiagCode::ProtocolError, "lrs_sim", "submit",
-                    "service sent " + std::to_string(buf.size()) +
-                        " bytes without a newline (line cap " +
-                        std::to_string(kMaxLineBytes) +
-                        "); is this really an lrs_simd endpoint?"));
-            }
-            const ssize_t n = ::read(fd, tmp, sizeof(tmp));
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0) {
-                ::close(fd);
-                throw IoError(makeDiag(
-                    DiagCode::IoWriteFailed, "lrs_sim", "submit",
-                    "connection closed before the \"done\" record "
-                    "(is the service draining?)"));
-            }
-            buf.append(tmp, static_cast<std::size_t>(n));
-            continue;
-        }
-        const std::string line = buf.substr(0, pos);
-        buf.erase(0, pos + 1);
-        json::Value rec;
-        try {
-            rec = json::Value::parse(line);
-        } catch (const json::ParseError &) {
-            ::close(fd);
-            throw IoError(makeDiag(DiagCode::IoWriteFailed, "lrs_sim",
-                                   "submit",
-                                   "service sent an unparsable "
-                                   "line: " +
-                                       line));
-        }
-        const std::string type =
-            rec.isObject() && rec.find("type")
-                ? rec.at("type").asString()
-                : "";
-        if (type == "error") {
-            std::fprintf(stderr, "service error: %s\n", line.c_str());
-            ::close(fd);
-            return kExitRuntime;
-        }
-        std::fputs(line.c_str(), stdout);
-        std::fputc('\n', stdout);
-        if (type == "done") {
-            ::close(fd);
-            const std::uint64_t bad = rec.at("failed").asU64() +
-                                      rec.at("timeout").asU64() +
-                                      rec.at("crashed").asU64();
-            return bad ? kExitRuntime : kExitOk;
-        }
-    }
-}
-
 /**
  * Push the trace through the fault injector at the serialized-bytes
  * level (header protected) and read it back in recovery mode — the
@@ -1141,9 +952,6 @@ main(int argc, char **argv)
     std::uint64_t len = 200000;
     unsigned jobs_flag = 0;
     std::string batch_path;
-    std::string submit_addr;
-    bool attach_set = false;
-    std::uint64_t attach_id = 0;
     SweepOptions sweep_opts;
     bool compare = false;
     bool profile = false;
@@ -1208,11 +1016,6 @@ main(int argc, char **argv)
             }
             else if (a == "--compare-schemes") compare = true;
             else if (a == "--batch") batch_path = next();
-            else if (a == "--submit") submit_addr = next();
-            else if (a == "--attach") {
-                attach_set = true;
-                attach_id = parseUnsigned(next());
-            }
             else if (a == "--jobs")
                 jobs_flag = parseUnsigned<unsigned>(next());
             else if (a == "--journal")
@@ -1365,20 +1168,6 @@ main(int argc, char **argv)
                 return kExitRuntime;
             }
             return kExitOk;
-        }
-        if (!submit_addr.empty()) {
-            if (batch_path.empty() && !attach_set) {
-                std::fprintf(stderr,
-                             "--submit needs --batch GRID or "
-                             "--attach N\n");
-                usage(stderr, kExitUsage, argv[0]);
-            }
-            return runClient(submit_addr, batch_path, attach_set,
-                             attach_id);
-        }
-        if (attach_set) {
-            std::fprintf(stderr, "--attach needs --submit ADDR\n");
-            usage(stderr, kExitUsage, argv[0]);
         }
         if (profile)
             prof::setEnabled(true);

@@ -48,9 +48,9 @@ if [ "$mode" = "tsan" ]; then
         "$(nproc 2>/dev/null || echo 4)" -R Parallel "$@"
     # Sweep-supervisor chaos drill without the --isolate leg: fork()
     # in an instrumented multithreaded process is outside TSan's
-    # model. The fork-free daemon legs (lrs_simd SIGKILL/restart
-    # byte-identity, docs/SERVICE.md) still run and race the event
-    # loop + scheduler threads under TSan.
+    # model. The fork-free legs (SIGKILL + --resume and the snapshot
+    # legs) still run and race the pool and supervisor threads under
+    # TSan.
     "$repo_root/tools/chaos_sweep.sh" --no-isolate "$build_dir"
     # Short hostile-input fuzz leg: the reader is single-threaded, so
     # this is a smoke check that the fuzz harness itself is
@@ -59,10 +59,10 @@ if [ "$mode" = "tsan" ]; then
 else
     ctest --test-dir "$build_dir" --output-on-failure -j \
         "$(nproc 2>/dev/null || echo 4)" "$@"
-    # Full chaos drill, daemon legs included. The sacrificial cell
-    # raises SIGKILL instead of SIGSEGV: ASan intercepts segfaults
-    # into its own report, while SIGKILL drives the identical CRASHED
-    # bookkeeping uninstrumented.
+    # Full chaos drill, --isolate crash leg included. The sacrificial
+    # cell raises SIGKILL instead of SIGSEGV: ASan intercepts
+    # segfaults into its own report, while SIGKILL drives the
+    # identical CRASHED bookkeeping uninstrumented.
     LRS_CHAOS_CRASH_SIG=9 "$repo_root/tools/chaos_sweep.sh" "$build_dir"
     # Hostile-input gate (docs/TRACES.md): >= 60 s of structure-aware
     # trace fuzzing under ASan/UBSan; any sanitizer report, crash or
