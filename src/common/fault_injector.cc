@@ -16,12 +16,9 @@ double
 envRate(const char *name, double fallback)
 {
     const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    const double d = std::strtod(v, &end);
-    if (end == v || *end != '\0' || d < 0.0 || d > 1.0)
-        return fallback;
+    double d = fallback;
+    if (v)
+        tryParseRate(v, d); // a bad value leaves the fallback
     return d;
 }
 

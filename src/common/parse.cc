@@ -1,5 +1,8 @@
 #include "common/parse.hh"
 
+#include <charconv>
+#include <system_error>
+
 namespace lrs
 {
 
@@ -19,6 +22,30 @@ tryParseU64(std::string_view s, std::uint64_t &out) noexcept
     }
     out = v;
     return true;
+}
+
+bool
+tryParseRate(std::string_view s, double &out) noexcept
+{
+    double v = 0.0;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    // The negated comparison also rejects NaN.
+    if (ec != std::errc() || ptr != end || !(v >= 0.0 && v <= 1.0))
+        return false;
+    out = v;
+    return true;
+}
+
+double
+parseRate(std::string_view s)
+{
+    double v = 0.0;
+    if (!tryParseRate(s, v)) {
+        throw std::invalid_argument("not a rate in [0, 1]: '" +
+                                    std::string(s) + "'");
+    }
+    return v;
 }
 
 } // namespace lrs

@@ -19,6 +19,10 @@
  * parseUnsigned<T>() adds the range check for a narrower field, so a
  * value that does not fit is rejected rather than truncated.
  *
+ * tryParseRate() is the same discipline for a probability: a decimal
+ * number in [0, 1] and nothing else. std::stod would take "0.5abc" as
+ * 0.5 and pass "nan", "-3" and "7" through as rates.
+ *
  * EnumName tables give each config enum its spellings in one place:
  * the name config files and CLI flags use, and the display name that
  * results, cell keys and test names use.
@@ -70,6 +74,20 @@ parseUnsigned(std::string_view s)
     }
     return static_cast<T>(v);
 }
+
+/**
+ * Parse @p s as a probability into @p out. Returns false — leaving
+ * @p out untouched — unless all of @p s is one decimal number (no
+ * sign '+', whitespace or trailing characters) whose value lies in
+ * [0, 1]. NaN, infinities and values that overflow are rejected.
+ */
+bool tryParseRate(std::string_view s, double &out) noexcept;
+
+/**
+ * Parse @p s as tryParseRate() does.
+ * @throws std::invalid_argument on malformed or out-of-range input.
+ */
+double parseRate(std::string_view s);
 
 /** One row of an enum's name table. */
 template <typename E>

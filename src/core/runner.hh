@@ -83,8 +83,8 @@ void clearSweepInterrupt() noexcept;
  * bit-identical to stepping every cycle. A process-wide runtime flag
  * rather than a MachineConfig field: it cannot change any simulated
  * outcome, so it must not enter config fingerprints (snapshot
- * headers, warm-fork reuse checks). `lrs_sim --no-skip-ahead` and the
- * ThroughputIdentity tests flip it to pin the equivalence.
+ * headers, warm-fork reuse checks). The ThroughputIdentity tests flip
+ * it to run the stepped reference path and pin the equivalence.
  */
 void setCycleSkipAhead(bool enabled) noexcept;
 bool cycleSkipAhead() noexcept;

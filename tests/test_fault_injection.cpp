@@ -235,6 +235,20 @@ TEST(FaultInjector, EnvOverridesRejectSignedWrap)
     EXPECT_EQ(FaultConfig::fromEnv().maxLatencyDelta,
               defaults.maxLatencyDelta);
     ::unsetenv("LRS_FAULT_LAT_MAX");
+
+    // Rates share the --fault-*-rate flags' parser: one number in
+    // [0, 1]; anything else keeps the default.
+    for (const char *bad : {"0.5abc", "-3", "nan", "7", "1e999", " 0.5",
+                            "+0.5", ""}) {
+        ::setenv("LRS_FAULT_BIT_RATE", bad, 1);
+        EXPECT_EQ(FaultConfig::fromEnv().bitRate, defaults.bitRate)
+            << "'" << bad << "'";
+    }
+    ::setenv("LRS_FAULT_BIT_RATE", "0.25", 1);
+    EXPECT_EQ(FaultConfig::fromEnv().bitRate, 0.25);
+    ::setenv("LRS_FAULT_BIT_RATE", "1", 1);
+    EXPECT_EQ(FaultConfig::fromEnv().bitRate, 1.0);
+    ::unsetenv("LRS_FAULT_BIT_RATE");
 }
 
 } // namespace

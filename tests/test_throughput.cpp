@@ -157,17 +157,22 @@ TEST(ThroughputIdentity, SparseLongLatencyMatchesStepping)
 TEST(ThroughputIdentity, AdversarialFamiliesMatchStepping)
 {
     SkipAheadGuard guard;
-    MachineConfig cfg;
-    cfg.scheme = OrderingScheme::Inclusive;
-    cfg.cht.trackDistance = true;
-    cfg.hmp = HmpKind::Chooser;
-    cfg.bankMode = BankMode::Sliced;
-    cfg.bankPred = BankPredKind::Addr;
-    for (const std::string &name :
-         TraceLibrary::names(TraceGroup::Adversarial)) {
-        EXPECT_EQ(runDumpNamed(cfg, name, 20000, false),
-                  runDumpNamed(cfg, name, 20000, true))
-            << name;
+    // The default machine, and one with every predictor the families
+    // are built to fool switched on.
+    MachineConfig dflt;
+    dflt.cht.trackDistance = true;
+    MachineConfig hostile = dflt;
+    hostile.scheme = OrderingScheme::Inclusive;
+    hostile.hmp = HmpKind::Chooser;
+    hostile.bankMode = BankMode::Sliced;
+    hostile.bankPred = BankPredKind::Addr;
+    for (const MachineConfig &cfg : {dflt, hostile}) {
+        for (const std::string &name :
+             TraceLibrary::names(TraceGroup::Adversarial)) {
+            EXPECT_EQ(runDumpNamed(cfg, name, 20000, false),
+                      runDumpNamed(cfg, name, 20000, true))
+                << name << "/" << orderingSchemeName(cfg.scheme);
+        }
     }
 }
 
@@ -176,11 +181,15 @@ TEST(ThroughputIdentity, GoldenChampSimTraceMatchesStepping)
     SkipAheadGuard guard;
     const std::string path =
         std::string(LRS_TEST_DATA_DIR) + "/golden.champsim";
-    MachineConfig cfg = sparseConfig();
+    MachineConfig dflt;
+    dflt.cht.trackDistance = true;
     const auto load = [&path] { return readChampSimFile(path); };
-    auto ta = load();
-    auto tb = load();
-    EXPECT_EQ(runDump(cfg, *ta, false), runDump(cfg, *tb, true));
+    for (const MachineConfig &cfg : {dflt, sparseConfig()}) {
+        auto ta = load();
+        auto tb = load();
+        EXPECT_EQ(runDump(cfg, *ta, false), runDump(cfg, *tb, true))
+            << "memLatency " << cfg.mem.memLatency;
+    }
 }
 
 TEST(ThroughputIdentity, ArbitraryStopBoundariesMatchStepping)

@@ -5,7 +5,8 @@
 # Usage: tools/bench_to_json.sh [BUILD_DIR] [OUT_FILE]
 #
 #   BUILD_DIR  where the bench binaries live (default: build/bench)
-#   OUT_FILE   aggregate output (default: BENCH_5.json)
+#   OUT_FILE   aggregate output (default: bench_json/trajectory.json;
+#              its directory is created)
 #
 # Environment:
 #   LRS_TRACE_LEN  uops per trace passed through to the benches
@@ -19,12 +20,12 @@
 # $LRS_BENCH_JSON (see bench/bench_util.hh). This script points that
 # at a scratch file per bench and then splices the documents into
 #
-#   {"generated_by": "...", "trace_len": N,
-#    "throughput": {...uops/sec baseline...}, "benches": [...]}
+#   {"generated_by": "...", "trace_len": N, "benches": [...]}
 #
-# The throughput block comes from one lrs_sim --profile run, so the
-# trajectory records how fast the simulator itself was at each PR —
-# the regression baseline for host-time optimisation work.
+# The trajectory holds no cycle-kernel speed figure. Host speed is
+# measured by perfbench (`python3 perfbench/run.py --workload
+# dense_cell`, see BENCHMARK.json), which calibrates for the host and
+# compares each change with its parent.
 #
 # The warmup_amortization block times the same sweep grid three ways —
 # no checkpoints, warmup_snapshot checkpointing cold, and again
@@ -38,17 +39,11 @@
 # accuracy from `lrs_sim --families`, so the trajectory records how
 # the predictors hold up under deliberately hostile inputs, not just
 # the paper's favourable ones.
-#
-# The cycle_throughput block is the `lrs_sim --throughput` microbench
-# (docs/PERFORMANCE.md): per-family uops/sec with the idle-cycle
-# skip-ahead off and on, each pair verified bit-identical before the
-# speedup is reported. tools/check_overhead.sh gates against the
-# committed copy of this block so a hot-path regression fails CI.
 
 set -eu
 
 BUILD_DIR=${1:-build/bench}
-OUT=${2:-BENCH_5.json}
+OUT=${2:-bench_json/trajectory.json}
 : "${LRS_TRACE_LEN:=40000}"
 export LRS_TRACE_LEN
 
@@ -57,6 +52,8 @@ if [ ! -d "$BUILD_DIR" ]; then
     echo "build first: cmake -B build -S . && cmake --build build -j" >&2
     exit 1
 fi
+
+mkdir -p "$(dirname "$OUT")"
 
 TMPDIR_JSON=$(mktemp -d)
 trap 'rm -rf "$TMPDIR_JSON"' EXIT
@@ -82,20 +79,7 @@ if [ "$ran" -eq 0 ]; then
     exit 1
 fi
 
-# Host-throughput baseline: one profiled single run; uops/sec comes
-# out of the "profile" JSON block (0 if lrs_sim is not built).
 SIM="$BUILD_DIR/../tools/lrs_sim"
-UOPS_PER_SEC=0
-if [ -x "$SIM" ]; then
-    echo "running lrs_sim --profile throughput baseline..." >&2
-    UOPS_PER_SEC=$("$SIM" --trace wd --len "$LRS_TRACE_LEN" --profile \
-        --json - 2>/dev/null \
-        | grep '"uops_per_sec"' | head -n 1 \
-        | sed 's/.*: *//; s/[,}].*//')
-    [ -n "$UOPS_PER_SEC" ] || UOPS_PER_SEC=0
-else
-    echo "skip: throughput baseline (no lrs_sim at $SIM)" >&2
-fi
 
 # Wall-clock in milliseconds; falls back to whole seconds when date
 # lacks GNU %N (the block still shows the ordering, just coarser).
@@ -157,37 +141,10 @@ else
     echo "skip: adversarial families (no lrs_sim at $SIM)" >&2
 fi
 
-# Cycle-kernel throughput microbench: per-family uops/sec stepped vs
-# skip-ahead, bit-identity checked inside the tool. Lift the
-# "throughput" object (emitted at indent 2) out of the JSON document;
-# the golden ChampSim fixture rides along when present.
-CYCLE_TP_JSON="$TMPDIR_JSON/cycle_tp.extract"
-printf '{}' > "$CYCLE_TP_JSON"
-if [ -x "$SIM" ]; then
-    echo "running lrs_sim --throughput cycle-kernel microbench..." >&2
-    GOLDEN="$(dirname "$0")/../tests/data/golden.champsim"
-    set -- --throughput --len "$LRS_TRACE_LEN" \
-        --json "$TMPDIR_JSON/cycle_tp.json"
-    [ -f "$GOLDEN" ] && set -- "$@" --champsim "$GOLDEN"
-    "$SIM" "$@" > /dev/null 2>&1
-    awk '/^  "throughput": \{/ {grab=1; print "{"; next}
-         grab && /^  \}/ {print "}"; exit}
-         grab {print}' \
-        "$TMPDIR_JSON/cycle_tp.json" > "$CYCLE_TP_JSON"
-    [ -s "$CYCLE_TP_JSON" ] || printf '{}' > "$CYCLE_TP_JSON"
-else
-    echo "skip: cycle throughput (no lrs_sim at $SIM)" >&2
-fi
-
 {
     printf '{\n'
     printf '  "generated_by": "tools/bench_to_json.sh",\n'
     printf '  "trace_len": %s,\n' "$LRS_TRACE_LEN"
-    printf '  "throughput": {\n'
-    printf '    "trace": "wd",\n'
-    printf '    "len": %s,\n' "$LRS_TRACE_LEN"
-    printf '    "uops_per_sec": %s\n' "$UOPS_PER_SEC"
-    printf '  },\n'
     printf '  "warmup_amortization": {\n'
     printf '    "traces": 2,\n'
     printf '    "schemes": 5,\n'
@@ -196,8 +153,6 @@ fi
     printf '    "snapshot_sweep_cold_ms": %s,\n' "$SNAP_COLD_MS"
     printf '    "snapshot_sweep_reuse_ms": %s\n' "$SNAP_REUSE_MS"
     printf '  },\n'
-    printf '  "cycle_throughput": '
-    sed 's/^/  /; 1s/^  //; $s/$/,/' "$CYCLE_TP_JSON"
     printf '  "families": '
     sed 's/^/  /; 1s/^  //; $s/$/,/' "$FAMILIES_JSON"
     printf '  "benches": [\n'

@@ -11,12 +11,10 @@
 # difference since is the "build" provenance block that now leads
 # every JSON export, which this script strips before comparing.
 #
-# A third gate gates the cycle kernel itself: `lrs_sim --throughput`
-# re-measures per-family uops/sec (skip-ahead on, bit-identity checked
-# inside the tool) and fails if any family drops more than 20% below
-# the committed BENCH_5.json baseline (docs/PERFORMANCE.md). Like the
-# wall-clock gate it is skipped under --no-time, so sanitized builds
-# (tools/run_sanitized.sh) never flake on instrumented timings.
+# The speed of the cycle kernel itself is not gated here: perfbench
+# (`python3 perfbench/run.py --workload dense_cell`, see
+# BENCHMARK.json) measures it at a calibrated host speed against the
+# parent commit.
 #
 # Usage: tools/check_overhead.sh [--no-time] [build-dir]
 #   --no-time  skip the wall-clock gate (sanitized / loaded machines)
@@ -109,57 +107,6 @@ if [ "$do_time" = 1 ]; then
     # without flaking on loaded machines).
     [ "$on_ms" -le $(( off_ms * 3 + 50 )) ] \
         || fail "telemetry-on run ${on_ms}ms vs off ${off_ms}ms (>3x)"
-fi
-
-# Per-family "family"/"skip_uops_per_sec" pairs from a throughput
-# JSON document (works on both BENCH_5.json's nested copy and a fresh
-# lrs_sim --throughput export — the pairing keys appear only there).
-tp_table() {
-    awk '/"family":/ { fam = $0
-                       sub(/.*"family": "/, "", fam)
-                       sub(/".*/, "", fam) }
-         /"skip_uops_per_sec":/ { v = $0
-                                  sub(/.*: /, "", v)
-                                  sub(/,.*/, "", v)
-                                  print fam, v }' "$1"
-}
-
-bench5="$repo_root/BENCH_5.json"
-if [ "$do_time" = 1 ] && [ -f "$bench5" ] \
-    && grep -q '"cycle_throughput"' "$bench5" \
-    && [ -n "$(tp_table "$bench5")" ]; then
-    echo "check_overhead: cycle-kernel throughput gate (vs BENCH_5.json)"
-    base_len=$(awk '/"cycle_throughput":/ { g = 1 }
-                    g && /"len":/ { v = $0
-                                    sub(/.*: /, "", v)
-                                    sub(/,.*/, "", v)
-                                    print v; exit }' "$bench5")
-    set -- --throughput --len "${base_len:-40000}" --json "$work/tp.json"
-    [ -f "$repo_root/tests/data/golden.champsim" ] \
-        && set -- "$@" --champsim "$repo_root/tests/data/golden.champsim"
-    "$sim" "$@" > /dev/null 2>&1 \
-        || fail "lrs_sim --throughput failed (skip-ahead divergence?)"
-    tp_table "$bench5" > "$work/tp_base.tab"
-    tp_table "$work/tp.json" > "$work/tp_live.tab"
-    awk 'NR == FNR { base[$1] = $2; next }
-         { live[$1] = $2 }
-         END {
-             bad = 0
-             for (f in base) {
-                 if (!(f in live)) {
-                     printf "check_overhead: %s missing from live run\n", f
-                     bad = 1
-                 } else if (live[f] < base[f] * 0.8) {
-                     printf "check_overhead: %s: %.0f uops/s vs baseline %.0f (-%.1f%%)\n", \
-                         f, live[f], base[f], (1 - live[f] / base[f]) * 100
-                     bad = 1
-                 }
-             }
-             exit bad
-         }' "$work/tp_base.tab" "$work/tp_live.tab" \
-        || fail "cycle-kernel throughput regressed >20% vs BENCH_5.json"
-elif [ "$do_time" = 1 ]; then
-    echo "check_overhead: skip throughput gate (no BENCH_5.json baseline)"
 fi
 
 echo "check_overhead: all gates passed"

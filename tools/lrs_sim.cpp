@@ -191,20 +191,6 @@ usage(FILE *out, int code, const char *argv0)
         "                        report the breakdown + uops/sec "
         "(stderr and a\n"
         "                        \"profile\" JSON block)\n"
-        "  --throughput          measure kernel throughput (uops/sec) "
-        "with the\n"
-        "                        idle-cycle skip-ahead off and on over "
-        "deterministic\n"
-        "                        workload families, verifying "
-        "bit-identical results\n"
-        "                        (adds a \"throughput\" JSON block; "
-        "--champsim adds\n"
-        "                        that trace as an extra family; see "
-        "docs/PERFORMANCE.md)\n"
-        "  --no-skip-ahead       disable the idle-cycle skip-ahead "
-        "fast path\n"
-        "                        (results are bit-identical either "
-        "way)\n"
         "  --flight-recorder DIR keep a per-cell event ring during "
         "--batch; a failed\n"
         "                        cell leaves DIR/cell_N.flight.jsonl "
@@ -785,134 +771,6 @@ runFamilies(MachineConfig cfg, std::uint64_t len,
 }
 
 /**
- * --throughput: measure host throughput (simulated uops per wall
- * second) of the cycle kernel with the idle-cycle skip-ahead off and
- * on, over a fixed set of deterministic workload families chosen to
- * span the density spectrum (docs/PERFORMANCE.md). Dense families
- * keep every cycle busy (skip-ahead can only win modestly); the
- * sparse families inflate memory latency under a perfect hit-miss
- * predictor, so consumers sleep until data arrives and the machine
- * freezes for thousands of cycles at a time — the regime the
- * skip-ahead collapses. Every family is run both ways and the full
- * result state is compared byte-for-byte: a mismatch is a simulator
- * bug and fails the run (exit 1). A --champsim trace, when given,
- * rides along as an extra family so the golden fixture is covered.
- * Wall-clock numbers are measured, not simulated: the simulated
- * outcomes in the block are deterministic, the uops/sec are not.
- */
-int
-runThroughput(std::uint64_t len, const std::string &json_path,
-              const std::string &champsim_file,
-              ChampSimReadOptions cs_opts)
-{
-    struct Family {
-        std::string label;
-        std::string trace;   // empty: use the ChampSim file
-        bool sparse = false; // inflate memLatency, perfect HMP
-    };
-    std::vector<Family> fams = {
-        {"dense/wd", "wd", false},
-        {"dense/gcc", "gcc", false},
-        {"adversarial/flipper", "flipper", false},
-        {"adversarial/spoiler4k", "spoiler4k", false},
-        {"sparse/wd", "wd", true},
-        {"sparse/gcmark", "gcmark", true},
-    };
-    if (!champsim_file.empty())
-        fams.push_back({"champsim/golden", "", false});
-
-    const bool entry_skip = cycleSkipAhead();
-    TextTable t({"family", "uops", "cycles", "stepped uops/s",
-                 "skip uops/s", "speedup"});
-    json::Value rows = json::Value::array();
-    double max_speedup = 0.0;
-    int rc = kExitOk;
-    for (const Family &f : fams) {
-        MachineConfig cfg;
-        cfg.cht.trackDistance = true;
-        if (f.sparse) {
-            cfg.mem.memLatency = 2000;
-            cfg.hmp = HmpKind::Perfect;
-        }
-        cfg.validateOrThrow();
-
-        const auto load = [&]() -> std::unique_ptr<VecTrace> {
-            if (f.trace.empty()) {
-                cs_opts.maxInstructions = len;
-                return readChampSimFile(champsim_file, cs_opts);
-            }
-            return TraceLibrary::make(
-                TraceLibrary::byName(f.trace, len));
-        };
-
-        // Measure one timed run per mode; stepped first so its state
-        // is the reference the skip-ahead run must reproduce.
-        SimResult results[2];
-        std::string states[2];
-        double ups[2] = {0.0, 0.0};
-        for (int mode = 0; mode < 2; ++mode) {
-            const auto trace = load();
-            setCycleSkipAhead(mode == 1);
-            OooCore core(cfg);
-            const auto t0 = std::chrono::steady_clock::now();
-            results[mode] = core.run(*trace);
-            const auto t1 = std::chrono::steady_clock::now();
-            const double secs =
-                std::chrono::duration<double>(t1 - t0).count();
-            states[mode] = results[mode].saveState().dump();
-            ups[mode] = secs > 0.0
-                            ? static_cast<double>(results[mode].uops) /
-                                  secs
-                            : 0.0;
-        }
-        setCycleSkipAhead(entry_skip);
-        const bool identical = states[0] == states[1];
-        if (!identical) {
-            std::fprintf(stderr,
-                         "throughput: family %s: skip-ahead result "
-                         "DIVERGED from the stepped run — this is a "
-                         "simulator bug\n",
-                         f.label.c_str());
-            rc = kExitRuntime;
-        }
-        const double speedup = ups[0] > 0.0 ? ups[1] / ups[0] : 0.0;
-        max_speedup = std::max(max_speedup, speedup);
-
-        t.startRow();
-        t.cell(f.label);
-        t.cell(strprintf("%llu", static_cast<unsigned long long>(
-                                     results[0].uops)));
-        t.cell(strprintf("%llu", static_cast<unsigned long long>(
-                                     results[0].cycles)));
-        t.cell(strprintf("%.0f", ups[0]));
-        t.cell(strprintf("%.0f", ups[1]));
-        t.cell(speedup, 2);
-
-        json::Value row = json::Value::object();
-        row.set("family", f.label);
-        row.set("uops", results[0].uops);
-        row.set("cycles", results[0].cycles);
-        row.set("stepped_uops_per_sec", ups[0]);
-        row.set("skip_uops_per_sec", ups[1]);
-        row.set("speedup", speedup);
-        row.set("identical",
-                static_cast<std::uint64_t>(identical ? 1 : 0));
-        rows.push(std::move(row));
-    }
-    t.print(json_path == "-" ? std::cerr : std::cout);
-    if (!json_path.empty()) {
-        json::Value tp = json::Value::object();
-        tp.set("len", len);
-        tp.set("families", std::move(rows));
-        tp.set("max_speedup", max_speedup);
-        json::Value doc = json::Value::object();
-        doc.set("throughput", std::move(tp));
-        emitJson(json_path, doc);
-    }
-    return rc;
-}
-
-/**
  * Push the trace through the fault injector at the serialized-bytes
  * level (header protected) and read it back in recovery mode — the
  * end-to-end graceful-degradation path.
@@ -943,7 +801,6 @@ main(int argc, char **argv)
     std::string trace_file;
     std::string champsim_file;
     bool families = false;
-    bool throughput = false;
     ChampSimReadOptions cs_opts;
     std::string dump_path;
     std::string json_path;
@@ -1038,9 +895,6 @@ main(int argc, char **argv)
                 sweep_opts.cellTimeoutMs = parseUnsigned(next());
             else if (a == "--histograms")
                 cfg.collectHistograms = true;
-            else if (a == "--no-skip-ahead")
-                setCycleSkipAhead(false);
-            else if (a == "--throughput") throughput = true;
             else if (a == "--profile") profile = true;
             else if (a == "--flight-recorder") flight_dir = next();
             else if (a == "--progress") sweep_opts.progressFd = 2;
@@ -1075,11 +929,11 @@ main(int argc, char **argv)
             else if (a == "--fault-seed")
                 fault_cfg.seed = parseUnsigned(next());
             else if (a == "--fault-trace-rate")
-                fault_cfg.traceRate = std::stod(next());
+                fault_cfg.traceRate = parseRate(next());
             else if (a == "--fault-bit-rate")
-                fault_cfg.bitRate = std::stod(next());
+                fault_cfg.bitRate = parseRate(next());
             else if (a == "--fault-lat-rate")
-                fault_cfg.latRate = std::stod(next());
+                fault_cfg.latRate = parseRate(next());
             else if (a == "--help" || a == "-h")
                 usage(stdout, kExitOk, argv[0]);
             else {
@@ -1193,10 +1047,6 @@ main(int argc, char **argv)
 
         if (families)
             return runFamilies(cfg, len, json_path);
-
-        if (throughput)
-            return runThroughput(len, json_path, champsim_file,
-                                 cs_opts);
 
         if (inject_trace_faults && fault_cfg.traceRate <= 0.0)
             fault_cfg.traceRate = 0.01;
@@ -1409,7 +1259,7 @@ main(int argc, char **argv)
         return kExitInterrupted;
     } catch (const std::invalid_argument &e) {
         // Flag-value parse errors (strict integers, the config flags
-        // and std::stod for the fault rates) name their flag.
+        // and the fault rates) name their flag.
         std::fprintf(stderr, "error: %s%s%s\n", flag.c_str(),
                      flag.empty() ? "" : ": ", e.what());
         return kExitUsage;
