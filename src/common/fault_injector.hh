@@ -135,32 +135,22 @@ class FaultInjector
     void registerStats(StatsGroup g);
 
     /**
-     * Machine-snapshot support (core/snapshot.hh): the RNG stream
+     * Machine-snapshot support (common/state_io.hh): the RNG stream
      * position and the fault counters, exactly. The configuration
      * itself is NOT saved — it travels with the machine config, and a
      * restored run must be given the same FaultConfig to be
      * bit-reproducible.
      */
-    json::Value
-    saveState() const
-    {
-        json::Value st = json::Value::object();
-        st.set("rng0", rng_.state0());
-        st.set("rng1", rng_.state1());
-        st.set("trace_faults", traceFaults_);
-        st.set("bit_flips", bitFlips_);
-        st.set("latency_perturbs", latencyPerturbs_);
-        return st;
-    }
-
     void
-    loadState(const json::Value &state)
+    walkState(stateio::Archive &a)
     {
-        rng_.setState(stateio::needU64(state, "rng0"),
-                      stateio::needU64(state, "rng1"));
-        traceFaults_ = stateio::needU64(state, "trace_faults");
-        bitFlips_ = stateio::needU64(state, "bit_flips");
-        latencyPerturbs_ = stateio::needU64(state, "latency_perturbs");
+        std::uint64_t s0 = rng_.state0(), s1 = rng_.state1();
+        a("rng0", s0);
+        a("rng1", s1);
+        rng_.setState(s0, s1);
+        a("trace_faults", traceFaults_);
+        a("bit_flips", bitFlips_);
+        a("latency_perturbs", latencyPerturbs_);
     }
 
   private:

@@ -240,25 +240,8 @@ OooCore::registerStats()
     // pre-existing export byte-identical.
     if (cfg_.collectHistograms) {
         StatsGroup hist = statsReg_.group("hist");
-        hLoadUse_ = &hist.log2hist(
-            "load_to_use", "cycles from load issue to data ready");
-        hReplayDist_ = &hist.log2hist(
-            "replay_distance",
-            "cycles a wasted issue fired before its data (wakeup "
-            "misprediction gap; top bucket = data unknown)");
-        hOccSched_ = &hist.log2hist(
-            "occ_sched", "scheduling-window occupancy per cycle");
-        hOccRob_ = &hist.log2hist("occ_rob",
-                                  "ROB occupancy per cycle");
-        hOccMob_ = &hist.log2hist("occ_mob",
-                                  "MOB occupancy per cycle");
-        hChtConf_ = &hist.log2hist(
-            "cht_confidence",
-            "CHT saturating-counter value at each prediction");
-        hHmpConf_ = &hist.log2hist(
-            "hmp_confidence",
-            "hit-miss predictor confidence at each prediction, in "
-            "percent");
+        for (const HistogramSpec &spec : kHistograms)
+            this->*spec.hist = &hist.log2hist(spec.name, spec.desc);
     }
 }
 
@@ -305,18 +288,13 @@ void
 OooCore::resetHistograms()
 {
     // The single reset path for all seven distributions: beginRun()
-    // and every loadState() branch that does not restore a complete
+    // and every state-walk load that does not restore a complete
     // "hist" section route through here, so a run can never start (or
     // resume) with counts seeded from an earlier run on this core.
     if (!cfg_.collectHistograms)
         return; // pointers are null; nothing exists to carry over
-    hLoadUse_->reset();
-    hReplayDist_->reset();
-    hOccSched_->reset();
-    hOccRob_->reset();
-    hOccMob_->reset();
-    hChtConf_->reset();
-    hHmpConf_->reset();
+    for (const HistogramSpec &spec : kHistograms)
+        (this->*spec.hist)->reset();
 }
 
 bool
@@ -512,352 +490,35 @@ OooCore::finishRun()
     return res_;
 }
 
-namespace
-{
-
-/** Fixed field order of one serialized RobEntry (see packRobEntry). */
-constexpr std::size_t kRobEntryArity = 37;
-
-json::Value
-packU(std::uint64_t v)
-{
-    return json::Value(v);
-}
-
-json::Value
-packI(std::int64_t v)
-{
-    return json::Value(v);
-}
-
-json::Value
-packB(bool v)
-{
-    return json::Value(static_cast<std::uint64_t>(v ? 1 : 0));
-}
-
-bool
-loadBool(const json::Value &row, std::size_t k)
-{
-    const std::uint64_t v = row.at(k).asU64();
-    if (v > 1)
-        stateio::fail("rob", "boolean field out of range");
-    return v != 0;
-}
-
-} // namespace
+const std::array<OooCore::HistogramSpec, 7> OooCore::kHistograms = {{
+    {"load_to_use", "cycles from load issue to data ready",
+     &OooCore::hLoadUse_},
+    {"replay_distance",
+     "cycles a wasted issue fired before its data (wakeup "
+     "misprediction gap; top bucket = data unknown)",
+     &OooCore::hReplayDist_},
+    {"occ_sched", "scheduling-window occupancy per cycle",
+     &OooCore::hOccSched_},
+    {"occ_rob", "ROB occupancy per cycle", &OooCore::hOccRob_},
+    {"occ_mob", "MOB occupancy per cycle", &OooCore::hOccMob_},
+    {"cht_confidence",
+     "CHT saturating-counter value at each prediction",
+     &OooCore::hChtConf_},
+    {"hmp_confidence",
+     "hit-miss predictor confidence at each prediction, in percent",
+     &OooCore::hHmpConf_},
+}};
 
 json::Value
 OooCore::saveState() const
 {
-    json::Value st = json::Value::object();
-
-    json::Value core = json::Value::object();
-    core.set("now", now_);
-    core.set("head_seq", headSeq_);
-    core.set("next_seq", nextSeq_);
-    core.set("rs_count", static_cast<std::uint64_t>(waitList_.size()));
-    core.set("pool_used", static_cast<std::uint64_t>(poolUsed_));
-    core.set("fetch_blocked_until", fetchBlockedUntil_);
-    core.set("branch_pending", branchPending_);
-    core.set("last_sta_seq", lastStaSeq_);
-    core.set("have_last_sta", haveLastSta_);
-    core.set("path_hist", pathHist_);
-    core.set("trace_done", traceDone_);
-    core.set("audit_checks", auditChecks_);
-    core.set("audit_countdown", auditCountdown_);
-    core.set("rename_table", stateio::packInts(renameTable_));
-    core.set("rename_seq", stateio::packInts(renameSeq_));
-    // pendingCollision_ is the one dynamically-sized core vector.
-    json::Value pend = json::Value::array();
-    for (const int slot : pendingCollision_)
-        pend.push(packI(slot));
-    core.set("pending_collision", std::move(pend));
-    st.set("core", std::move(core));
-
-    // Every ROB slot verbatim (not just [headSeq_, nextSeq_)): stale
-    // slots are still reachable through rename-table guards, and
-    // restoring them byte-for-byte sidesteps any reasoning about
-    // which stale fields those guards may read.
-    json::Value rob = json::Value::array();
-    for (std::size_t s = 0; s < rob_.size(); ++s) {
-        const RobEntry &e = rob_[s];
-        json::Value row = json::Value::array();
-        // Field order is the on-disk format: the first ten positions
-        // predate the SoA split and now interleave array lanes with
-        // cold record fields.
-        row.push(packU(robSeq_[s]));
-        row.push(packU(static_cast<std::uint64_t>(robState_[s])));
-        row.push(packI(e.src1Slot));
-        row.push(packI(e.src2Slot));
-        row.push(packU(e.src1Seq));
-        row.push(packU(e.src2Seq));
-        row.push(packU(robEst_[s]));
-        row.push(packU(robActual_[s]));
-        row.push(packU(robComplete_[s]));
-        row.push(packU(robStall_[s]));
-        row.push(packB(e.everWasted));
-        row.push(packU(static_cast<std::uint64_t>(e.cls)));
-        row.push(packB(e.gate.predColliding));
-        row.push(packU(e.predDistance));
-        row.push(packU(e.actualDistance));
-        row.push(packB(e.hmPredMiss));
-        row.push(packB(e.hmActualMiss));
-        row.push(packB(e.collisionPenalized));
-        row.push(packU(e.waitStoreSeq));
-        row.push(packB(e.waitingOnStore));
-        row.push(packB(e.violationSquash));
-        row.push(packB(e.gate.hasExclTarget));
-        row.push(packU(e.gate.exclStoreSeq));
-        row.push(packU(e.gate.ssWaitSeq));
-        row.push(packU(e.pairSeq));
-        row.push(packB(e.isPairedStd));
-        row.push(packB(e.mispredictedBranch));
-        row.push(packB(e.bankMispredicted));
-        row.push(packU(e.pathAtPredict));
-        row.push(packU(e.uop.pc));
-        row.push(packU(static_cast<std::uint64_t>(e.uop.cls)));
-        row.push(packI(e.uop.src1));
-        row.push(packI(e.uop.src2));
-        row.push(packI(e.uop.dst));
-        row.push(packU(e.uop.addr));
-        row.push(packU(e.uop.memSize));
-        row.push(packB(e.uop.taken));
-        rob.push(std::move(row));
-    }
-    st.set("rob", std::move(rob));
-
-    json::Value iv = json::Value::object();
-    iv.set("cycle", iv_.cycle);
-    iv.set("uops", iv_.uops);
-    iv.set("wasted", iv_.wasted);
-    iv.set("loads", iv_.loads);
-    iv.set("classified", iv_.classified);
-    iv.set("cht_mis", iv_.chtMis);
-    iv.set("hmp_mis", iv_.hmpMis);
-    iv.set("bank_mis", iv_.bankMis);
-    iv.set("occ_sched", iv_.occSched);
-    iv.set("occ_rob", iv_.occRob);
-    iv.set("countdown", iv_.countdown);
-    st.set("interval", std::move(iv));
-
-    st.set("result", res_.saveState());
-    st.set("mem", mem_.saveState());
-    st.set("mob", mob_.saveState());
-    st.set("branch_pred", branchPred_.saveState());
-    if (cht_)
-        st.set("cht", cht_->saveState());
-    if (hmp_)
-        st.set("hmp", hmp_->saveState());
-    if (bankPred_)
-        st.set("bank_pred", bankPred_->saveState());
-    if (barrierCache_)
-        st.set("barrier_cache", barrierCache_->saveState());
-    if (storeSets_)
-        st.set("store_sets", storeSets_->saveState());
-    if (prefetcher_)
-        st.set("prefetcher", prefetcher_->saveState());
-    if (faults_)
-        st.set("faults", faults_->saveState());
-
-    if (cfg_.collectHistograms) {
-        json::Value h = json::Value::object();
-        h.set("load_to_use", hLoadUse_->toJson());
-        h.set("replay_distance", hReplayDist_->toJson());
-        h.set("occ_sched", hOccSched_->toJson());
-        h.set("occ_rob", hOccRob_->toJson());
-        h.set("occ_mob", hOccMob_->toJson());
-        h.set("cht_confidence", hChtConf_->toJson());
-        h.set("hmp_confidence", hHmpConf_->toJson());
-        st.set("hist", std::move(h));
-    }
-
-    return st;
+    return stateio::save(*this);
 }
 
 void
 OooCore::loadState(const json::Value &state, TraceStream &trace)
 {
-    const json::Value &core = stateio::need(state, "core");
-    now_ = stateio::needU64(core, "now");
-    headSeq_ = stateio::needU64(core, "head_seq");
-    nextSeq_ = stateio::needU64(core, "next_seq");
-    const std::uint64_t rs = stateio::needU64(core, "rs_count");
-    const std::uint64_t pool = stateio::needU64(core, "pool_used");
-    if (rs > static_cast<std::uint64_t>(cfg_.schedWindow) ||
-        pool > static_cast<std::uint64_t>(cfg_.regPool)) {
-        stateio::fail("core", "occupancy exceeds the configured "
-                              "window/pool sizes");
-    }
-    poolUsed_ = static_cast<int>(pool);
-    fetchBlockedUntil_ = stateio::needU64(core, "fetch_blocked_until");
-    branchPending_ = stateio::needBool(core, "branch_pending");
-    lastStaSeq_ = stateio::needU64(core, "last_sta_seq");
-    haveLastSta_ = stateio::needBool(core, "have_last_sta");
-    pathHist_ = stateio::needU64(core, "path_hist");
-    traceDone_ = stateio::needBool(core, "trace_done");
-    auditChecks_ = stateio::needU64(core, "audit_checks");
-    auditCountdown_ = stateio::needU64(core, "audit_countdown");
-    stateio::unpackInts(core, "rename_table", renameTable_);
-    stateio::unpackInts(core, "rename_seq", renameSeq_);
-    const json::Value &pend = stateio::need(core, "pending_collision");
-    if (!pend.isArray())
-        stateio::fail("pending_collision", "expected an array");
-    pendingCollision_.clear();
-    pendingCollision_.reserve(pend.size());
-    for (std::size_t k = 0; k < pend.size(); ++k) {
-        const std::int64_t slot = pend.at(k).asI64();
-        if (slot < 0 ||
-            slot >= static_cast<std::int64_t>(rob_.size()))
-            stateio::fail("pending_collision", "slot out of range");
-        pendingCollision_.push_back(static_cast<int>(slot));
-    }
-
-    const json::Value &rob = stateio::need(state, "rob");
-    if (!rob.isArray() || rob.size() != rob_.size()) {
-        stateio::fail("rob", "ROB image does not match the configured "
-                             "rob_size");
-    }
-    for (std::size_t s = 0; s < rob_.size(); ++s) {
-        const json::Value &row = rob.at(s);
-        if (!row.isArray() || row.size() != kRobEntryArity)
-            stateio::fail("rob", "malformed ROB entry row");
-        RobEntry &e = rob_[s];
-        robSeq_[s] = row.at(0).asU64();
-        const std::uint64_t stv = row.at(1).asU64();
-        if (stv > static_cast<std::uint64_t>(State::Issued))
-            stateio::fail("rob", "entry state out of range");
-        robState_[s] = static_cast<State>(stv);
-        e.src1Slot = static_cast<int>(row.at(2).asI64());
-        e.src2Slot = static_cast<int>(row.at(3).asI64());
-        e.src1Seq = row.at(4).asU64();
-        e.src2Seq = row.at(5).asU64();
-        robEst_[s] = row.at(6).asU64();
-        robActual_[s] = row.at(7).asU64();
-        robComplete_[s] = row.at(8).asU64();
-        robStall_[s] = row.at(9).asU64();
-        e.everWasted = loadBool(row, 10);
-        const std::uint64_t clv = row.at(11).asU64();
-        if (clv > static_cast<std::uint64_t>(LoadClass::Colliding))
-            stateio::fail("rob", "load class out of range");
-        e.cls = static_cast<LoadClass>(clv);
-        e.gate.predColliding = loadBool(row, 12);
-        e.predDistance = static_cast<unsigned>(row.at(13).asU64());
-        e.actualDistance = static_cast<unsigned>(row.at(14).asU64());
-        e.hmPredMiss = loadBool(row, 15);
-        e.hmActualMiss = loadBool(row, 16);
-        e.collisionPenalized = loadBool(row, 17);
-        e.waitStoreSeq = row.at(18).asU64();
-        e.waitingOnStore = loadBool(row, 19);
-        e.violationSquash = loadBool(row, 20);
-        e.gate.hasExclTarget = loadBool(row, 21);
-        e.gate.exclStoreSeq = row.at(22).asU64();
-        e.gate.ssWaitSeq = row.at(23).asU64();
-        e.pairSeq = row.at(24).asU64();
-        e.isPairedStd = loadBool(row, 25);
-        e.mispredictedBranch = loadBool(row, 26);
-        e.bankMispredicted = loadBool(row, 27);
-        e.pathAtPredict = row.at(28).asU64();
-        e.uop.pc = row.at(29).asU64();
-        const std::uint64_t ucv = row.at(30).asU64();
-        if (ucv > static_cast<std::uint64_t>(UopClass::Branch))
-            stateio::fail("rob", "uop class out of range");
-        e.uop.cls = static_cast<UopClass>(ucv);
-        e.uop.src1 = static_cast<std::int8_t>(row.at(31).asI64());
-        e.uop.src2 = static_cast<std::int8_t>(row.at(32).asI64());
-        e.uop.dst = static_cast<std::int8_t>(row.at(33).asI64());
-        e.uop.addr = row.at(34).asU64();
-        e.uop.memSize =
-            static_cast<std::uint8_t>(row.at(35).asU64());
-        e.uop.taken = loadBool(row, 36);
-    }
-    rebuildWakeState();
-    if (waitList_.size() != rs)
-        stateio::fail("core", "rs_count disagrees with the Waiting ROB "
-                              "entries");
-
-    const json::Value &iv = stateio::need(state, "interval");
-    iv_.cycle = stateio::needU64(iv, "cycle");
-    iv_.uops = stateio::needU64(iv, "uops");
-    iv_.wasted = stateio::needU64(iv, "wasted");
-    iv_.loads = stateio::needU64(iv, "loads");
-    iv_.classified = stateio::needU64(iv, "classified");
-    iv_.chtMis = stateio::needU64(iv, "cht_mis");
-    iv_.hmpMis = stateio::needU64(iv, "hmp_mis");
-    iv_.bankMis = stateio::needU64(iv, "bank_mis");
-    iv_.occSched = stateio::needU64(iv, "occ_sched");
-    iv_.occRob = stateio::needU64(iv, "occ_rob");
-    iv_.countdown = stateio::needU64(iv, "countdown");
-
-    res_.loadState(stateio::need(state, "result"));
-    mem_.loadState(stateio::need(state, "mem"));
-    mob_.loadState(stateio::need(state, "mob"));
-    branchPred_.loadState(stateio::need(state, "branch_pred"));
-
-    // Optional components restore only when BOTH the machine and the
-    // snapshot have them. A cross-scheme warmup fork (snapshot taken
-    // under the grid's base scheme, restored into a variant) leaves
-    // the variant-only structures cold — the documented semantics of
-    // the warm-once protocol (docs/ROBUSTNESS.md, "Snapshots").
-    const auto loadOpt = [&state](const char *key, auto &component) {
-        if (!component)
-            return;
-        if (const json::Value *sec = state.find(key))
-            component->loadState(*sec);
-    };
-    loadOpt("cht", cht_);
-    loadOpt("hmp", hmp_);
-    loadOpt("bank_pred", bankPred_);
-    loadOpt("barrier_cache", barrierCache_);
-    loadOpt("store_sets", storeSets_);
-    loadOpt("prefetcher", prefetcher_);
-    if (faults_) {
-        if (const json::Value *sec = state.find("faults"))
-            faults_->loadState(*sec);
-    }
-
-    if (cfg_.collectHistograms) {
-        if (const json::Value *h = state.find("hist")) {
-            // All seven distributions restore atomically or the load
-            // fails: a partial section would leave some histograms
-            // carrying this core's previous-run counts next to the
-            // snapshot's — exactly the donor-seeded mixture the
-            // strict contract forbids. Restore into temporaries
-            // first so a throw mutates nothing.
-            if (!h->isObject() || h->size() != 7) {
-                stateio::fail("hist",
-                              "histogram section must contain exactly "
-                              "the seven known distributions");
-            }
-            Log2Histogram lu = Log2Histogram::fromJson(
-                stateio::need(*h, "load_to_use"));
-            Log2Histogram rd = Log2Histogram::fromJson(
-                stateio::need(*h, "replay_distance"));
-            Log2Histogram os = Log2Histogram::fromJson(
-                stateio::need(*h, "occ_sched"));
-            Log2Histogram orb = Log2Histogram::fromJson(
-                stateio::need(*h, "occ_rob"));
-            Log2Histogram om = Log2Histogram::fromJson(
-                stateio::need(*h, "occ_mob"));
-            Log2Histogram cc = Log2Histogram::fromJson(
-                stateio::need(*h, "cht_confidence"));
-            Log2Histogram hc = Log2Histogram::fromJson(
-                stateio::need(*h, "hmp_confidence"));
-            *hLoadUse_ = lu;
-            *hReplayDist_ = rd;
-            *hOccSched_ = os;
-            *hOccRob_ = orb;
-            *hOccMob_ = om;
-            *hChtConf_ = cc;
-            *hHmpConf_ = hc;
-        } else {
-            // Snapshot written with histograms off, restored into a
-            // config newly enabling them (warm-fork): the donor has
-            // no distribution state, so this run's must start cold —
-            // never carry counts from whatever this core ran before.
-            resetHistograms();
-        }
-    }
+    stateio::load(*this, state);
 
     // Labels are config-derived, never snapshot-derived: a warmup
     // fork must report the scheme it RUNS, not the one it warmed
@@ -874,20 +535,147 @@ OooCore::loadState(const json::Value &state, TraceStream &trace)
 }
 
 void
+OooCore::walkState(stateio::Archive &a)
+{
+    const int lastSlot = cfg_.robSize - 1;
+    const int lastReg = kNumArchRegs - 1;
+    // The window occupancy is derived (the waiting list); the restore
+    // checks the saved count against the rebuilt list.
+    std::uint64_t rsCount = waitList_.size();
+    a.section("core", [&](stateio::Archive &c) {
+        c("now", now_);
+        c("head_seq", headSeq_);
+        c("next_seq", nextSeq_, headSeq_, headSeq_ + cfg_.robSize);
+        c("rs_count", rsCount, 0, cfg_.schedWindow);
+        c("pool_used", poolUsed_, 0, cfg_.regPool);
+        c("fetch_blocked_until", fetchBlockedUntil_);
+        c("branch_pending", branchPending_);
+        c("last_sta_seq", lastStaSeq_);
+        c("have_last_sta", haveLastSta_);
+        c("path_hist", pathHist_);
+        c("trace_done", traceDone_);
+        c("audit_checks", auditChecks_);
+        c("audit_countdown", auditCountdown_);
+        c.ints("rename_table", renameTable_, -1, lastSlot);
+        c.ints("rename_seq", renameSeq_);
+        c.list("pending_collision", pendingCollision_, 0, lastSlot);
+    });
+
+    // Every ROB slot verbatim (not just [headSeq_, nextSeq_)): stale
+    // slots are still reachable through rename-table guards, and
+    // restoring them byte-for-byte sidesteps any reasoning about
+    // which stale fields those guards may read. Field order is the
+    // on-disk format: the first ten positions predate the SoA split
+    // and interleave array lanes with cold record fields.
+    a.rows("rob", rob_.size(), [&](std::size_t s, stateio::Row &r) {
+        RobEntry &e = rob_[s];
+        r(robSeq_[s])(robState_[s], State::Waiting, State::Issued);
+        r(e.src1Slot, -1, lastSlot)(e.src2Slot, -1, lastSlot);
+        r(e.src1Seq)(e.src2Seq);
+        r(robEst_[s])(robActual_[s])(robComplete_[s])(robStall_[s]);
+        r(e.everWasted);
+        r(e.cls, LoadClass::Unclassified, LoadClass::Colliding);
+        r(e.gate.predColliding)(e.predDistance)(e.actualDistance);
+        r(e.hmPredMiss)(e.hmActualMiss)(e.collisionPenalized);
+        r(e.waitStoreSeq)(e.waitingOnStore)(e.violationSquash);
+        r(e.gate.hasExclTarget)(e.gate.exclStoreSeq)(e.gate.ssWaitSeq);
+        r(e.pairSeq)(e.isPairedStd);
+        r(e.mispredictedBranch)(e.bankMispredicted)(e.pathAtPredict);
+        Uop &u = e.uop;
+        r(u.pc)(u.cls, UopClass::IntAlu, UopClass::Branch);
+        r(u.src1, -1, lastReg)(u.src2, -1, lastReg)(u.dst, -1, lastReg);
+        r(u.addr)(u.memSize)(u.taken);
+    });
+    if (a.loading()) {
+        rebuildWakeState();
+        if (waitList_.size() != rsCount)
+            stateio::fail("core", "the saved window occupancy "
+                                  "disagrees with the Waiting ROB "
+                                  "entries");
+    }
+
+    a.section("interval", [this](stateio::Archive &c) {
+        c("cycle", iv_.cycle);
+        c("uops", iv_.uops);
+        c("wasted", iv_.wasted);
+        c("loads", iv_.loads);
+        c("classified", iv_.classified);
+        c("cht_mis", iv_.chtMis);
+        c("hmp_mis", iv_.hmpMis);
+        c("bank_mis", iv_.bankMis);
+        c("occ_sched", iv_.occSched);
+        c("occ_rob", iv_.occRob);
+        c("countdown", iv_.countdown);
+    });
+
+    a.component("result", res_);
+    a.component("mem", mem_);
+    a.component("mob", mob_);
+    a.component("branch_pred", branchPred_);
+    // Optional components restore only when BOTH the machine and the
+    // snapshot have them. A cross-scheme warmup fork (snapshot taken
+    // under the grid's base scheme, restored into a variant) leaves
+    // the variant-only structures cold — the documented semantics of
+    // the warm-once protocol (docs/ROBUSTNESS.md, "Snapshots").
+    a.optional("cht", cht_.get());
+    a.optional("hmp", hmp_.get());
+    a.optional("bank_pred", bankPred_.get());
+    a.optional("barrier_cache", barrierCache_.get());
+    a.optional("store_sets", storeSets_.get());
+    a.optional("prefetcher", prefetcher_.get());
+    a.optional("faults", faults_);
+
+    if (!cfg_.collectHistograms)
+        return; // a donor's section is surplus telemetry
+    if (!a.has("hist")) {
+        // Snapshot written with histograms off, restored into a
+        // config newly enabling them (warm-fork): the donor has no
+        // distribution state, so this run's must start cold — never
+        // carry counts from whatever this core ran before.
+        resetHistograms();
+        return;
+    }
+    json::Value h = histogramsJson();
+    a("hist", h);
+    if (!a.loading())
+        return;
+    // All seven distributions restore atomically or the load fails: a
+    // partial section would leave some histograms carrying this
+    // core's previous-run counts next to the snapshot's — exactly the
+    // donor-seeded mixture the strict contract forbids. Restore into
+    // temporaries first so a throw mutates nothing.
+    if (!h.isObject() || h.size() != kHistograms.size()) {
+        stateio::fail("hist", "histogram section must contain exactly "
+                              "the seven known distributions");
+    }
+    std::vector<Log2Histogram> restored;
+    for (const HistogramSpec &spec : kHistograms) {
+        const json::Value *one = h.find(spec.name);
+        if (!one)
+            stateio::fail("hist", std::string("missing histogram '") +
+                                      spec.name + "'");
+        restored.push_back(Log2Histogram::fromJson(*one));
+    }
+    for (std::size_t i = 0; i < kHistograms.size(); ++i)
+        *(this->*kHistograms[i].hist) = restored[i];
+}
+
+json::Value
+OooCore::histogramsJson() const
+{
+    json::Value h = json::Value::object();
+    for (const HistogramSpec &spec : kHistograms)
+        h.set(spec.name, (this->*spec.hist)->toJson());
+    return h;
+}
+
+void
 OooCore::exportHistograms()
 {
     // Mirror the "hist.*" registry subtree into the SimResult so
     // batch cells carry their histograms through the journal/JSON
     // path (results travel; the registry stays with the core).
-    json::Value h = json::Value::object();
-    h.set("load_to_use", hLoadUse_->toJson());
-    h.set("replay_distance", hReplayDist_->toJson());
-    h.set("occ_sched", hOccSched_->toJson());
-    h.set("occ_rob", hOccRob_->toJson());
-    h.set("occ_mob", hOccMob_->toJson());
-    h.set("cht_confidence", hChtConf_->toJson());
-    h.set("hmp_confidence", hHmpConf_->toJson());
-    res_.histograms = std::move(h);
+    res_.histograms = histogramsJson();
 }
 
 AuditView

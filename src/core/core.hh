@@ -111,7 +111,8 @@ class OooCore
 
     /**
      * Machine-snapshot support (core/snapshot.hh): serialize /
-     * restore the complete dynamic state at an advanceTo() boundary.
+     * restore the complete dynamic state at an advanceTo() boundary,
+     * the two directions of one state walk (walkState()).
      * loadState() replaces beginRun(): it rebinds @p trace (seeking
      * it to the snapshot's fetch position) and restores every
      * component this machine shares with the snapshot. Sections for
@@ -121,6 +122,13 @@ class OooCore
      */
     json::Value saveState() const;
     void loadState(const json::Value &state, TraceStream &trace);
+
+    /**
+     * The whole snapshot state in on-disk order, for either direction
+     * (common/state_io.hh). Restore through loadState(), which also
+     * rebinds the trace.
+     */
+    void walkState(stateio::Archive &a);
 
     const MachineConfig &config() const { return cfg_; }
 
@@ -240,8 +248,12 @@ class OooCore
     /** Run the invariant auditor now; throws AuditError on damage. */
     void auditNow();
 
-    /** Record a per-uop lifecycle event if a tracer is attached. */
-    void
+    /**
+     * Record a per-uop lifecycle event if a tracer is attached.
+     * Forced inline: the off path must stay two null tests at every
+     * site, whatever inlining budget this translation unit leaves.
+     */
+    [[gnu::always_inline]] void
     traceUop(TraceEvent ev, int slot)
     {
         if (tracer_) {
@@ -253,6 +265,9 @@ class OooCore
                             rob_[slot].uop.cls);
         }
     }
+
+    /** The "hist.*" distributions as one object (export, snapshot). */
+    json::Value histogramsJson() const;
 
     /** Fill res_.histograms from the telemetry histograms (run end). */
     void exportHistograms();
@@ -472,7 +487,8 @@ class OooCore
      * Telemetry histograms (owned by statsReg_ under "hist.*"); all
      * null unless cfg_.collectHistograms, so the off path costs one
      * null test per sample site. Deterministic by construction: they
-     * record simulated quantities only, never host state.
+     * record simulated quantities only, never host state. kHistograms
+     * lists them once for registration, reset, export and snapshot.
      */
     Log2Histogram *hLoadUse_ = nullptr;   ///< load-to-use delay
     Log2Histogram *hReplayDist_ = nullptr;///< wasted-issue replay gap
@@ -481,6 +497,15 @@ class OooCore
     Log2Histogram *hOccMob_ = nullptr;    ///< MOB occupancy / cycle
     Log2Histogram *hChtConf_ = nullptr;   ///< CHT counter at predict
     Log2Histogram *hHmpConf_ = nullptr;   ///< HMP confidence (percent)
+
+    /** One telemetry histogram and the member that points at it. */
+    struct HistogramSpec
+    {
+        const char *name; ///< registry name under "hist."
+        const char *desc;
+        Log2Histogram *OooCore::*hist;
+    };
+    static const std::array<HistogramSpec, 7> kHistograms;
 
     // --- robustness state ---
     FaultInjector *faults_ = nullptr; ///< not owned; may be null

@@ -1,11 +1,48 @@
 #include "core/results.hh"
 
-#include <cstring>
-
-#include "common/state_io.hh"
-
 namespace lrs
 {
+
+namespace
+{
+
+/** The u64 counters of SimResult, in export order: the one list that
+ *  both toJson() and the state walk read. */
+template <typename R, typename F>
+void
+forEachCounter(R &r, F &&f)
+{
+    f("cycles", r.cycles);
+    f("uops", r.uops);
+    f("loads", r.loads);
+    f("stores", r.stores);
+    f("branches", r.branches);
+    f("branch_mispredicts", r.branchMispredicts);
+    f("not_conflicting", r.notConflicting);
+    f("anc_pnc", r.ancPnc);
+    f("anc_pc", r.ancPc);
+    f("ac_pc", r.acPc);
+    f("ac_pnc", r.acPnc);
+    f("collision_penalties", r.collisionPenalties);
+    f("order_violations", r.orderViolations);
+    f("forwarded", r.forwarded);
+    f("spec_forwards", r.specForwards);
+    f("spec_misforwards", r.specMisforwards);
+    f("ah_ph", r.ahPh);
+    f("ah_pm", r.ahPm);
+    f("am_ph", r.amPh);
+    f("am_pm", r.amPm);
+    f("l1_misses", r.l1Misses);
+    f("dynamic_misses", r.dynamicMisses);
+    f("wasted_issues", r.wastedIssues);
+    f("replayed_uops", r.replayedUops);
+    f("prefetches", r.prefetches);
+    f("bank_conflicts", r.bankConflicts);
+    f("bank_mispredicts", r.bankMispredicts);
+    f("bank_replications", r.bankReplications);
+}
+
+} // namespace
 
 json::Value
 SimResult::toJson() const
@@ -13,40 +50,9 @@ SimResult::toJson() const
     json::Value v = json::Value::object();
     v.set("trace", trace);
     v.set("config", config);
-
-    v.set("cycles", cycles);
-    v.set("uops", uops);
-    v.set("loads", loads);
-    v.set("stores", stores);
-    v.set("branches", branches);
-    v.set("branch_mispredicts", branchMispredicts);
-
-    v.set("not_conflicting", notConflicting);
-    v.set("anc_pnc", ancPnc);
-    v.set("anc_pc", ancPc);
-    v.set("ac_pc", acPc);
-    v.set("ac_pnc", acPnc);
-
-    v.set("collision_penalties", collisionPenalties);
-    v.set("order_violations", orderViolations);
-    v.set("forwarded", forwarded);
-    v.set("spec_forwards", specForwards);
-    v.set("spec_misforwards", specMisforwards);
-
-    v.set("ah_ph", ahPh);
-    v.set("ah_pm", ahPm);
-    v.set("am_ph", amPh);
-    v.set("am_pm", amPm);
-    v.set("l1_misses", l1Misses);
-    v.set("dynamic_misses", dynamicMisses);
-
-    v.set("wasted_issues", wastedIssues);
-    v.set("replayed_uops", replayedUops);
-    v.set("prefetches", prefetches);
-
-    v.set("bank_conflicts", bankConflicts);
-    v.set("bank_mispredicts", bankMispredicts);
-    v.set("bank_replications", bankReplications);
+    forEachCounter(*this, [&v](const char *key, std::uint64_t n) {
+        v.set(key, n);
+    });
 
     // Derived ratios (NaN serialises as null per the convention in
     // results.hh / json.hh).
@@ -98,116 +104,30 @@ SimResult::toJson() const
     return v;
 }
 
-namespace
-{
-
-/** The u64 counters of SimResult, in one fixed order shared by the
- *  save and load paths (a mismatch is a compile-time-visible edit to
- *  this single list). */
-template <typename R, typename F>
 void
-forEachCounter(R &r, F &&f)
+SimResult::walkState(stateio::Archive &a)
 {
-    f("cycles", r.cycles);
-    f("uops", r.uops);
-    f("loads", r.loads);
-    f("stores", r.stores);
-    f("branches", r.branches);
-    f("branch_mispredicts", r.branchMispredicts);
-    f("not_conflicting", r.notConflicting);
-    f("anc_pnc", r.ancPnc);
-    f("anc_pc", r.ancPc);
-    f("ac_pc", r.acPc);
-    f("ac_pnc", r.acPnc);
-    f("collision_penalties", r.collisionPenalties);
-    f("order_violations", r.orderViolations);
-    f("forwarded", r.forwarded);
-    f("spec_forwards", r.specForwards);
-    f("spec_misforwards", r.specMisforwards);
-    f("ah_ph", r.ahPh);
-    f("ah_pm", r.ahPm);
-    f("am_ph", r.amPh);
-    f("am_pm", r.amPm);
-    f("l1_misses", r.l1Misses);
-    f("dynamic_misses", r.dynamicMisses);
-    f("wasted_issues", r.wastedIssues);
-    f("replayed_uops", r.replayedUops);
-    f("prefetches", r.prefetches);
-    f("bank_conflicts", r.bankConflicts);
-    f("bank_mispredicts", r.bankMispredicts);
-    f("bank_replications", r.bankReplications);
-    f("stats_interval", r.statsInterval);
+    a("trace", trace);
+    a("config", config);
+    forEachCounter(*this, [&a](const char *key, std::uint64_t &n) {
+        a(key, n);
+    });
+    a("stats_interval", statsInterval);
+    a.rows("intervals", intervals,
+           [this](std::size_t i, stateio::Row &r) {
+               IntervalSample &s = intervals[i];
+               r(s.cycle)(s.uops)(s.ipc)(s.replayRate)(
+                   s.chtMispredictRate)(s.hmpMispredictRate)(
+                   s.bankMispredictRate)(s.schedOccupancy)(
+                   s.robOccupancy);
+           });
+    a("histograms", histograms);
 }
-
-} // namespace
 
 json::Value
 SimResult::saveState() const
 {
-    json::Value st = json::Value::object();
-    st.set("trace", trace);
-    st.set("config", config);
-    forEachCounter(*this, [&st](const char *key, std::uint64_t v) {
-        st.set(key, v);
-    });
-    // Interval samples as fixed-order 9-tuples; the seven rates are
-    // IEEE-754 bit patterns (stateio::packDouble), not decimal text.
-    json::Value iv = json::Value::array();
-    for (const IntervalSample &s : intervals) {
-        json::Value row = json::Value::array();
-        row.push(s.cycle);
-        row.push(s.uops);
-        row.push(stateio::packDouble(s.ipc));
-        row.push(stateio::packDouble(s.replayRate));
-        row.push(stateio::packDouble(s.chtMispredictRate));
-        row.push(stateio::packDouble(s.hmpMispredictRate));
-        row.push(stateio::packDouble(s.bankMispredictRate));
-        row.push(stateio::packDouble(s.schedOccupancy));
-        row.push(stateio::packDouble(s.robOccupancy));
-        iv.push(std::move(row));
-    }
-    st.set("intervals", std::move(iv));
-    st.set("histograms", histograms);
-    return st;
-}
-
-void
-SimResult::loadState(const json::Value &state)
-{
-    trace = stateio::needString(state, "trace");
-    config = stateio::needString(state, "config");
-    forEachCounter(*this, [&state](const char *key, std::uint64_t &v) {
-        v = stateio::needU64(state, key);
-    });
-    const json::Value &iv = stateio::need(state, "intervals");
-    if (!iv.isArray())
-        stateio::fail("intervals", "expected an array");
-    intervals.clear();
-    intervals.reserve(iv.size());
-    for (std::size_t i = 0; i < iv.size(); ++i) {
-        const json::Value &row = iv.at(i);
-        if (!row.isArray() || row.size() != 9)
-            stateio::fail("intervals", "expected 9-element rows");
-        IntervalSample s;
-        s.cycle = row.at(0).asU64();
-        s.uops = row.at(1).asU64();
-        auto bits = [&row](std::size_t k) {
-            double d;
-            const std::uint64_t u = row.at(k).asU64();
-            static_assert(sizeof(d) == sizeof(u), "double width");
-            std::memcpy(&d, &u, sizeof(d));
-            return d;
-        };
-        s.ipc = bits(2);
-        s.replayRate = bits(3);
-        s.chtMispredictRate = bits(4);
-        s.hmpMispredictRate = bits(5);
-        s.bankMispredictRate = bits(6);
-        s.schedOccupancy = bits(7);
-        s.robOccupancy = bits(8);
-        intervals.push_back(s);
-    }
-    histograms = stateio::need(state, "histograms");
+    return stateio::save(*this);
 }
 
 } // namespace lrs

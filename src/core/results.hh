@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hh"
+#include "common/state_io.hh"
 
 namespace lrs
 {
@@ -169,14 +169,15 @@ struct SimResult
     json::Value toJson() const;
 
     /**
-     * Machine-snapshot support (core/snapshot.hh): every field
+     * Machine-snapshot support (common/state_io.hh): every field
      * exactly, with interval-series doubles carried as IEEE-754 bit
      * patterns so a restored run's final report is byte-identical to
      * an uninterrupted one. Unlike toJson() (the human/tool export),
-     * this pair is a lossless round trip.
+     * the walk is a lossless round trip; saveState() is its saving
+     * direction.
      */
+    void walkState(stateio::Archive &a);
     json::Value saveState() const;
-    void loadState(const json::Value &state);
 };
 
 } // namespace lrs

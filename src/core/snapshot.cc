@@ -1,12 +1,10 @@
 #include "core/snapshot.hh"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <sstream>
+#include <filesystem>
 #include <vector>
 
 #include "common/diag.hh"
@@ -61,28 +59,6 @@ fieldString(const json::Value &rec, const char *key,
         badSnapshot(path, std::string("missing/non-string field '") +
                               key + "'");
     return v->asString();
-}
-
-/** mkdir -p: create every missing component of @p dir. */
-void
-ensureDir(const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    std::string cur;
-    std::istringstream is(dir);
-    std::string part;
-    if (dir[0] == '/')
-        cur = "/";
-    while (std::getline(is, part, '/')) {
-        if (part.empty())
-            continue;
-        cur += part;
-        if (::mkdir(cur.c_str(), 0755) != 0 && errno != EEXIST)
-            ioFail(DiagCode::IoOpenFailed, cur,
-                   "cannot create directory");
-        cur += '/';
-    }
 }
 
 } // namespace
@@ -241,6 +217,39 @@ loadSnapshotInto(const std::string &path, OooCore &core,
     restoreSnapshot(readSnapshot(path), core, trace);
 }
 
+bool
+snapshotRoundTripIdentical(const MachineConfig &cfg,
+                           const FaultConfig &faults, TraceStream &trace,
+                           Cycle stop, const std::string &path)
+{
+    // Each run gets its own core and a fresh injector under the same
+    // config, so all three draw the same fault stream.
+    const auto attach = [&faults](OooCore &core, FaultInjector &fi) {
+        if (fi.enabled())
+            core.attachFaultInjector(&fi);
+    };
+    FaultInjector fullFi(faults);
+    OooCore full(cfg);
+    attach(full, fullFi);
+    const SimResult want = full.run(trace);
+    {
+        FaultInjector warmFi(faults);
+        OooCore warm(cfg);
+        attach(warm, warmFi);
+        warm.beginRun(trace);
+        warm.advanceTo(trace, stop);
+        writeSnapshot(path, warm, trace, stop);
+    }
+    FaultInjector resumedFi(faults);
+    OooCore resumed(cfg);
+    attach(resumed, resumedFi);
+    loadSnapshotInto(path, resumed, trace);
+    std::remove(path.c_str());
+    resumed.advanceTo(trace);
+    return resumed.finishRun().saveState().dump(0) ==
+           want.saveState().dump(0);
+}
+
 std::string
 warmupSnapshotPath(const std::string &dir,
                    const std::string &trace_name)
@@ -286,7 +295,10 @@ void
 prepareWarmupSnapshots(const BatchGrid &grid, const std::string &dir,
                        unsigned workers)
 {
-    ensureDir(dir);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        ioFail(DiagCode::IoOpenFailed, dir, "cannot create directory");
     const std::string wantConfig = machineConfigToIni(grid.base);
 
     // Worth-reusing check: a leftover checkpoint is only trusted when

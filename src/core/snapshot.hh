@@ -24,6 +24,10 @@
  *     N section records{"section":"core"|"rob"|...,"state":{...}}
  *     end record       {"kind":"lrs-snapshot-end","sections":N}
  *
+ * The sections and their fields are OooCore::walkState() and the
+ * component walks it calls (common/state_io.hh): a new state field is
+ * declared once, in its component's walk.
+ *
  * Reading is STRICT, unlike the resync-and-continue journal reader: a
  * damaged line, a missing end record, an unknown format version or a
  * section-count mismatch all throw ConfigError(E_JOURNAL_INVALID). A
@@ -34,8 +38,9 @@
  * trace is simulated once under the grid's base config to the target
  * cycle and checkpointed; every scheme cell of that trace then
  * restores the checkpoint instead of re-warming. Components only the
- * variant has (its CHT, store-sets table, ...) start cold — set
- * `cht_shadow = 1` in the base config to warm a CHT for all variants.
+ * variant has (its CHT, store-sets table, ...) start cold; a base
+ * `scheme = inclusive` (or any CHT scheme) checkpoints a warm CHT for
+ * every variant that has one.
  * Cross-scheme forks are therefore a *measurement protocol*, not
  * bit-equivalent to cold full runs; what IS exact is that the forked
  * sweep itself is deterministic (identical for any worker count, and
@@ -59,6 +64,8 @@ namespace lrs
 class OooCore;
 class TraceStream;
 struct BatchGrid;
+struct FaultConfig;
+struct MachineConfig;
 struct SimJob;
 
 /**
@@ -119,6 +126,19 @@ void restoreSnapshot(const SnapshotImage &img, OooCore &core,
 /** readSnapshot() + restoreSnapshot() in one step. */
 void loadSnapshotInto(const std::string &path, OooCore &core,
                       TraceStream &trace);
+
+/**
+ * The `--validate-snapshot` check: run @p cfg on @p trace once
+ * uninterrupted and once through a checkpoint at @p stop written to
+ * @p path (removed again), each with a fresh fault injector under
+ * @p faults. True iff the two results' lossless serializations
+ * (SimResult::saveState(), doubles as IEEE-754 bit patterns) are
+ * byte-identical.
+ */
+bool snapshotRoundTripIdentical(const MachineConfig &cfg,
+                                const FaultConfig &faults,
+                                TraceStream &trace, Cycle stop,
+                                const std::string &path);
 
 /** Canonical checkpoint path of one trace's warmup in @p dir. */
 std::string warmupSnapshotPath(const std::string &dir,

@@ -1,7 +1,6 @@
 #include "memory/cache.hh"
 
 #include "common/bitutils.hh"
-#include "common/state_io.hh"
 
 namespace lrs
 {
@@ -133,52 +132,18 @@ Cache::flush()
         l.valid = false;
 }
 
-json::Value
-Cache::saveState() const
-{
-    // Column-major flat arrays: compact, and unpackInts() checks each
-    // against the structural line count on restore.
-    std::vector<std::uint64_t> tags, fills, uses, valids;
-    tags.reserve(lines_.size());
-    fills.reserve(lines_.size());
-    uses.reserve(lines_.size());
-    valids.reserve(lines_.size());
-    for (const Line &l : lines_) {
-        tags.push_back(l.tag);
-        fills.push_back(l.fillTime);
-        uses.push_back(l.lastUse);
-        valids.push_back(l.valid ? 1 : 0);
-    }
-    json::Value st = json::Value::object();
-    st.set("tag", stateio::packInts(tags));
-    st.set("fill_time", stateio::packInts(fills));
-    st.set("last_use", stateio::packInts(uses));
-    st.set("valid", stateio::packInts(valids));
-    st.set("hits", json::Value(hits_));
-    st.set("misses", json::Value(misses_));
-    st.set("dynamic_misses", json::Value(dynMisses_));
-    return st;
-}
-
 void
-Cache::loadState(const json::Value &state)
+Cache::walkState(stateio::Archive &a)
 {
-    std::vector<std::uint64_t> tags(lines_.size()),
-        fills(lines_.size()), uses(lines_.size()),
-        valids(lines_.size());
-    stateio::unpackInts(state, "tag", tags);
-    stateio::unpackInts(state, "fill_time", fills);
-    stateio::unpackInts(state, "last_use", uses);
-    stateio::unpackInts(state, "valid", valids);
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        lines_[i].tag = tags[i];
-        lines_[i].fillTime = fills[i];
-        lines_[i].lastUse = uses[i];
-        lines_[i].valid = valids[i] != 0;
-    }
-    hits_ = stateio::needU64(state, "hits");
-    misses_ = stateio::needU64(state, "misses");
-    dynMisses_ = stateio::needU64(state, "dynamic_misses");
+    // Column-major flat arrays: compact, and each is checked against
+    // the structural line count on restore.
+    a.column("tag", lines_, &Line::tag);
+    a.column("fill_time", lines_, &Line::fillTime);
+    a.column("last_use", lines_, &Line::lastUse);
+    a.column("valid", lines_, &Line::valid);
+    a("hits", hits_);
+    a("misses", misses_);
+    a("dynamic_misses", dynMisses_);
 }
 
 } // namespace lrs

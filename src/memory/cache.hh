@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/diag.hh"
-#include "common/json.hh"
+#include "common/state_io.hh"
 #include "common/types.hh"
 
 namespace lrs
@@ -98,13 +98,12 @@ class Cache
     std::uint64_t dynamicMisses() const { return dynMisses_; }
 
     /**
-     * Machine-snapshot support (core/snapshot.hh): every line's tag /
-     * fill time / LRU stamp / valid bit plus the aggregate counters,
-     * exactly. loadState() requires the same geometry (line count)
+     * Machine-snapshot support (common/state_io.hh): every line's tag
+     * / fill time / LRU stamp / valid bit plus the aggregate counters,
+     * exactly. A loading walk requires the same geometry (line count)
      * and throws ConfigError(E_JOURNAL_INVALID) otherwise.
      */
-    json::Value saveState() const;
-    void loadState(const json::Value &state);
+    void walkState(stateio::Archive &a);
 
   private:
     struct Line

@@ -1,7 +1,5 @@
 #include "memory/hierarchy.hh"
 
-#include "common/state_io.hh"
-
 namespace lrs
 {
 
@@ -65,22 +63,6 @@ MemoryHierarchy::access(Addr addr, Cycle now)
     l2_.fill(addr, ready);
     l1_.fill(addr, ready);
     return {false, false, Level::Memory, ready};
-}
-
-json::Value
-MemoryHierarchy::saveState() const
-{
-    json::Value st = json::Value::object();
-    st.set("l1", l1_.saveState());
-    st.set("l2", l2_.saveState());
-    return st;
-}
-
-void
-MemoryHierarchy::loadState(const json::Value &state)
-{
-    l1_.loadState(stateio::need(state, "l1"));
-    l2_.loadState(stateio::need(state, "l2"));
 }
 
 MemoryHierarchy::TimingInfo

@@ -86,8 +86,12 @@ class MemoryHierarchy
     void registerStats(StatsGroup g);
 
     /** Machine-snapshot support: both levels, exactly. */
-    json::Value saveState() const;
-    void loadState(const json::Value &state);
+    void
+    walkState(stateio::Archive &a)
+    {
+        a.component("l1", l1_);
+        a.component("l2", l2_);
+    }
 
     /** Total latency of an L1 hit. */
     Cycle l1Latency() const { return params_.l1.latency; }

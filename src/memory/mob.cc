@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/state_io.hh"
-
 namespace lrs
 {
 
@@ -240,61 +238,27 @@ Mob::olderAtDistance(SeqNum load_seq, unsigned distance) const
     return &at(older - distance);
 }
 
-json::Value
-Mob::saveState() const
-{
-    json::Value recs = json::Value::array();
-    for (std::size_t i = 0; i < count_; ++i) {
-        const StoreRec &r = at(i);
-        // Fixed field order, one flat array per record: compact and
-        // unambiguous (the loader checks the arity).
-        json::Value rec = json::Value::array();
-        rec.push(json::Value(r.seq));
-        rec.push(json::Value(r.addr));
-        rec.push(json::Value(r.pc));
-        rec.push(json::Value(static_cast<std::uint64_t>(r.size)));
-        rec.push(json::Value(static_cast<std::uint64_t>(r.barrier)));
-        rec.push(json::Value(
-            static_cast<std::uint64_t>(r.causedViolation)));
-        rec.push(json::Value(r.staDoneAt));
-        rec.push(json::Value(r.stdDoneAt));
-        recs.push(std::move(rec));
-    }
-    json::Value st = json::Value::object();
-    st.set("stores", std::move(recs));
-    st.set("inserted", json::Value(inserted_));
-    st.set("violations", json::Value(violations_));
-    st.set("partial_alias", json::Value(partialAliasMatches_));
-    st.set("partial_true", json::Value(partialTrueMatches_));
-    return st;
-}
-
 void
-Mob::loadState(const json::Value &state)
+Mob::walkState(stateio::Archive &a)
 {
-    const json::Value &recs = stateio::need(state, "stores");
-    if (!recs.isArray())
-        stateio::fail("stores", "MOB store list is not an array");
-    clear();
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        const json::Value &rec = recs.at(i);
-        if (!rec.isArray() || rec.size() != 8)
-            stateio::fail("stores", "MOB record has wrong arity");
-        StoreRec r;
-        r.seq = rec.at(0).asU64();
-        r.addr = rec.at(1).asU64();
-        r.pc = rec.at(2).asU64();
-        r.size = static_cast<std::uint8_t>(rec.at(3).asU64());
-        r.barrier = rec.at(4).asU64() != 0;
-        r.causedViolation = rec.at(5).asU64() != 0;
-        r.staDoneAt = rec.at(6).asU64();
-        r.stdDoneAt = rec.at(7).asU64();
-        append(r);
+    // The window oldest first, one row per store record.
+    std::vector<StoreRec> recs;
+    for (std::size_t i = 0; i < count_; ++i)
+        recs.push_back(at(i));
+    a.rows("stores", recs, [&recs](std::size_t i, stateio::Row &r) {
+        StoreRec &s = recs[i];
+        r(s.seq)(s.addr)(s.pc)(s.size)(s.barrier)(s.causedViolation)(
+            s.staDoneAt)(s.stdDoneAt);
+    });
+    if (a.loading()) {
+        clear();
+        for (const StoreRec &s : recs)
+            append(s);
     }
-    inserted_ = stateio::needU64(state, "inserted");
-    violations_ = stateio::needU64(state, "violations");
-    partialAliasMatches_ = stateio::needU64(state, "partial_alias");
-    partialTrueMatches_ = stateio::needU64(state, "partial_true");
+    a("inserted", inserted_);
+    a("violations", violations_);
+    a("partial_alias", partialAliasMatches_);
+    a("partial_true", partialTrueMatches_);
 }
 
 } // namespace lrs

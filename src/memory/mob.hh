@@ -27,7 +27,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/json.hh"
+#include "common/state_io.hh"
 #include "common/stats_registry.hh"
 #include "common/types.hh"
 
@@ -201,11 +201,10 @@ class Mob
     const StoreRec &storeAt(std::size_t i) const { return at(i); }
 
     /**
-     * Machine-snapshot support (core/snapshot.hh): every in-window
+     * Machine-snapshot support (common/state_io.hh): every in-window
      * store record plus the lifetime counters, exactly.
      */
-    json::Value saveState() const;
-    void loadState(const json::Value &state);
+    void walkState(stateio::Archive &a);
 
   private:
     /**

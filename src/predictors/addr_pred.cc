@@ -1,7 +1,6 @@
 #include "predictors/addr_pred.hh"
 
 #include "common/diag.hh"
-#include "common/state_io.hh"
 
 namespace lrs
 {
@@ -81,43 +80,14 @@ LoadAddressPredictor::reset()
         e = Entry{};
 }
 
-json::Value
-LoadAddressPredictor::saveState() const
-{
-    json::Value recs = json::Value::array();
-    for (const Entry &e : table_) {
-        json::Value rec = json::Value::array();
-        rec.push(json::Value(static_cast<std::uint64_t>(e.tag)));
-        rec.push(json::Value(static_cast<std::uint64_t>(e.valid)));
-        rec.push(json::Value(e.lastAddr));
-        rec.push(json::Value(static_cast<std::int64_t>(e.stride)));
-        rec.push(json::Value(static_cast<std::uint64_t>(e.conf)));
-        recs.push(std::move(rec));
-    }
-    json::Value st = json::Value::object();
-    st.set("table", std::move(recs));
-    return st;
-}
-
 void
-LoadAddressPredictor::loadState(const json::Value &state)
+LoadAddressPredictor::walkState(stateio::Archive &a)
 {
-    const json::Value &recs = stateio::need(state, "table");
-    if (!recs.isArray() || recs.size() != table_.size()) {
-        stateio::fail("table", "address-predictor table does not "
-                               "match the configured geometry");
-    }
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-        const json::Value &rec = recs.at(i);
-        if (!rec.isArray() || rec.size() != 5)
-            stateio::fail("table", "entry has wrong arity");
-        Entry &e = table_[i];
-        e.tag = static_cast<std::uint32_t>(rec.at(0).asU64());
-        e.valid = rec.at(1).asU64() != 0;
-        e.lastAddr = rec.at(2).asU64();
-        e.stride = rec.at(3).asI64();
-        e.conf = static_cast<std::uint8_t>(rec.at(4).asU64());
-    }
+    a.rows("table", table_.size(),
+           [this](std::size_t i, stateio::Row &r) {
+               Entry &e = table_[i];
+               r(e.tag)(e.valid)(e.lastAddr)(e.stride)(e.conf);
+           });
 }
 
 std::size_t

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/bitutils.hh"
-#include "common/json.hh"
+#include "common/state_io.hh"
 #include "common/types.hh"
 
 namespace lrs
@@ -58,8 +58,7 @@ class LoadAddressPredictor
     std::string name() const { return "stride-addr"; }
 
     /** Machine-snapshot support: every table entry, exactly. */
-    json::Value saveState() const;
-    void loadState(const json::Value &state);
+    void walkState(stateio::Archive &a);
 
   private:
     struct Entry

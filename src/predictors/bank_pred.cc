@@ -2,7 +2,6 @@
 
 #include "common/bitutils.hh"
 #include "common/diag.hh"
-#include "common/state_io.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/gshare.hh"
 #include "predictors/gskew.hh"
@@ -126,27 +125,13 @@ PerBitBankPredictor::name() const
     return "perbit-" + std::to_string(numBanks_) + "banks";
 }
 
-json::Value
-PerBitBankPredictor::saveState() const
-{
-    json::Value arr = json::Value::array();
-    for (const auto &b : bits_)
-        arr.push(b->saveState());
-    json::Value st = json::Value::object();
-    st.set("bits", std::move(arr));
-    return st;
-}
-
 void
-PerBitBankPredictor::loadState(const json::Value &state)
+PerBitBankPredictor::walkState(stateio::Archive &a)
 {
-    const json::Value &arr = stateio::need(state, "bits");
-    if (!arr.isArray() || arr.size() != bits_.size()) {
-        stateio::fail("bits", "per-bit bank predictor arity does not "
-                              "match the configured bank count");
-    }
-    for (std::size_t b = 0; b < bits_.size(); ++b)
-        bits_[b]->loadState(arr.at(b));
+    a.sections("bits", bits_.size(),
+               [this](std::size_t b, stateio::Archive &sub) {
+                   bits_[b]->walkState(sub);
+               });
 }
 
 std::unique_ptr<PerBitBankPredictor>

@@ -84,15 +84,11 @@ class BankPredictor
     }
 
     /**
-     * Machine-snapshot support (core/snapshot.hh). Default: nothing
-     * to save (no stateless bank predictor exists today, but the
+     * Machine-snapshot support (common/state_io.hh). Default: nothing
+     * to walk (no stateless bank predictor exists today, but the
      * interface mirrors HitMissPredictor's).
      */
-    virtual json::Value saveState() const
-    {
-        return json::Value::object();
-    }
-    virtual void loadState(const json::Value & /*state*/) {}
+    virtual void walkState(stateio::Archive & /*a*/) {}
 };
 
 /**
@@ -128,18 +124,10 @@ class BinaryBankPredictor : public BankPredictor
 
     std::string name() const override { return name_; }
 
-    json::Value
-    saveState() const override
-    {
-        json::Value st = json::Value::object();
-        st.set("composite", composite_->saveState());
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        composite_->loadState(stateio::need(state, "composite"));
+        a.component("composite", *composite_);
     }
 
   private:
@@ -198,18 +186,10 @@ class AddressBankPredictor : public BankPredictor
 
     std::string name() const override { return "addr"; }
 
-    json::Value
-    saveState() const override
-    {
-        json::Value st = json::Value::object();
-        st.set("ap", ap_.saveState());
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        ap_.loadState(stateio::need(state, "ap"));
+        a.component("ap", ap_);
     }
 
   private:
@@ -243,8 +223,7 @@ class PerBitBankPredictor : public BankPredictor
     std::size_t storageBits() const override;
     std::string name() const override;
 
-    json::Value saveState() const override;
-    void loadState(const json::Value &state) override;
+    void walkState(stateio::Archive &a) override;
 
     unsigned numBanks() const { return numBanks_; }
 

@@ -12,7 +12,6 @@
 
 #include "common/bitutils.hh"
 #include "common/sat_counter.hh"
-#include "common/state_io.hh"
 #include "predictors/binary.hh"
 
 namespace lrs
@@ -65,18 +64,10 @@ class BimodalPredictor : public BinaryPredictor
 
     std::string name() const override { return "bimodal"; }
 
-    json::Value
-    saveState() const override
-    {
-        json::Value st = json::Value::object();
-        st.set("table", stateio::packCounters(table_));
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        stateio::unpackCounters(state, "table", table_);
+        a.counters("table", table_);
     }
 
   private:

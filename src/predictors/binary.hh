@@ -16,7 +16,7 @@
 #include <cstddef>
 #include <string>
 
-#include "common/json.hh"
+#include "common/state_io.hh"
 #include "common/types.hh"
 
 namespace lrs
@@ -56,14 +56,13 @@ class BinaryPredictor
     virtual std::string name() const = 0;
 
     /**
-     * Machine-snapshot support (core/snapshot.hh): serialize every
-     * mutable table/history exactly, such that a same-configured
-     * predictor restored via loadState() predicts and trains
-     * bit-identically from here on. loadState() throws
+     * Machine-snapshot support (common/state_io.hh): walk every
+     * mutable table and history, such that a same-configured
+     * predictor restored through the walk predicts and trains
+     * bit-identically from here on. A loading walk throws
      * ConfigError(E_JOURNAL_INVALID) on a geometry mismatch.
      */
-    virtual json::Value saveState() const = 0;
-    virtual void loadState(const json::Value &state) = 0;
+    virtual void walkState(stateio::Archive &a) = 0;
 };
 
 } // namespace lrs

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/state_io.hh"
 #include "predictors/binary.hh"
 
 namespace lrs
@@ -97,28 +96,13 @@ class CompositePredictor : public BinaryPredictor
     std::size_t numComponents() const { return components_.size(); }
 
     /** Per-component fan-out, positional (composition is config). */
-    json::Value
-    saveState() const override
-    {
-        json::Value arr = json::Value::array();
-        for (const auto &c : components_)
-            arr.push(c.pred->saveState());
-        json::Value st = json::Value::object();
-        st.set("components", std::move(arr));
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        const json::Value &arr = stateio::need(state, "components");
-        if (!arr.isArray() || arr.size() != components_.size()) {
-            stateio::fail("components",
-                          "composite component count does not match "
-                          "the configured predictor");
-        }
-        for (std::size_t i = 0; i < components_.size(); ++i)
-            components_[i].pred->loadState(arr.at(i));
+        a.sections("components", components_.size(),
+                   [this](std::size_t i, stateio::Archive &sub) {
+                       components_[i].pred->walkState(sub);
+                   });
     }
 
   private:

@@ -4,7 +4,6 @@
 
 #include "common/bitutils.hh"
 #include "common/random.hh"
-#include "common/state_io.hh"
 
 namespace lrs
 {
@@ -403,51 +402,18 @@ Cht::registerStats(StatsGroup g)
               "hardware budget of this organisation");
 }
 
-json::Value
-Cht::saveState() const
-{
-    json::Value recs = json::Value::array();
-    for (const Entry &e : tagged_) {
-        json::Value rec = json::Value::array();
-        rec.push(json::Value(static_cast<std::uint64_t>(e.valid)));
-        rec.push(json::Value(static_cast<std::uint64_t>(e.tag)));
-        rec.push(json::Value(static_cast<std::uint64_t>(e.counter)));
-        rec.push(json::Value(static_cast<std::uint64_t>(e.distance)));
-        rec.push(json::Value(e.lastUse));
-        recs.push(std::move(rec));
-    }
-    json::Value st = json::Value::object();
-    st.set("tagged", std::move(recs));
-    st.set("tagless_ctr", stateio::packInts(taglessCtr_));
-    st.set("tagless_dist", stateio::packInts(taglessDist_));
-    st.set("tick", json::Value(tick_));
-    st.set("updates", json::Value(updates_));
-    return st;
-}
-
 void
-Cht::loadState(const json::Value &state)
+Cht::walkState(stateio::Archive &a)
 {
-    const json::Value &recs = stateio::need(state, "tagged");
-    if (!recs.isArray() || recs.size() != tagged_.size()) {
-        stateio::fail("tagged", "CHT tagged table does not match the "
-                                "configured geometry");
-    }
-    for (std::size_t i = 0; i < tagged_.size(); ++i) {
-        const json::Value &rec = recs.at(i);
-        if (!rec.isArray() || rec.size() != 5)
-            stateio::fail("tagged", "entry has wrong arity");
-        Entry &e = tagged_[i];
-        e.valid = rec.at(0).asU64() != 0;
-        e.tag = static_cast<std::uint32_t>(rec.at(1).asU64());
-        e.counter = static_cast<std::uint8_t>(rec.at(2).asU64());
-        e.distance = static_cast<std::uint8_t>(rec.at(3).asU64());
-        e.lastUse = rec.at(4).asU64();
-    }
-    stateio::unpackInts(state, "tagless_ctr", taglessCtr_);
-    stateio::unpackInts(state, "tagless_dist", taglessDist_);
-    tick_ = stateio::needU64(state, "tick");
-    updates_ = stateio::needU64(state, "updates");
+    a.rows("tagged", tagged_.size(),
+           [this](std::size_t i, stateio::Row &r) {
+               Entry &e = tagged_[i];
+               r(e.valid)(e.tag)(e.counter)(e.distance)(e.lastUse);
+           });
+    a.ints("tagless_ctr", taglessCtr_);
+    a.ints("tagless_dist", taglessDist_);
+    a("tick", tick_);
+    a("updates", updates_);
 }
 
 } // namespace lrs

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "common/diag.hh"
-#include "common/json.hh"
+#include "common/state_io.hh"
 #include "common/parse.hh"
 #include "common/stats_registry.hh"
 #include "common/types.hh"
@@ -168,12 +168,11 @@ class Cht
     void registerStats(StatsGroup g);
 
     /**
-     * Machine-snapshot support (core/snapshot.hh): every tagged
+     * Machine-snapshot support (common/state_io.hh): every tagged
      * entry, both tagless tables, the LRU tick and the update count,
-     * exactly. loadState() requires the same geometry.
+     * exactly. A loading walk requires the same geometry.
      */
-    json::Value saveState() const;
-    void loadState(const json::Value &state);
+    void walkState(stateio::Archive &a);
 
   private:
     struct Entry

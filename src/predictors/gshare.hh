@@ -13,7 +13,6 @@
 
 #include "common/bitutils.hh"
 #include "common/sat_counter.hh"
-#include "common/state_io.hh"
 #include "predictors/binary.hh"
 
 namespace lrs
@@ -72,20 +71,11 @@ class GsharePredictor : public BinaryPredictor
 
     std::string name() const override { return "gshare"; }
 
-    json::Value
-    saveState() const override
-    {
-        json::Value st = json::Value::object();
-        st.set("ghist", json::Value(ghist_));
-        st.set("pht", stateio::packCounters(pht_));
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        stateio::unpackCounters(state, "pht", pht_);
-        ghist_ = stateio::needU64(state, "ghist") & mask(histBits_);
+        a("ghist", ghist_, 0, mask(histBits_));
+        a.counters("pht", pht_);
     }
 
   private:

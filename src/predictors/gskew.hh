@@ -12,11 +12,11 @@
 #define LRS_PREDICTORS_GSKEW_HH
 
 #include <array>
+#include <string>
 #include <vector>
 
 #include "common/bitutils.hh"
 #include "common/sat_counter.hh"
-#include "common/state_io.hh"
 #include "predictors/binary.hh"
 
 namespace lrs
@@ -81,24 +81,12 @@ class GskewPredictor : public BinaryPredictor
 
     std::string name() const override { return "gskew"; }
 
-    json::Value
-    saveState() const override
-    {
-        json::Value st = json::Value::object();
-        st.set("ghist", json::Value(ghist_));
-        st.set("bank0", stateio::packCounters(banks_[0]));
-        st.set("bank1", stateio::packCounters(banks_[1]));
-        st.set("bank2", stateio::packCounters(banks_[2]));
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        stateio::unpackCounters(state, "bank0", banks_[0]);
-        stateio::unpackCounters(state, "bank1", banks_[1]);
-        stateio::unpackCounters(state, "bank2", banks_[2]);
-        ghist_ = stateio::needU64(state, "ghist") & mask(histBits_);
+        a("ghist", ghist_, 0, mask(histBits_));
+        for (std::size_t b = 0; b < banks_.size(); ++b)
+            a.counters("bank" + std::to_string(b), banks_[b]);
     }
 
   private:

@@ -99,15 +99,10 @@ class HitMissPredictor
     }
 
     /**
-     * Machine-snapshot support (core/snapshot.hh). The default suits
-     * stateless predictors (always-hit, perfect): nothing to save,
-     * nothing to restore.
+     * Machine-snapshot support (common/state_io.hh). The default suits
+     * stateless predictors (always-hit, perfect): nothing to walk.
      */
-    virtual json::Value saveState() const
-    {
-        return json::Value::object();
-    }
-    virtual void loadState(const json::Value & /*state*/) {}
+    virtual void walkState(stateio::Archive & /*a*/) {}
 };
 
 /** The baseline: every load is predicted to hit. */
@@ -158,18 +153,10 @@ class TableHmp : public HitMissPredictor
 
     std::string name() const override { return pred_->name(); }
 
-    json::Value
-    saveState() const override
-    {
-        json::Value st = json::Value::object();
-        st.set("pred", pred_->saveState());
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        pred_->loadState(stateio::need(state, "pred"));
+        a.component("pred", *pred_);
     }
 
   private:
@@ -240,20 +227,11 @@ class TimingHmp : public HitMissPredictor
         return inner_->name() + "+timing";
     }
 
-    json::Value
-    saveState() const override
-    {
-        json::Value st = json::Value::object();
-        st.set("inner", inner_->saveState());
-        st.set("ap", ap_.saveState());
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        inner_->loadState(stateio::need(state, "inner"));
-        ap_.loadState(stateio::need(state, "ap"));
+        a.component("inner", *inner_);
+        a.component("ap", ap_);
     }
 
   private:

@@ -15,7 +15,6 @@
 
 #include "common/bitutils.hh"
 #include "common/sat_counter.hh"
-#include "common/state_io.hh"
 #include "predictors/binary.hh"
 
 namespace lrs
@@ -75,20 +74,11 @@ class LocalPredictor : public BinaryPredictor
 
     std::string name() const override { return "local"; }
 
-    json::Value
-    saveState() const override
-    {
-        json::Value st = json::Value::object();
-        st.set("histories", stateio::packInts(histories_));
-        st.set("pht", stateio::packCounters(pht_));
-        return st;
-    }
-
     void
-    loadState(const json::Value &state) override
+    walkState(stateio::Archive &a) override
     {
-        stateio::unpackInts(state, "histories", histories_);
-        stateio::unpackCounters(state, "pht", pht_);
+        a.ints("histories", histories_, 0, mask(histBits_));
+        a.counters("pht", pht_);
     }
 
   private:

@@ -4,7 +4,6 @@
 
 #include "common/bitutils.hh"
 #include "common/diag.hh"
-#include "common/state_io.hh"
 
 namespace lrs
 {
@@ -107,44 +106,15 @@ StoreSets::storageBits() const
     return ssit_.size() * sid_bits + lfst_.size() * (8 + 1);
 }
 
-json::Value
-StoreSets::saveState() const
-{
-    json::Value lfst = json::Value::array();
-    for (const Lfst &l : lfst_) {
-        json::Value rec = json::Value::array();
-        rec.push(json::Value(l.seq));
-        rec.push(json::Value(static_cast<std::uint64_t>(l.valid)));
-        lfst.push(std::move(rec));
-    }
-    json::Value st = json::Value::object();
-    st.set("ssit", stateio::packInts(ssit_));
-    st.set("lfst", std::move(lfst));
-    st.set("next_set", json::Value(
-        static_cast<std::uint64_t>(nextSet_)));
-    st.set("events", json::Value(events_));
-    return st;
-}
-
 void
-StoreSets::loadState(const json::Value &state)
+StoreSets::walkState(stateio::Archive &a)
 {
-    stateio::unpackInts(state, "ssit", ssit_);
-    const json::Value &lfst = stateio::need(state, "lfst");
-    if (!lfst.isArray() || lfst.size() != lfst_.size()) {
-        stateio::fail("lfst", "LFST does not match the configured "
-                              "store-set count");
-    }
-    for (std::size_t i = 0; i < lfst_.size(); ++i) {
-        const json::Value &rec = lfst.at(i);
-        if (!rec.isArray() || rec.size() != 2)
-            stateio::fail("lfst", "entry has wrong arity");
-        lfst_[i].seq = rec.at(0).asU64();
-        lfst_[i].valid = rec.at(1).asU64() != 0;
-    }
-    nextSet_ = static_cast<std::uint32_t>(
-        stateio::needU64(state, "next_set"));
-    events_ = stateio::needU64(state, "events");
+    a.ints("ssit", ssit_);
+    a.rows("lfst", lfst_.size(), [this](std::size_t i, stateio::Row &r) {
+        r(lfst_[i].seq)(lfst_[i].valid);
+    });
+    a("next_set", nextSet_);
+    a("events", events_);
 }
 
 } // namespace lrs

@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/json.hh"
+#include "common/state_io.hh"
 #include "common/types.hh"
 
 namespace lrs
@@ -82,8 +82,7 @@ class StoreSets
      * Machine-snapshot support (core/snapshot.hh): both tables, the
      * allocation cursor and the cyclic-clear event count, exactly.
      */
-    json::Value saveState() const;
-    void loadState(const json::Value &state);
+    void walkState(stateio::Archive &a);
 
   private:
     std::size_t index(Addr pc) const;

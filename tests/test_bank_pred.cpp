@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "common/diag.hh"
 #include "common/random.hh"
 #include "predictors/bank_pred.hh"
 
@@ -141,6 +142,45 @@ TEST(BankFactories, PaperBudgetsAndNames)
     EXPECT_LE(makeBankPredictorA()->storageBits(), 8u * 4096);
     EXPECT_LE(makeBankPredictorB()->storageBits(), 8u * 4096);
     EXPECT_LE(makeBankPredictorC()->storageBits(), 8u * 4096);
+}
+
+TEST(BankPredictorState, WalkRoundTripsEveryKind)
+{
+    // A trained predictor restored through its state walk must predict
+    // and re-save identically; a walk over another geometry must be
+    // refused rather than misread.
+    const auto build = [](int kind) -> std::unique_ptr<BankPredictor> {
+        switch (kind) {
+          case 0: return makeBankPredictorA();
+          case 1: return makeBankPredictorB();
+          case 2: return makeBankPredictorC();
+          case 3: return makeAddressBankPredictor();
+          default: return makePerBitBankPredictor(4);
+        }
+    };
+    for (int kind = 0; kind < 5; ++kind) {
+        auto trained = build(kind);
+        Rng rng(11);
+        for (int i = 0; i < 3000; ++i) {
+            const Addr pc = 0x4000 + rng.below(64) * 4;
+            const Addr addr = 0x10000 + rng.below(512) * 64;
+            trained->updateAddr(pc, addr,
+                                static_cast<unsigned>(addr / 64 % 4));
+        }
+        const json::Value st = stateio::save(*trained);
+        auto back = build(kind);
+        stateio::load(*back, st);
+        EXPECT_EQ(stateio::save(*back).dump(0), st.dump(0)) << kind;
+        for (Addr pc = 0x4000; pc < 0x4100; pc += 4) {
+            const auto a = trained->predict(pc);
+            const auto b = back->predict(pc);
+            EXPECT_EQ(a.valid, b.valid) << kind;
+            EXPECT_EQ(a.bank, b.bank) << kind;
+        }
+    }
+    auto eight = makePerBitBankPredictor(8);
+    EXPECT_THROW(stateio::load(*eight, stateio::save(*build(4))),
+                 ConfigError);
 }
 
 } // namespace

@@ -345,10 +345,10 @@ TEST_F(MobTest, StateRoundTripsAfterWrap)
     }
     mob.staExecuted(27 * 3, 500);
     mob.markViolation(27 * 3);
-    const json::Value st = mob.saveState();
+    const json::Value st = stateio::save(mob);
 
     Mob back;
-    back.loadState(st);
+    stateio::load(back, st);
     EXPECT_EQ(back.size(), mob.size());
     EXPECT_EQ(back.inserted(), 30u);
     EXPECT_EQ(back.violationsMarked(), 1u);
@@ -363,7 +363,7 @@ TEST_F(MobTest, StateRoundTripsAfterWrap)
         EXPECT_EQ(b.staDoneAt, a.staDoneAt);
         EXPECT_EQ(b.stdDoneAt, a.stdDoneAt);
     }
-    EXPECT_EQ(back.saveState().dump(0), st.dump(0));
+    EXPECT_EQ(stateio::save(back).dump(0), st.dump(0));
     // And the restored ring keeps working past another wrap.
     for (SeqNum s = 30; s < 60; ++s) {
         back.insert(s * 3, 0x2000 + s * 16, 8);

@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include <sys/stat.h>
 #include <vector>
 
+#include "common/crc.hh"
 #include "common/diag.hh"
 #include "common/fault_injector.hh"
 #include "common/histogram.hh"
@@ -324,7 +326,8 @@ TEST(Snapshot, FaultInjectorRngStreamRoundTrips)
     const SimResult resumed = runThroughSnapshot(
         cfg, "wd", 20000, full.cycles / 2, path, &warm_fi, &resume_fi);
     EXPECT_EQ(fingerprint(full), fingerprint(resumed));
-    EXPECT_EQ(full_fi.saveState().dump(0), resume_fi.saveState().dump(0));
+    EXPECT_EQ(stateio::save(full_fi).dump(0),
+              stateio::save(resume_fi).dump(0));
     std::remove(path.c_str());
 }
 
@@ -576,6 +579,179 @@ TEST(Snapshot, StaleCheckpointsAreRegenerated)
 
     std::remove(path.c_str());
     ::rmdir(dir.c_str());
+}
+
+/** One pinned checkpoint: a config, whether a fault injector rides
+ *  along, and the CRC-32 of the snapshot file it writes. */
+struct SnapshotPin
+{
+    const char *name;
+    MachineConfig cfg;
+    bool faults;
+    std::uint32_t crc;
+};
+
+MachineConfig
+pinConfig(OrderingScheme scheme, HmpKind hmp, BankPredKind bank)
+{
+    MachineConfig cfg;
+    cfg.scheme = scheme;
+    cfg.hmp = hmp;
+    cfg.bankMode = BankMode::Sliced;
+    cfg.bankPred = bank;
+    return cfg;
+}
+
+TEST(Snapshot, FileBytesArePinned)
+{
+    // The on-disk format is a contract with every checkpoint already
+    // written: these CRCs may only change with kSnapshotFormatVersion.
+    // Together the cases write every section a machine can carry.
+    MachineConfig rich = pinConfig(OrderingScheme::Exclusive,
+                                   HmpKind::Local, BankPredKind::A);
+    rich.stridePrefetch = true;
+    rich.collectHistograms = true;
+    rich.statsInterval = 400;
+    const std::vector<SnapshotPin> pins = {
+        {"exclusive/local/A+faults", rich, true, 0x33f68924u},
+        {"storebarrier/chooser/B",
+         pinConfig(OrderingScheme::StoreBarrier, HmpKind::Chooser,
+                   BankPredKind::B),
+         false, 0x60754622u},
+        {"storesets/local+timing/C",
+         pinConfig(OrderingScheme::StoreSets, HmpKind::LocalTiming,
+                   BankPredKind::C),
+         false, 0xe9e37802u},
+        {"inclusive/local/addr",
+         pinConfig(OrderingScheme::Inclusive, HmpKind::Local,
+                   BankPredKind::Addr),
+         false, 0x39049129u},
+    };
+    const std::string path = tmpPath("pinned.snap");
+    std::vector<std::string> seen;
+    for (const SnapshotPin &pin : pins) {
+        FaultConfig fc;
+        fc.bitRate = 0.01;
+        fc.latRate = 0.01;
+        FaultInjector fi(fc);
+        auto trace = TraceLibrary::make(TraceLibrary::byName("gcc", 6000));
+        OooCore core(pin.cfg);
+        if (pin.faults)
+            core.attachFaultInjector(&fi);
+        core.beginRun(*trace);
+        core.advanceTo(*trace, 2500);
+        writeSnapshot(path, core, *trace, 2500);
+        EXPECT_EQ(crc32(slurp(path)), pin.crc)
+            << pin.name << std::hex << " crc 0x" << crc32(slurp(path));
+        const SnapshotImage img = readSnapshot(path);
+        for (const auto &m : img.state.members())
+            seen.push_back(m.first);
+    }
+    for (const char *section :
+         {"cht", "hmp", "bank_pred", "barrier_cache", "store_sets",
+          "prefetcher", "faults", "hist"}) {
+        EXPECT_NE(std::find(seen.begin(), seen.end(), section),
+                  seen.end())
+            << section;
+    }
+    std::remove(path.c_str());
+}
+
+/** Rewrite section @p name of the snapshot at @p path through
+ *  @p edit, re-framing every record so the CRCs stay valid. */
+template <typename F>
+void
+tamperSection(const std::string &path, const std::string &name,
+              F &&edit)
+{
+    std::string out;
+    for (json::Value rec : readJournal(path)) {
+        if (const json::Value *sec = rec.find("section");
+            sec && sec->asString() == name) {
+            rec.set("state", edit(rec.at("state")));
+        }
+        out += journalLine(rec);
+    }
+    spit(path, out);
+}
+
+/** Copy of array @p arr with element @p i replaced by @p v. */
+json::Value
+withElement(const json::Value &arr, std::size_t i, json::Value v)
+{
+    json::Value out = json::Value::array();
+    for (std::size_t k = 0; k < arr.size(); ++k)
+        out.push(k == i ? v : arr.at(k));
+    return out;
+}
+
+TEST(Snapshot, ImpossibleSlotsAndRegistersAreRejected)
+{
+    // CRC framing proves the bytes are the writer's, not that they
+    // describe a machine: a slot or register index outside the
+    // configured geometry must be refused on restore, before any
+    // cycle could dereference it.
+    MachineConfig cfg;
+    const std::string clean = tmpPath("tamper_clean.snap");
+    {
+        auto trace = TraceLibrary::make(TraceLibrary::byName("wd", 8000));
+        OooCore core(cfg);
+        core.beginRun(*trace);
+        core.advanceTo(*trace, 700);
+        writeSnapshot(clean, core, *trace, 700);
+    }
+    const std::string bytes = slurp(clean);
+    const std::string path = tmpPath("tamper.snap");
+    const auto rejects = [&](const char *what, const char *section,
+                             auto edit) {
+        spit(path, bytes);
+        tamperSection(path, section, edit);
+        auto trace = TraceLibrary::make(TraceLibrary::byName("wd", 8000));
+        OooCore fresh(cfg);
+        EXPECT_THROW(loadSnapshotInto(path, fresh, *trace), ConfigError)
+            << what;
+    };
+    // The untouched bytes restore, so each rejection below is the
+    // edited value's doing.
+    {
+        spit(path, bytes);
+        tamperSection(path, "core",
+                      [](const json::Value &st) { return st; });
+        auto trace = TraceLibrary::make(TraceLibrary::byName("wd", 8000));
+        OooCore fresh(cfg);
+        EXPECT_NO_THROW(loadSnapshotInto(path, fresh, *trace));
+    }
+    const auto renameSlot = [](json::Value v) {
+        return [v](const json::Value &st) {
+            json::Value core = st;
+            core.set("rename_table",
+                     withElement(st.at("rename_table"), 0, v));
+            return core;
+        };
+    };
+    rejects("rename slot 1000000", "core",
+            renameSlot(json::Value(std::int64_t{1000000})));
+    rejects("rename slot rob_size", "core",
+            renameSlot(json::Value(std::int64_t{cfg.robSize})));
+    rejects("rename slot -2", "core",
+            renameSlot(json::Value(std::uint64_t{0} - 2)));
+    const auto robField = [](std::size_t k, json::Value v) {
+        return [k, v](const json::Value &rob) {
+            return withElement(rob, 0, withElement(rob.at(0), k, v));
+        };
+    };
+    rejects("rob src1 slot", "rob",
+            robField(2, json::Value(std::int64_t{1000000})));
+    rejects("rob src2 slot", "rob",
+            robField(3, json::Value(std::int64_t{-2})));
+    rejects("uop src1 register", "rob",
+            robField(31, json::Value(std::int64_t{kNumArchRegs})));
+    rejects("uop src2 register", "rob",
+            robField(32, json::Value(std::int64_t{300})));
+    rejects("uop dst register", "rob",
+            robField(33, json::Value(std::int64_t{-2})));
+    std::remove(path.c_str());
+    std::remove(clean.c_str());
 }
 
 TEST(Snapshot, DirForAndPathHelpers)

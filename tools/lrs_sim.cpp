@@ -514,26 +514,11 @@ runBatch(const std::string &path, unsigned jobs_flag,
                     const Cycle stop = grid.warmupSnapshot
                                            ? grid.warmupSnapshot
                                            : o.result.cycles / 2;
-                    const std::string spath =
-                        snap_dir + "/validate_cell_" +
-                        std::to_string(cell) + ".snap";
-                    {
-                        auto trace = TraceLibrary::make(
-                            jobs[cell].trace);
-                        OooCore warm(jobs[cell].cfg);
-                        warm.beginRun(*trace);
-                        warm.advanceTo(*trace, stop);
-                        writeSnapshot(spath, warm, *trace, stop);
-                    }
-                    auto trace =
-                        TraceLibrary::make(jobs[cell].trace);
-                    OooCore resumed(jobs[cell].cfg);
-                    loadSnapshotInto(spath, resumed, *trace);
-                    resumed.advanceTo(*trace);
-                    const SimResult rr = resumed.finishRun();
-                    std::remove(spath.c_str());
-                    if (rr.saveState().dump(0) !=
-                        o.result.saveState().dump(0)) {
+                    auto trace = TraceLibrary::make(jobs[cell].trace);
+                    if (!snapshotRoundTripIdentical(
+                            jobs[cell].cfg, FaultConfig{}, *trace, stop,
+                            snap_dir + "/validate_cell_" +
+                                std::to_string(cell) + ".snap")) {
                         o.status = CellStatus::Failed;
                         o.failed = true;
                         o.code = diagCodeName(DiagCode::DataInvalid);
@@ -1176,46 +1161,14 @@ main(int argc, char **argv)
                                 wall0)
                                 .count();
         if (validate_snapshot) {
-            // Re-run the simulation twice on the same trace — once
-            // uninterrupted, once through a save/restore at
-            // --snapshot-after (default: half the run) — each with a
-            // fresh fault injector under the same config, and compare
-            // the lossless state serializations byte for byte
-            // (doubles as IEEE-754 bit patterns).
+            // Save/restore at --snapshot-after (default: half the run).
             const Cycle stop =
                 snapshot_after_set ? snapshot_after : r.cycles / 2;
-            const std::string spath =
-                snapshot_path.empty()
-                    ? std::filesystem::temp_directory_path()
-                              .string() +
-                          "/lrs_validate_" +
-                          std::to_string(::getpid()) + ".snap"
-                    : snapshot_path;
-            const auto rerun = [&](bool through_snapshot) {
-                OooCore c(cfg);
-                FaultInjector fi(fault_cfg);
-                if (fi.enabled())
-                    c.attachFaultInjector(&fi);
-                if (!through_snapshot)
-                    return c.run(*trace);
-                {
-                    OooCore warm(cfg);
-                    FaultInjector warm_fi(fault_cfg);
-                    if (warm_fi.enabled())
-                        warm.attachFaultInjector(&warm_fi);
-                    warm.beginRun(*trace);
-                    warm.advanceTo(*trace, stop);
-                    writeSnapshot(spath, warm, *trace, stop);
-                }
-                loadSnapshotInto(spath, c, *trace);
-                c.advanceTo(*trace);
-                return c.finishRun();
-            };
-            const SimResult full = rerun(false);
-            const SimResult rr = rerun(true);
-            if (snapshot_path.empty())
-                std::remove(spath.c_str());
-            if (rr.saveState().dump(0) != full.saveState().dump(0)) {
+            if (!snapshotRoundTripIdentical(
+                    cfg, fault_cfg, *trace, stop,
+                    std::filesystem::temp_directory_path().string() +
+                        "/lrs_validate_" + std::to_string(::getpid()) +
+                        ".snap")) {
                 std::fprintf(stderr,
                              "validate-snapshot: FAILED — round trip "
                              "at cycle %llu diverged from the full "
