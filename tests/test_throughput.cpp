@@ -9,14 +9,19 @@
  * the adversarial families, on the golden ChampSim fixture, at
  * awkward stop_at boundaries (including the 16K interrupt-poll
  * cadence), and through a snapshot taken in the middle of a skipped
- * idle region.
+ * idle region. KernelDigest pins the results themselves, per ordering
+ * scheme, so a kernel change that claims to alter no result is held
+ * to the figures of the code before it.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "common/crc.hh"
 #include "core/core.hh"
 #include "core/runner.hh"
 #include "core/snapshot.hh"
@@ -255,6 +260,79 @@ TEST(ThroughputIdentity, SnapshotMidSkipRegionIsBitIdentical)
             << "stop=" << stop;
     }
     std::remove(path.c_str());
+}
+
+
+/** One pinned kernel configuration of KernelDigest. */
+struct KernelPin
+{
+    const char *name;
+    MachineConfig cfg;
+    std::uint32_t gcc;    ///< CRC-32 of the gcc result
+    std::uint32_t gcmark; ///< CRC-32 of the gcmark result
+};
+
+MachineConfig
+schemeConfig(OrderingScheme scheme)
+{
+    MachineConfig cfg;
+    cfg.scheme = scheme;
+    cfg.cht.trackDistance = true;
+    return cfg;
+}
+
+TEST(KernelDigest, EverySchemeIsPinned)
+{
+    // ThroughputIdentity compares the kernel only with itself; these
+    // digests pin its results. Every ordering scheme runs, plus the
+    // gate variants that read other MOB state (Exclusive's speculative
+    // forwarding, the partial-address comparator) and the dense_cell
+    // machine. A kernel refactor that claims to change no result must
+    // leave every CRC as it is.
+    MachineConfig specForward = schemeConfig(OrderingScheme::Exclusive);
+    specForward.exclusiveSpecForward = true;
+    MachineConfig partial = schemeConfig(OrderingScheme::Traditional);
+    partial.mobPartialBits = 12;
+    MachineConfig dense = schemeConfig(OrderingScheme::Exclusive);
+    dense.hmp = HmpKind::Chooser;
+    dense.bankMode = BankMode::Sliced;
+    dense.bankPred = BankPredKind::A;
+    const std::vector<KernelPin> pins = {
+        {"traditional", schemeConfig(OrderingScheme::Traditional),
+         0xf89c2768u, 0x675063c1u},
+        {"opportunistic", schemeConfig(OrderingScheme::Opportunistic),
+         0x4b248470u, 0x85b4efbbu},
+        {"postponing", schemeConfig(OrderingScheme::Postponing),
+         0x2b13c5e2u, 0xc33d80bdu},
+        {"inclusive", schemeConfig(OrderingScheme::Inclusive),
+         0x3741e8fau, 0x91429649u},
+        {"exclusive", schemeConfig(OrderingScheme::Exclusive),
+         0xfc152ff8u, 0x5504cb0fu},
+        {"perfect", schemeConfig(OrderingScheme::Perfect),
+         0xd9be450bu, 0x24d5efcfu},
+        {"storebarrier", schemeConfig(OrderingScheme::StoreBarrier),
+         0xa36f2521u, 0x3f653001u},
+        {"storesets", schemeConfig(OrderingScheme::StoreSets),
+         0xab3e39a6u, 0xbdbb63fbu},
+        {"exclusive+spec_forward", specForward,
+         0xfc152ff8u, 0x24d18156u},
+        {"traditional+partial12", partial,
+         0x50e5ecedu, 0x9b7dfdabu},
+        {"dense_cell", dense,
+         0xff9e1c44u, 0xf642a363u},
+    };
+    for (const KernelPin &pin : pins) {
+        for (const char *trace : {"gcc", "gcmark"}) {
+            auto t = TraceLibrary::make(TraceLibrary::byName(trace, 20000));
+            OooCore core(pin.cfg);
+            const std::uint32_t crc =
+                crc32(core.run(*t).saveState().dump(0));
+            EXPECT_EQ(crc, std::string(trace) == "gcc" ? pin.gcc
+                                                         : pin.gcmark)
+                << pin.name << "/" << trace << std::hex << " crc 0x"
+                << crc;
+        }
+    }
 }
 
 } // namespace
