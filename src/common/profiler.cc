@@ -151,19 +151,19 @@ ticksPerSecond()
     return rate;
 }
 
-Scope::Scope(Stage s) : stage_(s), active_(enabled())
+void
+Scope::begin()
 {
-    if (!active_)
-        return;
+    active_ = true;
+    childTicks_ = 0;
     parent_ = t_current;
     t_current = this;
     start_ = rawTicks();
 }
 
-Scope::~Scope()
+void
+Scope::end()
 {
-    if (!active_)
-        return;
     const std::uint64_t total = rawTicks() - start_;
     const std::uint64_t self =
         total >= childTicks_ ? total - childTicks_ : 0;

@@ -12,9 +12,11 @@
  * Design constraints, in order:
  *
  *  - The *off* path must be free: a Scope constructed while profiling
- *    is disabled does one relaxed atomic load and nothing else, so
- *    the instrumented core stays byte- and speed-identical when the
- *    flag is off (tools/check_overhead.sh enforces this).
+ *    is disabled does one relaxed atomic load and a branch, inline,
+ *    and makes no call. Only the enabled path's bookkeeping is out of
+ *    line. tools/check_overhead.sh checks that the instrumented core's
+ *    output stays byte-identical with the flag off; it does not time
+ *    the off path (perfbench measures kernel speed).
  *  - Self time, not inclusive time: nested scopes subtract their own
  *    total from the enclosing scope, so the per-stage numbers sum to
  *    the instrumented total instead of double-counting (predictor
@@ -97,25 +99,40 @@ std::uint64_t nowTicks();
 double ticksPerSecond();
 
 /**
- * RAII stage bracket. Cheap no-op while profiling is disabled. On
- * destruction, attributes its *self* time (total minus nested child
- * scopes) to the stage in this thread's accumulator block.
+ * RAII stage bracket. While profiling is disabled the constructor is
+ * one relaxed atomic load and a branch, and the destructor tests the
+ * flag it left: both are forced inline, so a disabled scope makes no
+ * call. Enabled, begin() and end() (out of line) attribute the scope's
+ * *self* time (total minus nested child scopes) to the stage in this
+ * thread's accumulator block.
  */
 class Scope
 {
   public:
-    explicit Scope(Stage s);
-    ~Scope();
+    [[gnu::always_inline]] explicit Scope(Stage s) : stage_(s)
+    {
+        if (enabled())
+            begin();
+    }
+    [[gnu::always_inline]] ~Scope()
+    {
+        if (active_)
+            end();
+    }
 
     Scope(const Scope &) = delete;
     Scope &operator=(const Scope &) = delete;
 
   private:
+    void begin();
+    void end();
+
+    // Only active_ is set on the off path; begin() sets the rest.
     Stage stage_;
-    bool active_;
-    std::uint64_t start_ = 0;
-    std::uint64_t childTicks_ = 0;
-    Scope *parent_ = nullptr;
+    bool active_ = false;
+    std::uint64_t start_;
+    std::uint64_t childTicks_;
+    Scope *parent_;
 };
 
 /** Zero every registered thread block (between runs). */

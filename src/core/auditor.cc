@@ -234,6 +234,33 @@ StateAuditor::check(const AuditView &v, Cycle cycle)
         }
     }
 
+    // 13. Each uop's MOB ordinal is the one a search finds.
+    for (const AuditView::Entry &e : v.entries) {
+        const SeqNum key = e.isPairedStd ? e.pairSeq : e.seq;
+        const auto it = std::lower_bound(v.mobStores.begin(),
+                                         v.mobStores.end(), key);
+        if (e.isPairedStd && (it == v.mobStores.end() || *it != key)) {
+            // Invariant 7 reports an in-flight STA the MOB lost; a
+            // retired STA's record must stay until its STD retires.
+            if (!inFlight(key)) {
+                bad("mob_ord@" + seqStr(e.seq),
+                    "STD's STA " + seqStr(key) +
+                        " left the MOB before the STD retired");
+            }
+            continue;
+        }
+        const std::uint64_t want =
+            v.mobRetired +
+            static_cast<std::uint64_t>(it - v.mobStores.begin());
+        if (e.mobOrd != want) {
+            bad("mob_ord@" + seqStr(e.seq),
+                "MOB ordinal " + std::to_string(e.mobOrd) +
+                    " but a search of the MOB gives " +
+                    std::to_string(want) +
+                    ": its MOB queries read the wrong stores");
+        }
+    }
+
     return diags;
 }
 

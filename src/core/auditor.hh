@@ -65,6 +65,8 @@ struct AuditView
         Cycle gate = 0;
         Cycle cachedGate = 0;       ///< gate horizon of the last visit
         bool unclassifiedLoad = false;
+        /** MOB ordinal the core holds for the uop (Mob::Ordinal). */
+        std::uint64_t mobOrd = 0;
     };
     /** In-flight entries, oldest first (seq == headSeq + index). */
     std::vector<Entry> entries;
@@ -76,6 +78,8 @@ struct AuditView
 
     /** MOB stores' STA sequence numbers, queue order (oldest first). */
     std::vector<SeqNum> mobStores;
+    /** Stores that have left the MOB (Mob::retired()). */
+    std::uint64_t mobRetired = 0;
 };
 
 /**
@@ -116,6 +120,10 @@ struct AuditView
  * 12. wake bound: minWake is no later than any Waiting entry's cached
  *     wake time. The issue stage skips its whole walk while minWake
  *     is ahead of the cycle.
+ * 13. MOB ordinals: every entry's mobOrd equals the answer of a
+ *     search over mobStores — mobRetired plus the stores older than
+ *     it, or for a paired STD its STA's index. The core's per-cycle
+ *     MOB queries start from that ordinal without searching.
  */
 class StateAuditor
 {

@@ -30,30 +30,30 @@ validated(const MachineConfig &cfg)
 } // namespace
 
 Cycle
-gateHorizon(const Mob &mob, const MachineConfig &cfg, SeqNum seq,
+gateHorizon(const Mob &mob, const MachineConfig &cfg, Mob::Ordinal ord,
             const Uop &u, const LoadGate &g)
 {
     constexpr unsigned kBoth = Mob::kAddr | Mob::kData;
     switch (cfg.scheme) {
       case OrderingScheme::Traditional:
-        return mob.olderHorizon(seq, Mob::kAddr);
+        return mob.olderHorizon(ord, Mob::kAddr);
       case OrderingScheme::Opportunistic:
         return 0;
       case OrderingScheme::Postponing:
         // Every older address, and for a predicted collider every
         // older store's data as well.
-        return mob.olderHorizon(seq, g.predColliding ? kBoth : Mob::kAddr);
+        return mob.olderHorizon(ord, g.predColliding ? kBoth : Mob::kAddr);
       case OrderingScheme::Inclusive:
-        return g.predColliding ? mob.olderHorizon(seq, kBoth) : 0;
+        return g.predColliding ? mob.olderHorizon(ord, kBoth) : 0;
       case OrderingScheme::Exclusive: {
         if (!g.predColliding)
             return 0;
         if (!g.hasExclTarget) {
             // Colliding but no distance annotation yet: inclusive
             // behaviour (wait for everything older).
-            return mob.olderHorizon(seq, kBoth);
+            return mob.olderHorizon(ord, kBoth);
         }
-        const Mob::StoreRec *s = mob.get(g.exclStoreSeq);
+        const Mob::StoreRec *s = mob.get(g.exclStoreOrd);
         if (s == nullptr)
             return 0;
         // Speculative value forwarding: once the paired store's DATA
@@ -63,22 +63,30 @@ gateHorizon(const Mob &mob, const MachineConfig &cfg, SeqNum seq,
       }
       case OrderingScheme::Perfect: {
         const Mob::StoreRec *m =
-            mob.youngestOverlapOlder(seq, u.addr, u.memSize);
+            mob.youngestOverlapOlder(ord, u.addr, u.memSize);
         return m ? m->doneAt() : 0;
       }
       case OrderingScheme::StoreBarrier:
         // [Hess95]: loads may pass any store except those whose
         // barrier counter fired at fetch time.
-        return mob.olderHorizon(seq, kBoth, /*barrier_only=*/true);
+        return mob.olderHorizon(ord, kBoth, /*barrier_only=*/true);
       case OrderingScheme::StoreSets: {
         // [Chry98]: wait for the set's last fetched store, if any.
         if (g.ssWaitSeq == StoreSets::kNoStoreSeq)
             return 0;
-        const Mob::StoreRec *s = mob.get(g.ssWaitSeq);
+        const Mob::StoreRec *s = mob.get(g.ssWaitOrd);
         return s ? s->doneAt() : 0;
       }
     }
     return 0;
+}
+
+Cycle
+gateHorizon(const Mob &mob, const MachineConfig &cfg, SeqNum seq,
+            const Uop &u, LoadGate g)
+{
+    g.locateStores(mob);
+    return gateHorizon(mob, cfg, mob.ordinalOf(seq), u, g);
 }
 
 OooCore::OooCore(const MachineConfig &cfg)
@@ -89,7 +97,8 @@ OooCore::OooCore(const MachineConfig &cfg)
       robEst_(cfg.robSize, kCycleNever),
       robActual_(cfg.robSize, kCycleNever),
       robComplete_(cfg.robSize, kCycleNever),
-      robStall_(cfg.robSize, 0), robWake_(cfg.robSize, 0),
+      robStall_(cfg.robSize, 0), robMobOrd_(cfg.robSize),
+      robWake_(cfg.robSize, 0),
       robGate_(cfg.robSize, 0),
       consHead_(cfg.robSize, -1), consNext_(2 * cfg.robSize, -1),
       renameTable_(kNumArchRegs, -1), renameSeq_(kNumArchRegs, 0)
@@ -611,6 +620,8 @@ OooCore::walkState(stateio::Archive &a)
     a.component("result", res_);
     a.component("mem", mem_);
     a.component("mob", mob_);
+    if (a.loading())
+        rebuildMobOrdinals();
     a.component("branch_pred", branchPred_);
     // Optional components restore only when BOTH the machine and the
     // snapshot have them. A cross-scheme warmup fork (snapshot taken
@@ -716,11 +727,13 @@ OooCore::auditView() const
         e.cachedGate = robGate_[slot];
         e.unclassifiedLoad =
             re.uop.isLoad() && re.cls == LoadClass::Unclassified;
+        e.mobOrd = robMobOrd_[slot].value;
         v.entries.push_back(e);
     }
     v.mobStores.reserve(mob_.size());
     for (std::size_t i = 0, n = mob_.size(); i < n; ++i)
         v.mobStores.push_back(mob_.storeAt(i).seq);
+    v.mobRetired = mob_.retired();
     return v;
 }
 
@@ -877,6 +890,24 @@ OooCore::rebuildWakeState()
 }
 
 void
+OooCore::rebuildMobOrdinals()
+{
+    // The one place a seq becomes an ordinal after rename: a binary
+    // search per in-window uop, and per store a load names.
+    for (SeqNum s = headSeq_; s < nextSeq_; ++s) {
+        const int slot = slotOf(s);
+        RobEntry &e = rob_[slot];
+        robMobOrd_[slot] = mob_.ordinalOf(e.isPairedStd ? e.pairSeq : s);
+        if (!e.uop.isLoad())
+            continue;
+        e.gate.locateStores(mob_);
+        e.waitStoreOrd = e.waitingOnStore
+                             ? mob_.storeOrdinal(e.waitStoreSeq)
+                             : Mob::kNoStore;
+    }
+}
+
+void
 OooCore::retireOrphanSta()
 {
     // A trace that ends between a store's STA and its STD leaves the
@@ -884,8 +915,10 @@ OooCore::retireOrphanSta()
     // done and that STA has retired, release the record so the MOB
     // again holds only in-window stores. Any STD renamed later pairs
     // with lastStaSeq_ and, until it retires, is still in the window.
+    // Stores leave the MOB oldest first, so while it holds any store
+    // it holds the newest, lastStaSeq_.
     if (!traceDone_ || !haveLastSta_ || lastStaSeq_ >= headSeq_ ||
-        mob_.get(lastStaSeq_) == nullptr)
+        mob_.size() == 0)
         return;
     for (SeqNum s = headSeq_; s != nextSeq_; ++s) {
         const RobEntry &e = rob_[slotOf(s)];
@@ -917,7 +950,7 @@ OooCore::resolvePendingCollisions()
             ++cycleActivity_;
             continue; // resolved elsewhere; drop the stale entry
         }
-        const Mob::StoreRec *rec = mob_.get(e.waitStoreSeq);
+        const Mob::StoreRec *rec = mob_.get(e.waitStoreOrd);
         if (rec == nullptr) {
             // The store retired, so both its parts completed earlier;
             // release the load with the penalty from now.
@@ -1013,8 +1046,8 @@ OooCore::retireStage()
             // The store leaves the MOB window only once its data part
             // retires; until then younger loads must still see it.
             if (barrierCache_ || storeSets_) {
-                const Mob::StoreRec *rec = mob_.get(e.pairSeq);
-                assert(rec != nullptr);
+                const Mob::StoreRec *rec = mob_.get(robMobOrd_[slot]);
+                assert(rec != nullptr && rec->seq == e.pairSeq);
                 // [Hess95]: increment on a caused violation,
                 // decrement otherwise.
                 if (barrierCache_)
@@ -1052,7 +1085,7 @@ OooCore::classifyLoad(int slot)
     RobEntry &e = rob_[slot];
     if (e.cls != LoadClass::Unclassified)
         return;
-    const SeqNum seq = robSeq_[slot];
+    const Mob::Ordinal ord = robMobOrd_[slot];
     ++cycleActivity_; // the classification itself is a state change
     // Colliding: the youngest older store overlapping the load's
     // address is still incomplete — advancing the load would return
@@ -1060,17 +1093,17 @@ OooCore::classifyLoad(int slot)
     // This covers both the unknown-address case and the P6 "wrong
     // load-STD ordering" case (address known, data not).
     const Mob::StoreRec *m =
-        mob_.youngestOverlapOlder(seq, e.uop.addr, e.uop.memSize);
+        mob_.youngestOverlapOlder(ord, e.uop.addr, e.uop.memSize);
     if (m != nullptr && !m->completeAt(now_)) {
         e.cls = LoadClass::Colliding;
         e.actualDistance =
-            mob_.overlapDistance(seq, e.uop.addr, e.uop.memSize);
+            mob_.overlapDistance(ord, e.uop.addr, e.uop.memSize);
         return;
     }
     // Conflicting: some older store's address is unknown at the
     // load's first schedule opportunity (the paper's definition), so
     // the load cannot be proven independent yet.
-    if (mob_.olderHorizon(seq, Mob::kAddr) > now_)
+    if (mob_.olderHorizon(ord, Mob::kAddr) > now_)
         e.cls = LoadClass::ConflictNotColliding;
     else
         e.cls = LoadClass::NotConflicting;
@@ -1080,7 +1113,7 @@ void
 OooCore::executeLoad(int slot)
 {
     RobEntry &e = rob_[slot];
-    const SeqNum seq = robSeq_[slot];
+    const Mob::Ordinal ord = robMobOrd_[slot];
     const Uop &u = e.uop;
     // Train the bank predictor as soon as the address generates —
     // waiting for retirement would leave in-flight instances of the
@@ -1104,13 +1137,13 @@ OooCore::executeLoad(int slot)
     // re-execution penalty before proceeding. Off by default (bits=0),
     // keeping the full-address timing byte-identical.
     if (cfg_.mobPartialBits != 0 &&
-        mob_.partialAliasOlder(seq, u.addr, u.memSize, now_)) {
+        mob_.partialAliasOlder(ord, u.addr, u.memSize, now_)) {
         agu_done += cfg_.collisionPenalty;
     }
 
     // Consult the MOB with oracle addresses for the ordering outcome.
     const Mob::StoreRec *m =
-        mob_.youngestOverlapOlder(seq, u.addr, u.memSize);
+        mob_.youngestOverlapOlder(ord, u.addr, u.memSize);
 
     bool actual_miss = false;
     bool lazy = false;
@@ -1121,7 +1154,7 @@ OooCore::executeLoad(int slot)
     // address resolved (section 2.1's value-forwarding extension).
     if (cfg_.exclusiveSpecForward && e.gate.predColliding &&
         e.gate.hasExclTarget) {
-        const Mob::StoreRec *pair = mob_.get(e.gate.exclStoreSeq);
+        const Mob::StoreRec *pair = mob_.get(e.gate.exclStoreOrd);
         if (pair != nullptr && pair->dataKnownAt(now_) &&
             !pair->addrKnownAt(now_)) {
             ++res_.specForwards;
@@ -1144,6 +1177,7 @@ OooCore::executeLoad(int slot)
                     e.waitingOnStore = true;
                     e.violationSquash = true;
                     e.waitStoreSeq = m->seq;
+                    e.waitStoreOrd = mob_.ordinalOf(*m);
                     pendingCollision_.push_back(slot);
                 } else if (m != nullptr) {
                     // Real producer is another (complete) store.
@@ -1199,12 +1233,10 @@ OooCore::executeLoad(int slot)
         }
         // The dependence baselines train on the stores that caused
         // wrong ordering.
-        mob_.markViolation(m->seq);
-        if (storeSets_) {
-            const Mob::StoreRec *vr = mob_.get(m->seq);
-            if (vr != nullptr)
-                storeSets_->violation(u.pc, vr->pc);
-        }
+        const Mob::Ordinal m_ord = mob_.ordinalOf(*m);
+        mob_.markViolation(m_ord);
+        if (storeSets_)
+            storeSets_->violation(u.pc, m->pc);
         if (m->staDoneAt != kCycleNever && m->stdDoneAt != kCycleNever) {
             // After the store completes and the re-schedule penalty
             // elapses, the load re-executes and pays its access
@@ -1227,6 +1259,7 @@ OooCore::executeLoad(int slot)
             e.waitingOnStore = true;
             e.violationSquash = violation;
             e.waitStoreSeq = m->seq;
+            e.waitStoreOrd = m_ord;
             pendingCollision_.push_back(slot);
         }
     } else {
@@ -1384,8 +1417,8 @@ OooCore::executeEntry(int slot)
       case UopClass::StoreAddr: {
         const Cycle t = now_ + cfg_.aguLat;
         robActual_[slot] = robEst_[slot] = robComplete_[slot] = t;
-        mob_.staExecuted(robSeq_[slot], t);
-        maybeTouchStore(robSeq_[slot]);
+        mob_.staExecuted(robMobOrd_[slot], t);
+        maybeTouchStore(robMobOrd_[slot]);
         if (bankPred_)
             bankPred_->updateAddr(u.pc, u.addr, bankOf(u.addr));
         break;
@@ -1394,8 +1427,8 @@ OooCore::executeEntry(int slot)
         const Cycle t = now_ + cfg_.stdLat;
         robActual_[slot] = robEst_[slot] = robComplete_[slot] = t;
         assert(e.isPairedStd);
-        mob_.stdExecuted(e.pairSeq, t);
-        maybeTouchStore(e.pairSeq);
+        mob_.stdExecuted(robMobOrd_[slot], t);
+        maybeTouchStore(robMobOrd_[slot]);
         break;
       }
       case UopClass::Load:
@@ -1405,12 +1438,12 @@ OooCore::executeEntry(int slot)
 }
 
 void
-OooCore::maybeTouchStore(SeqNum sta_seq)
+OooCore::maybeTouchStore(Mob::Ordinal store)
 {
     // Write-allocate the store's line once both parts have executed.
     // Exactly one of the two issueEntry() calls (STA's or STD's, the
     // later one) sees both timestamps known, so this touches once.
-    const Mob::StoreRec *rec = mob_.get(sta_seq);
+    const Mob::StoreRec *rec = mob_.get(store);
     assert(rec != nullptr);
     if (rec->staDoneAt == kCycleNever || rec->stdDoneAt == kCycleNever)
         return;
@@ -1483,7 +1516,7 @@ OooCore::issueStage()
 
         if (e.uop.isLoad()) {
             robGate_[slot] =
-                gateHorizon(mob_, cfg_, robSeq_[slot], e.uop, e.gate);
+                gateHorizon(mob_, cfg_, robMobOrd_[slot], e.uop, e.gate);
             if (robGate_[slot] > now_)
                 return; // held by the ordering scheme
         }
@@ -1680,6 +1713,10 @@ OooCore::renameStage(TraceStream &trace)
         robComplete_[slot] = kCycleNever;
         robStall_[slot] = 0;
         robWake_[slot] = robGate_[slot] = minWake_ = 0;
+        // The stores renamed before this uop; an STD takes its STA's,
+        // the newest store (lastStaSeq_).
+        const Mob::Ordinal ord{mob_.inserted() - (u->isStd() ? 1 : 0)};
+        robMobOrd_[slot] = ord;
         consHead_[slot] = -1;
         waitList_.push_back(slot);
         e.uop = *u;
@@ -1712,8 +1749,10 @@ OooCore::renameStage(TraceStream &trace)
 
         switch (u->cls) {
           case UopClass::Load:
-            if (storeSets_)
+            if (storeSets_) {
                 e.gate.ssWaitSeq = storeSets_->loadRenamed(u->pc);
+                e.gate.ssWaitOrd = mob_.storeOrdinal(e.gate.ssWaitSeq);
+            }
             if (cht_) {
                 // Injected state fault: the CHT is a hint structure,
                 // so a flipped bit may cost timing but never
@@ -1732,10 +1771,12 @@ OooCore::renameStage(TraceStream &trace)
                 if (cfg_.scheme == OrderingScheme::Exclusive &&
                     p.colliding && p.distance > 0) {
                     const Mob::StoreRec *s =
-                        mob_.olderAtDistance(seq, p.distance);
+                        mob_.olderAtDistance(ord, p.distance);
                     if (s) {
                         e.gate.hasExclTarget = true;
                         e.gate.exclStoreSeq = s->seq;
+                        e.gate.exclStoreOrd =
+                            Mob::Ordinal{ord.value - p.distance};
                     } else {
                         // Fewer older stores than the predicted
                         // distance: nothing to wait for.
@@ -1758,7 +1799,8 @@ OooCore::renameStage(TraceStream &trace)
             break;
           }
           case UopClass::StoreData:
-            assert(haveLastSta_ && mob_.get(lastStaSeq_) != nullptr);
+            assert(haveLastSta_ && mob_.get(ord) != nullptr &&
+                   mob_.get(ord)->seq == lastStaSeq_);
             e.pairSeq = lastStaSeq_;
             e.isPairedStd = true;
             break;

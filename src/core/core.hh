@@ -64,18 +64,42 @@ struct LoadGate
     SeqNum exclStoreSeq = 0;
     /** Store sets: the LFST's store at rename, or kNoStoreSeq. */
     SeqNum ssWaitSeq = StoreSets::kNoStoreSeq;
+    /**
+     * MOB ordinals of exclStoreSeq and ssWaitSeq, Mob::kNoStore when
+     * the seq named no store in the MOB. Derived once, at rename or
+     * restore (locateStores), and never serialized.
+     */
+    Mob::Ordinal exclStoreOrd = Mob::kNoStore;
+    Mob::Ordinal ssWaitOrd = Mob::kNoStore;
+
+    /** Derive both ordinals from the seqs (binary searches). */
+    void
+    locateStores(const Mob &mob)
+    {
+        exclStoreOrd = hasExclTarget ? mob.storeOrdinal(exclStoreSeq)
+                                     : Mob::kNoStore;
+        ssWaitOrd = mob.storeOrdinal(ssWaitSeq);
+    }
 };
 
 /**
  * First cycle at which the ordering scheme of @p cfg lets the load
- * @p u (sequence @p seq) dispatch: the max of the older store times
+ * @p u (MOB ordinal @p ord) dispatch: the max of the older store times
  * the scheme waits on, kCycleNever while one of those store parts has
  * not executed, 0 when nothing holds the load. "Allowed at now" is
  * gateHorizon(...) <= now. A store the scheme names that is no longer
  * in @p mob has retired, so both its parts had passed.
  */
+Cycle gateHorizon(const Mob &mob, const MachineConfig &cfg,
+                  Mob::Ordinal ord, const Uop &u, const LoadGate &g);
+
+/**
+ * The same for the load with sequence number @p seq, deriving its
+ * ordinal and g's store ordinals by binary search: the check the
+ * auditor and the tests make without trusting the core's ordinals.
+ */
 Cycle gateHorizon(const Mob &mob, const MachineConfig &cfg, SeqNum seq,
-                  const Uop &u, const LoadGate &g);
+                  const Uop &u, LoadGate g);
 
 /**
  * One simulated core. Build one per run; run() consumes a trace.
@@ -216,6 +240,8 @@ class OooCore
         bool collisionPenalized = false;
         /** STA seq the load is lazily waiting on (collision case). */
         SeqNum waitStoreSeq = 0;
+        /** Its MOB ordinal (derived, like robMobOrd_). */
+        Mob::Ordinal waitStoreOrd;
         bool waitingOnStore = false;
         /** Lazy collision is a true order violation (squash on fix). */
         bool violationSquash = false;
@@ -342,6 +368,12 @@ class OooCore
     /** Rebuild the waiting list, links and wake times (loadState). */
     void rebuildWakeState();
 
+    /**
+     * Rebuild robMobOrd_ and the loads' derived store ordinals from
+     * the sequence numbers (loadState, once the MOB is restored).
+     */
+    void rebuildMobOrdinals();
+
     /** Drop a trace-truncated store's STA from the MOB (see .cc). */
     void retireOrphanSta();
 
@@ -356,7 +388,7 @@ class OooCore
     Cycle nextEventCycle() const;
 
     /** Write-allocate a store's line once STA and STD both executed. */
-    void maybeTouchStore(SeqNum sta_seq);
+    void maybeTouchStore(Mob::Ordinal store);
 
     /** Per-cycle state of the memory pipes / cache banks. */
     struct MemPorts
@@ -409,6 +441,14 @@ class OooCore
     std::vector<Cycle> robActual_;   ///< true data-ready time
     std::vector<Cycle> robComplete_; ///< retirement-ready time
     std::vector<Cycle> robStall_;    ///< replay backoff horizon
+    /**
+     * Each uop's MOB ordinal (Mob::Ordinal), fixed at rename: the
+     * stores renamed before it, or for an STD its STA's. Every MOB
+     * query and store update the per-cycle stages make starts from
+     * it in O(1). Derived, never serialized: loadState rebuilds it
+     * from the sequence numbers once the MOB is restored.
+     */
+    std::vector<Mob::Ordinal> robMobOrd_;
 
     /**
      * Event-driven wakeup state, all derived (rebuilt by loadState,

@@ -57,13 +57,12 @@ Mob::insert(SeqNum sta_seq, Addr addr, std::uint8_t size, Addr pc,
 }
 
 void
-Mob::markViolation(SeqNum sta_seq)
+Mob::markViolation(Ordinal o)
 {
-    StoreRec *r = find(sta_seq);
-    assert(r != nullptr);
-    if (!r->causedViolation)
+    StoreRec &r = storeRec(o);
+    if (!r.causedViolation)
         ++violations_;
-    r->causedViolation = true;
+    r.causedViolation = true;
 }
 
 void
@@ -88,35 +87,34 @@ Mob::registerStats(StatsGroup g)
     }
 }
 
-const Mob::StoreRec *
-Mob::get(SeqNum sta_seq) const
+Mob::Ordinal
+Mob::storeOrdinal(SeqNum sta_seq) const
 {
-    return const_cast<Mob *>(this)->find(sta_seq);
+    const Ordinal o = ordinalOf(sta_seq);
+    const StoreRec *r = get(o);
+    return r != nullptr && r->seq == sta_seq ? o : kNoStore;
 }
 
-Mob::StoreRec *
-Mob::find(SeqNum sta_seq)
+Mob::Ordinal
+Mob::ordinalOf(const StoreRec &r) const
 {
-    std::size_t older = olderCount(sta_seq);
-    if (older < count_ && at(older).seq == sta_seq)
-        return &at(older);
-    return nullptr;
-}
-
-void
-Mob::staExecuted(SeqNum sta_seq, Cycle when)
-{
-    StoreRec *r = find(sta_seq);
-    assert(r != nullptr);
-    r->staDoneAt = when;
+    const std::size_t phys = static_cast<std::size_t>(&r - ring_.data());
+    assert(phys < ring_.size());
+    const std::size_t logical =
+        phys >= head_ ? phys - head_ : phys + ring_.size() - head_;
+    return {retired() + logical};
 }
 
 void
-Mob::stdExecuted(SeqNum sta_seq, Cycle when)
+Mob::staExecuted(Ordinal o, Cycle when)
 {
-    StoreRec *r = find(sta_seq);
-    assert(r != nullptr);
-    r->stdDoneAt = when;
+    storeRec(o).staDoneAt = when;
+}
+
+void
+Mob::stdExecuted(Ordinal o, Cycle when)
+{
+    storeRec(o).stdDoneAt = when;
 }
 
 void
@@ -138,13 +136,12 @@ Mob::clear()
 }
 
 Cycle
-Mob::olderHorizon(SeqNum load_seq, unsigned parts,
-                  bool barrier_only) const
+Mob::olderHorizon(Ordinal load, unsigned parts, bool barrier_only) const
 {
     // Youngest first: a part that has not executed is most likely
     // among the youngest stores, and it ends the walk.
     Cycle h = 0;
-    for (std::size_t i = olderCount(load_seq); i-- > 0;) {
+    for (std::size_t i = olderIn(load); i-- > 0;) {
         const StoreRec &r = at(i);
         if (barrier_only && !r.barrier)
             continue;
@@ -156,10 +153,10 @@ Mob::olderHorizon(SeqNum load_seq, unsigned parts,
 }
 
 const Mob::StoreRec *
-Mob::youngestOverlapOlder(SeqNum load_seq, Addr addr,
+Mob::youngestOverlapOlder(Ordinal load, Addr addr,
                           std::uint8_t size) const
 {
-    for (std::size_t i = olderCount(load_seq); i-- > 0;) {
+    for (std::size_t i = olderIn(load); i-- > 0;) {
         const StoreRec &r = at(i);
         if (rangesOverlap(r.addr, r.size, addr, size))
             return &r;
@@ -168,10 +165,10 @@ Mob::youngestOverlapOlder(SeqNum load_seq, Addr addr,
 }
 
 bool
-Mob::collidesAt(SeqNum load_seq, Addr addr, std::uint8_t size,
+Mob::collidesAt(Ordinal load, Addr addr, std::uint8_t size,
                 Cycle now) const
 {
-    for (std::size_t i = olderCount(load_seq); i-- > 0;) {
+    for (std::size_t i = olderIn(load); i-- > 0;) {
         const StoreRec &r = at(i);
         if (!r.addrKnownAt(now) &&
             rangesOverlap(r.addr, r.size, addr, size)) {
@@ -182,7 +179,7 @@ Mob::collidesAt(SeqNum load_seq, Addr addr, std::uint8_t size,
 }
 
 bool
-Mob::partialAliasOlder(SeqNum load_seq, Addr addr, std::uint8_t size,
+Mob::partialAliasOlder(Ordinal load, Addr addr, std::uint8_t size,
                        Cycle now) const
 {
     if (partialBits_ == 0)
@@ -190,7 +187,7 @@ Mob::partialAliasOlder(SeqNum load_seq, Addr addr, std::uint8_t size,
     const Addr mask = partialBits_ >= 64
                           ? ~Addr(0)
                           : (Addr(1) << partialBits_) - 1;
-    for (std::size_t i = olderCount(load_seq); i-- > 0;) {
+    for (std::size_t i = olderIn(load); i-- > 0;) {
         const StoreRec &r = at(i);
         if (!r.addrKnownAt(now))
             continue;
@@ -215,11 +212,11 @@ Mob::partialAliasOlder(SeqNum load_seq, Addr addr, std::uint8_t size,
 }
 
 unsigned
-Mob::overlapDistance(SeqNum load_seq, Addr addr,
+Mob::overlapDistance(Ordinal load, Addr addr,
                      std::uint8_t size) const
 {
     unsigned dist = 0;
-    for (std::size_t i = olderCount(load_seq); i-- > 0;) {
+    for (std::size_t i = olderIn(load); i-- > 0;) {
         const StoreRec &r = at(i);
         ++dist;
         if (rangesOverlap(r.addr, r.size, addr, size))
@@ -229,10 +226,10 @@ Mob::overlapDistance(SeqNum load_seq, Addr addr,
 }
 
 const Mob::StoreRec *
-Mob::olderAtDistance(SeqNum load_seq, unsigned distance) const
+Mob::olderAtDistance(Ordinal load, unsigned distance) const
 {
     assert(distance >= 1);
-    const std::size_t older = olderCount(load_seq);
+    const std::size_t older = olderIn(load);
     if (older < distance)
         return nullptr;
     return &at(older - distance);

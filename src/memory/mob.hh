@@ -24,6 +24,7 @@
 #ifndef LRS_MEMORY_MOB_HH
 #define LRS_MEMORY_MOB_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -81,18 +82,51 @@ class Mob
         }
     };
 
+    /**
+     * A position in the MOB's lifetime store order. Store o is the
+     * o-th store ever inserted; a uop's ordinal is the number of
+     * stores inserted before it, so a store's own ordinal is its
+     * insertion index and the stores older than a load are exactly
+     * those with an ordinal below the load's. While store o is in
+     * the window it sits at logical index o - retired(), which makes
+     * every query below O(1) to start: the core records each uop's
+     * ordinal at rename and never searches by sequence number on its
+     * per-cycle paths (docs/PERFORMANCE.md).
+     */
+    struct Ordinal
+    {
+        std::uint64_t value = 0;
+    };
+    /** An ordinal that names no store. */
+    static constexpr Ordinal kNoStore{~std::uint64_t{0}};
+
     /** A new store (STA+STD pair) entered the window at rename. */
     void insert(SeqNum sta_seq, Addr addr, std::uint8_t size,
                 Addr pc = 0, bool barrier = false);
 
-    /** Record that a load was wrongly ordered against this store. */
-    void markViolation(SeqNum sta_seq);
+    /** Record that a load was wrongly ordered against store @p o. */
+    void markViolation(Ordinal o);
+    void
+    markViolation(SeqNum sta_seq)
+    {
+        markViolation(storeOrdinal(sta_seq));
+    }
 
     /** The STA executed: address becomes architecturally known. */
-    void staExecuted(SeqNum sta_seq, Cycle when);
+    void staExecuted(Ordinal o, Cycle when);
+    void
+    staExecuted(SeqNum sta_seq, Cycle when)
+    {
+        staExecuted(storeOrdinal(sta_seq), when);
+    }
 
     /** The STD executed: data becomes available for forwarding. */
-    void stdExecuted(SeqNum sta_seq, Cycle when);
+    void stdExecuted(Ordinal o, Cycle when);
+    void
+    stdExecuted(SeqNum sta_seq, Cycle when)
+    {
+        stdExecuted(storeOrdinal(sta_seq), when);
+    }
 
     /** The store retired: remove it from the window. */
     void retire(SeqNum sta_seq);
@@ -107,6 +141,26 @@ class Mob
     std::uint64_t inserted() const { return inserted_; }
     /** Stores marked as having caused a wrong load ordering. */
     std::uint64_t violationsMarked() const { return violations_; }
+
+    /** Stores that left the window: the ordinal of the oldest one in
+     *  it, when there is one. */
+    std::uint64_t retired() const { return inserted_ - count_; }
+
+    /**
+     * The ordinal of the uop with sequence number @p seq: the stores
+     * inserted before it, by a binary search over the window. Exact
+     * for in-window stores and for uops younger than every retired
+     * store — the conversion a seq makes once, at restore or in a
+     * test, before the O(1) ordinal queries take over.
+     */
+    Ordinal
+    ordinalOf(SeqNum seq) const
+    {
+        return {retired() + olderCount(seq)};
+    }
+
+    /** Ordinal of the in-window store @p sta_seq; kNoStore if none. */
+    Ordinal storeOrdinal(SeqNum sta_seq) const;
 
     /** Register this MOB's stats under @p g (e.g. "mem.mob"). */
     void registerStats(StatsGroup g);
@@ -143,23 +197,41 @@ class Mob
      * @p barrier_only only barrier-marked stores count — the Store
      * Barrier Cache's load fence ([Hess95]).
      */
-    Cycle olderHorizon(SeqNum load_seq, unsigned parts,
+    Cycle olderHorizon(Ordinal load, unsigned parts,
                        bool barrier_only = false) const;
+    Cycle
+    olderHorizon(SeqNum load_seq, unsigned parts,
+                 bool barrier_only = false) const
+    {
+        return olderHorizon(ordinalOf(load_seq), parts, barrier_only);
+    }
 
     /**
      * Youngest older store overlapping [addr, addr+size), using oracle
      * addresses. Returns nullptr if none.
      */
-    const StoreRec *youngestOverlapOlder(SeqNum load_seq, Addr addr,
+    const StoreRec *youngestOverlapOlder(Ordinal load, Addr addr,
                                          std::uint8_t size) const;
+    const StoreRec *
+    youngestOverlapOlder(SeqNum load_seq, Addr addr,
+                         std::uint8_t size) const
+    {
+        return youngestOverlapOlder(ordinalOf(load_seq), addr, size);
+    }
 
     /**
      * True iff an older store whose address is unknown at @p now
      * overlaps the load's address — the paper's *actually colliding*
      * condition evaluated at schedule time.
      */
-    bool collidesAt(SeqNum load_seq, Addr addr, std::uint8_t size,
+    bool collidesAt(Ordinal load, Addr addr, std::uint8_t size,
                     Cycle now) const;
+    bool
+    collidesAt(SeqNum load_seq, Addr addr, std::uint8_t size,
+               Cycle now) const
+    {
+        return collidesAt(ordinalOf(load_seq), addr, size, now);
+    }
 
     /**
      * Partial-address check against *known*-address older stores: the
@@ -172,26 +244,57 @@ class Mob
      * false (the ordinary collision machinery handles it). Always
      * false when partial matching is off.
      */
-    bool partialAliasOlder(SeqNum load_seq, Addr addr,
-                           std::uint8_t size, Cycle now) const;
+    bool partialAliasOlder(Ordinal load, Addr addr, std::uint8_t size,
+                           Cycle now) const;
+    bool
+    partialAliasOlder(SeqNum load_seq, Addr addr, std::uint8_t size,
+                      Cycle now) const
+    {
+        return partialAliasOlder(ordinalOf(load_seq), addr, size, now);
+    }
 
     /**
      * Store-distance of the youngest older overlapping store: 1 means
      * the closest older store, 2 the one before it, etc. Returns 0 if
      * no overlap.
      */
-    unsigned overlapDistance(SeqNum load_seq, Addr addr,
+    unsigned overlapDistance(Ordinal load, Addr addr,
                              std::uint8_t size) const;
+    unsigned
+    overlapDistance(SeqNum load_seq, Addr addr, std::uint8_t size) const
+    {
+        return overlapDistance(ordinalOf(load_seq), addr, size);
+    }
 
     /**
      * The @p distance-th closest older store (1 = youngest older).
      * Returns nullptr if fewer than @p distance older stores exist.
      */
-    const StoreRec *olderAtDistance(SeqNum load_seq,
+    const StoreRec *olderAtDistance(Ordinal load,
                                     unsigned distance) const;
+    const StoreRec *
+    olderAtDistance(SeqNum load_seq, unsigned distance) const
+    {
+        return olderAtDistance(ordinalOf(load_seq), distance);
+    }
 
+    /** The in-window store with ordinal @p o; nullptr once it retired
+     *  and for kNoStore. */
+    const StoreRec *
+    get(Ordinal o) const
+    {
+        const std::uint64_t i = o.value - retired();
+        return i < count_ ? &at(i) : nullptr;
+    }
     /** The in-window store with STA sequence @p sta_seq, if any. */
-    const StoreRec *get(SeqNum sta_seq) const;
+    const StoreRec *
+    get(SeqNum sta_seq) const
+    {
+        return get(storeOrdinal(sta_seq));
+    }
+
+    /** Ordinal of @p r, a record this MOB returned. */
+    Ordinal ordinalOf(const StoreRec &r) const;
 
     /**
      * The @p i-th in-window store in program order (0 = oldest).
@@ -238,12 +341,30 @@ class Mob
     }
 
     /**
-     * Number of in-window stores older than @p load_seq — the logical
-     * prefix [0, olderCount) every ordering query iterates. Binary
-     * search over the seq-sorted ring, so queries never touch the
-     * younger suffix at all (the deque version skip-scanned it).
+     * Number of in-window stores older than @p load_seq. Binary search
+     * over the seq-sorted ring; ordinalOf(SeqNum) is its only caller.
      */
     std::size_t olderCount(SeqNum load_seq) const;
+
+    /**
+     * Number of in-window stores older than the uop at ordinal
+     * @p load — the logical prefix [0, olderIn) every ordering query
+     * iterates, so queries never touch the younger suffix at all.
+     */
+    std::size_t
+    olderIn(Ordinal load) const
+    {
+        assert(load.value >= retired() && load.value <= inserted_);
+        return static_cast<std::size_t>(load.value - retired());
+    }
+
+    /** Mutable record of the in-window store @p o (must exist). */
+    StoreRec &
+    storeRec(Ordinal o)
+    {
+        assert(get(o) != nullptr);
+        return at(static_cast<std::size_t>(o.value - retired()));
+    }
 
     /** Append @p r as the youngest store, growing the ring if full. */
     void append(const StoreRec &r);
@@ -257,8 +378,6 @@ class Mob
     // alias vs true matches is a measurement side effect.
     mutable std::uint64_t partialAliasMatches_ = 0;
     mutable std::uint64_t partialTrueMatches_ = 0;
-
-    StoreRec *find(SeqNum sta_seq);
 };
 
 /** Do two byte ranges overlap? */

@@ -273,6 +273,35 @@ TEST(Auditor, CatchesWakeBoundAboveAWaitingWakeTime)
     EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "min_wake"));
 }
 
+TEST(Auditor, CatchesStaleMobOrdinal)
+{
+    // Five stores have retired, so MOB store 11 holds ordinal 5: 10
+    // (older than it), the STA 11 and its STD 12 all hold 5.
+    AuditView v = soundView();
+    v.mobRetired = 5;
+    for (AuditView::Entry &e : v.entries)
+        e.mobOrd = 5;
+    EXPECT_TRUE(StateAuditor::check(v, 1).empty());
+    v.entries[2].mobOrd = 6; // the STD names the store after its STA
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "mob_ord@12"));
+    v.entries[2].mobOrd = 5;
+    v.entries[0].mobOrd = 4; // 10 would see a retired store as older
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "mob_ord@10"));
+    v.entries[0].mobOrd = 5;
+    // An STD whose STA has retired from the ROB still needs the
+    // store's MOB record until it retires itself.
+    v.headSeq = 12;
+    v.entries.erase(v.entries.begin(), v.entries.begin() + 2);
+    v.entries[0].src1Slot = -1; // its producer 10 retired too
+    v.entries[0].wake = 0;
+    v.waitList = {12};
+    v.rsCount = 1;
+    EXPECT_TRUE(StateAuditor::check(v, 1).empty());
+    v.mobStores.clear();
+    v.mobRetired = 6;
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "mob_ord@12"));
+}
+
 TEST(Auditor, ViolationDiagsCarryTheCycle)
 {
     AuditView v = soundView();

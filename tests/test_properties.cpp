@@ -118,25 +118,49 @@ struct RefStore
     std::uint8_t size;
     Cycle sta = kCycleNever;
     Cycle std_t = kCycleNever;
+    std::uint64_t ord = 0; ///< insertion index (Mob::Ordinal)
 };
 
 TEST(MobProperty, QueriesMatchNaiveModel)
 {
+    // Every query is asked twice, by the load's seq and by its
+    // ordinal, and the lookups by ordinal are checked store by store.
+    // Filling and draining phases alternate, so the ring both grows
+    // and wraps many times over.
     Mob mob;
     std::vector<RefStore> ref;
+    std::uint64_t refRetired = 0;
     Rng rng(99);
     SeqNum seq = 0;
     Cycle now = 0;
 
     for (int step = 0; step < 20000; ++step) {
         ++now;
+        const bool draining = (step / 2500) % 2 == 1;
         const auto action = rng.below(10);
-        if (action < 3) { // insert a store
+        if (draining && action < 3) {
+            // Instead of an insert, complete and retire the oldest.
+            if (!ref.empty()) {
+                RefStore &s = ref.front();
+                if (s.sta == kCycleNever) {
+                    s.sta = now;
+                    mob.staExecuted(s.seq, now);
+                } else if (s.std_t == kCycleNever) {
+                    s.std_t = now;
+                    mob.stdExecuted(s.seq, now);
+                } else {
+                    mob.retire(s.seq);
+                    ref.erase(ref.begin());
+                    ++refRetired;
+                }
+            }
+        } else if (action < 3) { // insert a store
             seq += 1 + rng.below(3);
             RefStore s{seq, 0x1000 + rng.below(64) * 8,
                        static_cast<std::uint8_t>(
                            4u << rng.below(2)),
-                       kCycleNever, kCycleNever};
+                       kCycleNever, kCycleNever,
+                       refRetired + ref.size()};
             mob.insert(s.seq, s.addr, s.size);
             ref.push_back(s);
         } else if (action < 5 && !ref.empty()) { // resolve an STA
@@ -156,30 +180,61 @@ TEST(MobProperty, QueriesMatchNaiveModel)
             if (s.sta != kCycleNever && s.std_t != kCycleNever) {
                 mob.retire(s.seq);
                 ref.erase(ref.begin());
+                ++refRetired;
             }
         } else { // query as a hypothetical load
-            const SeqNum lseq = seq + 1 + rng.below(4);
+            // Younger than every store, or anywhere in the window.
+            const SeqNum lseq =
+                ref.empty() || rng.chance(0.5)
+                    ? seq + 1 + rng.below(4)
+                    : ref.front().seq +
+                          rng.below(seq - ref.front().seq + 2);
             const Addr laddr = 0x1000 + rng.below(64) * 8;
             const std::uint8_t lsize = 8;
 
             bool any_unknown = false, any_incomplete = false;
+            bool colliding = false;
             const RefStore *youngest = nullptr;
+            std::vector<const RefStore *> older; // youngest first
             unsigned dist = 0, found_dist = 0;
             for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
                 if (it->seq >= lseq)
                     continue;
                 ++dist;
+                older.push_back(&*it);
                 const bool addr_known =
                     it->sta != kCycleNever && it->sta <= now;
                 const bool data_known =
                     it->std_t != kCycleNever && it->std_t <= now;
+                const bool overlap =
+                    rangesOverlap(it->addr, it->size, laddr, lsize);
                 any_unknown |= !addr_known;
                 any_incomplete |= !(addr_known && data_known);
-                if (!youngest &&
-                    rangesOverlap(it->addr, it->size, laddr, lsize)) {
+                colliding |= !addr_known && overlap;
+                if (!youngest && overlap) {
                     youngest = &*it;
                     found_dist = dist;
                 }
+            }
+            const Mob::Ordinal lord{refRetired + older.size()};
+            ASSERT_EQ(mob.ordinalOf(lseq).value, lord.value);
+            ASSERT_EQ(mob.olderHorizon(lord, Mob::kAddr) > now,
+                      any_unknown);
+            ASSERT_EQ(mob.olderHorizon(lord, Mob::kAddr | Mob::kData) >
+                          now,
+                      any_incomplete);
+            ASSERT_EQ(mob.collidesAt(lord, laddr, lsize, now),
+                      colliding);
+            const auto *mo = mob.youngestOverlapOlder(lord, laddr, lsize);
+            ASSERT_EQ(mo ? mo->seq : 0, youngest ? youngest->seq : 0);
+            ASSERT_EQ(mob.overlapDistance(lord, laddr, lsize), found_dist);
+            const unsigned d = 1 + rng.below(older.size() + 1);
+            const auto *at = mob.olderAtDistance(lord, d);
+            if (d <= older.size()) {
+                ASSERT_NE(at, nullptr);
+                ASSERT_EQ(at->seq, older[d - 1]->seq);
+            } else {
+                ASSERT_EQ(at, nullptr);
             }
             ASSERT_EQ(mob.olderHorizon(lseq, Mob::kAddr) > now,
                       any_unknown);
@@ -195,6 +250,25 @@ TEST(MobProperty, QueriesMatchNaiveModel)
                           found_dist);
             }
         }
+
+        // Lookup by ordinal, for a store in the window and a retired
+        // one.
+        ASSERT_EQ(mob.retired(), refRetired);
+        if (!ref.empty()) {
+            const RefStore &s = ref[rng.below(ref.size())];
+            const Mob::StoreRec *r = mob.get(Mob::Ordinal{s.ord});
+            ASSERT_NE(r, nullptr);
+            ASSERT_EQ(r->seq, s.seq);
+            ASSERT_EQ(mob.ordinalOf(*r).value, s.ord);
+            ASSERT_EQ(mob.storeOrdinal(s.seq).value, s.ord);
+        }
+        if (refRetired > 0) {
+            ASSERT_EQ(mob.get(Mob::Ordinal{rng.below(refRetired)}),
+                      nullptr);
+        }
+        ASSERT_EQ(mob.get(Mob::Ordinal{refRetired + ref.size()}),
+                  nullptr);
+        ASSERT_EQ(mob.get(Mob::kNoStore), nullptr);
     }
 }
 

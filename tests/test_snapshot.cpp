@@ -165,6 +165,57 @@ TEST(Snapshot, RestoredRunIsBitIdenticalWithEverythingOn)
     std::remove(path.c_str());
 }
 
+TEST(Snapshot, MobOrdinalsSurviveRestore)
+{
+    // Each uop's MOB ordinal is derived state, never saved: a restore
+    // rebuilds it from the sequence numbers once the MOB is back.
+    // Checkpoint where that is easiest to get wrong: stores have
+    // retired, so ordinals no longer start at 0; a load waits; and an
+    // STD is in flight whose STA has retired, so only the MOB still
+    // holds the store the STD updates.
+    MachineConfig dense;
+    dense.scheme = OrderingScheme::Exclusive;
+    dense.cht.trackDistance = true;
+    dense.hmp = HmpKind::Chooser;
+    dense.bankMode = BankMode::Sliced;
+    dense.bankPred = BankPredKind::A;
+    MachineConfig partial;
+    partial.scheme = OrderingScheme::Traditional;
+    partial.mobPartialBits = 12;
+    const std::string path = tmpPath("mob_ord.snap");
+    for (const MachineConfig &cfg : {dense, partial}) {
+        const std::string name = orderingSchemeName(cfg.scheme);
+        auto trace = TraceLibrary::make(TraceLibrary::byName("gcc", 20000));
+        OooCore probe(cfg);
+        probe.beginRun(*trace);
+        const auto hard = [](const AuditView &v) {
+            bool load = false, std_after_sta = false;
+            for (const AuditView::Entry &e : v.entries) {
+                load |= e.unclassifiedLoad && e.waiting;
+                std_after_sta |= e.isPairedStd && e.pairSeq < v.headSeq;
+            }
+            return v.mobRetired > 0 && load && std_after_sta;
+        };
+        while (!hard(probe.auditView()))
+            ASSERT_FALSE(probe.advanceTo(*trace, probe.now() + 1)) << name;
+        const Cycle stop = probe.now();
+
+        const SimResult full = runFull(cfg, "gcc", 20000);
+        const SimResult resumed =
+            runThroughSnapshot(cfg, "gcc", 20000, stop, path);
+        EXPECT_EQ(fingerprint(full), fingerprint(resumed))
+            << name << " stop=" << stop;
+
+        // The rebuilt ordinals are the ones a search finds.
+        auto again = TraceLibrary::make(TraceLibrary::byName("gcc", 20000));
+        OooCore restored(cfg);
+        loadSnapshotInto(path, restored, *again);
+        EXPECT_TRUE(StateAuditor::check(restored.auditView(), stop).empty())
+            << name;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(Snapshot, HistogramsResetOnRestoreFromHistlessDonor)
 {
     // Warm-fork with histograms newly enabled: the donor state has no
