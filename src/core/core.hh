@@ -241,7 +241,7 @@ class OooCore
         /** STA seq the load is lazily waiting on (collision case). */
         SeqNum waitStoreSeq = 0;
         /** Its MOB ordinal (derived, like robMobOrd_). */
-        Mob::Ordinal waitStoreOrd;
+        Mob::Ordinal waitStoreOrd = Mob::kNoStore;
         bool waitingOnStore = false;
         /** Lazy collision is a true order violation (squash on fix). */
         bool violationSquash = false;

@@ -165,10 +165,10 @@ Mob::youngestOverlapOlder(Ordinal load, Addr addr,
 }
 
 bool
-Mob::collidesAt(Ordinal load, Addr addr, std::uint8_t size,
+Mob::collidesAt(SeqNum load_seq, Addr addr, std::uint8_t size,
                 Cycle now) const
 {
-    for (std::size_t i = olderIn(load); i-- > 0;) {
+    for (std::size_t i = olderCount(load_seq); i-- > 0;) {
         const StoreRec &r = at(i);
         if (!r.addrKnownAt(now) &&
             rangesOverlap(r.addr, r.size, addr, size)) {

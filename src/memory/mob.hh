@@ -224,14 +224,8 @@ class Mob
      * overlaps the load's address — the paper's *actually colliding*
      * condition evaluated at schedule time.
      */
-    bool collidesAt(Ordinal load, Addr addr, std::uint8_t size,
+    bool collidesAt(SeqNum load_seq, Addr addr, std::uint8_t size,
                     Cycle now) const;
-    bool
-    collidesAt(SeqNum load_seq, Addr addr, std::uint8_t size,
-               Cycle now) const
-    {
-        return collidesAt(ordinalOf(load_seq), addr, size, now);
-    }
 
     /**
      * Partial-address check against *known*-address older stores: the
@@ -341,8 +335,9 @@ class Mob
     }
 
     /**
-     * Number of in-window stores older than @p load_seq. Binary search
-     * over the seq-sorted ring; ordinalOf(SeqNum) is its only caller.
+     * Number of in-window stores older than @p load_seq: a binary
+     * search over the seq-sorted ring, for ordinalOf(SeqNum) and
+     * collidesAt().
      */
     std::size_t olderCount(SeqNum load_seq) const;
 

@@ -223,8 +223,7 @@ TEST(MobProperty, QueriesMatchNaiveModel)
             ASSERT_EQ(mob.olderHorizon(lord, Mob::kAddr | Mob::kData) >
                           now,
                       any_incomplete);
-            ASSERT_EQ(mob.collidesAt(lord, laddr, lsize, now),
-                      colliding);
+            ASSERT_EQ(mob.collidesAt(lseq, laddr, lsize, now), colliding);
             const auto *mo = mob.youngestOverlapOlder(lord, laddr, lsize);
             ASSERT_EQ(mo ? mo->seq : 0, youngest ? youngest->seq : 0);
             ASSERT_EQ(mob.overlapDistance(lord, laddr, lsize), found_dist);
