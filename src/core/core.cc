@@ -273,6 +273,7 @@ OooCore::beginRun(TraceStream &trace)
     trace.reset();
     now_ = 0;
     headSeq_ = nextSeq_ = 0;
+    headSlot_ = nextSlot_ = 0;
     waitList_.clear();
     minWake_ = kCycleNever;
     poolUsed_ = 0;
@@ -482,7 +483,7 @@ OooCore::nextEventCycle() const
     // Retirement is in order: only the head's completion can retire
     // anything, and a new head appears only through a retirement.
     if (headSeq_ != nextSeq_)
-        consider(robComplete_[slotOf(headSeq_)]);
+        consider(robComplete_[headSlot_]);
     return event;
 }
 
@@ -596,6 +597,8 @@ OooCore::walkState(stateio::Archive &a)
         r(u.addr)(u.memSize)(u.taken);
     });
     if (a.loading()) {
+        headSlot_ = slotOf(headSeq_);
+        nextSlot_ = slotOf(nextSeq_);
         rebuildWakeState();
         if (waitList_.size() != rsCount)
             stateio::fail("core", "the saved window occupancy "
@@ -705,8 +708,11 @@ OooCore::auditView() const
         v.waitList.push_back(robSeq_[slot]);
     v.minWake = minWake_;
     v.entries.reserve(nextSeq_ - headSeq_);
+    // Walk from the retire cursor, as the stages do: a stale
+    // headSlot_ then reads slots whose seqs break invariants 2 and 3,
+    // and so does a uop a stale nextSlot_ renamed into the wrong slot.
+    int slot = headSlot_;
     for (SeqNum s = headSeq_; s < nextSeq_; ++s) {
-        const int slot = slotOf(s);
         const RobEntry &re = rob_[slot];
         AuditView::Entry e;
         e.seq = robSeq_[slot];
@@ -729,6 +735,8 @@ OooCore::auditView() const
             re.uop.isLoad() && re.cls == LoadClass::Unclassified;
         e.mobOrd = robMobOrd_[slot].value;
         v.entries.push_back(e);
+        if (++slot == cfg_.robSize)
+            slot = 0;
     }
     v.mobStores.reserve(mob_.size());
     for (std::size_t i = 0, n = mob_.size(); i < n; ++i)
@@ -1020,7 +1028,7 @@ OooCore::retireStage()
 {
     int retired = 0;
     while (headSeq_ != nextSeq_ && retired < cfg_.retireWidth) {
-        const int slot = slotOf(headSeq_);
+        const int slot = headSlot_;
         RobEntry &e = rob_[slot];
         if (robState_[slot] != State::Issued ||
             robComplete_[slot] > now_) {
@@ -1067,6 +1075,8 @@ OooCore::retireStage()
         if (u.dst >= 0)
             --poolUsed_;
         ++headSeq_;
+        if (++headSlot_ == cfg_.robSize)
+            headSlot_ = 0;
         ++retired;
         // Retired, the value reads as architectural (ready at 0). Only
         // an estimate still ahead of now (AH-PM: data + the hit-
@@ -1577,7 +1587,10 @@ OooCore::issueStage()
     // the walk is skipped outright.
     if (minWake_ > now_)
         return;
+    // setWake() may lower minWake_ during the walk; the walk keeps
+    // its own minimum in a register and merges it at the end.
     minWake_ = kCycleNever;
+    Cycle walkMin = kCycleNever;
     std::size_t w = 0;
     for (std::size_t r = 0, n = waitList_.size(); r < n; ++r) {
         const int slot = waitList_[r];
@@ -1588,10 +1601,11 @@ OooCore::issueStage()
                 continue;
             robWake_[slot] = wakeOf(slot);
         }
-        minWake_ = std::min(minWake_, robWake_[slot]);
+        walkMin = std::min(walkMin, robWake_[slot]);
         waitList_[w++] = slot;
     }
     waitList_.resize(w);
+    minWake_ = std::min(minWake_, walkMin);
 }
 
 void
@@ -1701,7 +1715,9 @@ OooCore::renameStage(TraceStream &trace)
         }
 
         const SeqNum seq = nextSeq_++;
-        const int slot = slotOf(seq);
+        const int slot = nextSlot_;
+        if (++nextSlot_ == cfg_.robSize)
+            nextSlot_ = 0;
         RobEntry &e = rob_[slot];
         e = RobEntry{};
         // Reset the slot's SoA lanes alongside the cold record (same

@@ -489,6 +489,10 @@ class OooCore
 
     SeqNum headSeq_ = 0;        ///< oldest in-flight seq
     SeqNum nextSeq_ = 0;        ///< next seq to insert
+    /** slotOf(headSeq_) and slotOf(nextSeq_), kept without a division
+     *  (derived; loadState recomputes them). */
+    int headSlot_ = 0;
+    int nextSlot_ = 0;
     int poolUsed_ = 0;          ///< allocated rename registers
 
     std::vector<int> renameTable_;   ///< arch reg -> producer slot
