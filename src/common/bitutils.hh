@@ -62,6 +62,12 @@ foldXor(std::uint64_t v, unsigned width)
         return 0; // single-entry table
     if (width >= 64)
         return v;
+    if ((width & (width - 1)) == 0) {
+        // The slices tile 64 bits exactly: xor halves together.
+        for (unsigned half = 32; half >= width; half >>= 1)
+            v ^= v >> half;
+        return v & mask(width);
+    }
     std::uint64_t r = 0;
     while (v) {
         r ^= v & mask(width);

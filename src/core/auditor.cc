@@ -261,6 +261,34 @@ StateAuditor::check(const AuditView &v, Cycle cycle)
         }
     }
 
+    // 14. The derived lanes agree with the cold record and the window.
+    for (const AuditView::Entry &e : v.entries) {
+        const auto checkLink = [&](int which, int slot, SeqNum seq,
+                                   int lane) {
+            const AuditView::Entry *p = producer(slot, seq);
+            const int want = p ? p->slot : -1;
+            if (lane != want) {
+                bad("prod" + std::to_string(which) + "@" + seqStr(e.seq),
+                    "producer lane reads slot " + std::to_string(lane) +
+                        " but the window gives " + std::to_string(want) +
+                        ": the issue stage reads the wrong producer");
+            }
+        };
+        checkLink(1, e.src1Slot, e.src1Seq, e.prod1);
+        checkLink(2, e.src2Slot, e.src2Seq, e.prod2);
+        if (e.laneClass != e.uopClass ||
+            e.lanePool != unitPoolOf(e.uopClass) ||
+            e.laneUnclassified != e.unclassifiedLoad) {
+            bad("class@" + seqStr(e.seq),
+                std::string("class lanes read ") +
+                    uopClassName(e.laneClass) + " / pool " +
+                    std::to_string(static_cast<int>(e.lanePool)) +
+                    (e.laneUnclassified ? " / unclassified" : "") +
+                    " but the uop is " + uopClassName(e.uopClass) +
+                    (e.unclassifiedLoad ? " / unclassified" : ""));
+        }
+    }
+
     return diags;
 }
 

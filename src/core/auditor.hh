@@ -27,6 +27,7 @@
 
 #include "common/diag.hh"
 #include "common/types.hh"
+#include "trace/uop.hh"
 
 namespace lrs
 {
@@ -67,6 +68,13 @@ struct AuditView
         bool unclassifiedLoad = false;
         /** MOB ordinal the core holds for the uop (Mob::Ordinal). */
         std::uint64_t mobOrd = 0;
+        /** The uop's class, from the cold record. */
+        UopClass uopClass = UopClass::IntAlu;
+        // The derived lanes as the core holds them.
+        int prod1 = -1, prod2 = -1; ///< producer links (-1: none)
+        UopClass laneClass = UopClass::IntAlu;
+        UnitPool lanePool = UnitPool::Int;
+        bool laneUnclassified = false;
     };
     /** In-flight entries, oldest first (seq == headSeq + index). */
     std::vector<Entry> entries;
@@ -124,6 +132,12 @@ struct AuditView
  *     search over mobStores — mobRetired plus the stores older than
  *     it, or for a paired STD its STA's index. The core's per-cycle
  *     MOB queries start from that ordinal without searching.
+ * 14. derived lanes: each producer link names the source's producer
+ *     slot while that producer is in flight and reads -1 otherwise
+ *     (no producer, or one that retired, whose slot may be reused);
+ *     the class and pool lanes match the uop's class, and the
+ *     unclassified flag matches "load not yet classified". The issue
+ *     stage reads these lanes instead of the cold record.
  */
 class StateAuditor
 {

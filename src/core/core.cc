@@ -98,6 +98,7 @@ OooCore::OooCore(const MachineConfig &cfg)
       robActual_(cfg.robSize, kCycleNever),
       robComplete_(cfg.robSize, kCycleNever),
       robStall_(cfg.robSize, 0), robMobOrd_(cfg.robSize),
+      robProd_(2 * cfg.robSize, -1), robClass_(cfg.robSize),
       robWake_(cfg.robSize, 0),
       robGate_(cfg.robSize, 0),
       consHead_(cfg.robSize, -1), consNext_(2 * cfg.robSize, -1),
@@ -734,6 +735,12 @@ OooCore::auditView() const
         e.unclassifiedLoad =
             re.uop.isLoad() && re.cls == LoadClass::Unclassified;
         e.mobOrd = robMobOrd_[slot].value;
+        e.uopClass = re.uop.cls;
+        e.prod1 = robProd_[2 * slot];
+        e.prod2 = robProd_[2 * slot + 1];
+        e.laneClass = robClass_[slot].cls;
+        e.lanePool = robClass_[slot].pool;
+        e.laneUnclassified = robClass_[slot].unclassifiedLoad;
         v.entries.push_back(e);
         if (++slot == cfg_.robSize)
             slot = 0;
@@ -802,36 +809,16 @@ OooCore::snapshotInterval()
 }
 
 Cycle
-OooCore::srcEstimate(int slot, SeqNum seq) const
-{
-    if (slot < 0)
-        return 0;
-    if (robSeq_[slot] != seq || !inWindow(seq))
-        return 0; // producer retired: value architecturally ready
-    return robEst_[slot];
-}
-
-Cycle
-OooCore::srcActual(int slot, SeqNum seq) const
-{
-    if (slot < 0)
-        return 0;
-    if (robSeq_[slot] != seq || !inWindow(seq))
-        return 0;
-    return robActual_[slot];
-}
-
-Cycle
 OooCore::wakeOf(int slot) const
 {
-    const RobEntry &e = rob_[slot];
-    const Cycle ready = std::max({robStall_[slot], robGate_[slot],
-                                  srcEstimate(e.src1Slot, e.src1Seq),
-                                  srcEstimate(e.src2Slot, e.src2Seq)});
-    if (!e.uop.isLoad() || e.cls != LoadClass::Unclassified)
+    const int link = 2 * slot;
+    const Cycle ready =
+        std::max({robStall_[slot], robGate_[slot],
+                  srcLane(robEst_, link), srcLane(robEst_, link + 1)});
+    if (!robClass_[slot].unclassifiedLoad)
         return ready;
-    return std::min(ready, std::max(srcActual(e.src1Slot, e.src1Seq),
-                                    srcActual(e.src2Slot, e.src2Seq)));
+    return std::min(ready, std::max(srcLane(robActual_, link),
+                                    srcLane(robActual_, link + 1)));
 }
 
 void
@@ -878,6 +865,7 @@ OooCore::rebuildWakeState()
     waitList_.clear();
     minWake_ = kCycleNever;
     std::fill(consHead_.begin(), consHead_.end(), -1);
+    std::fill(robProd_.begin(), robProd_.end(), -1);
     const auto live = [this](int p, SeqNum seq) {
         return p >= 0 && p < cfg_.robSize && robSeq_[p] == seq &&
                inWindow(seq);
@@ -885,6 +873,9 @@ OooCore::rebuildWakeState()
     for (SeqNum s = headSeq_; s < nextSeq_; ++s) {
         const int slot = slotOf(s);
         const RobEntry &e = rob_[slot];
+        robClass_[slot] = {e.uop.cls, unitPoolOf(e.uop.cls),
+                           e.uop.isLoad() &&
+                               e.cls == LoadClass::Unclassified};
         if (live(e.src1Slot, e.src1Seq))
             linkConsumer(e.src1Slot, slot, 0);
         if (live(e.src2Slot, e.src2Seq))
@@ -1078,10 +1069,14 @@ OooCore::retireStage()
         if (++headSlot_ == cfg_.robSize)
             headSlot_ = 0;
         ++retired;
-        // Retired, the value reads as architectural (ready at 0). Only
-        // an estimate still ahead of now (AH-PM: data + the hit-
-        // indication wait) can make that a sooner wakeup; an expired
-        // one gated nothing a visit this cycle does not see.
+        // Retired, the value reads as architectural (ready at 0): cut
+        // every consumer's producer link before the slot can be
+        // reused. Only an estimate still ahead of now (AH-PM: data +
+        // the hit-indication wait) can make that a sooner wakeup; an
+        // expired one gated nothing a visit this cycle does not see.
+        for (int link = consHead_[slot]; link >= 0;
+             link = consNext_[link])
+            robProd_[link] = -1;
         if (robEst_[slot] > now_)
             wakeConsumers(slot);
     }
@@ -1093,8 +1088,8 @@ void
 OooCore::classifyLoad(int slot)
 {
     RobEntry &e = rob_[slot];
-    if (e.cls != LoadClass::Unclassified)
-        return;
+    assert(e.cls == LoadClass::Unclassified);
+    robClass_[slot].unclassifiedLoad = false;
     const Mob::Ordinal ord = robMobOrd_[slot];
     ++cycleActivity_; // the classification itself is a state change
     // Colliding: the youngest older store overlapping the load's
@@ -1387,11 +1382,11 @@ OooCore::issueEntry(int slot)
     }
     // A store part's new time may open younger loads' gates, and the
     // estimate and data time just left kCycleNever.
-    const RobEntry &e = rob_[slot];
-    if (e.uop.isSta())
+    const UopClass cls = robClass_[slot].cls;
+    if (cls == UopClass::StoreAddr)
         reopenGates(robSeq_[slot]);
-    else if (e.uop.isStd())
-        reopenGates(e.pairSeq);
+    else if (cls == UopClass::StoreData)
+        reopenGates(rob_[slot].pairSeq);
     wakeConsumers(slot);
 }
 
@@ -1463,74 +1458,54 @@ OooCore::maybeTouchStore(Mob::Ordinal store)
 void
 OooCore::issueStage()
 {
-    int int_free = cfg_.intUnits;
-    int fp_free = cfg_.fpUnits;
-    int complex_free = cfg_.complexUnits;
-    int std_free = cfg_.stdPorts;
+    // The walk keeps the minimum wake time of the slots it leaves
+    // waiting. While that minimum is still ahead, no slot is due and
+    // the walk is skipped outright.
+    if (minWake_ > now_)
+        return;
 
-    MemPorts mp;
-    mp.totalFree = cfg_.bankMode == BankMode::Sliced
-                       ? static_cast<int>(cfg_.numBanks)
-                       : cfg_.memUnits;
+    IssuePorts ports;
+    ports.pool(UnitPool::Int) = cfg_.intUnits;
+    ports.pool(UnitPool::Fp) = cfg_.fpUnits;
+    ports.pool(UnitPool::Complex) = cfg_.complexUnits;
+    ports.pool(UnitPool::Mem) = cfg_.bankMode == BankMode::Sliced
+                                    ? static_cast<int>(cfg_.numBanks)
+                                    : cfg_.memUnits;
+    ports.pool(UnitPool::Std) = cfg_.stdPorts;
     for (unsigned b = 0; b < cfg_.numBanks; ++b)
-        mp.bankFree[b] = 1;
+        ports.bankFree[b] = 1;
 
-    // One visit: every early return leaves the slot Waiting with
-    // nothing changed but what the visit itself recorded.
+    // One visit to a due slot whose unit pool has a free unit. Every
+    // early return leaves the slot Waiting with nothing changed but
+    // what the visit itself recorded. Until the uop issues, replays
+    // or reaches its ordering gate, the visit reads SoA lanes only.
     const auto visit = [&](int slot) {
-        RobEntry &e = rob_[slot];
-
-        const bool is_mem = e.uop.isMem();
-        int *pool = nullptr;
-        switch (e.uop.cls) {
-          case UopClass::IntAlu:
-          case UopClass::Branch:
-            pool = &int_free;
-            break;
-          case UopClass::FpAlu:
-            pool = &fp_free;
-            break;
-          case UopClass::Complex:
-            pool = &complex_free;
-            break;
-          case UopClass::Load:
-          case UopClass::StoreAddr:
-            pool = &mp.totalFree;
-            break;
-          case UopClass::StoreData:
-            pool = &std_free;
-            break;
-        }
-
-        const Cycle a1 = srcActual(e.src1Slot, e.src1Seq);
-        const Cycle a2 = srcActual(e.src2Slot, e.src2Seq);
-        const Cycle true_ready = std::max(a1, a2);
+        const SlotClass k = robClass_[slot];
+        const int link = 2 * slot;
+        const Cycle true_ready = std::max(srcLane(robActual_, link),
+                                          srcLane(robActual_, link + 1));
 
         // Ground-truth classification of loads happens the first time
         // the load could be scheduled ignoring ordering constraints:
         // register sources ready and a free memory unit (section 2.1).
-        if (e.uop.isLoad() && e.cls == LoadClass::Unclassified &&
-            true_ready <= now_ && *pool > 0) {
+        if (k.unclassifiedLoad && true_ready <= now_)
             classifyLoad(slot);
-        }
 
-        if (*pool <= 0)
-            return;
         if (robStall_[slot] > now_)
             return;
-
-        const Cycle e1 = srcEstimate(e.src1Slot, e.src1Seq);
-        const Cycle e2 = srcEstimate(e.src2Slot, e.src2Seq);
-        if (std::max(e1, e2) > now_)
+        if (std::max(srcLane(robEst_, link), srcLane(robEst_, link + 1)) >
+            now_)
             return; // not woken yet
 
-        if (e.uop.isLoad()) {
+        if (k.cls == UopClass::Load) {
+            const RobEntry &e = rob_[slot];
             robGate_[slot] =
                 gateHorizon(mob_, cfg_, robMobOrd_[slot], e.uop, e.gate);
             if (robGate_[slot] > now_)
                 return; // held by the ordering scheme
         }
 
+        int &pool = ports.pool(k.pool);
         if (true_ready > now_) {
             // Speculatively woken too early (producer's latency was
             // mispredicted): the issue slot is burnt and the uop
@@ -1538,7 +1513,7 @@ OooCore::issueStage()
             // until the producer's data really arrives — the
             // re-execution bandwidth cost the paper highlights — and
             // the recovery adds the reschedule penalty at the end.
-            --*pool;
+            --pool;
             ++res_.wastedIssues;
             ++cycleActivity_;
             traceUop(TraceEvent::Replay, slot);
@@ -1549,6 +1524,7 @@ OooCore::issueStage()
                                          ? ~std::uint64_t{0}
                                          : true_ready - now_);
             }
+            RobEntry &e = rob_[slot];
             if (!e.everWasted) {
                 e.everWasted = true;
                 ++res_.replayedUops;
@@ -1565,28 +1541,24 @@ OooCore::issueStage()
             return;
         }
 
-        if (is_mem) {
-            issueMemUop(slot, mp);
+        if (k.pool == UnitPool::Mem) {
+            issueMemUop(slot, ports);
             return;
         }
-        --*pool;
+        --pool;
         issueEntry(slot);
     };
 
     // Walk the waiting list oldest first, compacting it in place with
-    // a write cursor as entries issue. A slot whose cached wake time
-    // is still ahead is skipped without a visit: that visit would
-    // change nothing. An issuing producer recomputes its consumers'
-    // wake times, and an issuing store part reopens the kCycleNever
-    // gates of loads younger than its store. Slots younger than the
-    // issuing uop are still ahead of the read cursor and are visited
-    // this same cycle if their new wake time has passed.
+    // a write cursor as entries issue. A slot is visited only when it
+    // is due (its cached wake time has passed) and its unit pool still
+    // has a free unit: any other visit would change nothing
+    // (docs/PERFORMANCE.md). An issuing producer recomputes its
+    // consumers' wake times, and an issuing store part reopens the
+    // kCycleNever gates of loads younger than its store. Slots younger
+    // than the issuing uop are still ahead of the read cursor and are
+    // visited this same cycle if their new wake time has passed.
     //
-    // The walk also takes the minimum wake time of the slots it leaves
-    // waiting. While that minimum is still ahead, no slot is due and
-    // the walk is skipped outright.
-    if (minWake_ > now_)
-        return;
     // setWake() may lower minWake_ during the walk; the walk keeps
     // its own minimum in a register and merges it at the end.
     minWake_ = kCycleNever;
@@ -1594,7 +1566,8 @@ OooCore::issueStage()
     std::size_t w = 0;
     for (std::size_t r = 0, n = waitList_.size(); r < n; ++r) {
         const int slot = waitList_[r];
-        if (robWake_[slot] <= now_) {
+        if (robWake_[slot] <= now_ &&
+            ports.pool(robClass_[slot].pool) > 0) {
             ++issueVisits_;
             visit(slot);
             if (robState_[slot] != State::Waiting)
@@ -1609,17 +1582,18 @@ OooCore::issueStage()
 }
 
 void
-OooCore::issueMemUop(int slot, MemPorts &mp)
+OooCore::issueMemUop(int slot, IssuePorts &mp)
 {
     RobEntry &e = rob_[slot];
     const Uop &u = e.uop;
+    int &mem_free = mp.pool(UnitPool::Mem);
 
     switch (cfg_.bankMode) {
       case BankMode::TrueMultiPorted:
       case BankMode::DualScheduled:
         // No bank constraints (the dual-scheduled pipe resolves them
         // in its second-level scheduler at extra latency).
-        --mp.totalFree;
+        --mem_free;
         issueEntry(slot);
         return;
 
@@ -1639,13 +1613,13 @@ OooCore::issueMemUop(int slot, MemPorts &mp)
         if (mp.bankFree[bank] <= 0) {
             // Bank conflict detected after address generation: the
             // pipe slot is burnt and the access retries.
-            --mp.totalFree;
+            --mem_free;
             ++res_.bankConflicts;
             ++cycleActivity_;
             robStall_[slot] = now_ + 1;
             return;
         }
-        --mp.totalFree;
+        --mem_free;
         --mp.bankFree[bank];
         issueEntry(slot);
         return;
@@ -1659,7 +1633,7 @@ OooCore::issueMemUop(int slot, MemPorts &mp)
             for (unsigned b = 0; b < cfg_.numBanks; ++b) {
                 if (mp.bankFree[b] > 0) {
                     --mp.bankFree[b];
-                    --mp.totalFree;
+                    --mem_free;
                     issueEntry(slot);
                     return;
                 }
@@ -1671,7 +1645,7 @@ OooCore::issueMemUop(int slot, MemPorts &mp)
             if (mp.bankFree[p.bank] <= 0)
                 return; // predicted pipe busy
             --mp.bankFree[p.bank];
-            --mp.totalFree;
+            --mem_free;
             e.bankMispredicted = p.bank != bankOf(u.addr);
             issueEntry(slot);
             return;
@@ -1683,7 +1657,7 @@ OooCore::issueMemUop(int slot, MemPorts &mp)
         }
         for (unsigned b = 0; b < cfg_.numBanks; ++b) {
             --mp.bankFree[b];
-            --mp.totalFree;
+            --mem_free;
         }
         ++res_.bankReplications;
         issueEntry(slot);
@@ -1728,11 +1702,13 @@ OooCore::renameStage(TraceStream &trace)
         robActual_[slot] = kCycleNever;
         robComplete_[slot] = kCycleNever;
         robStall_[slot] = 0;
-        robWake_[slot] = robGate_[slot] = minWake_ = 0;
+        robGate_[slot] = 0;
         // The stores renamed before this uop; an STD takes its STA's,
         // the newest store (lastStaSeq_).
         const Mob::Ordinal ord{mob_.inserted() - (u->isStd() ? 1 : 0)};
         robMobOrd_[slot] = ord;
+        robProd_[2 * slot] = robProd_[2 * slot + 1] = -1;
+        robClass_[slot] = {u->cls, unitPoolOf(u->cls), u->isLoad()};
         consHead_[slot] = -1;
         waitList_.push_back(slot);
         e.uop = *u;
@@ -1762,6 +1738,9 @@ OooCore::renameStage(TraceStream &trace)
             renameSeq_[u->dst] = seq;
             ++poolUsed_;
         }
+        // The first visit waits for the sources like every later one;
+        // the gate is not known yet and counts as 0.
+        setWake(slot, wakeOf(slot));
 
         switch (u->cls) {
           case UopClass::Load:

@@ -312,10 +312,17 @@ class OooCore
         return seq >= headSeq_ && seq < nextSeq_;
     }
 
-    /** Wakeup estimate of a source producer (kCycleNever blocks). */
-    Cycle srcEstimate(int slot, SeqNum seq) const;
-    /** True readiness of a source producer. */
-    Cycle srcActual(int slot, SeqNum seq) const;
+    /**
+     * A source's @p lane value (robEst_ or robActual_) through its
+     * producer link @p link (2 * slot + src): 0 once the producer has
+     * retired, or when the source had no in-window producer.
+     */
+    Cycle
+    srcLane(const std::vector<Cycle> &lane, int link) const
+    {
+        const int p = robProd_[link];
+        return p >= 0 ? lane[p] : 0;
+    }
 
     /** Classify the load in @p slot against the MOB, once. */
     void classifyLoad(int slot);
@@ -338,7 +345,8 @@ class OooCore
      * stall, both source estimates and the cached ordering gate must
      * have passed before it can issue or burn, and an unclassified
      * load classifies as soon as both sources' data is ready
-     * (docs/PERFORMANCE.md, "Event-driven wakeup").
+     * (docs/PERFORMANCE.md, "Event-driven wakeup"). Reads SoA lanes
+     * only, never the RobEntry.
      */
     Cycle wakeOf(int slot) const;
 
@@ -361,11 +369,15 @@ class OooCore
     linkConsumer(int producer, int consumer, int which)
     {
         const int link = 2 * consumer + which;
+        robProd_[link] = producer;
         consNext_[link] = consHead_[producer];
         consHead_[producer] = link;
     }
 
-    /** Rebuild the waiting list, links and wake times (loadState). */
+    /**
+     * Rebuild the waiting list, links, producer and class lanes and
+     * wake times (loadState).
+     */
     void rebuildWakeState();
 
     /**
@@ -390,20 +402,22 @@ class OooCore
     /** Write-allocate a store's line once STA and STD both executed. */
     void maybeTouchStore(Mob::Ordinal store);
 
-    /** Per-cycle state of the memory pipes / cache banks. */
-    struct MemPorts
+    /** Per-cycle free execution units and memory pipes / banks. */
+    struct IssuePorts
     {
-        int totalFree = 0;
+        /** Free units per pool, indexed by UnitPool. */
+        std::array<int, kNumUnitPools> free{};
         std::array<int, 8> bankFree{};
         std::array<bool, 8> predClaimed{};
+
+        int &pool(UnitPool p) { return free[static_cast<int>(p)]; }
     };
 
     /**
      * Try to issue a memory uop (load or STA) under the configured
-     * bank mode. Returns true if the scan should move on (whether the
-     * uop issued, burnt a slot, or was skipped).
+     * bank mode: it issues, burns a pipe slot, or waits.
      */
-    void issueMemUop(int slot, MemPorts &mp);
+    void issueMemUop(int slot, IssuePorts &mp);
 
     /** Bank of an address under the configured interleave. */
     unsigned bankOf(Addr addr) const
@@ -451,12 +465,41 @@ class OooCore
     std::vector<Mob::Ordinal> robMobOrd_;
 
     /**
+     * Producer links, two per slot (index 2 * slot + src, like the
+     * consumer links below): the producer's ROB slot while it is in
+     * the window, -1 when the source had no in-window producer at
+     * rename or once the producer retired. Rename sets a link with
+     * the consumer link; retire clears every link on the producer's
+     * chain, so a slot's reuse never shows through. visit() and
+     * wakeOf() read robEst_/robActual_ through it. Derived, never
+     * serialized: loadState rebuilds it (rebuildWakeState).
+     */
+    std::vector<int> robProd_;
+
+    /** What the issue stage reads of a uop before it issues. */
+    struct SlotClass
+    {
+        UopClass cls = UopClass::IntAlu;
+        UnitPool pool = UnitPool::Int;
+        /** A load whose ground-truth class is not yet known. */
+        bool unclassifiedLoad = false;
+    };
+    /**
+     * Class lanes (derived like robProd_): set at rename from the
+     * uop, the flag cleared by classifyLoad(). visit() reads the
+     * RobEntry only once a uop issues, replays or reaches its
+     * ordering gate.
+     */
+    std::vector<SlotClass> robClass_;
+
+    /**
      * Event-driven wakeup state, all derived (rebuilt by loadState,
      * never serialized). waitList_ holds the slots in State::Waiting,
      * oldest first; its length is the scheduling-window occupancy.
-     * robWake_ caches wakeOf() per Waiting slot as of its last visit;
-     * it may be early, never late, because every event that moves a
-     * producer's visible readiness recomputes its consumers' entries.
+     * robWake_ caches wakeOf() per Waiting slot as of its rename or
+     * last visit; it may be early, never late, because every event
+     * that moves a producer's visible readiness recomputes its
+     * consumers' entries.
      * robGate_ caches a load's gateHorizon() as of its last visit
      * (0 for other uops); store times only ever leave kCycleNever, so
      * only a kCycleNever gate can go stale late, and reopenGates()

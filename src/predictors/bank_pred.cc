@@ -89,18 +89,16 @@ BankPredictor::Prediction
 PerBitBankPredictor::predict(Addr pc) const
 {
     unsigned bank = 0;
-    double conf = 1.0;
     for (std::size_t b = 0; b < bits_.size(); ++b) {
         const auto m = bits_[b]->predictMaybe(pc);
         if (!m.valid) {
             // One undecided bit is enough to withhold the whole
             // prediction (the load is replicated).
-            return {false, 0, 0.0};
+            return {false, 0};
         }
         bank |= (m.taken ? 1u : 0u) << b;
-        conf = std::min(conf, m.confidence);
     }
-    return {true, bank, conf};
+    return {true, bank};
 }
 
 void

@@ -45,7 +45,6 @@ class BankPredictor
     {
         bool valid;      ///< false = no prediction (replicate)
         unsigned bank;   ///< predicted bank, meaningful when valid
-        double confidence;
     };
 
     virtual Prediction predict(Addr pc) const = 0;
@@ -108,7 +107,7 @@ class BinaryBankPredictor : public BankPredictor
     predict(Addr pc) const override
     {
         const auto m = composite_->predictMaybe(pc);
-        return {m.valid, m.taken ? 1u : 0u, m.confidence};
+        return {m.valid, m.taken ? 1u : 0u};
     }
 
     void
@@ -158,10 +157,10 @@ class AddressBankPredictor : public BankPredictor
     {
         const auto p = ap_.predict(pc);
         if (!p.valid)
-            return {false, 0, 0.0};
+            return {false, 0};
         const unsigned bank =
             static_cast<unsigned>(p.addr / lineBytes_) % numBanks_;
-        return {true, bank, p.confidence};
+        return {true, bank};
     }
 
     void

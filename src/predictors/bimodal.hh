@@ -43,6 +43,12 @@ class BimodalPredictor : public BinaryPredictor
         return {c.predict(), c.confidence()};
     }
 
+    bool
+    taken(Addr pc) const override
+    {
+        return table_[index(pc)].predict();
+    }
+
     void
     update(Addr pc, bool taken) override
     {

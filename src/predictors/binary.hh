@@ -43,6 +43,12 @@ class BinaryPredictor
     /** Predict the outcome for static instruction @p pc. */
     virtual Prediction predict(Addr pc) const = 0;
 
+    /**
+     * The predicted outcome alone: predict(pc).taken, without the
+     * confidence, for voters that need only the direction.
+     */
+    virtual bool taken(Addr pc) const { return predict(pc).taken; }
+
     /** Train with the actual outcome (also advances any history). */
     virtual void update(Addr pc, bool taken) = 0;
 

@@ -12,32 +12,37 @@ CompositePredictor::predictMaybe(Addr pc) const
     double total_weight = 0.0;
     bool any_vote = false;
 
+    const auto sign = [](bool taken) { return taken ? 1.0 : -1.0; };
     for (const auto &c : components_) {
-        const auto p = c.pred->predict(pc);
-        const double sign = p.taken ? 1.0 : -1.0;
+        // Majority and WeightedThreshold count directions only, so
+        // they skip the components' confidences.
         switch (policy_) {
           case ChoosePolicy::Majority:
-            sum += sign;
+            sum += sign(c.pred->taken(pc));
             total_weight += 1.0;
             any_vote = true;
             break;
           case ChoosePolicy::WeightedThreshold:
-            sum += sign * c.weight;
+            sum += sign(c.pred->taken(pc)) * c.weight;
             total_weight += c.weight;
             any_vote = true;
             break;
-          case ChoosePolicy::ConfidenceFiltered:
+          case ChoosePolicy::ConfidenceFiltered: {
+            const auto p = c.pred->predict(pc);
             if (p.confidence >= confCutoff_) {
-                sum += sign * c.weight;
+                sum += sign(p.taken) * c.weight;
                 total_weight += c.weight;
                 any_vote = true;
             }
             break;
-          case ChoosePolicy::ConfidenceWeighted:
-            sum += sign * c.weight * p.confidence;
+          }
+          case ChoosePolicy::ConfidenceWeighted: {
+            const auto p = c.pred->predict(pc);
+            sum += sign(p.taken) * c.weight * p.confidence;
             total_weight += c.weight;
             any_vote = true;
             break;
+          }
         }
     }
 

@@ -48,6 +48,12 @@ class GsharePredictor : public BinaryPredictor
         return {c.predict(), c.confidence()};
     }
 
+    bool
+    taken(Addr pc) const override
+    {
+        return pht_[index(pc)].predict();
+    }
+
     void
     update(Addr pc, bool taken) override
     {

@@ -56,6 +56,15 @@ class GskewPredictor : public BinaryPredictor
         return {votes > 0, conf / 3.0};
     }
 
+    bool
+    taken(Addr pc) const override
+    {
+        int votes = 0;
+        for (unsigned b = 0; b < 3; ++b)
+            votes += banks_[b][index(pc, b)].predict() ? 1 : -1;
+        return votes > 0;
+    }
+
     void
     update(Addr pc, bool taken) override
     {

@@ -50,6 +50,12 @@ class LocalPredictor : public BinaryPredictor
         return {c.predict(), c.confidence()};
     }
 
+    bool
+    taken(Addr pc) const override
+    {
+        return pht_[phtIndex(pc)].predict();
+    }
+
     void
     update(Addr pc, bool taken) override
     {

@@ -12,6 +12,7 @@
 #ifndef LRS_TRACE_UOP_HH
 #define LRS_TRACE_UOP_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -31,6 +32,37 @@ enum class UopClass : std::uint8_t
     StoreData,  ///< STD: store-data move, no execution unit needed
     Branch,     ///< conditional/unconditional branch, integer unit
 };
+
+/** Execution-unit pools, one per-cycle free count each at issue. */
+enum class UnitPool : std::uint8_t
+{
+    Int,     ///< integer units (IntAlu, Branch)
+    Fp,      ///< FP units
+    Complex, ///< complex units
+    Mem,     ///< memory pipes (Load, StoreAddr)
+    Std,     ///< STD ports
+};
+
+constexpr std::size_t kNumUnitPools = 5;
+
+/** The pool a uop of class @p cls issues from. */
+constexpr UnitPool
+unitPoolOf(UopClass cls)
+{
+    switch (cls) {
+      case UopClass::FpAlu:
+        return UnitPool::Fp;
+      case UopClass::Complex:
+        return UnitPool::Complex;
+      case UopClass::Load:
+      case UopClass::StoreAddr:
+        return UnitPool::Mem;
+      case UopClass::StoreData:
+        return UnitPool::Std;
+      default:
+        return UnitPool::Int;
+    }
+}
 
 /** Number of architectural integer registers (r13 is the stack ptr). */
 constexpr int kNumIntRegs = 16;

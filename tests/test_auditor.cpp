@@ -37,9 +37,11 @@ soundView()
         e.waiting = s != 10;
         v.entries.push_back(e);
     }
-    // seq 12 consumes seq 10's result.
+    // seq 12 consumes seq 10's result; its producer lane names 10's
+    // slot while 10 is in flight.
     v.entries[2].src1Slot = static_cast<int>(10 % 8);
     v.entries[2].src1Seq = 10;
+    v.entries[2].prod1 = v.entries[2].src1Slot;
     // seq 12 is an STD paired with STA 11, which the MOB tracks.
     v.entries[2].isPairedStd = true;
     v.entries[2].pairSeq = 11;
@@ -203,6 +205,7 @@ TEST(Auditor, CachedWakeTimeAtOrBeforeTheCycleIsAlwaysSafe)
     // cached 50 is stale but 12 is visited on every cycle >= 50.
     v.headSeq = 11;
     v.entries.erase(v.entries.begin());
+    v.entries[1].prod1 = -1; // the retire cut 12's producer link
     v.mobStores = {11};
     EXPECT_TRUE(StateAuditor::check(v, 50).empty());
     EXPECT_TRUE(hasParam(StateAuditor::check(v, 49), "wake@12"));
@@ -214,7 +217,7 @@ TEST(Auditor, UnclassifiedLoadWakesWhenItsDataIsReady)
     // As an unclassified load, 12 classifies once 10's data lands,
     // even before the estimate lets it issue.
     v.entries[0].est = 80;
-    v.entries[2].unclassifiedLoad = true;
+    v.entries[2].unclassifiedLoad = v.entries[2].laneUnclassified = true;
     EXPECT_TRUE(StateAuditor::check(v, 1).empty());
     v.entries[2].wake = 51;
     EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "wake@12"));
@@ -293,6 +296,7 @@ TEST(Auditor, CatchesStaleMobOrdinal)
     v.headSeq = 12;
     v.entries.erase(v.entries.begin(), v.entries.begin() + 2);
     v.entries[0].src1Slot = -1; // its producer 10 retired too
+    v.entries[0].prod1 = -1;
     v.entries[0].wake = 0;
     v.waitList = {12};
     v.rsCount = 1;
@@ -300,6 +304,54 @@ TEST(Auditor, CatchesStaleMobOrdinal)
     v.mobStores.clear();
     v.mobRetired = 6;
     EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "mob_ord@12"));
+}
+
+TEST(Auditor, CatchesStaleProducerLane)
+{
+    // Rename sets 12's link to 10's slot; without it 12 would read
+    // 10's result as ready at 0.
+    AuditView v = soundView();
+    v.entries[2].prod1 = -1;
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "prod1@12"));
+    v.entries[2].prod1 = 3; // a slot that does not hold 10
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "prod1@12"));
+    // 10 retires and seq 18 reuses its slot 2. A link the retire did
+    // not cut would read 18's lanes as 10's.
+    v = soundView();
+    v.headSeq = 11;
+    v.nextSeq = 19;
+    v.entries.erase(v.entries.begin());
+    for (SeqNum s = 13; s < 19; ++s) {
+        AuditView::Entry e;
+        e.seq = s;
+        e.slot = static_cast<int>(s % 8);
+        e.mobOrd = 1; // younger than store 11
+        v.entries.push_back(e);
+    }
+    v.entries[1].wake = 0; // 12's source now reads ready at 0
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "prod1@12"));
+    v.entries[1].prod1 = -1;
+    EXPECT_TRUE(StateAuditor::check(v, 1).empty());
+    v.entries[1].prod2 = 2; // a link with no producer at all
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "prod2@12"));
+}
+
+TEST(Auditor, CatchesClassLaneDisagreement)
+{
+    AuditView v = soundView();
+    v.entries[1].uopClass = UopClass::StoreAddr;
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "class@11"));
+    v.entries[1].laneClass = UopClass::StoreAddr;
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "class@11"));
+    v.entries[1].lanePool = UnitPool::Mem;
+    EXPECT_TRUE(StateAuditor::check(v, 1).empty());
+    // A load that classified but still reads unclassified would keep
+    // waking on its sources' data.
+    v.entries[1].uopClass = v.entries[1].laneClass = UopClass::Load;
+    v.entries[1].laneUnclassified = true;
+    EXPECT_TRUE(hasParam(StateAuditor::check(v, 1), "class@11"));
+    v.entries[1].unclassifiedLoad = true;
+    EXPECT_TRUE(StateAuditor::check(v, 1).empty());
 }
 
 TEST(Auditor, ViolationDiagsCarryTheCycle)

@@ -214,6 +214,25 @@ TEST(BitUtils, FoldXorStableAndBounded)
     EXPECT_LE(f1, mask(11));
 }
 
+TEST(BitUtils, FoldXorMatchesSliceXorAtEveryWidth)
+{
+    // The power-of-two widths fold by halving; every width must still
+    // equal the plain xor of its width-bit slices.
+    const auto slices = [](std::uint64_t v, unsigned width) {
+        std::uint64_t r = 0;
+        for (; v != 0; v >>= width)
+            r ^= v & mask(width);
+        return r;
+    };
+    Rng rng(11);
+    for (int i = 0; i < 200; ++i) {
+        const std::uint64_t v = rng.next();
+        for (unsigned width = 1; width < 64; ++width)
+            ASSERT_EQ(foldXor(v, width), slices(v, width))
+                << "width " << width << " v " << v;
+    }
+}
+
 TEST(BitUtils, Mix64Decorrelates)
 {
     // Consecutive inputs should map to very different outputs.

@@ -173,11 +173,11 @@ TEST(Profiler, CollectsPerStageSelfTime)
         prof::Scope outer(prof::Stage::Issue);
         volatile std::uint64_t sink = 0;
         for (int i = 0; i < 100000; ++i)
-            sink += static_cast<std::uint64_t>(i);
+            sink = sink + static_cast<std::uint64_t>(i);
         {
             prof::Scope inner(prof::Stage::Predict);
             for (int i = 0; i < 100000; ++i)
-                sink += static_cast<std::uint64_t>(i);
+                sink = sink + static_cast<std::uint64_t>(i);
         }
     }
     prof::setEnabled(false);

@@ -102,6 +102,18 @@ TEST_P(BinaryPredictorSuite, StorageBitsPositive)
     EXPECT_GT(p->storageBits(), 0u);
 }
 
+TEST_P(BinaryPredictorSuite, TakenMatchesPredict)
+{
+    // taken() is predict().taken without the confidence.
+    auto p = GetParam().make();
+    Rng rng(5);
+    for (int i = 0; i < 500; ++i) {
+        const Addr pc = 0x4000 + rng.below(64) * 4;
+        ASSERT_EQ(p->taken(pc), p->predict(pc).taken) << i;
+        p->update(pc, rng.chance(0.5));
+    }
+}
+
 TEST_P(BinaryPredictorSuite, ConfidenceWithinUnitRange)
 {
     auto p = GetParam().make();

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
@@ -212,6 +213,75 @@ TEST(Snapshot, MobOrdinalsSurviveRestore)
         loadSnapshotInto(path, restored, *again);
         EXPECT_TRUE(StateAuditor::check(restored.auditView(), stop).empty())
             << name;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Snapshot, ProducerLanesSurviveRestore)
+{
+    // The producer links and class lanes are derived state, never
+    // saved: a restore rebuilds them from the ROB image. Checkpoint
+    // where a stale link would show: a Waiting consumer's producer has
+    // retired and another uop already sits in the producer's slot.
+    MachineConfig cfg;
+    cfg.scheme = OrderingScheme::Exclusive;
+    cfg.cht.trackDistance = true;
+    cfg.hmp = HmpKind::Chooser;
+    cfg.bankMode = BankMode::Sliced;
+    cfg.bankPred = BankPredKind::A;
+    const std::string path = tmpPath("prod_lanes.snap");
+    auto trace = TraceLibrary::make(TraceLibrary::byName("gcc", 20000));
+    OooCore probe(cfg);
+    probe.beginRun(*trace);
+    // The last cycle each Waiting consumer was seen linked to its
+    // first source's producer.
+    std::map<SeqNum, Cycle> linkedAt;
+    const auto orphan = [&linkedAt](const AuditView &v, Cycle now) {
+        for (const AuditView::Entry &e : v.entries) {
+            if (!e.waiting || e.src1Slot < 0)
+                continue;
+            if (e.src1Seq >= v.headSeq) {
+                linkedAt[e.seq] = now;
+                continue;
+            }
+            for (const AuditView::Entry &o : v.entries) {
+                if (o.slot == e.src1Slot)
+                    return e.seq;
+            }
+        }
+        return SeqNum{0};
+    };
+    SeqNum consumer = 0;
+    while ((consumer = orphan(probe.auditView(), probe.now())) == 0)
+        ASSERT_FALSE(probe.advanceTo(*trace, probe.now() + 1));
+    const Cycle stop = probe.now();
+    ASSERT_EQ(linkedAt.count(consumer), 1u);
+
+    const SimResult full = runFull(cfg, "gcc", 20000);
+    const SimResult resumed =
+        runThroughSnapshot(cfg, "gcc", 20000, stop, path);
+    EXPECT_EQ(fingerprint(full), fingerprint(resumed)) << "stop=" << stop;
+
+    // The rebuilt lanes are the ones the uninterrupted run holds, and
+    // they audit clean, even restored into a core stopped at a cycle
+    // where the consumer's link was still live: that stale link must
+    // not survive the restore.
+    OooCore restored(cfg);
+    auto again = TraceLibrary::make(TraceLibrary::byName("gcc", 20000));
+    restored.beginRun(*again);
+    restored.advanceTo(*again, linkedAt[consumer]);
+    loadSnapshotInto(path, restored, *again);
+    const AuditView a = probe.auditView(), b = restored.auditView();
+    EXPECT_TRUE(StateAuditor::check(b, stop).empty());
+    ASSERT_EQ(a.entries.size(), b.entries.size());
+    for (std::size_t i = 0; i < a.entries.size(); ++i) {
+        const AuditView::Entry &x = a.entries[i], &y = b.entries[i];
+        EXPECT_EQ(x.prod1, y.prod1) << "seq " << x.seq;
+        EXPECT_EQ(x.prod2, y.prod2) << "seq " << x.seq;
+        EXPECT_EQ(x.laneClass, y.laneClass) << "seq " << x.seq;
+        EXPECT_EQ(x.lanePool, y.lanePool) << "seq " << x.seq;
+        EXPECT_EQ(x.laneUnclassified, y.laneUnclassified)
+            << "seq " << x.seq;
     }
     std::remove(path.c_str());
 }

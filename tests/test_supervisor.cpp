@@ -225,8 +225,9 @@ TEST(ParallelSupervisor, ProgressHeartbeatsCountOnlyFreshWorkOnResume)
         EXPECT_LE(done, 3u);
         EXPECT_EQ(hb.at("uops").asU64(), done * 500u);
         // No rate basis until the first FRESH completion.
-        if (done == 0)
+        if (done == 0) {
             EXPECT_TRUE(hb.at("eta_ms").isNull());
+        }
         last = hb;
     }
     ASSERT_GE(lines, 2u); // at least the initial + final heartbeats

@@ -264,6 +264,38 @@ TEST(EventWakeup, ProfileWorkCountersAreDeterministic)
     EXPECT_EQ(ctr.at("stepped_cycles").asU64(), stepped);
 }
 
+TEST(EventWakeup, DenseCellVisitsStayEconomical)
+{
+    // The issue walk visits a slot only when it is due and its unit
+    // pool has a free unit, and rename caches a real wake time. On
+    // 100k gcc uops under dense_cell's machine that is 1.29 visits per
+    // uop (a walk that visited every due slot, with rename forcing a
+    // first visit, made 2.56). The bound leaves 13% headroom for
+    // model changes; a walk that drifts back toward blind visits
+    // fails it.
+    SkipAheadGuard guard;
+    setCycleSkipAhead(true);
+    MachineConfig cfg;
+    cfg.scheme = OrderingScheme::Exclusive;
+    cfg.cht.trackDistance = true;
+    cfg.hmp = HmpKind::Chooser;
+    cfg.bankMode = BankMode::Sliced;
+    cfg.bankPred = BankPredKind::A;
+    auto trace = TraceLibrary::make(TraceLibrary::byName("gcc", 100000));
+    prof::resetAll();
+    prof::setEnabled(true);
+    OooCore core(cfg);
+    const SimResult r = core.run(*trace);
+    prof::setEnabled(false);
+    const std::uint64_t visits =
+        prof::counterValue(prof::Counter::IssueVisits);
+    prof::resetAll();
+    ASSERT_EQ(r.uops, 100000u);
+    EXPECT_GT(visits, r.uops); // every uop is visited at least once
+    EXPECT_LE(visits * 100, r.uops * 145)
+        << visits << " visits for " << r.uops << " uops";
+}
+
 TEST(EventWakeup, RestoreRebuildsTheWaitingListAndChecksRsCount)
 {
     // The list, links and wake times are derived state: a restored
