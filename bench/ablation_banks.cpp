@@ -51,7 +51,7 @@ main()
                 cells.push_back({banks, use_addr, ti});
 
     std::vector<BankStats> slots(cells.size());
-    parallelSweep(cells.size(), [&](std::size_t idx) {
+    parallelFor(cells.size(), [&](std::size_t idx) {
         const Cell &c = cells[idx];
         auto trace = TraceLibrary::make(traces[c.ti]);
         std::unique_ptr<BankPredictor> pred;

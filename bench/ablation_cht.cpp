@@ -86,7 +86,7 @@ main()
         SimResult base, r;
     };
     std::vector<Slot> slots(vs.size() * traces.size());
-    parallelSweep(slots.size(), [&](std::size_t idx) {
+    parallelFor(slots.size(), [&](std::size_t idx) {
         const auto &v = vs[idx / traces.size()];
         const auto &tp = traces[idx % traces.size()];
         auto trace = TraceLibrary::make(tp);

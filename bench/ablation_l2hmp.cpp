@@ -54,7 +54,7 @@ main()
                 cells.push_back({tp, which});
     }
     std::vector<ThreadSwitchEstimate> slots(cells.size());
-    parallelSweep(cells.size(), [&](std::size_t idx) {
+    parallelFor(cells.size(), [&](std::size_t idx) {
         auto trace = TraceLibrary::make(cells[idx].tp);
         auto hmp = makeHmp(cells[idx].which);
         slots[idx] = estimateThreadSwitch(*trace, *hmp);

@@ -50,7 +50,7 @@ main()
         SimResult fwd;
     };
     std::vector<Slot> slots(traces.size());
-    parallelSweep(traces.size(), [&](std::size_t ti) {
+    parallelFor(traces.size(), [&](std::size_t ti) {
         auto trace = TraceLibrary::make(traces[ti]);
         MachineConfig cfg;
         cfg.cht = paperCht();

@@ -48,7 +48,7 @@ main()
         SimResult base, r;
     };
     std::vector<Slot> slots(n_sweep * traces.size());
-    parallelSweep(slots.size(), [&](std::size_t idx) {
+    parallelFor(slots.size(), [&](std::size_t idx) {
         const auto &[entries, path_bits] = sweep[idx / traces.size()];
         const auto &tp = traces[idx % traces.size()];
         auto trace = TraceLibrary::make(tp);

@@ -54,7 +54,7 @@ main()
                 cells.push_back({tp, degree});
     }
     std::vector<Slot> slots(cells.size());
-    parallelSweep(cells.size(), [&](std::size_t idx) {
+    parallelFor(cells.size(), [&](std::size_t idx) {
         const Cell &c = cells[idx];
         auto trace = TraceLibrary::make(c.tp);
         MachineConfig cfg;

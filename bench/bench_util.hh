@@ -225,19 +225,6 @@ class JsonReport
     bool open_ = false;
 };
 
-/**
- * Sweep-grid helper: run fn(0)..fn(n-1) on the shared SimJobPool
- * (LRS_JOBS workers). fn must write into slot i only; aggregate the
- * slots serially afterwards, in index order, so tables and JSON come
- * out byte-identical to a serial run — the pattern every converted
- * bench follows (docs/PARALLELISM.md).
- */
-inline void
-parallelSweep(std::size_t n, const std::function<void(std::size_t)> &fn)
-{
-    SimJobPool::shared().forEach(n, fn);
-}
-
 } // namespace lrs::benchutil
 
 #endif // LRS_BENCH_UTIL_HH

@@ -65,7 +65,7 @@ main()
     // indexed by grid position so the serial aggregation below reads
     // them in the original loop order (byte-identical output).
     std::vector<SimResult> grid(modes.size() * traces.size());
-    parallelSweep(grid.size(), [&](std::size_t idx) {
+    parallelFor(grid.size(), [&](std::size_t idx) {
         const auto &ms = modes[idx / traces.size()];
         const auto &tp = traces[idx % traces.size()];
         auto trace = TraceLibrary::make(tp);

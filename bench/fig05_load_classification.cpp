@@ -45,7 +45,7 @@ main()
         for (const auto &tp : group_traces.back())
             jobs.push_back({tp, cfg, {}});
     }
-    const auto outcomes = SimJobPool::shared().runJobs(jobs);
+    const auto outcomes = runJobs(jobs);
 
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
         const auto g = groups[gi];

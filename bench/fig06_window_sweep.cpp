@@ -36,7 +36,7 @@ main()
         for (const auto &tp : traces)
             jobs.push_back({tp, cfg, {}});
     }
-    const auto outcomes = SimJobPool::shared().runJobs(jobs);
+    const auto outcomes = runJobs(jobs);
 
     for (std::size_t wi = 0; wi < windows.size(); ++wi) {
         const int w = windows[wi];

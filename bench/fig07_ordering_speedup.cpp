@@ -36,7 +36,7 @@ main()
     // nested runAllSchemes sweep runs inline inside the job); the
     // per-trace slots are then aggregated in trace order.
     std::vector<std::vector<SimResult>> all(traces.size());
-    parallelSweep(traces.size(), [&](std::size_t ti) {
+    parallelFor(traces.size(), [&](std::size_t ti) {
         auto trace = TraceLibrary::make(traces[ti]);
         all[ti] = runAllSchemes(*trace, cfg);
     });

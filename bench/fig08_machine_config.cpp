@@ -80,7 +80,7 @@ main()
                 cells.push_back({gi, wi, ti});
 
     std::vector<std::vector<SimResult>> all(cells.size());
-    parallelSweep(cells.size(), [&](std::size_t idx) {
+    parallelFor(cells.size(), [&](std::size_t idx) {
         const Cell &c = cells[idx];
         MachineConfig cfg;
         cfg.cht = paperCht();

@@ -92,7 +92,7 @@ main()
         for (const auto &tp : traces)
             jobs.push_back({tp, cfg, {}});
     }
-    const auto outcomes = SimJobPool::shared().runJobs(jobs);
+    const auto outcomes = runJobs(jobs);
 
     for (std::size_t si = 0; si < variant_specs.size(); ++si) {
         const auto &spec = variant_specs[si];

@@ -74,7 +74,7 @@ main()
                 cells.push_back({gi, pi, ti});
 
     std::vector<HmpStats> slots(cells.size());
-    parallelSweep(cells.size(), [&](std::size_t idx) {
+    parallelFor(cells.size(), [&](std::size_t idx) {
         const Cell &c = cells[idx];
         auto trace = TraceLibrary::make(group_traces[c.gi][c.ti]);
         auto hmp = makeHmp(preds[c.pi]);

@@ -43,7 +43,7 @@ main()
         // predictor kind over the same generated trace. Speedups
         // land in per-trace slots and are folded in trace order.
         std::vector<std::vector<double>> slots(traces.size());
-        parallelSweep(traces.size(), [&](std::size_t ti) {
+        parallelFor(traces.size(), [&](std::size_t ti) {
             auto trace = TraceLibrary::make(traces[ti]);
 
             MachineConfig cfg;

@@ -28,7 +28,7 @@ runGroup(TraceGroup g, const char *which)
     // serial loop).
     const auto traces = groupTraces(g, 4);
     std::vector<BankStats> slots(traces.size());
-    parallelSweep(traces.size(), [&](std::size_t ti) {
+    parallelFor(traces.size(), [&](std::size_t ti) {
         auto trace = TraceLibrary::make(traces[ti]);
         std::unique_ptr<BankPredictor> pred;
         if (std::string(which) == "A")

@@ -12,7 +12,7 @@
  *
  *  - merge() is an exact element-wise add, so merging per-cell
  *    histograms in slot (cell-id) order produces bit-identical
- *    aggregates for any SimJobPool worker count (the determinism
+ *    aggregates for any parallelFor() worker count (the determinism
  *    contract, docs/PARALLELISM.md);
  *  - the JSON export round-trips exactly (json::Value stores 64-bit
  *    integers natively; nothing is squeezed through a double).

@@ -24,25 +24,55 @@ struct Block
     std::atomic<std::uint64_t> counts[kNumCounters] = {};
 };
 
+/**
+ * The blocks of live threads. Element 0 belongs to no thread: it holds
+ * the sums of every thread that has exited, since parallelFor() starts
+ * fresh threads per call and a block per thread ever seen would grow
+ * without bound.
+ */
 std::mutex g_blocksMutex;
 std::vector<Block *> &
 blocks()
 {
-    static std::vector<Block *> v;
+    static Block retired;
+    static std::vector<Block *> v{&retired};
     return v;
 }
+
+/** Registered on first use; folded into blocks()[0] at thread exit. */
+struct ThreadBlock
+{
+    Block b;
+
+    ThreadBlock()
+    {
+        std::lock_guard<std::mutex> lock(g_blocksMutex);
+        blocks().push_back(&b);
+    }
+
+    ~ThreadBlock()
+    {
+        std::lock_guard<std::mutex> lock(g_blocksMutex);
+        Block &retired = *blocks()[0];
+        for (std::size_t s = 0; s < kNumStages; ++s) {
+            retired.ticks[s].fetch_add(
+                b.ticks[s].load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+        }
+        for (std::size_t c = 0; c < kNumCounters; ++c) {
+            retired.counts[c].fetch_add(
+                b.counts[c].load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+        }
+        std::erase(blocks(), &b);
+    }
+};
 
 Block &
 threadBlock()
 {
-    thread_local Block *b = [] {
-        auto *nb = new Block(); // lives for the process; threads are
-                                // pooled, so the set stays tiny
-        std::lock_guard<std::mutex> lock(g_blocksMutex);
-        blocks().push_back(nb);
-        return nb;
-    }();
-    return *b;
+    thread_local ThreadBlock tb;
+    return tb.b;
 }
 
 thread_local Scope *t_current = nullptr;

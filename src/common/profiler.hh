@@ -23,9 +23,10 @@
  *    lookups nest inside rename/execute; execute nests inside the
  *    schedule scan).
  *  - Per-worker accumulation: samples land in a thread-local block
- *    (registered once per thread under a mutex); report() sums the
- *    blocks, so SimJobPool workers profile without sharing a cache
- *    line. Host timing is inherently non-deterministic, so profiler
+ *    (registered once per thread under a mutex, folded into a
+ *    retired total when the thread exits); report() sums the live
+ *    blocks and that total, so parallelFor() workers profile without
+ *    sharing a cache line. Host timing is inherently non-deterministic, so profiler
  *    output is only ever emitted on the side (stderr / a "profile"
  *    JSON block behind --profile), never into byte-compared tables.
  *

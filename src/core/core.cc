@@ -445,14 +445,20 @@ OooCore::advanceTo(TraceStream &trace, Cycle stop_at)
                 }
             }
         }
-        // A stuck machine is a simulator bug; fail loudly. The bound
-        // is per-uop amortized and must scale with the configured
-        // memory latency: a fixed 64 cycles/uop false-fires on slow
+        // A stuck machine is a simulator bug or a corrupt restored
+        // state; fail this run, not the process. The bound is per-uop
+        // amortized and must scale with the configured memory
+        // latency: a fixed 64 cycles/uop false-fires on slow
         // hierarchies (e.g. memLatency 2000 pointer chases) that are
         // making perfectly sound forward progress.
-        assert(now_ < (trace.size() + 1000) *
-                          (64 + cfg_.mem.memLatency) &&
-               "simulated core appears deadlocked");
+        if (now_ >= (trace.size() + 1000) * (64 + cfg_.mem.memLatency)) {
+            throw AuditError({makeDiag(
+                DiagCode::AuditViolation, "core", "",
+                "simulated core appears deadlocked with " +
+                    std::to_string(nextSeq_ - headSeq_) +
+                    " uops in flight",
+                now_)});
+        }
     }
     return true;
 }
@@ -1008,9 +1014,13 @@ OooCore::countLoadClass(const RobEntry &e)
             ++res_.acPnc;
         break;
       case LoadClass::Unclassified:
-        // Should not happen: every load is classified before issue.
-        assert(false && "retiring unclassified load");
-        break;
+        // Every load is classified before issue, so only a corrupt
+        // (e.g. restored) state gets here.
+        throw AuditError({makeDiag(
+            DiagCode::AuditViolation, "core", "",
+            "retiring unclassified load at pc " +
+                std::to_string(e.uop.pc),
+            now_)});
     }
 }
 

@@ -1,5 +1,11 @@
 #include "core/parallel.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <system_error>
+#include <thread>
+
 #include "core/core.hh"
 #include "core/flight_recorder.hh"
 #include "core/runner.hh"
@@ -13,43 +19,17 @@ namespace
 {
 
 /**
- * Set while this thread is executing a pool job (including the
- * calling thread during its worker-0 participation). A nested
- * forEach() under this flag runs inline: the jobs of the outer batch
- * are already spread across the pool, and blocking a worker on a
- * second batch would deadlock the pool against itself.
+ * Set while this thread is running parallelFor() jobs (the calling
+ * thread included). A nested parallelFor() under this flag runs
+ * inline: the outer grid already occupies the workers, and starting
+ * threads per job would multiply the width instead of filling it.
  */
-thread_local bool tlInPoolJob = false;
+thread_local bool tlInJob = false;
 
 } // namespace
 
-SimJobPool::SimJobPool(unsigned workers)
-    : workers_(workers ? workers : configuredWorkers())
-{
-    if (workers_ < 1)
-        workers_ = 1;
-    queues_.reserve(workers_);
-    for (unsigned i = 0; i < workers_; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    // The caller is worker 0; only the rest need threads.
-    threads_.reserve(workers_ - 1);
-    for (unsigned i = 1; i < workers_; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
-}
-
-SimJobPool::~SimJobPool()
-{
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        stopping_ = true;
-    }
-    cvWork_.notify_all();
-    for (auto &t : threads_)
-        t.join();
-}
-
 unsigned
-SimJobPool::configuredWorkers()
+configuredWorkers()
 {
     const std::uint64_t env = envU64("LRS_JOBS", 0);
     if (env > 0) {
@@ -61,148 +41,52 @@ SimJobPool::configuredWorkers()
     return hw ? hw : 1;
 }
 
-SimJobPool &
-SimJobPool::shared()
-{
-    static SimJobPool pool;
-    return pool;
-}
-
-bool
-SimJobPool::popJob(unsigned self, std::uint64_t epoch, std::size_t &id)
-{
-    {
-        WorkerQueue &own = *queues_[self];
-        std::lock_guard<std::mutex> lk(own.m);
-        if (!own.jobs.empty() && own.jobs.front().epoch == epoch) {
-            id = own.jobs.front().id;
-            own.jobs.pop_front();
-            return true;
-        }
-    }
-    // Own deque drained: steal from the back of a sibling's. The
-    // epoch tag refuses entries of any other batch (see QueuedJob).
-    for (unsigned k = 1; k < workers_; ++k) {
-        WorkerQueue &victim = *queues_[(self + k) % workers_];
-        std::lock_guard<std::mutex> lk(victim.m);
-        if (!victim.jobs.empty() &&
-            victim.jobs.back().epoch == epoch) {
-            id = victim.jobs.back().id;
-            victim.jobs.pop_back();
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-SimJobPool::runJob(Batch &b, std::size_t id)
-{
-    const bool nested = tlInPoolJob;
-    tlInPoolJob = true;
-    std::exception_ptr err;
-    try {
-        (*b.fn)(id);
-    } catch (...) {
-        err = std::current_exception();
-    }
-    tlInPoolJob = nested;
-
-    std::lock_guard<std::mutex> lk(m_);
-    if (err && !b.firstError)
-        b.firstError = err;
-    if (--b.pending == 0)
-        cvDone_.notify_all();
-}
-
-void
-SimJobPool::workerLoop(unsigned self)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        Batch *b = nullptr;
-        {
-            std::unique_lock<std::mutex> lk(m_);
-            cvWork_.wait(lk, [&] {
-                return stopping_ || (batch_ && epoch_ != seen);
-            });
-            if (stopping_)
-                return;
-            seen = epoch_;
-            b = batch_;
-        }
-        std::size_t id;
-        while (popJob(self, seen, id))
-            runJob(*b, id);
-        // Queues drained for this batch (jobs may still be running on
-        // other workers); sleep until the next batch is published.
-    }
-}
-
-void
-SimJobPool::forEach(std::size_t n,
-                    const std::function<void(std::size_t)> &fn)
+parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
+            unsigned workers)
 {
     if (n == 0)
         return;
-    if (workers_ == 1 || n == 1 || tlInPoolJob) {
-        // Inline serial path; match the parallel contract: run every
-        // job, then rethrow the first failure.
-        std::exception_ptr first;
-        const bool nested = tlInPoolJob;
-        tlInPoolJob = true;
-        for (std::size_t i = 0; i < n; ++i) {
+    std::atomic<std::size_t> cursor{0};
+    std::mutex errM;
+    std::size_t errIndex = n;
+    std::exception_ptr err;
+    const auto drain = [&] {
+        const bool nested = tlInJob;
+        tlInJob = true;
+        for (std::size_t i;
+             (i = cursor.fetch_add(1, std::memory_order_relaxed)) < n;) {
             try {
                 fn(i);
             } catch (...) {
-                if (!first)
-                    first = std::current_exception();
+                std::lock_guard<std::mutex> lk(errM);
+                if (i < errIndex) {
+                    errIndex = i;
+                    err = std::current_exception();
+                }
             }
         }
-        tlInPoolJob = nested;
-        if (first)
-            std::rethrow_exception(first);
-        return;
-    }
+        tlInJob = nested;
+    };
 
-    std::lock_guard<std::mutex> caller(callerM_);
-
-    Batch b;
-    b.fn = &fn;
-    b.pending = n;
-
-    std::uint64_t epoch;
+    const std::size_t width =
+        tlInJob ? 1
+                : std::min<std::size_t>(
+                      workers ? workers : configuredWorkers(), n);
     {
-        std::lock_guard<std::mutex> lk(m_);
-        epoch = epoch_ + 1;
+        // jthreads join when the vector goes out of scope.
+        std::vector<std::jthread> threads;
+        try {
+            while (threads.size() + 1 < width)
+                threads.emplace_back(drain);
+        } catch (const std::system_error &) {
+            // The host refused another thread: the threads already
+            // running and the caller still drain every index.
+        }
+        drain();
     }
-    // Deal job ids round-robin so every worker starts with a spread
-    // of the grid; stealing rebalances whatever the deal got wrong.
-    for (unsigned w = 0; w < workers_; ++w) {
-        WorkerQueue &q = *queues_[w];
-        std::lock_guard<std::mutex> lk(q.m);
-        for (std::size_t id = w; id < n; id += workers_)
-            q.jobs.push_back({epoch, id});
-    }
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        batch_ = &b;
-        epoch_ = epoch;
-    }
-    cvWork_.notify_all();
-
-    // Participate as worker 0.
-    std::size_t id;
-    while (popJob(0, epoch, id))
-        runJob(b, id);
-
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        cvDone_.wait(lk, [&] { return b.pending == 0; });
-        batch_ = nullptr;
-    }
-    if (b.firstError)
-        std::rethrow_exception(b.firstError);
+    if (err)
+        std::rethrow_exception(err);
 }
 
 const char *
@@ -288,11 +172,12 @@ runOneSimJob(const SimJob &job, FlightRecorder *fr)
 }
 
 std::vector<JobOutcome>
-SimJobPool::runJobs(const std::vector<SimJob> &jobs)
+runJobs(const std::vector<SimJob> &jobs, unsigned workers)
 {
     std::vector<JobOutcome> out(jobs.size());
-    forEach(jobs.size(),
-            [&](std::size_t i) { out[i] = runOneSimJob(jobs[i]); });
+    parallelFor(
+        jobs.size(),
+        [&](std::size_t i) { out[i] = runOneSimJob(jobs[i]); }, workers);
     return out;
 }
 

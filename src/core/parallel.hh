@@ -6,10 +6,10 @@
  * (trace × machine-config) simulations, and each simulation job is
  * pure: the trace generator flows from a per-trace seed, the core
  * holds no global mutable state, and the result is a value. That
- * shape is embarrassingly parallel, so SimJobPool shards an arbitrary
- * job grid across worker threads while keeping the aggregate output
- * **bit-identical to a serial run regardless of worker count or
- * completion order**:
+ * shape is embarrassingly parallel, so parallelFor() spreads an
+ * arbitrary job grid across threads while keeping the aggregate
+ * output **bit-identical to a serial run regardless of worker count
+ * or completion order**:
  *
  *  - every job gets a slot indexed by its submission order (job id);
  *    workers write results into their slot, never append by finish
@@ -21,17 +21,17 @@
  *    barrier, in job-id order — the same floating-point evaluation
  *    order as the serial loop it replaced.
  *
- * Scheduling is work stealing: job ids are dealt round-robin into
- * per-worker deques; a worker pops from the front of its own deque
- * and, when empty, steals from the back of a sibling's. The calling
- * thread participates as worker 0, so a pool with one worker runs
- * everything inline on the caller (and spawns no threads at all).
+ * Scheduling is one shared cursor: every thread claims the next
+ * unclaimed job id from an atomic counter until the grid is
+ * exhausted, so a long cell never holds up ids queued behind it. The
+ * calling thread takes part, so one worker runs everything inline
+ * and starts no thread at all.
  *
- * Worker count: explicit constructor argument, else the LRS_JOBS
- * environment variable, else std::thread::hardware_concurrency().
- * Nested forEach() calls from inside a job run inline on that worker
- * — runAllSchemes() can therefore be parallelised internally and
- * still be submitted as a job itself without deadlock.
+ * Worker count: explicit argument, else the LRS_JOBS environment
+ * variable, else std::thread::hardware_concurrency(). A nested
+ * parallelFor() from inside a job runs inline on that thread —
+ * runAllSchemes() can therefore be parallelised internally and still
+ * be submitted as a job itself without oversubscribing the host.
  *
  * See docs/PARALLELISM.md for the determinism contract and usage.
  */
@@ -39,16 +39,11 @@
 #ifndef LRS_CORE_PARALLEL_HH
 #define LRS_CORE_PARALLEL_HH
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/config.hh"
@@ -67,7 +62,7 @@ struct SimJob
      * When non-empty, the run restores this warmup checkpoint
      * (core/snapshot.hh) instead of starting cold, then advances to
      * completion. Travels with the job through every execution mode —
-     * thread pool, --resume, --isolate subprocesses.
+     * parallelFor() threads, --resume, --isolate subprocesses.
      */
     std::string fromSnapshot;
 };
@@ -126,7 +121,7 @@ struct JobOutcome
      * fills it — result.toJson() after a fresh run, or the journal's
      * stored copy for a Skipped cell — so reports re-emit resumed
      * cells byte-identically to an uninterrupted run. Null when the
-     * cell has no result (or when the pool was used directly).
+     * cell has no result (or when runJobs() ran it).
      */
     json::Value resultJson;
 };
@@ -134,8 +129,8 @@ struct JobOutcome
 /**
  * Run one (trace, config) cell to a JobOutcome, classifying any
  * exception into the taxonomy above — the single implementation
- * behind SimJobPool::runJobs() and the sweep supervisor, so stderr,
- * journal records and JSON all agree on what a failure was.
+ * behind runJobs() and the sweep supervisor, so stderr, journal
+ * records and JSON all agree on what a failure was.
  */
 JobOutcome runOneSimJob(const SimJob &job);
 
@@ -153,97 +148,31 @@ JobOutcome runOneSimJob(const SimJob &job, FlightRecorder *fr);
 /** Fill @p o from an in-flight exception (shared classification). */
 void classifyJobException(JobOutcome &o, const std::exception &e);
 
-class SimJobPool
-{
-  public:
-    /**
-     * @p workers 0 selects the configured default (LRS_JOBS env var,
-     * else hardware concurrency). One worker means fully inline
-     * serial execution; N workers spawn N-1 threads (the caller is
-     * worker 0).
-     */
-    explicit SimJobPool(unsigned workers = 0);
-    ~SimJobPool();
+/**
+ * Run fn(0) .. fn(n-1) on min(@p workers, n) threads and return when
+ * all have finished. @p workers 0 selects configuredWorkers(); the
+ * caller is one of the threads, so one worker (or n <= 1) runs
+ * inline and starts none. fn must write its output into a slot owned
+ * by its index — never append to shared state — for deterministic
+ * aggregation. If any invocation throws, every remaining index still
+ * runs and the exception of the lowest throwing index is rethrown
+ * here. Called from inside a job it runs inline.
+ */
+void parallelFor(std::size_t n,
+                 const std::function<void(std::size_t)> &fn,
+                 unsigned workers = 0);
 
-    SimJobPool(const SimJobPool &) = delete;
-    SimJobPool &operator=(const SimJobPool &) = delete;
+/**
+ * Run a (TraceParams, MachineConfig) grid through parallelFor(): each
+ * job generates its trace and runs one OooCore; outcomes are indexed
+ * by job id. Exceptions are captured per job (JobOutcome::failed).
+ */
+std::vector<JobOutcome> runJobs(const std::vector<SimJob> &jobs,
+                                unsigned workers = 0);
 
-    unsigned workers() const { return workers_; }
-
-    /**
-     * Run fn(0) .. fn(n-1) across the workers and block until all
-     * complete. fn must write its output into a slot owned by its
-     * index — never append to shared state — for deterministic
-     * aggregation. If any invocation throws, every remaining job
-     * still runs and the first exception (by completion time, which
-     * is only used for propagation, not for results) is rethrown
-     * here. Reentrant: called from inside a job it runs inline.
-     */
-    void forEach(std::size_t n,
-                 const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Run a (TraceParams, MachineConfig) grid: each job generates its
-     * trace and runs one OooCore; outcomes are indexed by job id.
-     * Exceptions are captured per job (JobOutcome::failed).
-     */
-    std::vector<JobOutcome> runJobs(const std::vector<SimJob> &jobs);
-
-    /** LRS_JOBS if set and nonzero, else hardware concurrency. */
-    static unsigned configuredWorkers();
-
-    /**
-     * Process-wide pool used by runAllSchemes() and the benches.
-     * Sized by configuredWorkers() at first use.
-     */
-    static SimJobPool &shared();
-
-  private:
-    /**
-     * One queued job: the id plus the epoch of the batch it belongs
-     * to. The tag is what makes a slow-waking worker safe: it can
-     * only pop entries matching the batch it is working on, so a
-     * thread still draining after batch k completed can never grab a
-     * job published by batch k+1 and run it against a dead Batch.
-     */
-    struct QueuedJob
-    {
-        std::uint64_t epoch;
-        std::size_t id;
-    };
-
-    /** Per-worker deque; own pops front, thieves pop back. */
-    struct WorkerQueue
-    {
-        std::mutex m;
-        std::deque<QueuedJob> jobs;
-    };
-
-    /** One forEach() invocation in flight. */
-    struct Batch
-    {
-        const std::function<void(std::size_t)> *fn = nullptr;
-        std::size_t pending = 0;          ///< guarded by pool m_
-        std::exception_ptr firstError;    ///< guarded by pool m_
-    };
-
-    void workerLoop(unsigned self);
-    bool popJob(unsigned self, std::uint64_t epoch, std::size_t &id);
-    void runJob(Batch &b, std::size_t id);
-
-    unsigned workers_ = 1;
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> threads_;
-
-    std::mutex callerM_; ///< serialises concurrent forEach() callers
-
-    std::mutex m_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvDone_;
-    Batch *batch_ = nullptr;    ///< active batch, or null
-    std::uint64_t epoch_ = 0;   ///< bumped per published batch
-    bool stopping_ = false;
-};
+/** LRS_JOBS if set and nonzero (capped at 1024), else hardware
+ *  concurrency. */
+unsigned configuredWorkers();
 
 } // namespace lrs
 

@@ -27,7 +27,7 @@ SimResult runSim(const TraceParams &params, const MachineConfig &cfg);
 /**
  * Run one trace under every ordering scheme (I-VI) with a shared
  * machine configuration; returns results in scheme order. The
- * schemes run concurrently on the shared SimJobPool (honouring
+ * schemes run concurrently through parallelFor() (honouring
  * LRS_JOBS); the returned vector is bit-identical to a serial loop
  * regardless of worker count — see docs/PARALLELISM.md.
  */

@@ -326,10 +326,9 @@ prepareWarmupSnapshots(const BatchGrid &grid, const std::string &dir,
         }
     };
 
-    SimJobPool pool(workers);
-    std::vector<std::exception_ptr> errors(grid.traces.size());
-    pool.forEach(grid.traces.size(), [&](std::size_t i) {
-        try {
+    parallelFor(
+        grid.traces.size(),
+        [&](std::size_t i) {
             const std::string &name = grid.traces[i];
             const std::string path = warmupSnapshotPath(dir, name);
             const TraceParams tp =
@@ -348,14 +347,8 @@ prepareWarmupSnapshots(const BatchGrid &grid, const std::string &dir,
             core.beginRun(*trace);
             core.advanceTo(*trace, grid.warmupSnapshot);
             writeSnapshot(path, core, *trace, grid.warmupSnapshot);
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-    });
-    for (const auto &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
+        },
+        workers);
 }
 
 void

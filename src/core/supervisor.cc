@@ -511,7 +511,6 @@ SweepSupervisor::run(std::size_t n,
         if (outcomes[i].status != CellStatus::Skipped)
             pending.push_back(i);
 
-    SimJobPool pool(opts_.workers);
     if (opts_.progressFd >= 0) {
         std::lock_guard<std::mutex> lk(progressM_);
         progressDead_ = false;
@@ -520,7 +519,8 @@ SweepSupervisor::run(std::size_t n,
         progTimeout_ = progCrashed_ = 0;
         progSkipped_ = n - pending.size();
         progUops_ = 0;
-        progWorkers_ = pool.workers();
+        progWorkers_ =
+            opts_.workers ? opts_.workers : configuredWorkers();
         inFlight_.store(0, std::memory_order_relaxed);
         progStart_ = std::chrono::steady_clock::now();
     }
@@ -531,11 +531,14 @@ SweepSupervisor::run(std::size_t n,
             break;
         if (attempt > 1)
             stats_.retries += pending.size();
-        pool.forEach(pending.size(), [&](std::size_t k) {
-            const std::size_t cell = pending[k];
-            runCell(cell, attempt, keys[cell], runner,
-                    outcomes[cell]);
-        });
+        parallelFor(
+            pending.size(),
+            [&](std::size_t k) {
+                const std::size_t cell = pending[k];
+                runCell(cell, attempt, keys[cell], runner,
+                        outcomes[cell]);
+            },
+            opts_.workers);
         // Deterministic backoff ordering: the next round re-runs the
         // survivors in ascending cell id, so any attempt-count-
         // dependent behaviour (and the journal's retry trail) is

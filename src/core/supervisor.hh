@@ -1,6 +1,6 @@
 /**
  * @file
- * Resilient sweep supervisor: crash-safe batch grids over SimJobPool.
+ * Resilient sweep supervisor: crash-safe batch grids over parallelFor().
  *
  * The parallel engine (core/parallel.hh) made grids fast; this layer
  * makes them survivable. A SweepSupervisor runs N cells — by default
@@ -85,7 +85,7 @@ struct SweepOptions
      * the deterministic MachineConfig::maxCycles budget instead).
      */
     std::uint64_t cellTimeoutMs = 0;
-    /** Pool size (0 = LRS_JOBS / hardware concurrency). */
+    /** Worker threads (0 = LRS_JOBS / hardware concurrency). */
     unsigned workers = 0;
     /**
      * Live progress stream: file descriptor to receive one compact
@@ -206,7 +206,7 @@ class SweepSupervisor
     std::uint64_t progCrashed_ = 0;
     std::uint64_t progSkipped_ = 0; ///< restored, never re-run
     std::uint64_t progUops_ = 0;    ///< simulated uops of OK cells
-    unsigned progWorkers_ = 0;      ///< resolved pool width
+    unsigned progWorkers_ = 0;      ///< resolved worker count
     std::atomic<std::uint64_t> inFlight_{0}; ///< cells running now
     std::chrono::steady_clock::time_point progStart_;
 };

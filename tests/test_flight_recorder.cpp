@@ -195,6 +195,25 @@ TEST(Profiler, CollectsPerStageSelfTime)
     prof::resetAll();
 }
 
+TEST(Profiler, CountsOfExitedThreadsAreKept)
+{
+    // parallelFor() threads exit when each call returns; what they
+    // counted must still be reported after they are gone, and a reset
+    // must still clear it.
+    prof::resetAll();
+    for (int call = 0; call < 20; ++call) {
+        parallelFor(
+            8,
+            [](std::size_t) {
+                prof::addCount(prof::Counter::WakeResets, 3);
+            },
+            4);
+    }
+    EXPECT_EQ(prof::counterValue(prof::Counter::WakeResets), 20u * 8 * 3);
+    prof::resetAll();
+    EXPECT_EQ(prof::counterValue(prof::Counter::WakeResets), 0u);
+}
+
 TEST(BuildInfo, ProvenanceBlockIsComplete)
 {
     const json::Value b = buildProvenanceJson();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the parallel sweep engine (core/parallel.hh) and the
- * aggregation-layer fixes that rode along with it: the pool's
+ * aggregation-layer fixes that rode along with it: parallelFor()'s
  * determinism contract (bit-identical results for any worker count),
  * its edge cases (empty batches, more workers than jobs, throwing
  * jobs, nesting), and the hardened geomean()/envU64()/JsonReport
@@ -16,8 +16,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.hh"
@@ -33,43 +36,47 @@ namespace
 
 TEST(Parallel, ForEachRunsEveryIndexExactlyOnce)
 {
-    SimJobPool pool(4);
-    EXPECT_EQ(pool.workers(), 4u);
-
     constexpr std::size_t kN = 257; // not a multiple of the workers
     std::vector<std::atomic<int>> hits(kN);
-    pool.forEach(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallelFor(kN, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
     for (std::size_t i = 0; i < kN; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(Parallel, ZeroJobsIsANoop)
 {
-    SimJobPool pool(4);
     bool called = false;
-    pool.forEach(0, [&](std::size_t) { called = true; });
+    parallelFor(0, [&](std::size_t) { called = true; }, 4);
     EXPECT_FALSE(called);
-    EXPECT_TRUE(pool.runJobs({}).empty());
+    EXPECT_TRUE(runJobs({}, 4).empty());
 }
 
 TEST(Parallel, MoreWorkersThanJobs)
 {
-    SimJobPool pool(8);
+    // Width is min(workers, n): surplus workers start no threads.
     std::vector<std::atomic<int>> hits(3);
-    pool.forEach(3, [&](std::size_t i) { hits[i].fetch_add(1); });
+    std::vector<std::thread::id> ran(3);
+    parallelFor(
+        3,
+        [&](std::size_t i) {
+            hits[i].fetch_add(1);
+            ran[i] = std::this_thread::get_id();
+        },
+        8);
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_EQ(hits[i].load(), 1);
+    EXPECT_LE(std::set<std::thread::id>(ran.begin(), ran.end()).size(),
+              3u);
 }
 
 TEST(Parallel, RepeatedBatchesOnOnePool)
 {
-    // Regression guard for batch-epoch confusion: a worker waking
-    // late from batch k must never run ids against batch k+1.
-    SimJobPool pool(4);
+    // Back-to-back calls share nothing: each owns its cursor, so a
+    // thread of call k can never claim an id of call k+1.
     for (int round = 0; round < 50; ++round) {
         const std::size_t n = 1 + static_cast<std::size_t>(round) % 7;
         std::atomic<std::size_t> ran{0};
-        pool.forEach(n, [&](std::size_t) { ran.fetch_add(1); });
+        parallelFor(n, [&](std::size_t) { ran.fetch_add(1); }, 4);
         EXPECT_EQ(ran.load(), n) << "round " << round;
     }
 }
@@ -77,42 +84,66 @@ TEST(Parallel, RepeatedBatchesOnOnePool)
 TEST(Parallel, NestedForEachRunsInline)
 {
     // Benches parallelise their outer loop; runAllSchemes() inside a
-    // job must fall back to inline execution instead of deadlocking
-    // on the shared pool.
-    SimJobPool pool(4);
+    // job runs its own parallelFor() inline on that job's thread.
     std::vector<std::atomic<int>> hits(16);
-    pool.forEach(4, [&](std::size_t outer) {
-        SimJobPool::shared().forEach(4, [&](std::size_t inner) {
-            hits[outer * 4 + inner].fetch_add(1);
-        });
-    });
-    for (std::size_t i = 0; i < 16; ++i)
+    std::vector<std::thread::id> outerId(4), innerId(16);
+    parallelFor(
+        4,
+        [&](std::size_t outer) {
+            outerId[outer] = std::this_thread::get_id();
+            parallelFor(4, [&](std::size_t inner) {
+                hits[outer * 4 + inner].fetch_add(1);
+                innerId[outer * 4 + inner] = std::this_thread::get_id();
+            });
+        },
+        4);
+    for (std::size_t i = 0; i < 16; ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "cell " << i;
+        EXPECT_EQ(innerId[i], outerId[i / 4]) << "cell " << i;
+    }
 }
 
 TEST(Parallel, ForEachPropagatesExceptionAfterAllJobsRan)
 {
-    SimJobPool pool(4);
     std::atomic<std::size_t> ran{0};
     const auto body = [&](std::size_t i) {
         ran.fetch_add(1);
-        if (i == 3)
-            throw std::runtime_error("job 3 exploded");
+        if (i == 3 || i == 6)
+            throw std::runtime_error("job " + std::to_string(i) +
+                                     " exploded");
     };
-    EXPECT_THROW(pool.forEach(8, body), std::runtime_error);
-    // One failure poisons the batch's result, not its siblings: every
-    // job still ran.
-    EXPECT_EQ(ran.load(), 8u);
+    for (const unsigned workers : {1u, 4u}) {
+        ran = 0;
+        try {
+            parallelFor(8, body, workers);
+            ADD_FAILURE() << "no exception, workers=" << workers;
+        } catch (const std::runtime_error &e) {
+            // The lowest throwing index wins, whatever finished first.
+            EXPECT_STREQ(e.what(), "job 3 exploded");
+        }
+        // One failure poisons the call's result, not its siblings:
+        // every job still ran.
+        EXPECT_EQ(ran.load(), 8u) << "workers=" << workers;
+    }
 }
 
 TEST(Parallel, ConfiguredWorkersHonorsLrsJobs)
 {
     setenv("LRS_JOBS", "5", 1);
-    EXPECT_EQ(SimJobPool::configuredWorkers(), 5u);
+    EXPECT_EQ(configuredWorkers(), 5u);
     setenv("LRS_JOBS", "0", 1);
-    EXPECT_GE(SimJobPool::configuredWorkers(), 1u);
+    EXPECT_GE(configuredWorkers(), 1u);
     unsetenv("LRS_JOBS");
-    EXPECT_GE(SimJobPool::configuredWorkers(), 1u);
+    EXPECT_GE(configuredWorkers(), 1u);
+}
+
+TEST(Parallel, ConfiguredWorkersCapsHugeLrsJobs)
+{
+    // Only the sizing function is called: a typo'd value must resolve
+    // to the cap without anything trying to start that many threads.
+    setenv("LRS_JOBS", "100000", 1);
+    EXPECT_EQ(configuredWorkers(), 1024u);
+    unsetenv("LRS_JOBS");
 }
 
 /** fig07-shaped grid: every trace crossed with every scheme. */
@@ -156,8 +187,7 @@ TEST(Parallel, RunJobsBitIdenticalForAnyWorkerCount)
     }
 
     for (const unsigned workers : {1u, 2u, 8u}) {
-        SimJobPool pool(workers);
-        EXPECT_EQ(dumpOutcomes(pool.runJobs(jobs)), serial.str())
+        EXPECT_EQ(dumpOutcomes(runJobs(jobs, workers)), serial.str())
             << "workers=" << workers;
     }
 }
@@ -167,8 +197,7 @@ TEST(Parallel, ThrowingJobFailsItsSlotOnly)
     auto jobs = fig07Grid();
     jobs[2].cfg.intUnits = 0; // rejected by MachineConfig::validate()
 
-    SimJobPool pool(4);
-    const auto outcomes = pool.runJobs(jobs);
+    const auto outcomes = runJobs(jobs, 4);
     ASSERT_EQ(outcomes.size(), jobs.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         if (i == 2) {

@@ -640,8 +640,7 @@ TEST(Snapshot, CrossSchemeWarmForkIsDeterministic)
         ASSERT_FALSE(o.failed) << o.error;
         serial.push_back(fingerprint(o.result));
     }
-    SimJobPool pool(4);
-    const auto outcomes = pool.runJobs(jobs);
+    const auto outcomes = runJobs(jobs, 4);
     ASSERT_EQ(outcomes.size(), serial.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         ASSERT_FALSE(outcomes[i].failed) << outcomes[i].error;
@@ -871,6 +870,89 @@ TEST(Snapshot, ImpossibleSlotsAndRegistersAreRejected)
             robField(32, json::Value(std::int64_t{300})));
     rejects("uop dst register", "rob",
             robField(33, json::Value(std::int64_t{-2})));
+    std::remove(path.c_str());
+    std::remove(clean.c_str());
+}
+
+TEST(Snapshot, StuckOrInconsistentRestoredMachineFailsTheCell)
+{
+    // A CRC-valid, in-range snapshot can still describe a machine
+    // that cannot finish. Running one must fail its cell with a
+    // diagnostic carrying the cycle, never abort the process.
+    MachineConfig cfg;
+    const std::string clean = tmpPath("stuck_clean.snap");
+    {
+        auto trace = TraceLibrary::make(TraceLibrary::byName("wd", 8000));
+        OooCore core(cfg);
+        core.beginRun(*trace);
+        core.advanceTo(*trace, 700);
+        writeSnapshot(clean, core, *trace, 700);
+    }
+    const std::string bytes = slurp(clean);
+    std::uint64_t headSeq = 0;
+    json::Value rob;
+    for (const json::Value &rec : readJournal(clean)) {
+        const json::Value *sec = rec.find("section");
+        if (sec && sec->asString() == "core")
+            headSeq = rec.at("state").at("head_seq").asU64();
+        if (sec && sec->asString() == "rob")
+            rob = rec.at("state");
+    }
+    // Row fields (OooCore::walkState): 0 seq, 1 state, 8 completion
+    // cycle, 11 load class, 30 uop class.
+    constexpr std::size_t kSeq = 0, kState = 1, kComplete = 8,
+                          kLoadClass = 11, kUopClass = 30;
+    const auto isIssuedLiveLoad = [&](const json::Value &row) {
+        return row.at(kSeq).asU64() >= headSeq &&
+               row.at(kState).asU64() == 1 /* Issued */ &&
+               row.at(kUopClass).asU64() ==
+                   static_cast<std::uint64_t>(UopClass::Load) &&
+               row.at(kLoadClass).asU64() != 0 /* Unclassified */;
+    };
+    std::size_t slot = rob.size();
+    for (std::size_t s = 0; s < rob.size(); ++s) {
+        if (isIssuedLiveLoad(rob.at(s)) &&
+            (slot == rob.size() ||
+             rob.at(s).at(kSeq).asU64() < rob.at(slot).at(kSeq).asU64()))
+            slot = s;
+    }
+    ASSERT_LT(slot, rob.size()) << "no issued load in flight at 700";
+
+    const std::string path = tmpPath("stuck.snap");
+    const auto expectFailure = [&](const char *what, std::size_t field,
+                                   json::Value v, const char *message) {
+        spit(path, bytes);
+        tamperSection(path, "rob", [&](const json::Value &st) {
+            return withElement(st, slot,
+                               withElement(st.at(slot), field, v));
+        });
+        auto trace = TraceLibrary::make(TraceLibrary::byName("wd", 8000));
+        OooCore core(cfg);
+        ASSERT_NO_THROW(loadSnapshotInto(path, core, *trace)) << what;
+        try {
+            core.advanceTo(*trace);
+            ADD_FAILURE() << what << ": the run finished";
+        } catch (const AuditError &e) {
+            ASSERT_EQ(e.diags().size(), 1u) << what;
+            EXPECT_EQ(e.diags()[0].code, DiagCode::AuditViolation);
+            EXPECT_GT(e.diags()[0].cycle, 700u) << what;
+            EXPECT_NE(e.diags()[0].message.find(message),
+                      std::string::npos)
+                << e.what();
+        }
+
+        SimJob job;
+        job.trace = TraceLibrary::byName("wd", 8000);
+        job.cfg = cfg;
+        job.fromSnapshot = path;
+        const JobOutcome o = runOneSimJob(job);
+        EXPECT_EQ(o.status, CellStatus::Failed) << what;
+        EXPECT_EQ(o.code, "E_AUDIT_VIOLATION") << what;
+    };
+    expectFailure("unclassified issued load", kLoadClass,
+                  json::Value(std::uint64_t{0}), "unclassified load");
+    expectFailure("completion that never comes", kComplete,
+                  json::Value(std::uint64_t{1} << 50), "deadlocked");
     std::remove(path.c_str());
     std::remove(clean.c_str());
 }

@@ -1010,8 +1010,8 @@ main(int argc, char **argv)
         }
         if (profile)
             prof::setEnabled(true);
-        // --jobs also sizes the lazily-created shared pool behind
-        // runAllSchemes (used by --compare-schemes).
+        // --jobs also sizes the parallelFor() behind runAllSchemes
+        // (used by --compare-schemes), which reads LRS_JOBS.
         if (jobs_flag)
             ::setenv("LRS_JOBS", std::to_string(jobs_flag).c_str(), 1);
         if (!snapshot_path.empty() && !snapshot_after_set) {

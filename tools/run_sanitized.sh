@@ -7,9 +7,11 @@
 #   default   AddressSanitizer + UndefinedBehaviorSanitizer over the
 #             full suite
 #   --tsan    ThreadSanitizer (mutually exclusive with ASan) over the
-#             parallel sweep engine tests (ctest -R Parallel) — the
-#             data-race check for core/parallel.hh and the pool-driven
-#             benches (docs/PARALLELISM.md)
+#             parallel sweep engine tests (ctest -R Parallel) and the
+#             other tests that run parallelFor() with several workers
+#             (warm-fork snapshots, the histogram grid merge, the
+#             profiler's per-thread blocks) — the data-race check for
+#             core/parallel.hh and its callers (docs/PARALLELISM.md)
 #
 # Usage: tools/run_sanitized.sh [--tsan] [build-dir] [extra ctest args...]
 #   default build dirs: build-san / build-tsan (kept separate from the
@@ -45,7 +47,9 @@ cmake -B "$build_dir" -S "$repo_root" \
 cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 4)"
 if [ "$mode" = "tsan" ]; then
     ctest --test-dir "$build_dir" --output-on-failure -j \
-        "$(nproc 2>/dev/null || echo 4)" -R Parallel "$@"
+        "$(nproc 2>/dev/null || echo 4)" \
+        -R 'Parallel|Snapshot\.CrossSchemeWarmForkIsDeterministic|Histogram\.GridMergeIdenticalForAnyWorkerCount|Profiler\.CountsOfExitedThreadsAreKept' \
+        "$@"
     # Sweep-supervisor chaos drill without the --isolate leg: fork()
     # in an instrumented multithreaded process is outside TSan's
     # model. The fork-free legs (SIGKILL + --resume and the snapshot
