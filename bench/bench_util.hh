@@ -13,19 +13,14 @@
 #ifndef LRS_BENCH_UTIL_HH
 #define LRS_BENCH_UTIL_HH
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "common/buildinfo.hh"
 #include "common/io.hh"
@@ -174,37 +169,7 @@ class JsonReport
                 "JsonReport: LRS_BENCH_JSON points at a directory: " +
                 path);
 
-        // Unique temp name per process AND per call, so concurrent
-        // writers (two benches, two threads) never share a temp file;
-        // rename() then publishes the finished document atomically.
-        static std::atomic<unsigned> counter{0};
-        const std::string tmp =
-            path + ".tmp." + std::to_string(::getpid()) + "." +
-            std::to_string(counter.fetch_add(1));
-        // writeFully + fsync before publishing: EINTR and short
-        // writes are continued, and rename() orders the directory
-        // entry but not the data blocks, so without the fsync a
-        // crash right after the rename could leave an empty file
-        // under the final name — the journal-grade durability rule
-        // (docs/ROBUSTNESS.md) applied to reports.
-        const int fd = ::open(tmp.c_str(),
-                              O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC,
-                              0644);
-        if (fd < 0)
-            throw std::runtime_error("JsonReport: cannot open " + tmp);
-        const std::string text = doc.dump(2);
-        const bool wrote = writeFully(fd, text) && ::fsync(fd) == 0;
-        if (::close(fd) != 0 || !wrote) {
-            std::filesystem::remove(tmp, ec);
-            throw std::runtime_error("JsonReport: write failed: " +
-                                     tmp);
-        }
-        std::filesystem::rename(tmp, path, ec);
-        if (ec) {
-            std::filesystem::remove(tmp, ec);
-            throw std::runtime_error("JsonReport: cannot rename " +
-                                     tmp + " -> " + path);
-        }
+        writeFileAtomically(path, doc.dump(2), "bench.report");
         return path;
     }
 

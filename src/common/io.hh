@@ -3,13 +3,16 @@
  * Low-level POSIX I/O helpers shared by every durability path.
  *
  * Several layers append whole records to file descriptors — the
- * checkpoint journal, the progress heartbeat stream, the flight
- * recorder's dump, the isolated-cell result pipe and bench JsonReport
- * files. Each used to open-code its own write() loop; any copy that
- * forgot EINTR or short-write continuation risked silently truncated
- * records. writeFully() is the one shared discipline: it retries on
- * EINTR and continues partial writes until the buffer is fully on its
- * way or a real error stops it.
+ * checkpoint journal, the progress heartbeat stream and the
+ * isolated-cell result pipe. Each used to open-code its own write()
+ * loop; any copy that forgot EINTR or short-write continuation risked
+ * silently truncated records. writeFully() is the one shared
+ * discipline: it retries on EINTR and continues partial writes until
+ * the buffer is fully on its way or a real error stops it.
+ *
+ * Whole files that must never be seen half-written — the flight
+ * recorder's dump, machine snapshots and bench JsonReport files — are
+ * published through writeFileAtomically().
  */
 
 #ifndef LRS_COMMON_IO_HH
@@ -48,6 +51,17 @@ writeFully(int fd, std::string_view s) noexcept
 void writeFullyOrThrow(int fd, std::string_view s,
                        const std::string &component,
                        const std::string &path);
+
+/**
+ * Replace @p path with @p text atomically: write a temp file beside
+ * it (named uniquely per process and per call, so concurrent writers
+ * never share one), fsync it, then rename() it over @p path. Whatever
+ * instant the process dies, @p path holds either its previous
+ * contents or @p text, never a mix. On any failure the temp file is
+ * unlinked and IoError is thrown, attributed to @p component.
+ */
+void writeFileAtomically(const std::string &path, std::string_view text,
+                         const std::string &component);
 
 } // namespace lrs
 

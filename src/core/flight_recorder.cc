@@ -1,9 +1,6 @@
 #include "core/flight_recorder.hh"
 
-#include <fcntl.h>
 #include <unistd.h>
-
-#include <cstdio>
 
 #include "common/diag.hh"
 #include "common/io.hh"
@@ -97,29 +94,9 @@ FlightRecorder::dumpNow()
     for (std::size_t i = 0; i < ring_.size(); ++i)
         out += journalLine(eventJson(ring_.at(i)));
 
-    // Temp-write + fsync + rename: whatever instant the process is
-    // killed, the path either holds the previous complete snapshot or
-    // this one — never a half-written mix.
-    const auto ioFail = [](DiagCode code, const std::string &path,
-                           const char *what) -> IoError {
-        return IoError(makeDiag(code, "core.flight_recorder", "path",
-                                std::string(what) + ": " + path));
-    };
-
-    const std::string tmp = path_ + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC,
-                          0644);
-    if (fd < 0)
-        throw ioFail(DiagCode::IoOpenFailed, tmp, "cannot open");
-    if (!writeFully(fd, out)) {
-        ::close(fd);
-        throw ioFail(DiagCode::IoWriteFailed, tmp, "write failed");
-    }
-    if (::fsync(fd) != 0 || ::close(fd) != 0)
-        throw ioFail(DiagCode::IoWriteFailed, tmp, "sync failed");
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-        throw ioFail(DiagCode::IoWriteFailed, path_, "rename failed");
+    // Whatever instant the process is killed, the path holds either
+    // the previous complete snapshot or this one.
+    writeFileAtomically(path_, out, "core.flight_recorder");
 }
 
 void
@@ -128,7 +105,6 @@ FlightRecorder::removeDump()
     if (path_.empty())
         return;
     ::unlink(path_.c_str());
-    ::unlink((path_ + ".tmp").c_str());
 }
 
 } // namespace lrs

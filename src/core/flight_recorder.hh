@@ -13,8 +13,8 @@
  * is validated by the same reader.
  *
  * Crash-survival strategy: the recorder cannot run code at SIGKILL
- * time, so instead it *periodically* rewrites its dump file (write to
- * a temp file, fsync, rename — atomic on POSIX) every flushInterval
+ * time, so instead it *periodically* rewrites its dump file
+ * (writeFileAtomically(): temp file, fsync, rename) every flushInterval
  * recorded events, plus once when the dump path is set and once from
  * dumpNow() at clean failure classification. Whatever instant the
  * process dies, the last completed rename is a valid, CRC-checkable

@@ -116,7 +116,6 @@ parseCellStatus(const std::string &name)
 void
 classifyJobException(JobOutcome &o, const std::exception &e)
 {
-    o.failed = true;
     o.error = e.what();
     // A deadline is a distinct outcome, not a generic failure: the
     // supervisor retries it under the same budget and reports it as

@@ -105,8 +105,7 @@ struct JobOutcome
 {
     SimResult result;
     CellStatus status = CellStatus::Ok;
-    bool failed = false; ///< status is Failed/Timeout/Crashed
-    std::string error;   ///< diagnostic text when failed
+    std::string error; ///< diagnostic text when failed()
     /** DiagCode name ("E_CONFIG_INVALID", "E_AUDIT_VIOLATION",
      *  "E_DEADLINE_EXCEEDED", ...); "E_INTERNAL" for exceptions that
      *  carry no structured diagnostics. Empty while status is Ok. */
@@ -124,6 +123,15 @@ struct JobOutcome
      * cell has no result (or when runJobs() ran it).
      */
     json::Value resultJson;
+
+    /** Is status Failed, Timeout or Crashed? */
+    bool
+    failed() const
+    {
+        return status == CellStatus::Failed ||
+               status == CellStatus::Timeout ||
+               status == CellStatus::Crashed;
+    }
 };
 
 /**
@@ -165,7 +173,7 @@ void parallelFor(std::size_t n,
 /**
  * Run a (TraceParams, MachineConfig) grid through parallelFor(): each
  * job generates its trace and runs one OooCore; outcomes are indexed
- * by job id. Exceptions are captured per job (JobOutcome::failed).
+ * by job id. Exceptions are captured per job (JobOutcome::failed()).
  */
 std::vector<JobOutcome> runJobs(const std::vector<SimJob> &jobs,
                                 unsigned workers = 0);

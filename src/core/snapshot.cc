@@ -1,8 +1,5 @@
 #include "core/snapshot.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <vector>
@@ -102,22 +99,9 @@ writeSnapshot(const std::string &path, const OooCore &core,
                             state.members().size())));
     out += journalLine(end);
 
-    // Temp-write + fsync + rename (the flight recorder's discipline):
-    // a SIGKILL at any instant leaves either the previous complete
+    // A SIGKILL at any instant leaves either the previous complete
     // snapshot at @p path or none — never a torn file.
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(
-        tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0)
-        ioFail(DiagCode::IoOpenFailed, tmp, "cannot open");
-    if (!writeFully(fd, out)) {
-        ::close(fd);
-        ioFail(DiagCode::IoWriteFailed, tmp, "write failed");
-    }
-    if (::fsync(fd) != 0 || ::close(fd) != 0)
-        ioFail(DiagCode::IoWriteFailed, tmp, "sync failed");
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        ioFail(DiagCode::IoWriteFailed, path, "rename failed");
+    writeFileAtomically(path, out, "core.snapshot");
 }
 
 SnapshotImage

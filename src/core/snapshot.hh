@@ -13,7 +13,7 @@
  * bound.
  *
  * On-disk format: CRC-framed JSONL, the journal's `LRSJ1` framing
- * (common/journal.hh), written atomically (tmp + fsync + rename) so a
+ * (common/journal.hh), written by writeFileAtomically() so a
  * SIGKILL mid-write leaves either the previous complete snapshot or
  * none. Layout:
  *

@@ -33,43 +33,96 @@ throwJournalInvalid(const std::string &path, const std::string &why)
 }
 
 /**
- * Fill the table-facing summary of a result restored from its JSON
- * document (resumed or isolated cells): the fields the front end
- * prints directly — trace/config labels, cycles, uops — while the
- * full document rides along in JobOutcome::resultJson.
+ * One guarded attempt: classifies what escapes @p runner, stamps the
+ * attempt ordinal and fills the result document of an OK outcome —
+ * shared by the in-process path and the isolated child.
  */
-void
-restoreResultSummary(JobOutcome &o)
+JobOutcome
+runGuarded(const SweepSupervisor::CellRunner &runner, std::size_t cell,
+           unsigned attempt)
 {
-    const json::Value &r = o.resultJson;
-    o.result.trace = r.at("trace").asString();
-    o.result.config = r.at("config").asString();
-    o.result.cycles = r.at("cycles").asU64();
-    o.result.uops = r.at("uops").asU64();
+    JobOutcome o;
+    try {
+        o = runner(cell, attempt);
+    } catch (const std::exception &e) {
+        classifyJobException(o, e);
+    } catch (...) {
+        o.status = CellStatus::Failed;
+        o.code = diagCodeName(DiagCode::Internal);
+        o.error = "cell threw a non-std exception";
+    }
+    o.attempts = attempt;
+    if (o.status == CellStatus::Ok && o.resultJson.isNull())
+        o.resultJson = o.result.toJson();
+    return o;
+}
+
+/** Was @p o cut short by requestSweepInterrupt()? */
+bool
+wasInterrupted(const JobOutcome &o)
+{
+    return o.code == diagCodeName(DiagCode::Interrupted);
+}
+
+/** The SweepStats count that an outcome of status @p s lands in. */
+std::uint64_t &
+countOf(SweepStats &st, CellStatus s)
+{
+    switch (s) {
+      case CellStatus::Ok:      return st.ok;
+      case CellStatus::Failed:  return st.failed;
+      case CellStatus::Timeout: return st.timeout;
+      case CellStatus::Crashed: return st.crashed;
+      case CellStatus::Skipped: break;
+    }
+    return st.skipped;
 }
 
 } // namespace
 
-SweepSupervisor::SweepSupervisor(SweepOptions opts)
-    : opts_(std::move(opts))
+json::Value
+outcomeRecord(std::size_t cell, const std::string &key,
+              const JobOutcome &o)
 {
-    StatsGroup g = reg_.group("sweep");
-    g.bindCounter("cells", &stats_.cells, "grid size");
-    g.bindCounter("ok", &stats_.ok, "cells completed this run");
-    g.bindCounter("failed", &stats_.failed, "cells FAILED finally");
-    g.bindCounter("timeout", &stats_.timeout, "cells TIMEOUT finally");
-    g.bindCounter("crashed", &stats_.crashed, "cells CRASHED finally");
-    g.bindCounter("skipped", &stats_.skipped,
-                  "cells restored from the journal");
-    g.bindCounter("retries", &stats_.retries,
-                  "cell re-executions performed");
-    g.bindCounter("gave_up", &stats_.gaveUp,
-                  "cells still failed after every attempt");
-    g.bindCounter("interrupted", &stats_.interrupted,
-                  "cells not run because the sweep was interrupted");
+    json::Value rec = json::Value::object();
+    rec.set("v", 1);
+    rec.set("cell", static_cast<std::uint64_t>(cell));
+    rec.set("key", key);
+    rec.set("status", cellStatusName(o.status));
+    rec.set("attempts", static_cast<std::uint64_t>(o.attempts));
+    if (o.status == CellStatus::Ok) {
+        rec.set("result", o.resultJson);
+    } else {
+        rec.set("code", o.code);
+        rec.set("error", o.error);
+        if (o.signal)
+            rec.set("signal", o.signal);
+    }
+    return rec;
 }
 
-SweepSupervisor::~SweepSupervisor() = default;
+JobOutcome
+outcomeFromRecord(const json::Value &rec)
+{
+    JobOutcome o;
+    o.status = parseCellStatus(rec.at("status").asString());
+    o.attempts = static_cast<unsigned>(rec.at("attempts").asU64());
+    if (o.status == CellStatus::Ok) {
+        // The full document rides along in resultJson; the table
+        // reads only this summary.
+        o.resultJson = rec.at("result");
+        o.result.trace = o.resultJson.at("trace").asString();
+        o.result.config = o.resultJson.at("config").asString();
+        o.result.cycles = o.resultJson.at("cycles").asU64();
+        o.result.uops = o.resultJson.at("uops").asU64();
+    } else {
+        o.code = rec.at("code").asString();
+        o.error = rec.at("error").asString();
+        if (const json::Value *sig = rec.find("signal"))
+            o.signal = static_cast<int>(sig->asI64());
+    }
+    return o;
+}
 
 void
 SweepSupervisor::loadJournal(std::vector<JobOutcome> &outcomes,
@@ -92,12 +145,19 @@ SweepSupervisor::loadJournal(std::vector<JobOutcome> &outcomes,
                      jst.truncatedTail ? " (torn tail)" : "");
     }
     for (const json::Value &rec : recs) {
-        if (!rec.isObject() || !rec.has("cell") || !rec.has("key") ||
-            !rec.has("status")) {
+        std::uint64_t cell = 0;
+        std::string key;
+        JobOutcome o;
+        try {
+            cell = rec.at("cell").asU64();
+            key = rec.at("key").asString();
+            o = outcomeFromRecord(rec);
+        } catch (const std::exception &e) {
+            // CRC-valid but not a sweep-cell record this build wrote.
             throwJournalInvalid(opts_.journalPath,
-                                "record is not a sweep-cell record");
+                                std::string("malformed cell record: ") +
+                                    e.what());
         }
-        const std::uint64_t cell = rec.at("cell").asU64();
         if (cell >= keys.size()) {
             throwJournalInvalid(
                 opts_.journalPath,
@@ -105,7 +165,6 @@ SweepSupervisor::loadJournal(std::vector<JobOutcome> &outcomes,
                     " out of range for this grid of " +
                     std::to_string(keys.size()));
         }
-        const std::string &key = rec.at("key").asString();
         if (key != keys[cell]) {
             throwJournalInvalid(
                 opts_.journalPath,
@@ -114,32 +173,15 @@ SweepSupervisor::loadJournal(std::vector<JobOutcome> &outcomes,
                     "' in this grid");
         }
         // Later records win: a retried cell appends one record per
-        // attempt, and only its last word stands.
-        JobOutcome &o = outcomes[cell];
-        o = JobOutcome{};
-        if (parseCellStatus(rec.at("status").asString()) ==
-            CellStatus::Ok) {
-            const json::Value *res = rec.find("result");
-            if (!res) {
-                throwJournalInvalid(
-                    opts_.journalPath,
-                    "OK record for cell " + std::to_string(cell) +
-                        " carries no result");
-            }
+        // attempt, and only its last word stands. A non-OK last
+        // record leaves the default outcome: the cell runs again.
+        if (o.status == CellStatus::Ok) {
             o.status = CellStatus::Skipped;
             o.attempts = 0;
-            o.resultJson = *res;
-            try {
-                restoreResultSummary(o);
-            } catch (const std::exception &) {
-                throwJournalInvalid(
-                    opts_.journalPath,
-                    "result record for cell " + std::to_string(cell) +
-                        " is missing summary fields");
-            }
+        } else {
+            o = JobOutcome{};
         }
-        // Non-OK last records leave the default outcome in place:
-        // the cell simply runs again this time around.
+        outcomes[cell] = std::move(o);
     }
 }
 
@@ -148,48 +190,48 @@ SweepSupervisor::emitProgress()
 {
     if (opts_.progressFd < 0)
         return;
-    std::lock_guard<std::mutex> lk(progressM_);
+    std::lock_guard<std::mutex> lk(m_);
     if (progressDead_)
         return;
     const auto now = std::chrono::steady_clock::now();
     const std::uint64_t elapsedMs = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
-            now - progStart_)
+            now - start_)
             .count());
+    const SweepStats &s = stats_;
+    const std::uint64_t done = s.ok + s.failed + s.timeout + s.crashed;
     // Journal-restored (skipped) cells are not fresh work: they must
     // never count toward the rate or ETA, and their tally can never
     // exceed the grid. A disagreement here would wrap the unsigned
     // subtraction into a multi-exabyte ETA, so clamp defensively and
     // assert in debug builds.
-    assert(progSkipped_ + progDone_ <= progTotal_ &&
+    assert(s.skipped + done <= s.cells &&
            "sweep progress counters exceed the grid size");
-    const std::uint64_t accounted = progSkipped_ + progDone_;
+    const std::uint64_t accounted = s.skipped + done;
     const std::uint64_t remaining =
-        accounted < progTotal_ ? progTotal_ - accounted : 0;
+        accounted < s.cells ? s.cells - accounted : 0;
     json::Value hb = json::Value::object();
     hb.set("v", 1);
     hb.set("type", "progress");
-    hb.set("total", progTotal_);
-    hb.set("done", progDone_);
-    hb.set("ok", progOk_);
-    hb.set("failed", progFailed_);
-    hb.set("timeout", progTimeout_);
-    hb.set("crashed", progCrashed_);
-    hb.set("skipped", progSkipped_);
+    hb.set("total", s.cells);
+    hb.set("done", done);
+    hb.set("ok", s.ok);
+    hb.set("failed", s.failed);
+    hb.set("timeout", s.timeout);
+    hb.set("crashed", s.crashed);
+    hb.set("skipped", s.skipped);
     hb.set("in_flight", inFlight_.load(std::memory_order_relaxed));
-    hb.set("workers", static_cast<std::uint64_t>(progWorkers_));
+    hb.set("workers", static_cast<std::uint64_t>(workers_));
     hb.set("elapsed_ms", elapsedMs);
     // ETA from the observed fresh-cell rate; null until the first
     // cell finishes (no rate yet), 0 once nothing remains.
-    if (progDone_ == 0) {
+    if (done == 0)
         hb.set("eta_ms", json::Value());
-    } else {
-        hb.set("eta_ms",
-               remaining * elapsedMs / progDone_);
-    }
-    hb.set("uops", progUops_);
+    else
+        hb.set("eta_ms", remaining * elapsedMs / done);
+    hb.set("uops", s.uops);
     hb.set("uops_per_sec",
-           elapsedMs ? static_cast<double>(progUops_) * 1000.0 /
+           elapsedMs ? static_cast<double>(s.uops) * 1000.0 /
                            static_cast<double>(elapsedMs)
                      : 0.0);
     std::string line = hb.dump(0);
@@ -201,35 +243,9 @@ SweepSupervisor::emitProgress()
         progressDead_ = true;
 }
 
-void
-SweepSupervisor::journalOutcome(std::size_t cell,
-                                const std::string &key,
-                                const JobOutcome &o)
-{
-    json::Value rec = json::Value::object();
-    rec.set("v", 1);
-    rec.set("cell", static_cast<std::uint64_t>(cell));
-    rec.set("key", key);
-    rec.set("status", cellStatusName(o.status));
-    rec.set("attempts", static_cast<std::uint64_t>(o.attempts));
-    if (o.status == CellStatus::Ok) {
-        rec.set("result", o.resultJson);
-    } else {
-        rec.set("code", o.code);
-        rec.set("error", o.error);
-        if (o.signal)
-            rec.set("signal", o.signal);
-    }
-    // Serialise appenders: each record is one write()+fsync() and the
-    // order of records does not matter (ids key them), but the
-    // writer object itself is not concurrency-safe.
-    std::lock_guard<std::mutex> lk(journalM_);
-    writer_->append(rec);
-}
-
 JobOutcome
 SweepSupervisor::runIsolated(const CellRunner &runner, std::size_t cell,
-                             unsigned attempt)
+                             unsigned attempt, const std::string &key)
 {
     int fds[2];
     if (::pipe(fds) != 0) {
@@ -256,27 +272,9 @@ SweepSupervisor::runIsolated(const CellRunner &runner, std::size_t cell,
         // from here on (SIGSEGV, std::terminate, abort) kills only
         // this process and the parent records the cell as CRASHED.
         ::close(fds[0]);
-        JobOutcome o;
-        try {
-            o = runner(cell, attempt);
-        } catch (const std::exception &e) {
-            classifyJobException(o, e);
-        } catch (...) {
-            o.failed = true;
-            o.status = CellStatus::Failed;
-            o.code = diagCodeName(DiagCode::Internal);
-            o.error = "isolated cell threw a non-std exception";
-        }
-        if (o.status == CellStatus::Ok && o.resultJson.isNull())
-            o.resultJson = o.result.toJson();
-        json::Value doc = json::Value::object();
-        doc.set("status", cellStatusName(o.status));
-        doc.set("code", o.code);
-        doc.set("error", o.error);
-        doc.set("signal", o.signal);
-        if (o.status == CellStatus::Ok)
-            doc.set("result", o.resultJson);
-        const std::string text = doc.dump(0);
+        const std::string text =
+            outcomeRecord(cell, key, runGuarded(runner, cell, attempt))
+                .dump(0);
         if (!writeFully(fds[1], text))
             ::_exit(3); // parent records CRASHED (no result)
         ::close(fds[1]);
@@ -342,16 +340,16 @@ SweepSupervisor::runIsolated(const CellRunner &runner, std::size_t cell,
     while (::waitpid(pid, &st, 0) < 0 && errno == EINTR) {
     }
 
+    // Outcomes the parent observes itself: the child left no record.
     JobOutcome o;
+    o.attempts = attempt;
     if (interrupted) {
-        o.failed = true;
         o.status = CellStatus::Failed;
         o.code = diagCodeName(DiagCode::Interrupted);
         o.error = "isolated cell killed: sweep interrupted";
         return o;
     }
     if (timedOut) {
-        o.failed = true;
         o.status = CellStatus::Timeout;
         o.code = diagCodeName(DiagCode::DeadlineExceeded);
         o.error = "wall-clock watchdog (" +
@@ -359,11 +357,10 @@ SweepSupervisor::runIsolated(const CellRunner &runner, std::size_t cell,
                   " ms) expired; isolated cell killed";
         return o;
     }
+    o.status = CellStatus::Crashed;
+    o.code = diagCodeName(DiagCode::CellCrashed);
     if (WIFSIGNALED(st)) {
-        o.failed = true;
-        o.status = CellStatus::Crashed;
         o.signal = WTERMSIG(st);
-        o.code = diagCodeName(DiagCode::CellCrashed);
         o.error = "isolated cell killed by signal " +
                   std::to_string(o.signal);
         return o;
@@ -372,9 +369,6 @@ SweepSupervisor::runIsolated(const CellRunner &runner, std::size_t cell,
         // A sanitizer or runtime that converts a crash into a
         // nonzero exit (ASan on SIGSEGV) lands here: still CRASHED,
         // just without a signal number.
-        o.failed = true;
-        o.status = CellStatus::Crashed;
-        o.code = diagCodeName(DiagCode::CellCrashed);
         o.error =
             "isolated cell exited with status " +
             std::to_string(WIFEXITED(st) ? WEXITSTATUS(st) : -1) +
@@ -382,26 +376,13 @@ SweepSupervisor::runIsolated(const CellRunner &runner, std::size_t cell,
         return o;
     }
     try {
-        const json::Value doc = json::Value::parse(buf);
-        o.status = parseCellStatus(doc.at("status").asString());
-        o.code = doc.at("code").asString();
-        o.error = doc.at("error").asString();
-        o.signal = static_cast<int>(doc.at("signal").asU64());
-        o.failed = o.status != CellStatus::Ok;
-        if (o.status == CellStatus::Ok) {
-            o.resultJson = doc.at("result");
-            restoreResultSummary(o);
-        }
+        return outcomeFromRecord(json::Value::parse(buf));
     } catch (const std::exception &e) {
-        o = JobOutcome{};
-        o.failed = true;
-        o.status = CellStatus::Crashed;
-        o.code = diagCodeName(DiagCode::CellCrashed);
         o.error = std::string("unparsable result from isolated "
                               "cell: ") +
                   e.what();
+        return o;
     }
-    return o;
 }
 
 void
@@ -409,65 +390,42 @@ SweepSupervisor::runCell(std::size_t cell, unsigned attempt,
                          const std::string &key,
                          const CellRunner &runner, JobOutcome &out)
 {
-    if (sweepInterruptRequested()) {
-        out = JobOutcome{};
-        out.failed = true;
-        out.status = CellStatus::Failed;
-        out.code = diagCodeName(DiagCode::Interrupted);
-        out.error = "cell not started: sweep interrupted";
-        out.attempts = 0;
-        return; // deliberately not journaled: --resume re-runs it
-    }
-    inFlight_.fetch_add(1, std::memory_order_relaxed);
     JobOutcome o;
-    if (opts_.isolate) {
-        o = runIsolated(runner, cell, attempt);
+    if (sweepInterruptRequested()) {
+        o.status = CellStatus::Failed;
+        o.code = diagCodeName(DiagCode::Interrupted);
+        o.error = "cell not started: sweep interrupted";
+        o.attempts = 0;
     } else {
-        try {
-            o = runner(cell, attempt);
-        } catch (const std::exception &e) {
-            classifyJobException(o, e);
-        } catch (...) {
-            o.failed = true;
-            o.status = CellStatus::Failed;
-            o.code = diagCodeName(DiagCode::Internal);
-            o.error = "cell threw a non-std exception";
-        }
+        inFlight_.fetch_add(1, std::memory_order_relaxed);
+        o = opts_.isolate ? runIsolated(runner, cell, attempt, key)
+                          : runGuarded(runner, cell, attempt);
+        inFlight_.fetch_sub(1, std::memory_order_relaxed);
     }
-    o.attempts = attempt;
-    if (o.status == CellStatus::Ok && o.resultJson.isNull())
-        o.resultJson = o.result.toJson();
-    const bool completed =
-        o.code != diagCodeName(DiagCode::Interrupted);
-    if (opts_.progressFd >= 0 && completed) {
-        std::lock_guard<std::mutex> lk(progressM_);
-        if (attempt > 1) {
-            // This cell already counted a failed attempt; the retry
-            // outcome replaces it rather than inflating done/total.
-            --progDone_;
-            switch (out.status) {
-              case CellStatus::Failed:  --progFailed_;  break;
-              case CellStatus::Timeout: --progTimeout_; break;
-              case CellStatus::Crashed: --progCrashed_; break;
-              default: break;
-            }
-        }
-        ++progDone_;
-        switch (o.status) {
-          case CellStatus::Ok:
-            ++progOk_;
-            progUops_ += o.result.uops;
-            break;
-          case CellStatus::Failed:  ++progFailed_;  break;
-          case CellStatus::Timeout: ++progTimeout_; break;
-          case CellStatus::Crashed: ++progCrashed_; break;
-          default: break;
+    // An interrupted attempt is neither journaled nor counted:
+    // --resume re-runs the cell.
+    const bool completed = !wasInterrupted(o);
+    json::Value rec;
+    if (writer_ && completed)
+        rec = outcomeRecord(cell, key, o);
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        // A retry's outcome replaces the failed attempt before it, and
+        // an interrupted retry leaves the cell not-run.
+        if (attempt > 1)
+            --countOf(stats_, out.status);
+        if (completed) {
+            ++countOf(stats_, o.status);
+            if (o.status == CellStatus::Ok)
+                stats_.uops += o.result.uops;
+            // Each record is one write()+fsync(); their order does
+            // not matter (ids key them), but the writer is not
+            // concurrency-safe.
+            if (writer_)
+                writer_->append(rec);
         }
     }
     out = std::move(o);
-    if (writer_ && completed)
-        journalOutcome(cell, key, out);
-    inFlight_.fetch_sub(1, std::memory_order_relaxed);
     if (completed)
         emitProgress();
 }
@@ -511,23 +469,18 @@ SweepSupervisor::run(std::size_t n,
         if (outcomes[i].status != CellStatus::Skipped)
             pending.push_back(i);
 
-    if (opts_.progressFd >= 0) {
-        std::lock_guard<std::mutex> lk(progressM_);
-        progressDead_ = false;
-        progTotal_ = n;
-        progDone_ = progOk_ = progFailed_ = 0;
-        progTimeout_ = progCrashed_ = 0;
-        progSkipped_ = n - pending.size();
-        progUops_ = 0;
-        progWorkers_ =
-            opts_.workers ? opts_.workers : configuredWorkers();
-        inFlight_.store(0, std::memory_order_relaxed);
-        progStart_ = std::chrono::steady_clock::now();
-    }
+    stats_.skipped = n - pending.size();
+    progressDead_ = false;
+    workers_ = opts_.workers ? opts_.workers : configuredWorkers();
+    inFlight_.store(0, std::memory_order_relaxed);
+    start_ = std::chrono::steady_clock::now();
     emitProgress(); // initial heartbeat: grid size + resume skips
+
+    // Round 1 always runs, so cells an early interrupt keeps from
+    // starting are marked not-run rather than left default-OK.
     const unsigned totalAttempts = 1 + opts_.retries;
     for (unsigned attempt = 1; attempt <= totalAttempts; ++attempt) {
-        if (pending.empty() || sweepInterruptRequested())
+        if (pending.empty() || (attempt > 1 && sweepInterruptRequested()))
             break;
         if (attempt > 1)
             stats_.retries += pending.size();
@@ -546,39 +499,15 @@ SweepSupervisor::run(std::size_t n,
         std::vector<std::size_t> next;
         for (const std::size_t cell : pending) {
             const JobOutcome &o = outcomes[cell];
-            if (o.failed &&
-                o.code != diagCodeName(DiagCode::Interrupted))
+            if (o.failed() && !wasInterrupted(o))
                 next.push_back(cell);
         }
         pending = std::move(next);
     }
 
-    for (const JobOutcome &o : outcomes) {
-        switch (o.status) {
-          case CellStatus::Ok:
-            ++stats_.ok;
-            break;
-          case CellStatus::Skipped:
-            ++stats_.skipped;
-            break;
-          case CellStatus::Failed:
-            if (o.code == diagCodeName(DiagCode::Interrupted)) {
-                ++stats_.interrupted;
-            } else {
-                ++stats_.failed;
-                ++stats_.gaveUp;
-            }
-            break;
-          case CellStatus::Timeout:
-            ++stats_.timeout;
-            ++stats_.gaveUp;
-            break;
-          case CellStatus::Crashed:
-            ++stats_.crashed;
-            ++stats_.gaveUp;
-            break;
-        }
-    }
+    stats_.gaveUp = stats_.failed + stats_.timeout + stats_.crashed;
+    stats_.interrupted =
+        stats_.cells - stats_.ok - stats_.skipped - stats_.gaveUp;
     interrupted_ = sweepInterruptRequested() || stats_.interrupted > 0;
     return outcomes;
 }

@@ -22,8 +22,8 @@
  *  - **bounded retries**: failed/timed-out/crashed cells re-run in
  *    deterministic rounds (ascending cell id per round, up to
  *    SweepOptions::retries extra attempts) so transient faults clear
- *    and only persistent failures surface (sweep.retries /
- *    sweep.gave_up accounting);
+ *    and only persistent failures surface (SweepStats::retries /
+ *    SweepStats::gaveUp);
  *  - **subprocess isolation** (SweepOptions::isolate): each attempt
  *    forks; the child streams its outcome back over a pipe, and a
  *    SIGSEGV / std::terminate / abort() kills only that cell, which
@@ -38,9 +38,13 @@
  *    counts, ETA, aggregate uops/sec — for operators watching a long
  *    grid (docs/OBSERVABILITY.md, "Progress stream").
  *
- * Every count lands in a StatsRegistry under "sweep.*". See
- * docs/ROBUSTNESS.md ("Sweep supervisor") for the journal format and
- * the front-end exit-code contract.
+ * One record describes an outcome: outcomeRecord() encodes it for the
+ * journal, the isolated child's pipe and lrs_sim's `failures` array,
+ * and outcomeFromRecord() decodes it. One tally counts statuses:
+ * SweepStats, updated as each attempt finishes, feeds the heartbeat
+ * and lrs_sim's stderr `sweep:` line. See docs/ROBUSTNESS.md ("Sweep
+ * supervisor") for the journal format and the front-end exit-code
+ * contract.
  */
 
 #ifndef LRS_CORE_SUPERVISOR_HH
@@ -53,10 +57,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/journal.hh"
-#include "common/stats_registry.hh"
 #include "core/parallel.hh"
 
 namespace lrs
@@ -102,19 +106,41 @@ struct SweepOptions
     int progressFd = -1;
 };
 
-/** Aggregate accounting of one run(), mirrored in stats(). */
+/**
+ * Live status tally of one run(). Each attempt's outcome is counted as
+ * it finishes and a retry's outcome replaces the count of the attempt
+ * before it, so between attempts ok + failed + timeout + crashed is
+ * the number of fresh cells finished. An interrupted attempt is not
+ * counted. gaveUp and interrupted are filled when run() returns.
+ */
 struct SweepStats
 {
     std::uint64_t cells = 0;    ///< grid size
     std::uint64_t ok = 0;       ///< completed (fresh) cells
-    std::uint64_t failed = 0;   ///< final FAILED cells
-    std::uint64_t timeout = 0;  ///< final TIMEOUT cells
-    std::uint64_t crashed = 0;  ///< final CRASHED cells
+    std::uint64_t failed = 0;   ///< FAILED cells
+    std::uint64_t timeout = 0;  ///< TIMEOUT cells
+    std::uint64_t crashed = 0;  ///< CRASHED cells
     std::uint64_t skipped = 0;  ///< restored from the journal
     std::uint64_t retries = 0;  ///< re-executions performed
+    std::uint64_t uops = 0;     ///< simulated uops of the ok cells
     std::uint64_t gaveUp = 0;   ///< cells failed after all attempts
     std::uint64_t interrupted = 0; ///< cells not run (interrupt)
 };
+
+/**
+ * The journal record of @p o as cell @p cell under @p key:
+ * {"v":1,"cell","key","status","attempts"} then "result" for an OK
+ * outcome, or "code", "error" and a nonzero "signal" otherwise.
+ */
+json::Value outcomeRecord(std::size_t cell, const std::string &key,
+                          const JobOutcome &o);
+
+/**
+ * Inverse of outcomeRecord(): status, attempts and either the result
+ * document with its table summary (trace, config, cycles, uops) or
+ * code/error/signal. Throws std::exception on a malformed record.
+ */
+JobOutcome outcomeFromRecord(const json::Value &rec);
 
 class SweepSupervisor
 {
@@ -128,8 +154,8 @@ class SweepSupervisor
     using CellRunner =
         std::function<JobOutcome(std::size_t cell, unsigned attempt)>;
 
-    explicit SweepSupervisor(SweepOptions opts);
-    ~SweepSupervisor();
+    explicit SweepSupervisor(SweepOptions opts) : opts_(std::move(opts))
+    {}
 
     SweepSupervisor(const SweepSupervisor &) = delete;
     SweepSupervisor &operator=(const SweepSupervisor &) = delete;
@@ -151,29 +177,17 @@ class SweepSupervisor
     /** Did requestSweepInterrupt() cut the last run() short? */
     bool interrupted() const { return interrupted_; }
 
+    /** The status tally of the last run(). */
     const SweepStats &sweepStats() const { return stats_; }
 
-    /** "sweep.*" counters (cells/ok/failed/.../retries/gave_up). */
-    const StatsRegistry &stats() const { return reg_; }
-
   private:
-    struct Resumed
-    {
-        json::Value result;
-        unsigned attempts = 0;
-    };
-
     /** Validate + load the journal; fills skipped outcomes. */
     void loadJournal(std::vector<JobOutcome> &outcomes,
                      const std::vector<std::string> &keys);
 
-    /** Append one cell's outcome record (serialised, mutex-guarded). */
-    void journalOutcome(std::size_t cell, const std::string &key,
-                        const JobOutcome &o);
-
     /** Fork @p runner for one attempt; see file comment. */
     JobOutcome runIsolated(const CellRunner &runner, std::size_t cell,
-                           unsigned attempt);
+                           unsigned attempt, const std::string &key);
 
     /** One attempt, interrupt-aware, isolation-aware, journaled. */
     void runCell(std::size_t cell, unsigned attempt,
@@ -182,33 +196,22 @@ class SweepSupervisor
 
     /**
      * Emit one heartbeat line to opts_.progressFd (no-op when the
-     * stream is disabled or a previous write failed). Counters are
-     * snapshotted under progressM_ so concurrent cell completions
-     * produce whole, ordered lines.
+     * stream is disabled or a previous write failed). The counts are
+     * read under m_, so concurrent cell completions produce whole,
+     * ordered lines.
      */
     void emitProgress();
 
     SweepOptions opts_;
-    SweepStats stats_;
-    StatsRegistry reg_;
     std::unique_ptr<JournalWriter> writer_;
-    std::mutex journalM_;
     bool interrupted_ = false;
 
-    // --- progress stream state (active only when progressFd >= 0) ---
-    std::mutex progressM_;        ///< guards counters + fd writes
-    bool progressDead_ = false;   ///< a write failed; stop emitting
-    std::uint64_t progTotal_ = 0; ///< grid size of the current run
-    std::uint64_t progDone_ = 0;  ///< fresh cells finished so far
-    std::uint64_t progOk_ = 0;
-    std::uint64_t progFailed_ = 0;
-    std::uint64_t progTimeout_ = 0;
-    std::uint64_t progCrashed_ = 0;
-    std::uint64_t progSkipped_ = 0; ///< restored, never re-run
-    std::uint64_t progUops_ = 0;    ///< simulated uops of OK cells
-    unsigned progWorkers_ = 0;      ///< resolved worker count
+    std::mutex m_;       ///< guards stats_, journal appends, heartbeats
+    SweepStats stats_;
+    bool progressDead_ = false; ///< a heartbeat write failed; stop
+    unsigned workers_ = 0;      ///< resolved worker count
     std::atomic<std::uint64_t> inFlight_{0}; ///< cells running now
-    std::chrono::steady_clock::time_point progStart_;
+    std::chrono::steady_clock::time_point start_;
 };
 
 } // namespace lrs

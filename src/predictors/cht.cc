@@ -384,12 +384,17 @@ Cht::storageBits() const
 std::string
 Cht::name() const
 {
+    // Appended piece by piece: GCC 12 raises a false -Wrestrict on an
+    // inlined "literal" + std::string temporary at -O3.
     std::string n = chtKindName(params_.kind);
-    n += "-" + std::to_string(params_.entries);
+    n += '-';
+    n += std::to_string(params_.entries);
     if (params_.trackDistance)
         n += "+dist";
-    if (params_.pathBits > 0)
-        n += "+path" + std::to_string(params_.pathBits);
+    if (params_.pathBits > 0) {
+        n += "+path";
+        n += std::to_string(params_.pathBits);
+    }
     return n;
 }
 

@@ -168,7 +168,7 @@ dumpOutcomes(const std::vector<JobOutcome> &outcomes)
 {
     std::ostringstream os;
     for (const auto &o : outcomes) {
-        EXPECT_FALSE(o.failed) << o.error;
+        EXPECT_FALSE(o.failed()) << o.error;
         os << o.result.toJson().dump(2) << "\n";
     }
     return os.str();
@@ -201,7 +201,7 @@ TEST(Parallel, ThrowingJobFailsItsSlotOnly)
     ASSERT_EQ(outcomes.size(), jobs.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         if (i == 2) {
-            EXPECT_TRUE(outcomes[i].failed);
+            EXPECT_TRUE(outcomes[i].failed());
             // Machine-readable taxonomy, not just the what() text:
             // the supervisor's journal and the batch failure report
             // both key off this code.
@@ -211,7 +211,7 @@ TEST(Parallel, ThrowingJobFailsItsSlotOnly)
                       std::string::npos)
                 << outcomes[i].error;
         } else {
-            EXPECT_FALSE(outcomes[i].failed) << outcomes[i].error;
+            EXPECT_FALSE(outcomes[i].failed()) << outcomes[i].error;
             EXPECT_GT(outcomes[i].result.cycles, 0u);
         }
     }

@@ -469,10 +469,16 @@ INSTANTIATE_TEST_SUITE_P(
                           OrderingScheme::Perfect,
                           OrderingScheme::StoreBarrier)),
     [](const auto &info) {
-        return "w" + std::to_string(std::get<0>(info.param)) + "_i" +
-               std::to_string(std::get<1>(info.param)) + "_m" +
-               std::to_string(std::get<2>(info.param)) + "_" +
-               orderingSchemeName(std::get<3>(info.param));
+        // Appended piece by piece (GCC 12 -Wrestrict, see Cht::name).
+        std::string n = "w";
+        n += std::to_string(std::get<0>(info.param));
+        n += "_i";
+        n += std::to_string(std::get<1>(info.param));
+        n += "_m";
+        n += std::to_string(std::get<2>(info.param));
+        n += '_';
+        n += orderingSchemeName(std::get<3>(info.param));
+        return n;
     });
 
 TEST(CoreProperty, MoreResourcesNeverHurtMuch)

@@ -637,13 +637,13 @@ TEST(Snapshot, CrossSchemeWarmForkIsDeterministic)
     std::vector<std::string> serial;
     for (const auto &job : jobs) {
         const JobOutcome o = runOneSimJob(job);
-        ASSERT_FALSE(o.failed) << o.error;
+        ASSERT_FALSE(o.failed()) << o.error;
         serial.push_back(fingerprint(o.result));
     }
     const auto outcomes = runJobs(jobs, 4);
     ASSERT_EQ(outcomes.size(), serial.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        ASSERT_FALSE(outcomes[i].failed) << outcomes[i].error;
+        ASSERT_FALSE(outcomes[i].failed()) << outcomes[i].error;
         EXPECT_EQ(fingerprint(outcomes[i].result), serial[i])
             << keys[i];
     }

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,8 +125,6 @@ TEST(ParallelSupervisor, RunsEveryCellAndFillsResultJson)
     EXPECT_EQ(sup.sweepStats().ok, 8u);
     EXPECT_EQ(sup.sweepStats().gaveUp, 0u);
     EXPECT_FALSE(sup.interrupted());
-    // The accounting is also a registry ("sweep.*") for JSON export.
-    EXPECT_EQ(sup.stats().value("sweep.ok"), 8.0);
 }
 
 TEST(ParallelSupervisor, ResumeSkipsJournaledCellsWithoutRerunning)
@@ -480,6 +479,223 @@ TEST(ParallelSupervisor, InterruptedSweepResumesWhereItStopped)
     for (std::size_t i = 0; i < 6; ++i)
         EXPECT_EQ(reran[i].load(), i < 3 ? 0u : 1u) << "cell " << i;
     std::remove(path.c_str());
+}
+
+/** Write @p records as a journal at @p path through JournalWriter. */
+void
+writeJournalRecords(const std::string &path,
+                    const std::vector<json::Value> &records)
+{
+    JournalWriter w(path, /*truncate=*/true);
+    for (const json::Value &r : records)
+        w.append(r);
+}
+
+TEST(ParallelSupervisor, MalformedJournalRecordIsJournalInvalid)
+{
+    InterruptGuard guard;
+    const std::string path = tmpPath("malformed.jsonl");
+    // CRC-valid records that this build never writes: an unknown
+    // status, and a cell id that is not a number.
+    json::Value bogus = json::Value::object();
+    bogus.set("v", 1);
+    bogus.set("cell", std::uint64_t{0});
+    bogus.set("key", "cell0");
+    bogus.set("status", "BOGUS");
+    bogus.set("attempts", std::uint64_t{1});
+    json::Value named = json::Value::object();
+    named.set("v", 1);
+    named.set("cell", "zero");
+    named.set("key", "cell0");
+    named.set("status", "FAILED");
+    named.set("attempts", std::uint64_t{1});
+    named.set("code", "E_INTERNAL");
+    named.set("error", "x");
+    for (const json::Value &rec : {bogus, named}) {
+        writeJournalRecords(path, {rec});
+        SweepOptions opts;
+        opts.journalPath = path;
+        opts.resume = true;
+        opts.workers = 1;
+        SweepSupervisor sup(opts);
+        try {
+            sup.run(2, makeKeys(2), [](std::size_t cell, unsigned) {
+                return fakeCell(cell);
+            });
+            FAIL() << "malformed record accepted: " << rec.dump(0);
+        } catch (const ConfigError &e) {
+            ASSERT_FALSE(e.diags().empty());
+            EXPECT_EQ(e.diags().front().code, DiagCode::JournalInvalid)
+                << e.what();
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ParallelSupervisor, JournalLinesArePinned)
+{
+    InterruptGuard guard;
+    const std::string path = tmpPath("pinned.jsonl");
+    std::remove(path.c_str());
+    SweepOptions opts;
+    opts.journalPath = path;
+    opts.workers = 1; // serial: records land in cell order
+    const auto cell = [](std::size_t i, unsigned) {
+        JobOutcome o;
+        if (i == 0) {
+            o.result.trace = "t0";
+            o.result.config = "c";
+            o.result.cycles = 1000;
+            o.result.uops = 500;
+            o.resultJson = json::Value::object();
+            o.resultJson.set("trace", "t0");
+            o.resultJson.set("config", "c");
+            o.resultJson.set("cycles", std::uint64_t{1000});
+            o.resultJson.set("uops", std::uint64_t{500});
+        } else if (i == 1) {
+            o.status = CellStatus::Failed;
+            o.code = "E_CONFIG_INVALID";
+            o.error = "induced";
+        } else {
+            o.status = CellStatus::Crashed;
+            o.code = "E_CELL_CRASHED";
+            o.error = "killed";
+            o.signal = 9;
+        }
+        return o;
+    };
+    {
+        SweepSupervisor sup(opts);
+        sup.run(3, makeKeys(3), cell);
+    }
+    // These bytes are what earlier builds wrote; a change here breaks
+    // --resume of their journals.
+    const std::string want =
+        "LRSJ1 bbd9f8e6 {\"v\":1,\"cell\":0,\"key\":\"cell0\","
+        "\"status\":\"OK\",\"attempts\":1,\"result\":{\"trace\":"
+        "\"t0\",\"config\":\"c\",\"cycles\":1000,\"uops\":500}}\n"
+        "LRSJ1 7a699926 {\"v\":1,\"cell\":1,\"key\":\"cell1\","
+        "\"status\":\"FAILED\",\"attempts\":1,\"code\":"
+        "\"E_CONFIG_INVALID\",\"error\":\"induced\"}\n"
+        "LRSJ1 2fc79751 {\"v\":1,\"cell\":2,\"key\":\"cell2\","
+        "\"status\":\"CRASHED\",\"attempts\":1,\"code\":"
+        "\"E_CELL_CRASHED\",\"error\":\"killed\",\"signal\":9}\n";
+    std::ifstream is(path, std::ios::binary);
+    const std::string got((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_EQ(got, want);
+
+    // The pinned bytes resume: the OK cell is restored with its
+    // summary, the failed and crashed cells run again.
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << want;
+    }
+    opts.resume = true;
+    SweepSupervisor sup(opts);
+    std::vector<std::atomic<unsigned>> reran(3);
+    const auto outcomes =
+        sup.run(3, makeKeys(3), [&](std::size_t i, unsigned) {
+            reran[i].fetch_add(1);
+            return fakeCell(i);
+        });
+    EXPECT_EQ(outcomes[0].status, CellStatus::Skipped);
+    EXPECT_EQ(outcomes[0].result.cycles, 1000u);
+    EXPECT_EQ(outcomes[0].result.trace, "t0");
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(reran[i].load(), i == 0 ? 0u : 1u) << "cell " << i;
+    std::remove(path.c_str());
+}
+
+TEST(ParallelSupervisor, OutcomeRecordRoundTrips)
+{
+    JobOutcome crashed;
+    crashed.status = CellStatus::Crashed;
+    crashed.code = "E_CELL_CRASHED";
+    crashed.error = "killed";
+    crashed.signal = 11;
+    crashed.attempts = 3;
+    const JobOutcome back =
+        outcomeFromRecord(outcomeRecord(4, "k", crashed));
+    EXPECT_EQ(back.status, CellStatus::Crashed);
+    EXPECT_TRUE(back.failed());
+    EXPECT_EQ(back.code, crashed.code);
+    EXPECT_EQ(back.error, crashed.error);
+    EXPECT_EQ(back.signal, 11);
+    EXPECT_EQ(back.attempts, 3u);
+
+    JobOutcome ok = fakeCell(7);
+    ok.resultJson = ok.result.toJson();
+    const JobOutcome okBack = outcomeFromRecord(outcomeRecord(7, "k", ok));
+    EXPECT_FALSE(okBack.failed());
+    EXPECT_EQ(okBack.resultJson.dump(0), ok.resultJson.dump(0));
+    EXPECT_EQ(okBack.result.cycles, 1007u);
+    EXPECT_EQ(okBack.result.uops, 500u);
+    EXPECT_EQ(okBack.result.trace, "t7");
+}
+
+TEST(ParallelSupervisor, InterruptedRetryEndsNotRunNotFailed)
+{
+    InterruptGuard guard;
+    SweepOptions opts;
+    opts.retries = 1;
+    opts.workers = 1; // serial: the retry round runs cell 0, then 1
+    SweepSupervisor sup(opts);
+    const auto outcomes = sup.run(
+        3, makeKeys(3), [](std::size_t cell, unsigned attempt) {
+            if (cell < 2 && attempt == 1)
+                throwConfig("test", "cell", "induced failure");
+            if (cell == 0)
+                requestSweepInterrupt(); // lands before cell 1's retry
+            return fakeCell(cell);
+        });
+    EXPECT_TRUE(sup.interrupted());
+    EXPECT_EQ(outcomes[0].status, CellStatus::Ok);
+    EXPECT_EQ(outcomes[1].code, "E_INTERRUPTED");
+    const SweepStats &st = sup.sweepStats();
+    EXPECT_EQ(st.ok, 2u);
+    EXPECT_EQ(st.failed, 0u);
+    EXPECT_EQ(st.gaveUp, 0u);
+    EXPECT_EQ(st.interrupted, 1u);
+    EXPECT_EQ(st.retries, 2u);
+}
+
+TEST(ParallelSupervisor, RetriedCellsCountOnceInHeartbeats)
+{
+    InterruptGuard guard;
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    SweepOptions opts;
+    opts.retries = 2;
+    opts.workers = 2;
+    opts.progressFd = fds[1];
+    SweepSupervisor sup(opts);
+    sup.run(4, makeKeys(4), [](std::size_t cell, unsigned attempt) {
+        if (cell == 2 || (cell == 3 && attempt < 3))
+            throwConfig("test", "cell", "induced failure");
+        return fakeCell(cell);
+    });
+    close(fds[1]);
+    std::string stream;
+    char buf[4096];
+    for (ssize_t k; (k = read(fds[0], buf, sizeof buf)) > 0;)
+        stream.append(buf, static_cast<std::size_t>(k));
+    close(fds[0]);
+
+    json::Value last;
+    std::istringstream is(stream);
+    for (std::string line; std::getline(is, line);) {
+        last = json::Value::parse(line);
+        EXPECT_LE(last.at("done").asU64(), 4u) << line;
+    }
+    ASSERT_TRUE(last.isObject());
+    // Four fresh cells, however many attempts they took.
+    EXPECT_EQ(last.at("done").asU64(), 4u);
+    EXPECT_EQ(last.at("ok").asU64(), 3u);
+    EXPECT_EQ(last.at("failed").asU64(), 1u);
+    EXPECT_EQ(last.at("uops").asU64(), 1500u);
+    EXPECT_EQ(sup.sweepStats().retries, 4u); // cells 2, 3 twice each
+    EXPECT_EQ(sup.sweepStats().gaveUp, 1u);
 }
 
 TEST(SupervisorIsolate, CrashedCellIsContainedAndAttributed)

@@ -403,8 +403,8 @@ emitJson(const std::string &path, const json::Value &doc)
  * Resumed (journal-restored) cells re-emit their stored result, so
  * the table and the JSON document of an interrupted-then-resumed
  * sweep are byte-identical to an uninterrupted run — their status
- * column deliberately reads "OK", and the sweep.* accounting goes to
- * stderr instead of the report.
+ * column deliberately reads "OK", and the status counts go to the
+ * stderr `sweep:` line instead of the report.
  *
  * Returns kExitInterrupted if the sweep was cut short (partial JSON
  * still written), kExitRuntime if any cell finally failed.
@@ -520,7 +520,6 @@ runBatch(const std::string &path, unsigned jobs_flag,
                             snap_dir + "/validate_cell_" +
                                 std::to_string(cell) + ".snap")) {
                         o.status = CellStatus::Failed;
-                        o.failed = true;
                         o.code = diagCodeName(DiagCode::DataInvalid);
                         o.error = "snapshot round-trip diverged from "
                                   "the full run at checkpoint cycle " +
@@ -570,15 +569,7 @@ runBatch(const std::string &path, unsigned jobs_flag,
             t.cell("-");
             t.cell("-");
             t.cell("-");
-            json::Value f = json::Value::object();
-            f.set("cell", static_cast<std::uint64_t>(i));
-            f.set("key", keys[i]);
-            f.set("status", cellStatusName(o.status));
-            f.set("code", o.code);
-            f.set("error", o.error);
-            if (o.signal)
-                f.set("signal", o.signal);
-            f.set("attempts", static_cast<std::uint64_t>(o.attempts));
+            json::Value f = outcomeRecord(i, keys[i], o);
             if (!flight_dir.empty()) {
                 // A dump survives for any cell that got past arming
                 // the recorder — including a SIGKILLed child.
@@ -607,13 +598,9 @@ runBatch(const std::string &path, unsigned jobs_flag,
     t.print(json_path == "-" ? std::cerr : std::cout);
 
     // Fresh simulated uops this run (resumed cells did no host work).
-    std::uint64_t fresh_uops = 0;
-    for (const JobOutcome &o : outcomes) {
-        if (o.status == CellStatus::Ok)
-            fresh_uops += o.result.uops;
-    }
+    const SweepStats &ss = sup.sweepStats();
     if (profile)
-        std::fputs(prof::reportText(fresh_uops, wall).c_str(), stderr);
+        std::fputs(prof::reportText(ss.uops, wall).c_str(), stderr);
 
     if (!json_path.empty()) {
         json::Value doc = json::Value::object();
@@ -655,7 +642,7 @@ runBatch(const std::string &path, unsigned jobs_flag,
             doc.set("histograms", std::move(hj));
         }
         if (profile)
-            doc.set("profile", prof::reportJson(fresh_uops, wall));
+            doc.set("profile", prof::reportJson(ss.uops, wall));
         if (fails.size())
             doc.set("failures", std::move(fails));
         if (sup.interrupted())
@@ -663,7 +650,6 @@ runBatch(const std::string &path, unsigned jobs_flag,
         emitJson(json_path, doc);
     }
 
-    const SweepStats &ss = sup.sweepStats();
     const auto u = [](std::uint64_t v) {
         return static_cast<unsigned long long>(v);
     };
@@ -1017,6 +1003,28 @@ main(int argc, char **argv)
         if (!snapshot_path.empty() && !snapshot_after_set) {
             std::fprintf(stderr,
                          "--snapshot needs --snapshot-after N\n");
+            usage(stderr, kExitUsage, argv[0]);
+        }
+        // Sweep flags outside the sweep they configure would be
+        // silently ignored; name the first one instead.
+        if (batch_path.empty()) {
+            const char *stray = nullptr;
+            if (sweep_opts.resume) stray = "--resume";
+            else if (!sweep_opts.journalPath.empty()) stray = "--journal";
+            else if (sweep_opts.retries) stray = "--retries";
+            else if (sweep_opts.isolate) stray = "--isolate";
+            else if (sweep_opts.cellTimeoutMs) stray = "--cell-timeout-ms";
+            else if (!flight_dir.empty()) stray = "--flight-recorder";
+            else if (sweep_opts.progressFd >= 0) stray = "--progress";
+            if (stray) {
+                std::fprintf(stderr, "%s needs --batch\n", stray);
+                usage(stderr, kExitUsage, argv[0]);
+            }
+        }
+        if (sweep_opts.cellTimeoutMs && !sweep_opts.isolate) {
+            std::fprintf(stderr, "--cell-timeout-ms needs --isolate "
+                                 "(in-process cells use "
+                                 "--max-cycles)\n");
             usage(stderr, kExitUsage, argv[0]);
         }
         if (sweep_opts.resume && sweep_opts.journalPath.empty()) {
