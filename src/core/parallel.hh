@@ -14,8 +14,9 @@
  *  - every job gets a slot indexed by its submission order (job id);
  *    workers write results into their slot, never append by finish
  *    time;
- *  - jobs share nothing: each job generates (or copies) its own
- *    trace stream and constructs its own OooCore, whose
+ *  - jobs share nothing mutable: each job generates its own trace
+ *    or takes its own cursor over a shared immutable one (a VecTrace
+ *    copy), and constructs its own OooCore, whose
  *    StatsRegistry / fault / trace accounting are per-instance;
  *  - aggregation (means, speedups, JSON rows) happens after the
  *    barrier, in job-id order — the same floating-point evaluation

@@ -79,19 +79,19 @@ allSchemes()
 }
 
 std::vector<SimResult>
-runAllSchemes(VecTrace &trace, MachineConfig cfg)
+runAllSchemes(const VecTrace &trace, MachineConfig cfg)
 {
     const auto &schemes = allSchemes();
     std::vector<SimResult> out(schemes.size());
     // One job per scheme; each job runs an independent machine over a
-    // private cursor on the same uops, and writes its slot, so the
-    // vector is identical to the serial loop no matter how many
-    // workers ran it (or whether this call was itself a parallelFor()
-    // job, in which case it runs inline).
+    // private cursor on the shared uops (a VecTrace copy), and writes
+    // its slot, so the vector is identical to the serial loop no
+    // matter how many workers ran it (or whether this call was itself
+    // a parallelFor() job, in which case it runs inline).
     parallelFor(schemes.size(), [&](std::size_t i) {
         MachineConfig c = cfg;
         c.scheme = schemes[i];
-        VecTrace local(trace.name(), trace.uops());
+        VecTrace local = trace;
         out[i] = runSim(local, c);
     });
     return out;

@@ -31,7 +31,7 @@ SimResult runSim(const TraceParams &params, const MachineConfig &cfg);
  * LRS_JOBS); the returned vector is bit-identical to a serial loop
  * regardless of worker count — see docs/PARALLELISM.md.
  */
-std::vector<SimResult> runAllSchemes(VecTrace &trace,
+std::vector<SimResult> runAllSchemes(const VecTrace &trace,
                                      MachineConfig cfg);
 
 /** The scheme order used by runAllSchemes(). */

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,35 +74,40 @@ class TraceStream
 
 /**
  * A trace fully materialised in memory.
+ *
+ * The uops are immutable and shared: copying a VecTrace makes a new
+ * cursor over the same storage, so several machines can run one trace
+ * concurrently (runAllSchemes()) while it exists once in memory.
  */
 class VecTrace : public TraceStream
 {
   public:
     VecTrace(std::string name, std::vector<Uop> uops)
-        : name_(std::move(name)), uops_(std::move(uops))
+        : name_(std::move(name)),
+          uops_(std::make_shared<const std::vector<Uop>>(std::move(uops)))
     {
     }
 
     const Uop *
     next() override
     {
-        if (pos_ >= uops_.size())
+        if (pos_ >= uops_->size())
             return nullptr;
-        return &uops_[pos_++];
+        return &(*uops_)[pos_++];
     }
 
     void reset() override { pos_ = 0; }
     const std::string &name() const override { return name_; }
-    std::size_t size() const override { return uops_.size(); }
+    std::size_t size() const override { return uops_->size(); }
 
     void
     seek(std::size_t n) override
     {
-        pos_ = n < uops_.size() ? n : uops_.size();
+        pos_ = n < uops_->size() ? n : uops_->size();
     }
 
     /** Direct access for analyses that want random access. */
-    const std::vector<Uop> &uops() const { return uops_; }
+    const std::vector<Uop> &uops() const { return *uops_; }
 
     /** Stamp the source-content identity (external readers only). */
     void
@@ -116,7 +122,7 @@ class VecTrace : public TraceStream
 
   private:
     std::string name_;
-    std::vector<Uop> uops_;
+    std::shared_ptr<const std::vector<Uop>> uops_;
     std::size_t pos_ = 0;
     std::uint64_t contentBytes_ = 0;
     std::uint32_t contentCrc_ = 0;

@@ -86,11 +86,12 @@ const char *uopClassName(UopClass cls);
 struct Uop
 {
     Addr pc = 0;
+    // addr follows pc so the six one-byte fields share one 8-byte tail.
+    Addr addr = kAddrInvalid; ///< effective address (Load / StoreAddr)
     UopClass cls = UopClass::IntAlu;
     std::int8_t src1 = -1;  ///< first register source, -1 if none
     std::int8_t src2 = -1;  ///< second register source, -1 if none
     std::int8_t dst = -1;   ///< destination register, -1 if none
-    Addr addr = kAddrInvalid; ///< effective address (Load / StoreAddr)
     std::uint8_t memSize = 0; ///< access size in bytes (Load / StoreAddr)
     bool taken = false;       ///< branch outcome (Branch only)
 
@@ -103,6 +104,8 @@ struct Uop
     /** Debug rendering, e.g. "LD r3 <- [0x10000040] @pc=0x401000". */
     std::string toString() const;
 };
+
+static_assert(sizeof(Uop) == 24, "a trace holds 24 bytes per uop");
 
 } // namespace lrs
 

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "core/analysis.hh"
 #include "core/runner.hh"
 
@@ -45,6 +49,40 @@ TEST(Integration, AllUopsRetireUnderEveryScheme)
         EXPECT_EQ(r.uops, kLen) << r.config;
         EXPECT_EQ(r.classifiedLoads(), r.loads) << r.config;
     }
+}
+
+TEST(SharedTrace, RunAllSchemesMatchesPerSchemeRunsAtAnyWorkerCount)
+{
+    // Every scheme's machine reads the one stored trace through its
+    // own cursor; at 1 or 4 workers each result must equal a run over
+    // an independently generated trace, byte for byte.
+    const auto tp = TraceLibrary::byName("wd", 20000);
+    const auto trace = TraceLibrary::make(tp);
+    const auto states = [](const std::vector<SimResult> &rs) {
+        std::vector<std::string> out;
+        for (const auto &r : rs)
+            out.push_back(r.saveState().dump(0));
+        return out;
+    };
+    std::vector<std::string> alone;
+    for (const OrderingScheme s : allSchemes()) {
+        MachineConfig c = base();
+        c.scheme = s;
+        alone.push_back(runSim(tp, c).saveState().dump(0));
+    }
+    const char *prior = std::getenv("LRS_JOBS");
+    const std::string saved = prior ? prior : "";
+    for (const char *jobs : {"1", "4"}) {
+        setenv("LRS_JOBS", jobs, 1);
+        EXPECT_EQ(states(runAllSchemes(*trace, base())), alone)
+            << "LRS_JOBS=" << jobs;
+    }
+    if (prior)
+        setenv("LRS_JOBS", saved.c_str(), 1);
+    else
+        unsetenv("LRS_JOBS");
+    // The caller's own cursor is untouched.
+    EXPECT_EQ(trace->next(), &trace->uops()[0]);
 }
 
 TEST(Integration, SchemeOrderingMatchesPaper)

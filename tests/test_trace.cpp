@@ -228,6 +228,34 @@ TEST(VecTrace, IterationAndReset)
     EXPECT_EQ(t.next()->pc, 1u);
 }
 
+TEST(SharedTrace, CopySharesTheUops)
+{
+    const auto t = makeWd(1000);
+    const VecTrace copy = *t;
+    EXPECT_EQ(copy.uops().data(), t->uops().data());
+    EXPECT_EQ(copy.size(), t->size());
+    EXPECT_EQ(copy.name(), t->name());
+}
+
+TEST(SharedTrace, EachCopyKeepsItsOwnCursor)
+{
+    const auto t = makeWd(1000);
+    const auto &u = t->uops();
+    VecTrace a = *t;
+    VecTrace b = a;
+    EXPECT_EQ(a.next(), &u[0]);
+    EXPECT_EQ(a.next(), &u[1]);
+    EXPECT_EQ(b.next(), &u[0]);
+    b.seek(500);
+    EXPECT_EQ(a.next(), &u[2]);
+    EXPECT_EQ(b.next(), &u[500]);
+    a.reset();
+    EXPECT_EQ(a.next(), &u[0]);
+    EXPECT_EQ(b.next(), &u[501]);
+    // The original's cursor never moved.
+    EXPECT_EQ(t->next(), &u[0]);
+}
+
 TEST(TraceLibrary, CatalogMatchesPaperCounts)
 {
     // Section 3: SpecInt95 8, SpecFP95 10, SysmarkNT 8, Sysmark95 8,

@@ -10,7 +10,8 @@
 #             parallel sweep engine tests (ctest -R Parallel) and the
 #             other tests that run parallelFor() with several workers
 #             (warm-fork snapshots, the histogram grid merge, the
-#             profiler's per-thread blocks) — the data-race check for
+#             profiler's per-thread blocks, runAllSchemes' machines
+#             reading one shared trace) — the data-race check for
 #             core/parallel.hh and its callers (docs/PARALLELISM.md)
 #
 # Usage: tools/run_sanitized.sh [--tsan] [build-dir] [extra ctest args...]
@@ -48,7 +49,7 @@ cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 4)"
 if [ "$mode" = "tsan" ]; then
     ctest --test-dir "$build_dir" --output-on-failure -j \
         "$(nproc 2>/dev/null || echo 4)" \
-        -R 'Parallel|Snapshot\.CrossSchemeWarmForkIsDeterministic|Histogram\.GridMergeIdenticalForAnyWorkerCount|Profiler\.CountsOfExitedThreadsAreKept' \
+        -R 'Parallel|Snapshot\.CrossSchemeWarmForkIsDeterministic|Histogram\.GridMergeIdenticalForAnyWorkerCount|Profiler\.CountsOfExitedThreadsAreKept|SharedTrace' \
         "$@"
     # Sweep-supervisor chaos drill without the --isolate leg: fork()
     # in an instrumented multithreaded process is outside TSan's
