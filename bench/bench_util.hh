@@ -92,9 +92,8 @@ printHeader(const std::string &title, const std::string &paper_note)
  *
  * to $LRS_BENCH_JSON if set, else ./bench_results.json. The row flow
  * mirrors TextTable (beginRow() then value() per column), so a bench
- * fills both side by side; addRow() appends a complete row in one
- * call. tools/bench_to_json.sh aggregates the per-bench files into
- * the repo-level BENCH_<pr>.json trajectory.
+ * fills both side by side. tools/bench_to_json.sh aggregates the
+ * per-bench files into the repo-level BENCH_<pr>.json trajectory.
  *
  * Thread-safety: every member locks an internal mutex, so pool
  * workers may append rows concurrently — though for deterministic
@@ -133,15 +132,6 @@ class JsonReport
             open_ = true;
         }
         cur_.set(key, json::Value(v));
-    }
-
-    /** Append a complete row (e.g. one job's SimResult::toJson()). */
-    void
-    addRow(json::Value row)
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        flushRow();
-        rows_.push(std::move(row));
     }
 
     /** Write the report atomically; returns the path written. */

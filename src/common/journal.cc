@@ -76,6 +76,17 @@ journalLine(const json::Value &record)
     return line;
 }
 
+bool
+startsWithJournalMagic(const std::string &path)
+{
+    char head[kMagicLen + 1] = {};
+    std::ifstream is(path, std::ios::binary);
+    is.read(head, sizeof(head));
+    return is.gcount() == static_cast<std::streamsize>(sizeof(head)) &&
+           std::memcmp(head, kMagic, kMagicLen) == 0 &&
+           head[kMagicLen] == ' ';
+}
+
 JournalWriter::JournalWriter(std::string path, bool truncate)
     : path_(std::move(path))
 {

@@ -95,6 +95,13 @@ class JournalWriter
 std::vector<json::Value> readJournal(const std::string &path,
                                      JournalReadStats *stats = nullptr);
 
+/**
+ * True when the file at @p path opens with the "LRSJ1 " line magic,
+ * whatever the state of its records. Never throws (unreadable file ->
+ * false).
+ */
+bool startsWithJournalMagic(const std::string &path);
+
 /** Frame one record line exactly as JournalWriter::append() writes it
  *  (exposed for tests and external tooling). Includes the newline. */
 std::string journalLine(const json::Value &record);

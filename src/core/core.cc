@@ -256,7 +256,7 @@ OooCore::registerStats()
 }
 
 SimResult
-OooCore::run(TraceStream &trace)
+OooCore::run(VecTrace &trace)
 {
     beginRun(trace);
     advanceTo(trace);
@@ -264,7 +264,7 @@ OooCore::run(TraceStream &trace)
 }
 
 void
-OooCore::beginRun(TraceStream &trace)
+OooCore::beginRun(VecTrace &trace)
 {
     res_ = SimResult{};
     res_.trace = trace.name();
@@ -309,7 +309,7 @@ OooCore::resetHistograms()
 }
 
 bool
-OooCore::advanceTo(TraceStream &trace, Cycle stop_at)
+OooCore::advanceTo(VecTrace &trace, Cycle stop_at)
 {
     const bool skip_ahead = cycleSkipAhead();
     // Hand the work counters to the profiler on every way out, and
@@ -533,7 +533,7 @@ OooCore::saveState() const
 }
 
 void
-OooCore::loadState(const json::Value &state, TraceStream &trace)
+OooCore::loadState(const json::Value &state, VecTrace &trace)
 {
     stateio::load(*this, state);
 
@@ -1677,7 +1677,7 @@ OooCore::issueMemUop(int slot, IssuePorts &mp)
 }
 
 void
-OooCore::renameStage(TraceStream &trace)
+OooCore::renameStage(VecTrace &trace)
 {
     if (traceDone_ || branchPending_ || now_ < fetchBlockedUntil_)
         return;

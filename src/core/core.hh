@@ -111,11 +111,11 @@ class OooCore
     ~OooCore();
 
     /** Simulate @p trace to completion and return the statistics. */
-    SimResult run(TraceStream &trace);
+    SimResult run(VecTrace &trace);
 
     // --- stepped execution (machine snapshots, core/snapshot.hh) ---
     /** Reset the machine and bind a fresh run to @p trace (cycle 0). */
-    void beginRun(TraceStream &trace);
+    void beginRun(VecTrace &trace);
 
     /**
      * Advance until the machine drains or now() reaches @p stop_at,
@@ -125,7 +125,7 @@ class OooCore
      * cycle stop_at — the property the snapshot bit-identity contract
      * rests on. Returns true when the run completed (machine drained).
      */
-    bool advanceTo(TraceStream &trace, Cycle stop_at = kCycleNever);
+    bool advanceTo(VecTrace &trace, Cycle stop_at = kCycleNever);
 
     /** Close out a drained run and return the statistics. */
     SimResult finishRun();
@@ -145,7 +145,7 @@ class OooCore
      * ConfigError(E_JOURNAL_INVALID).
      */
     json::Value saveState() const;
-    void loadState(const json::Value &state, TraceStream &trace);
+    void loadState(const json::Value &state, VecTrace &trace);
 
     /**
      * The whole snapshot state in on-disk order, for either direction
@@ -262,7 +262,7 @@ class OooCore
     void resolvePendingCollisions();
     void retireStage();
     void issueStage();
-    void renameStage(TraceStream &trace);
+    void renameStage(VecTrace &trace);
 
     // --- observability ---
     /** Register every component's stats (constructor-time, once). */

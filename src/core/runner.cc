@@ -54,7 +54,7 @@ cycleSkipAhead() noexcept
 }
 
 SimResult
-runSim(TraceStream &trace, const MachineConfig &cfg)
+runSim(VecTrace &trace, const MachineConfig &cfg)
 {
     OooCore core(cfg);
     return core.run(trace);

@@ -19,7 +19,7 @@ namespace lrs
 {
 
 /** Run @p trace through a machine configured as @p cfg. */
-SimResult runSim(TraceStream &trace, const MachineConfig &cfg);
+SimResult runSim(VecTrace &trace, const MachineConfig &cfg);
 
 /** Generate the trace for @p params and run it. */
 SimResult runSim(const TraceParams &params, const MachineConfig &cfg);

@@ -62,7 +62,7 @@ fieldString(const json::Value &rec, const char *key,
 
 void
 writeSnapshot(const std::string &path, const OooCore &core,
-              const TraceStream &trace, Cycle target)
+              const VecTrace &trace, Cycle target)
 {
     const json::Value state = core.saveState();
 
@@ -170,7 +170,7 @@ readSnapshot(const std::string &path)
 
 void
 restoreSnapshot(const SnapshotImage &img, OooCore &core,
-                TraceStream &trace)
+                VecTrace &trace)
 {
     // Trace identity is checked; config identity deliberately is NOT:
     // the warm-fork protocol restores a base-config checkpoint into
@@ -196,14 +196,14 @@ restoreSnapshot(const SnapshotImage &img, OooCore &core,
 
 void
 loadSnapshotInto(const std::string &path, OooCore &core,
-                 TraceStream &trace)
+                 VecTrace &trace)
 {
     restoreSnapshot(readSnapshot(path), core, trace);
 }
 
 bool
 snapshotRoundTripIdentical(const MachineConfig &cfg,
-                           const FaultConfig &faults, TraceStream &trace,
+                           const FaultConfig &faults, VecTrace &trace,
                            Cycle stop, const std::string &path)
 {
     // Each run gets its own core and a fresh injector under the same

@@ -62,7 +62,7 @@ namespace lrs
 {
 
 class OooCore;
-class TraceStream;
+class VecTrace;
 struct BatchGrid;
 struct FaultConfig;
 struct MachineConfig;
@@ -104,7 +104,7 @@ struct SnapshotImage
  * Throws IoError on any write failure.
  */
 void writeSnapshot(const std::string &path, const OooCore &core,
-                   const TraceStream &trace, Cycle target);
+                   const VecTrace &trace, Cycle target);
 
 /**
  * Strictly parse the snapshot at @p path. Throws IoError if the file
@@ -121,11 +121,11 @@ SnapshotImage readSnapshot(const std::string &path);
  * finishRun().
  */
 void restoreSnapshot(const SnapshotImage &img, OooCore &core,
-                     TraceStream &trace);
+                     VecTrace &trace);
 
 /** readSnapshot() + restoreSnapshot() in one step. */
 void loadSnapshotInto(const std::string &path, OooCore &core,
-                      TraceStream &trace);
+                      VecTrace &trace);
 
 /**
  * The `--validate-snapshot` check: run @p cfg on @p trace once
@@ -137,7 +137,7 @@ void loadSnapshotInto(const std::string &path, OooCore &core,
  */
 bool snapshotRoundTripIdentical(const MachineConfig &cfg,
                                 const FaultConfig &faults,
-                                TraceStream &trace, Cycle stop,
+                                VecTrace &trace, Cycle stop,
                                 const std::string &path);
 
 /** Canonical checkpoint path of one trace's warmup in @p dir. */

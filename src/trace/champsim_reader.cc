@@ -1,11 +1,11 @@
 #include "trace/champsim_reader.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <istream>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -17,9 +17,6 @@ namespace lrs
 
 namespace
 {
-
-/** Streaming window size: refilled whenever fewer bytes remain. */
-constexpr std::size_t kWindowBytes = 64 * 1024;
 
 /** ChampSim register numbers with reserved meanings (Pin encoding). */
 constexpr std::uint8_t kCsRegInvalid = 0;
@@ -65,9 +62,14 @@ mapReg(std::uint8_t r)
     return static_cast<std::int8_t>(idx);
 }
 
-/** Why champSimRecordPlausible() rejects the window at @p p. */
+/**
+ * Why the 64-byte window at @p p is not a record, or nullptr when it
+ * is plausible. The field bounds hold for every record a real tracer
+ * emits, and a random/corrupt window fails them with probability
+ * ~1 - 2^-14 — strict validation and resync heuristic in one.
+ */
 const char *
-describeBadRecord(const std::uint8_t *p)
+recordFault(const std::uint8_t *p)
 {
     if (load<std::uint64_t>(p) == 0)
         return "instruction pointer is zero";
@@ -77,7 +79,14 @@ describeBadRecord(const std::uint8_t *p)
         return "branch_taken is not 0/1";
     if (p[9] == 1 && p[8] == 0)
         return "branch_taken set on a non-branch";
-    return "memory operand is the reserved all-ones address";
+    // The all-ones address is our internal "invalid" sentinel
+    // (kAddrInvalid); a record carrying it could confuse the core's
+    // address-known logic, and no real trace addresses live there.
+    for (std::size_t off = 16; off < kChampSimRecordBytes; off += 8) {
+        if (load<std::uint64_t>(p + off) == kAddrInvalid)
+            return "memory operand is the reserved all-ones address";
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -85,23 +94,7 @@ describeBadRecord(const std::uint8_t *p)
 bool
 champSimRecordPlausible(const std::uint8_t *p)
 {
-    // Field bounds that hold for every record a real tracer emits and
-    // that a random/corrupt 64-byte window fails with probability
-    // ~1 - 2^-14 — strict validation and resync heuristic in one.
-    if (load<std::uint64_t>(p) == 0)
-        return false;
-    if (p[8] > 1 || p[9] > 1)
-        return false;
-    if (p[9] == 1 && p[8] == 0)
-        return false;
-    // The all-ones address is our internal "invalid" sentinel
-    // (kAddrInvalid); a record carrying it could confuse the core's
-    // address-known logic, and no real trace addresses live there.
-    for (std::size_t off = 16; off < kChampSimRecordBytes; off += 8) {
-        if (load<std::uint64_t>(p + off) == kAddrInvalid)
-            return false;
-    }
-    return true;
+    return recordFault(p) == nullptr;
 }
 
 bool
@@ -222,140 +215,56 @@ readChampSimTrace(std::istream &is, const std::string &name,
 
     std::vector<Uop> uops;
     std::unordered_set<std::uint64_t> pages;
-    std::vector<std::uint8_t> buf;
-    buf.reserve(kWindowBytes + kChampSimRecordBytes);
-    std::size_t off = 0;   // decode cursor into buf
-    bool eof = false;
-    bool sliding = false;  // recovery lost the framing; hunting
-    std::uint64_t record_idx = 0; // records attempted (for messages)
 
-    // Refill the window, enforcing the source-size cap and folding
-    // every fetched byte into the identity CRC. The window is the only
-    // input-side allocation: a multi-GB source never lives in memory.
-    const auto refill = [&]() {
-        if (off > 0) {
-            buf.erase(buf.begin(),
-                      buf.begin() + static_cast<std::ptrdiff_t>(off));
-            off = 0;
-        }
-        char tmp[16384];
-        while (!eof && buf.size() < kWindowBytes) {
-            is.read(tmp, sizeof(tmp));
-            const std::size_t n = static_cast<std::size_t>(is.gcount());
-            if (n > 0) {
-                in.bytes += n;
-                if (in.bytes > opts.maxFileBytes) {
-                    throwTrace(
-                        DiagCode::TraceLimitExceeded, "max_file_bytes",
-                        "trace source exceeds the " +
-                            std::to_string(opts.maxFileBytes) +
-                            "-byte cap — raise --max-file-bytes if "
-                            "this is intentional");
-                }
-                in.crc = crc32(tmp, n, in.crc);
-                buf.insert(buf.end(), tmp, tmp + n);
+    RecordFormat fmt;
+    fmt.component = "trace.champsim";
+    fmt.recordBytes = kChampSimRecordBytes;
+    fmt.fault = recordFault;
+    fmt.decode = [&](const std::uint8_t *p) {
+        const std::size_t before = uops.size();
+        decodeRecord(p, uops);
+        for (std::size_t i = before; i < uops.size(); ++i) {
+            if (!uops[i].isMem())
+                continue;
+            pages.insert(uops[i].addr >> 12);
+            if (pages.size() > opts.maxPages) {
+                throwTrace(DiagCode::TraceLimitExceeded, "max_pages",
+                           "trace touches more than " +
+                               std::to_string(opts.maxPages) +
+                               " distinct 4KiB pages — raise "
+                               "--max-pages if this is intentional");
             }
-            if (!is)
-                eof = true;
         }
     };
-
-    const auto touchPage = [&](Addr a) {
-        pages.insert(a >> 12);
-        if (pages.size() > opts.maxPages) {
-            throwTrace(DiagCode::TraceLimitExceeded, "max_pages",
-                       "trace touches more than " +
-                           std::to_string(opts.maxPages) +
-                           " distinct 4KiB pages — raise --max-pages "
-                           "if this is intentional");
-        }
+    fmt.tornTail = [](std::uint64_t tail, std::uint64_t records) {
+        return makeDiag(DiagCode::TraceTruncated, "trace.champsim",
+                        "tail",
+                        "stream ends mid-record: " +
+                            std::to_string(tail) +
+                            " trailing bytes after " +
+                            std::to_string(records) +
+                            " records (torn download?)");
     };
-
-    while (true) {
-        if (buf.size() - off < kChampSimRecordBytes)
-            refill();
-        const std::size_t avail = buf.size() - off;
-        if (avail < kChampSimRecordBytes)
-            break; // end of stream; avail bytes are the tail
-        if (opts.maxInstructions != 0 &&
-            in.instructions >= opts.maxInstructions) {
-            // Instruction cap reached: deliberate truncation, like
-            // --len on a synthetic trace. Not an error and not a torn
-            // tail — stop cleanly.
-            off = buf.size();
-            break;
+    // Enforce the source-size cap and fold every fetched byte into the
+    // identity CRC.
+    fmt.fetched = [&](const char *bytes, std::size_t n) {
+        in.bytes += n;
+        if (in.bytes > opts.maxFileBytes) {
+            throwTrace(DiagCode::TraceLimitExceeded, "max_file_bytes",
+                       "trace source exceeds the " +
+                           std::to_string(opts.maxFileBytes) +
+                           "-byte cap — raise --max-file-bytes if "
+                           "this is intentional");
         }
-        const std::uint8_t *p = buf.data() + off;
-        if (champSimRecordPlausible(p)) {
-            const std::size_t before = uops.size();
-            decodeRecord(p, uops);
-            for (std::size_t i = before; i < uops.size(); ++i) {
-                if (uops[i].isMem())
-                    touchPage(uops[i].addr);
-            }
-            ++in.instructions;
-            ++st.recordsRead;
-            ++record_idx;
-            off += kChampSimRecordBytes;
-            sliding = false;
-            continue;
-        }
-        if (sliding) {
-            ++off;
-            ++st.resyncBytes;
-            continue;
-        }
-        if (!opts.read.recover) {
-            const std::uint64_t byte_off =
-                in.bytes - buf.size() + off;
-            throwTrace(DiagCode::TraceBadRecord,
-                       "record " + std::to_string(record_idx),
-                       std::string(describeBadRecord(p)) +
-                           " (byte offset " +
-                           std::to_string(byte_off) + ")");
-        }
-        ++st.skippedRecords;
-        ++record_idx;
-        if (st.skippedRecords > opts.read.badRecordBudget) {
-            throwTrace(
-                DiagCode::TraceBudgetExceeded, "bad_record_budget",
-                "skipped " + std::to_string(st.skippedRecords) +
-                    " malformed records, budget allows " +
-                    std::to_string(opts.read.badRecordBudget) +
-                    " — the trace is damaged beyond graceful "
-                    "degradation");
-        }
-        // Prefer preserved framing: bytes corrupted in place leave
-        // the next record boundary parseable.
-        if (avail >= 2 * kChampSimRecordBytes &&
-            champSimRecordPlausible(p + kChampSimRecordBytes)) {
-            off += kChampSimRecordBytes;
-            continue;
-        }
-        if (avail < 2 * kChampSimRecordBytes) {
-            // Nothing after this window: consume it; any leftover
-            // becomes the torn tail below.
-            off += kChampSimRecordBytes;
-            continue;
-        }
-        // Framing lost (bytes inserted/removed): hunt byte-by-byte.
-        sliding = true;
-        ++off;
-        ++st.resyncBytes;
-    }
-
-    const std::size_t tail = buf.size() - off;
-    if (tail > 0) {
-        if (!opts.read.recover) {
-            throwTrace(DiagCode::TraceTruncated, "tail",
-                       "stream ends mid-record: " +
-                           std::to_string(tail) +
-                           " trailing bytes after " +
-                           std::to_string(in.instructions) +
-                           " records (torn download?)");
-        }
-        st.truncatedTailBytes += tail;
-    }
+        in.crc = crc32(bytes, n, in.crc);
+    };
+    // The instruction cap truncates like --len on a synthetic trace.
+    in.instructions = scanRecords(
+        is, fmt, opts.read,
+        opts.maxInstructions != 0
+            ? opts.maxInstructions
+            : std::numeric_limits<std::uint64_t>::max(),
+        st);
 
     if (uops.empty()) {
         if (in.bytes < kChampSimRecordBytes) {

@@ -23,19 +23,12 @@
  *  - plausibility validation of each record before decode (the same
  *    bounds double as the recovery resync heuristic — a random
  *    64-byte window passes with probability ~2^-14);
- *  - strict mode throws a classified TraceError (E_TRACE_*) at the
- *    first malformed record, naming its record index and byte offset;
- *  - recovery mode (TraceReadOptions::recover) skips damaged records,
- *    re-locks framing by sliding a byte at a time, and enforces the
- *    bad-record budget so a mostly-garbage file still fails loudly;
+ *  - the strict/recovery policy, bad-record budget and bounded-memory
+ *    window of scanRecords() (trace/serialize.hh), shared with the
+ *    LRSTRC reader;
  *  - hard resource caps: maximum file bytes and maximum distinct
  *    4 KiB pages touched (E_TRACE_LIMIT_EXCEEDED when exceeded), plus
- *    a maximum instruction count that truncates like `--len`;
- *  - bounded memory: the stream is decoded through a fixed-size
- *    window, never slurped, so `-` (stdin) works and a multi-GB file
- *    cannot balloon the resident set beyond the decoded uops;
- *  - a torn tail (file ends mid-record) is an error in strict mode
- *    and accounted tolerance in recovery mode.
+ *    a maximum instruction count that truncates like `--len`.
  *
  * Decode mapping (see docs/TRACES.md): every uop of an instruction
  * carries pc = ip (instruction-granularity predictor indexing, as on

@@ -1,6 +1,7 @@
 /**
  * @file
- * Binary trace serialisation.
+ * Binary trace serialisation, and the record loop both trace readers
+ * share.
  *
  * Lets users persist generated traces (for exact cross-machine
  * reproduction) or import uop streams produced by external tools
@@ -8,23 +9,31 @@
  * generator. The format is a fixed little-endian record stream with a
  * magic/version header; see writeTrace() for the layout.
  *
- * Two reading disciplines:
- *  - strict (default): the first malformed byte aborts the read with
- *    a TraceError. Right for traces the simulator itself wrote.
- *  - recovery (TraceReadOptions::recover): malformed records are
- *    skipped and the reader re-synchronises on the fixed record
- *    framing (sliding a byte at a time when the framing itself is
- *    damaged), so a mostly-good trace from an external producer still
- *    simulates. Every drop is accounted in TraceReadStats ("trace.*"
- *    in the stats registry), and a configurable bad-record budget
- *    turns "mostly good" into a hard failure when exceeded —
+ * scanRecords() reads the records of this format and of ChampSim
+ * traces (trace/champsim_reader.hh) under one policy:
+ *  - strict (default): the first malformed record (named by index and
+ *    byte offset), or a stream that ends part-way into a record,
+ *    aborts the read with a TraceError. Right for traces the
+ *    simulator itself wrote.
+ *  - recovery (TraceReadOptions::recover): a malformed record is
+ *    skipped. The framing is kept if the next record parses (bytes
+ *    damaged in place); otherwise the scan slides one byte at a time
+ *    until a window parses (bytes inserted or removed). A partial
+ *    record at end of stream is dropped. Every drop is accounted in
+ *    TraceReadStats ("trace.*" in the stats registry), and the
+ *    bad-record budget turns "mostly good" into a hard failure —
  *    degradation is graceful but never silent.
+ *
+ * The source is read through a fixed-size window, never slurped, so
+ * `-` (stdin) works and a multi-GB file costs only its decoded uops.
  */
 
 #ifndef LRS_TRACE_SERIALIZE_HH
 #define LRS_TRACE_SERIALIZE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -36,9 +45,6 @@
 
 namespace lrs
 {
-
-/** Serialized size of one uop record, in bytes. */
-constexpr std::size_t kTraceRecordBytes = 22;
 
 /** Policy for tolerant trace reading. */
 struct TraceReadOptions
@@ -75,6 +81,56 @@ struct TraceReadStats
     void registerStats(StatsGroup g);
 };
 
+/** One fixed-size record format, as scanRecords() sees it. */
+struct RecordFormat
+{
+    std::string component;         ///< Diag component of scan errors
+    std::size_t recordBytes = 0;   ///< bytes per record
+    std::uint64_t firstOffset = 0; ///< source offset of record 0
+    /**
+     * Why the window at p is not a record, or nullptr when it is
+     * plausible. The test doubles as the resync heuristic, so it must
+     * reject a random window with high probability.
+     */
+    std::function<const char *(const std::uint8_t *p)> fault;
+    /** Decode the plausible record at p. */
+    std::function<void(const std::uint8_t *p)> decode;
+    /** Strict-mode error: the stream ends @p tail bytes into a record
+     *  after @p records whole ones. */
+    std::function<Diag(std::uint64_t tail, std::uint64_t records)>
+        tornTail;
+    /** Optional: sees every byte read from the source, in order. */
+    std::function<void(const char *bytes, std::size_t n)> fetched;
+};
+
+/**
+ * Read @p fmt records from @p is until the stream ends or @p cap
+ * records were accepted, under @p opts, accounting into @p st. Once
+ * the cap is met nothing further is read, so what follows is neither
+ * a tail nor an error.
+ *
+ * @return the number of records accepted (also added to
+ *         st.recordsRead).
+ * @throws TraceError as described in the file comment, plus whatever
+ *         the format's callbacks throw.
+ */
+std::uint64_t scanRecords(std::istream &is, const RecordFormat &fmt,
+                          const TraceReadOptions &opts,
+                          std::uint64_t cap, TraceReadStats &st);
+
+/** Serialized size of one uop record, in bytes. */
+constexpr std::size_t kTraceRecordBytes = 22;
+
+/**
+ * Serialized size of the header of a trace named @p name: magic,
+ * name length, name bytes and uop count. Records start right after.
+ */
+inline std::size_t
+traceHeaderBytes(const std::string &name)
+{
+    return 8 + 4 + name.size() + 8;
+}
+
 /**
  * Write @p trace to @p os.
  *
@@ -91,6 +147,11 @@ void writeTraceFile(const std::string &path, const VecTrace &trace);
 
 /**
  * Read a trace previously written with writeTrace().
+ *
+ * The header is never subject to recovery. Its uop count caps the
+ * records read; fewer is an error in strict mode and accounted
+ * (missingRecords) in recovery mode, which also drops orphaned
+ * STA/STD halves.
  *
  * @throws TraceError on bad magic, truncation, or malformed records
  *         (out-of-range class or register numbers) in strict mode;

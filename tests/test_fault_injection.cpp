@@ -30,12 +30,6 @@ serializedTraceBytes(const VecTrace &t)
     return ss.str();
 }
 
-std::size_t
-headerBytes(const VecTrace &t)
-{
-    return 8 + 4 + t.name().size() + 8;
-}
-
 TEST(FaultInjector, DisabledByDefault)
 {
     FaultInjector fi;
@@ -55,10 +49,10 @@ TEST(FaultInjector, SameSeedSameFaults)
     std::string a = orig, b = orig;
     FaultInjector fia(fc), fib(fc);
     fia.corruptBuffer(reinterpret_cast<std::uint8_t *>(a.data()),
-                      a.size(), headerBytes(*trace),
+                      a.size(), traceHeaderBytes(trace->name()),
                       kTraceRecordBytes);
     fib.corruptBuffer(reinterpret_cast<std::uint8_t *>(b.data()),
-                      b.size(), headerBytes(*trace),
+                      b.size(), traceHeaderBytes(trace->name()),
                       kTraceRecordBytes);
     EXPECT_GT(fia.traceFaults(), 0u);
     EXPECT_EQ(fia.traceFaults(), fib.traceFaults());
@@ -75,10 +69,10 @@ TEST(FaultInjector, HeaderIsProtected)
     FaultInjector fi(fc);
     std::string bytes = orig;
     fi.corruptBuffer(reinterpret_cast<std::uint8_t *>(bytes.data()),
-                     bytes.size(), headerBytes(*trace),
+                     bytes.size(), traceHeaderBytes(trace->name()),
                      kTraceRecordBytes);
-    EXPECT_EQ(bytes.substr(0, headerBytes(*trace)),
-              orig.substr(0, headerBytes(*trace)));
+    EXPECT_EQ(bytes.substr(0, traceHeaderBytes(trace->name())),
+              orig.substr(0, traceHeaderBytes(trace->name())));
 }
 
 TEST(FaultInjector, CorruptedTraceRecoversWithAccounting)
@@ -90,7 +84,7 @@ TEST(FaultInjector, CorruptedTraceRecoversWithAccounting)
     fc.traceRate = 0.02; // ~2% of records, over the 1% bar
     FaultInjector fi(fc);
     fi.corruptBuffer(reinterpret_cast<std::uint8_t *>(bytes.data()),
-                     bytes.size(), headerBytes(*trace),
+                     bytes.size(), traceHeaderBytes(trace->name()),
                      kTraceRecordBytes);
     ASSERT_GE(fi.traceFaults(), 20000u / 100);
 
@@ -121,7 +115,7 @@ TEST(FaultInjector, ExhaustedBudgetFailsLoudly)
     fc.traceRate = 0.10;
     FaultInjector fi(fc);
     fi.corruptBuffer(reinterpret_cast<std::uint8_t *>(bytes.data()),
-                     bytes.size(), headerBytes(*trace),
+                     bytes.size(), traceHeaderBytes(trace->name()),
                      kTraceRecordBytes);
 
     std::stringstream ss(bytes);

@@ -61,7 +61,7 @@ sparseConfig()
 /** Run to completion and return the complete lossless state: the
  *  drained machine plus the full result serialization. */
 std::string
-runDump(const MachineConfig &cfg, TraceStream &trace, bool skip)
+runDump(const MachineConfig &cfg, VecTrace &trace, bool skip)
 {
     setCycleSkipAhead(skip);
     OooCore core(cfg);

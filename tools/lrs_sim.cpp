@@ -753,10 +753,9 @@ injectTraceFaults(const VecTrace &trace, FaultInjector &fi,
     std::stringstream ss;
     writeTrace(ss, trace);
     std::string bytes = ss.str();
-    const std::size_t header =
-        8 + 4 + trace.name().size() + 8; // magic, len, name, count
     fi.corruptBuffer(reinterpret_cast<std::uint8_t *>(bytes.data()),
-                     bytes.size(), header, kTraceRecordBytes);
+                     bytes.size(), traceHeaderBytes(trace.name()),
+                     kTraceRecordBytes);
     std::stringstream back(bytes);
     TraceReadOptions o = opts;
     o.recover = true;
@@ -925,24 +924,17 @@ main(int argc, char **argv)
             // common mix-up is pointing this at a raw ChampSim trace.
             // (A real journal whose every record is damaged still
             // starts with the magic and gets the damage report.)
-            if (recs.empty() && jst.badLines) {
-                char magic[6] = {};
-                std::ifstream head(check_journal_path,
-                                   std::ios::binary);
-                head.read(magic, sizeof(magic));
-                if (head.gcount() < 6 ||
-                    std::memcmp(magic, "LRSJ1 ", 6) != 0) {
-                    const bool champsim =
-                        looksLikeChampSimFile(check_journal_path);
-                    std::fprintf(
-                        stderr, "%s: not an LRSJ1 file%s\n",
-                        check_journal_path.c_str(),
-                        champsim
-                            ? " (looks like a raw ChampSim trace; "
-                              "run it with --champsim instead)"
-                            : "");
-                    return kExitRuntime;
-                }
+            if (recs.empty() && jst.badLines &&
+                !startsWithJournalMagic(check_journal_path)) {
+                const bool champsim =
+                    looksLikeChampSimFile(check_journal_path);
+                std::fprintf(stderr, "%s: not an LRSJ1 file%s\n",
+                             check_journal_path.c_str(),
+                             champsim
+                                 ? " (looks like a raw ChampSim trace; "
+                                   "run it with --champsim instead)"
+                                 : "");
+                return kExitRuntime;
             }
             // A machine snapshot announces itself in its first
             // record; those get the full strict structural check on
