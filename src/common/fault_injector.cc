@@ -101,18 +101,12 @@ FaultInjector::corruptBuffer(std::uint8_t *data, std::size_t size,
 void
 FaultInjector::registerStats(StatsGroup g)
 {
-    g.bindCounter("trace_records_corrupted", &traceFaults_,
-                  "trace records corrupted by the injector");
-    g.bindCounter("predictor_bit_flips", &bitFlips_,
-                  "predictor table bits flipped by the injector");
-    g.bindCounter("latency_perturbs", &latencyPerturbs_,
-                  "memory accesses with injected extra latency");
-    g.derived("trace_rate", [this] { return cfg_.traceRate; },
-              "configured per-record trace corruption probability");
-    g.derived("bit_rate", [this] { return cfg_.bitRate; },
-              "configured per-query bit-flip probability");
-    g.derived("lat_rate", [this] { return cfg_.latRate; },
-              "configured per-access latency perturbation probability");
+    g.bindCounter("trace_records_corrupted", &traceFaults_);
+    g.bindCounter("predictor_bit_flips", &bitFlips_);
+    g.bindCounter("latency_perturbs", &latencyPerturbs_);
+    g.derived("trace_rate", [this] { return cfg_.traceRate; });
+    g.derived("bit_rate", [this] { return cfg_.bitRate; });
+    g.derived("lat_rate", [this] { return cfg_.latRate; });
 }
 
 } // namespace lrs

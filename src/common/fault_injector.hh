@@ -157,9 +157,9 @@ class FaultInjector
     FaultConfig cfg_;
     Rng rng_;
 
-    std::uint64_t traceFaults_ = 0;
-    std::uint64_t bitFlips_ = 0;
-    std::uint64_t latencyPerturbs_ = 0;
+    std::uint64_t traceFaults_ = 0;     ///< trace records corrupted
+    std::uint64_t bitFlips_ = 0;        ///< predictor table bits flipped
+    std::uint64_t latencyPerturbs_ = 0; ///< accesses given extra latency
 };
 
 } // namespace lrs

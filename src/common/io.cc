@@ -31,19 +31,6 @@ writeFully(int fd, const void *data, std::size_t len) noexcept
 }
 
 void
-writeFullyOrThrow(int fd, std::string_view s,
-                  const std::string &component,
-                  const std::string &path)
-{
-    errno = 0;
-    if (writeFully(fd, s))
-        return;
-    throw IoError(makeDiag(DiagCode::IoWriteFailed, component, "path",
-                           "write failed: " + path + " (" +
-                               std::strerror(errno) + ")"));
-}
-
-void
 writeFileAtomically(const std::string &path, std::string_view text,
                     const std::string &component)
 {

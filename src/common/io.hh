@@ -44,15 +44,6 @@ writeFully(int fd, std::string_view s) noexcept
 }
 
 /**
- * writeFully() or throw IoError (DiagCode::IoWriteFailed) naming the
- * @p component and @p path, with strerror(errno) appended — the
- * journal-grade loud-failure convention (docs/ROBUSTNESS.md).
- */
-void writeFullyOrThrow(int fd, std::string_view s,
-                       const std::string &component,
-                       const std::string &path);
-
-/**
  * Replace @p path with @p text atomically: write a temp file beside
  * it (named uniquely per process and per call, so concurrent writers
  * never share one), fsync it, then rename() it over @p path. Whatever

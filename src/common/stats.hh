@@ -1,38 +1,18 @@
 /**
  * @file
- * Lightweight statistics package: an event counter and a fixed-width
- * table printer used by the figure benches to emit paper-style rows.
+ * Fixed-width table printer used by the figure benches to emit
+ * paper-style rows, and a printf-style string helper.
  */
 
 #ifndef LRS_COMMON_STATS_HH
 #define LRS_COMMON_STATS_HH
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace lrs
 {
-
-/**
- * A monotonically increasing event counter.
- */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void inc(std::uint64_t n = 1) { value_ += n; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * Fixed-width console table: the benches use it to print the same rows

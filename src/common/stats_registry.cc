@@ -6,8 +6,7 @@ namespace lrs
 {
 
 StatsRegistry::Stat &
-StatsRegistry::add(const std::string &name, const std::string &desc,
-                   Kind kind)
+StatsRegistry::add(const std::string &name, Kind kind)
 {
     if (name.empty())
         throw std::logic_error("StatsRegistry: empty stat name");
@@ -16,50 +15,36 @@ StatsRegistry::add(const std::string &name, const std::string &desc,
                                name + "\"");
     auto s = std::make_unique<Stat>();
     s->name = name;
-    s->desc = desc;
     s->kind = kind;
     stats_.push_back(std::move(s));
     return *stats_.back();
 }
 
-Counter &
-StatsRegistry::counter(const std::string &name,
-                       const std::string &desc)
-{
-    Stat &s = add(name, desc, Kind::OwnedCounter);
-    s.ownedCounter = std::make_unique<Counter>();
-    return *s.ownedCounter;
-}
-
 void
-StatsRegistry::bindCounter(const std::string &name,
-                           std::uint64_t *slot,
-                           const std::string &desc)
+StatsRegistry::bindCounter(const std::string &name, std::uint64_t *slot)
 {
     if (slot == nullptr)
         throw std::logic_error("StatsRegistry: null bound counter \"" +
                                name + "\"");
-    add(name, desc, Kind::BoundCounter).boundCounter = slot;
+    add(name, Kind::BoundCounter).boundCounter = slot;
 }
 
 Log2Histogram &
-StatsRegistry::log2hist(const std::string &name,
-                        const std::string &desc)
+StatsRegistry::log2hist(const std::string &name)
 {
-    Stat &s = add(name, desc, Kind::OwnedLog2Histogram);
+    Stat &s = add(name, Kind::OwnedLog2Histogram);
     s.log2hist = std::make_unique<Log2Histogram>();
     return *s.log2hist;
 }
 
 void
 StatsRegistry::derived(const std::string &name,
-                       std::function<double()> getter,
-                       const std::string &desc)
+                       std::function<double()> getter)
 {
     if (!getter)
         throw std::logic_error("StatsRegistry: null getter for \"" +
                                name + "\"");
-    add(name, desc, Kind::Derived).getter = std::move(getter);
+    add(name, Kind::Derived).getter = std::move(getter);
 }
 
 StatsGroup
@@ -78,16 +63,6 @@ StatsRegistry::has(const std::string &name) const
     return false;
 }
 
-std::vector<std::string>
-StatsRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(stats_.size());
-    for (const auto &s : stats_)
-        out.push_back(s->name);
-    return out;
-}
-
 double
 StatsRegistry::value(const std::string &name) const
 {
@@ -95,8 +70,6 @@ StatsRegistry::value(const std::string &name) const
         if (s->name != name)
             continue;
         switch (s->kind) {
-          case Kind::OwnedCounter:
-            return static_cast<double>(s->ownedCounter->value());
           case Kind::BoundCounter:
             return static_cast<double>(*s->boundCounter);
           case Kind::OwnedLog2Histogram:
@@ -109,32 +82,10 @@ StatsRegistry::value(const std::string &name) const
                             "\"");
 }
 
-void
-StatsRegistry::reset()
-{
-    for (auto &s : stats_) {
-        switch (s->kind) {
-          case Kind::OwnedCounter:
-            s->ownedCounter->reset();
-            break;
-          case Kind::BoundCounter:
-            *s->boundCounter = 0;
-            break;
-          case Kind::OwnedLog2Histogram:
-            s->log2hist->reset();
-            break;
-          case Kind::Derived:
-            break; // a view onto component state; nothing to reset
-        }
-    }
-}
-
 json::Value
 StatsRegistry::leafJson(const Stat &s) const
 {
     switch (s.kind) {
-      case Kind::OwnedCounter:
-        return json::Value(s.ownedCounter->value());
       case Kind::BoundCounter:
         return json::Value(*s.boundCounter);
       case Kind::Derived:

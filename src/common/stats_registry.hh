@@ -4,22 +4,20 @@
  *
  * Components (the core, the MOB, each cache level, each predictor)
  * register their counters and log2 histograms under dotted names
- * ("core.retire.uops", "mem.l1.hits", "pred.cht.updates"); the
- * registry then provides uniform reset, lookup, and JSON export —
- * replacing per-component hand-rolled printf tables as the
- * machine-readable output path.
+ * ("core.uops", "mem.l1.hits", "pred.cht.updates"); the registry
+ * then provides uniform lookup and JSON export — replacing
+ * per-component hand-rolled printf tables as the machine-readable
+ * output path.
  *
- * Three registration styles:
- *  - owned:   the registry allocates the stat and hands back a
- *             reference the component increments (`counter()`,
- *             `log2hist()`);
- *  - bound:   the stat lives in the component (e.g. a SimResult
- *             field) and the registry holds a pointer
- *             (`bindCounter()`), so existing struct-field tallies
- *             keep working while gaining a name;
- *  - derived: a getter evaluated at export time (`derived()`), for
- *             rates and component-internal values exposed through
- *             accessors (e.g. cache hit counts).
+ * Two registration styles, plus log2 histograms:
+ *  - bound:     the counter lives in the component (e.g. a SimResult
+ *               field, bound from SimResult::kCounters) and the
+ *               registry holds a pointer (`bindCounter()`);
+ *  - derived:   a getter evaluated at export time (`derived()`), for
+ *               rates and component-internal values exposed through
+ *               accessors (e.g. cache hit counts);
+ *  - histogram: the registry owns a Log2Histogram and hands it back
+ *               for recording (`log2hist()`).
  *
  * Names must be unique; re-registering a name throws
  * std::logic_error. Export order is registration order.
@@ -36,7 +34,6 @@
 
 #include "common/histogram.hh"
 #include "common/json.hh"
-#include "common/stats.hh"
 
 namespace lrs
 {
@@ -50,22 +47,15 @@ class StatsRegistry
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
-    /** Register an owned counter; returns the counter to increment. */
-    Counter &counter(const std::string &name,
-                     const std::string &desc = "");
-
     /** Register a counter living elsewhere (e.g. a SimResult field). */
-    void bindCounter(const std::string &name, std::uint64_t *slot,
-                     const std::string &desc = "");
+    void bindCounter(const std::string &name, std::uint64_t *slot);
 
     /** Register an owned log2 histogram (common/histogram.hh). */
-    Log2Histogram &log2hist(const std::string &name,
-                            const std::string &desc = "");
+    Log2Histogram &log2hist(const std::string &name);
 
     /** Register a derived (computed-at-export) scalar. */
     void derived(const std::string &name,
-                 std::function<double()> getter,
-                 const std::string &desc = "");
+                 std::function<double()> getter);
 
     /** A prefixed view for hierarchical registration. */
     StatsGroup group(const std::string &prefix);
@@ -73,18 +63,12 @@ class StatsRegistry
     bool has(const std::string &name) const;
     std::size_t size() const { return stats_.size(); }
 
-    /** Names in registration order. */
-    std::vector<std::string> names() const;
-
     /**
      * Current scalar value of a stat: counter value, log2 histogram
      * sample count, or derived getter result. Throws
      * std::out_of_range for unknown names.
      */
     double value(const std::string &name) const;
-
-    /** Zero every owned and bound stat (derived stats are views). */
-    void reset();
 
     /**
      * Export as a nested JSON object: dotted names become nested
@@ -96,7 +80,6 @@ class StatsRegistry
   private:
     enum class Kind
     {
-        OwnedCounter,
         BoundCounter,
         OwnedLog2Histogram,
         Derived,
@@ -105,16 +88,13 @@ class StatsRegistry
     struct Stat
     {
         std::string name;
-        std::string desc;
         Kind kind;
-        std::unique_ptr<Counter> ownedCounter;
         std::uint64_t *boundCounter = nullptr;
         std::unique_ptr<Log2Histogram> log2hist;
         std::function<double()> getter;
     };
 
-    Stat &add(const std::string &name, const std::string &desc,
-              Kind kind);
+    Stat &add(const std::string &name, Kind kind);
 
     json::Value leafJson(const Stat &s) const;
 
@@ -122,8 +102,8 @@ class StatsRegistry
 };
 
 /**
- * Thin prefixing view over a registry: group("mem").counter("l1.hits")
- * registers "mem.l1.hits". Groups may be nested.
+ * Thin prefixing view over a registry: group("mem").derived("l1.hits",
+ * ...) registers "mem.l1.hits". Groups may be nested.
  */
 class StatsGroup
 {
@@ -132,30 +112,22 @@ class StatsGroup
         : reg_(reg), prefix_(std::move(prefix))
     {}
 
-    Counter &
-    counter(const std::string &name, const std::string &desc = "")
-    {
-        return reg_.counter(join(name), desc);
-    }
-
     void
-    bindCounter(const std::string &name, std::uint64_t *slot,
-                const std::string &desc = "")
+    bindCounter(const std::string &name, std::uint64_t *slot)
     {
-        reg_.bindCounter(join(name), slot, desc);
+        reg_.bindCounter(join(name), slot);
     }
 
     Log2Histogram &
-    log2hist(const std::string &name, const std::string &desc = "")
+    log2hist(const std::string &name)
     {
-        return reg_.log2hist(join(name), desc);
+        return reg_.log2hist(join(name));
     }
 
     void
-    derived(const std::string &name, std::function<double()> getter,
-            const std::string &desc = "")
+    derived(const std::string &name, std::function<double()> getter)
     {
-        reg_.derived(join(name), std::move(getter), desc);
+        reg_.derived(join(name), std::move(getter));
     }
 
     StatsGroup

@@ -75,8 +75,6 @@ enum class BankPredKind
     Addr, ///< stride address predictor
 };
 
-const char *bankPredKindName(BankPredKind k);
-
 /** Hit-miss predictor selection for the core. */
 enum class HmpKind
 {

@@ -214,12 +214,6 @@ bankModeName(BankMode m)
     return enumName(kBankModeNames, m).display;
 }
 
-const char *
-bankPredKindName(BankPredKind k)
-{
-    return enumName(kBankPredNames, k).display;
-}
-
 OrderingScheme
 parseOrderingScheme(const std::string &s)
 {

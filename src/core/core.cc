@@ -182,68 +182,42 @@ OooCore::~OooCore() = default;
 void
 OooCore::registerStats()
 {
+    // Bind the SimResult counters of group g (SimResult::kCounters).
+    // Binding them a group at a time, between the component stats,
+    // keeps the registry's export order.
+    const auto bindResult = [this](StatsGroup g) {
+        for (const SimResult::CounterSpec &c : SimResult::kCounters) {
+            if (g.prefix() == c.group)
+                g.bindCounter(c.leaf, &(res_.*c.field));
+        }
+    };
+
     StatsGroup core = statsReg_.group("core");
-    core.bindCounter("cycles", &res_.cycles, "simulated cycles");
-    core.bindCounter("uops", &res_.uops, "retired uops");
-    core.bindCounter("loads", &res_.loads, "retired loads");
-    core.bindCounter("stores", &res_.stores, "retired stores (STAs)");
-    core.bindCounter("branches", &res_.branches, "retired branches");
-    core.bindCounter("branch_mispredicts", &res_.branchMispredicts);
-    core.bindCounter("wasted_issues", &res_.wastedIssues,
-                     "issue slots burnt by replays");
-    core.bindCounter("replayed_uops", &res_.replayedUops,
-                     "uops that issued more than once");
-    core.bindCounter("prefetches", &res_.prefetches);
-    core.derived("ipc", [this] { return res_.ipc(); },
-                 "retired uops per cycle");
+    bindResult(core);
+    core.derived("ipc", [this] { return res_.ipc(); });
 
     StatsGroup sched = statsReg_.group("sched");
-    sched.bindCounter("collision_penalties", &res_.collisionPenalties,
-                      "loads that paid the collision penalty");
-    sched.bindCounter("order_violations", &res_.orderViolations,
-                      "true memory-order violations (squashes)");
-    sched.bindCounter("forwarded", &res_.forwarded,
-                      "loads serviced by store-to-load forwarding");
-    sched.bindCounter("spec_forwards", &res_.specForwards);
-    sched.bindCounter("spec_misforwards", &res_.specMisforwards);
-    StatsGroup cls = sched.group("class");
-    cls.bindCounter("not_conflicting", &res_.notConflicting);
-    cls.bindCounter("anc_pnc", &res_.ancPnc);
-    cls.bindCounter("anc_pc", &res_.ancPc);
-    cls.bindCounter("ac_pc", &res_.acPc);
-    cls.bindCounter("ac_pnc", &res_.acPnc);
+    bindResult(sched);
+    bindResult(sched.group("class"));
 
     StatsGroup mem = statsReg_.group("mem");
-    mem.bindCounter("load_misses", &res_.l1Misses,
-                    "retired-load L1 misses (incl. dynamic)");
-    mem.bindCounter("dynamic_misses", &res_.dynamicMisses,
-                    "loads that hit a line still in flight");
+    bindResult(mem);
     mem_.registerStats(mem);
     mob_.registerStats(mem.group("mob"));
 
     StatsGroup pred = statsReg_.group("pred");
     StatsGroup hmp = pred.group("hmp");
-    hmp.bindCounter("ah_ph", &res_.ahPh, "actual hit, predicted hit");
-    hmp.bindCounter("ah_pm", &res_.ahPm, "actual hit, predicted miss");
-    hmp.bindCounter("am_ph", &res_.amPh, "actual miss, predicted hit");
-    hmp.bindCounter("am_pm", &res_.amPm,
-                    "actual miss, predicted miss");
+    bindResult(hmp);
     if (hmp_)
         hmp_->registerStats(hmp);
     if (cht_)
         cht_->registerStats(pred.group("cht"));
     StatsGroup bank = pred.group("bank");
-    bank.bindCounter("conflicts", &res_.bankConflicts,
-                     "conventional-pipe bank conflicts");
-    bank.bindCounter("mispredicts", &res_.bankMispredicts,
-                     "sliced-pipe wrong-bank re-executions");
-    bank.bindCounter("replications", &res_.bankReplications,
-                     "low-confidence all-pipe replications");
+    bindResult(bank);
     if (bankPred_)
         bankPred_->registerStats(bank);
 
-    statsReg_.bindCounter("audit.checks", &auditChecks_,
-                          "invariant audits performed");
+    statsReg_.bindCounter("audit.checks", &auditChecks_);
 
     // Telemetry histograms, default off (collect_histograms /
     // --histograms). Registered last so the off path leaves every
@@ -251,7 +225,7 @@ OooCore::registerStats()
     if (cfg_.collectHistograms) {
         StatsGroup hist = statsReg_.group("hist");
         for (const HistogramSpec &spec : kHistograms)
-            this->*spec.hist = &hist.log2hist(spec.name, spec.desc);
+            this->*spec.hist = &hist.log2hist(spec.name);
     }
 }
 
@@ -508,22 +482,13 @@ OooCore::finishRun()
 }
 
 const std::array<OooCore::HistogramSpec, 7> OooCore::kHistograms = {{
-    {"load_to_use", "cycles from load issue to data ready",
-     &OooCore::hLoadUse_},
-    {"replay_distance",
-     "cycles a wasted issue fired before its data (wakeup "
-     "misprediction gap; top bucket = data unknown)",
-     &OooCore::hReplayDist_},
-    {"occ_sched", "scheduling-window occupancy per cycle",
-     &OooCore::hOccSched_},
-    {"occ_rob", "ROB occupancy per cycle", &OooCore::hOccRob_},
-    {"occ_mob", "MOB occupancy per cycle", &OooCore::hOccMob_},
-    {"cht_confidence",
-     "CHT saturating-counter value at each prediction",
-     &OooCore::hChtConf_},
-    {"hmp_confidence",
-     "hit-miss predictor confidence at each prediction, in percent",
-     &OooCore::hHmpConf_},
+    {"load_to_use", &OooCore::hLoadUse_},
+    {"replay_distance", &OooCore::hReplayDist_},
+    {"occ_sched", &OooCore::hOccSched_},
+    {"occ_rob", &OooCore::hOccRob_},
+    {"occ_mob", &OooCore::hOccMob_},
+    {"cht_confidence", &OooCore::hChtConf_},
+    {"hmp_confidence", &OooCore::hHmpConf_},
 }};
 
 json::Value

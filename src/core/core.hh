@@ -302,7 +302,6 @@ class OooCore
     void resetHistograms();
 
     // --- helpers ---
-    RobEntry &entryAt(int slot) { return rob_[slot]; }
     int slotOf(SeqNum seq) const
     {
         return static_cast<int>(seq % rob_.size());
@@ -577,19 +576,24 @@ class OooCore
      * record simulated quantities only, never host state. kHistograms
      * lists them once for registration, reset, export and snapshot.
      */
-    Log2Histogram *hLoadUse_ = nullptr;   ///< load-to-use delay
-    Log2Histogram *hReplayDist_ = nullptr;///< wasted-issue replay gap
+    /** Cycles from load issue to data ready. */
+    Log2Histogram *hLoadUse_ = nullptr;
+    /** Cycles a wasted issue fired before its data (the wakeup
+     *  misprediction gap); the top bucket means the data time was
+     *  unknown. */
+    Log2Histogram *hReplayDist_ = nullptr;
     Log2Histogram *hOccSched_ = nullptr;  ///< window occupancy / cycle
     Log2Histogram *hOccRob_ = nullptr;    ///< ROB occupancy / cycle
     Log2Histogram *hOccMob_ = nullptr;    ///< MOB occupancy / cycle
-    Log2Histogram *hChtConf_ = nullptr;   ///< CHT counter at predict
-    Log2Histogram *hHmpConf_ = nullptr;   ///< HMP confidence (percent)
+    /** CHT saturating-counter value at each prediction. */
+    Log2Histogram *hChtConf_ = nullptr;
+    /** Hit-miss predictor confidence at each prediction, in percent. */
+    Log2Histogram *hHmpConf_ = nullptr;
 
     /** One telemetry histogram and the member that points at it. */
     struct HistogramSpec
     {
         const char *name; ///< registry name under "hist."
-        const char *desc;
         Log2Histogram *OooCore::*hist;
     };
     static const std::array<HistogramSpec, 7> kHistograms;

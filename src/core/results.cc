@@ -5,44 +5,59 @@ namespace lrs
 
 namespace
 {
-
-/** The u64 counters of SimResult, in export order: the one list that
- *  both toJson() and the state walk read. */
-template <typename R, typename F>
-void
-forEachCounter(R &r, F &&f)
-{
-    f("cycles", r.cycles);
-    f("uops", r.uops);
-    f("loads", r.loads);
-    f("stores", r.stores);
-    f("branches", r.branches);
-    f("branch_mispredicts", r.branchMispredicts);
-    f("not_conflicting", r.notConflicting);
-    f("anc_pnc", r.ancPnc);
-    f("anc_pc", r.ancPc);
-    f("ac_pc", r.acPc);
-    f("ac_pnc", r.acPnc);
-    f("collision_penalties", r.collisionPenalties);
-    f("order_violations", r.orderViolations);
-    f("forwarded", r.forwarded);
-    f("spec_forwards", r.specForwards);
-    f("spec_misforwards", r.specMisforwards);
-    f("ah_ph", r.ahPh);
-    f("ah_pm", r.ahPm);
-    f("am_ph", r.amPh);
-    f("am_pm", r.amPm);
-    f("l1_misses", r.l1Misses);
-    f("dynamic_misses", r.dynamicMisses);
-    f("wasted_issues", r.wastedIssues);
-    f("replayed_uops", r.replayedUops);
-    f("prefetches", r.prefetches);
-    f("bank_conflicts", r.bankConflicts);
-    f("bank_mispredicts", r.bankMispredicts);
-    f("bank_replications", r.bankReplications);
-}
-
+using R = SimResult;
+using S = IntervalSample;
 } // namespace
+
+const std::array<R::CounterSpec, 28> R::kCounters = {{
+    {"cycles", "core", "cycles", &R::cycles},
+    {"uops", "core", "uops", &R::uops},
+    {"loads", "core", "loads", &R::loads},
+    {"stores", "core", "stores", &R::stores},
+    {"branches", "core", "branches", &R::branches},
+    {"branch_mispredicts", "core", "branch_mispredicts",
+     &R::branchMispredicts},
+    {"not_conflicting", "sched.class", "not_conflicting",
+     &R::notConflicting},
+    {"anc_pnc", "sched.class", "anc_pnc", &R::ancPnc},
+    {"anc_pc", "sched.class", "anc_pc", &R::ancPc},
+    {"ac_pc", "sched.class", "ac_pc", &R::acPc},
+    {"ac_pnc", "sched.class", "ac_pnc", &R::acPnc},
+    {"collision_penalties", "sched", "collision_penalties",
+     &R::collisionPenalties},
+    {"order_violations", "sched", "order_violations",
+     &R::orderViolations},
+    {"forwarded", "sched", "forwarded", &R::forwarded},
+    {"spec_forwards", "sched", "spec_forwards", &R::specForwards},
+    {"spec_misforwards", "sched", "spec_misforwards",
+     &R::specMisforwards},
+    {"ah_ph", "pred.hmp", "ah_ph", &R::ahPh},
+    {"ah_pm", "pred.hmp", "ah_pm", &R::ahPm},
+    {"am_ph", "pred.hmp", "am_ph", &R::amPh},
+    {"am_pm", "pred.hmp", "am_pm", &R::amPm},
+    {"l1_misses", "mem", "load_misses", &R::l1Misses},
+    {"dynamic_misses", "mem", "dynamic_misses", &R::dynamicMisses},
+    {"wasted_issues", "core", "wasted_issues", &R::wastedIssues},
+    {"replayed_uops", "core", "replayed_uops", &R::replayedUops},
+    {"prefetches", "core", "prefetches", &R::prefetches},
+    {"bank_conflicts", "pred.bank", "conflicts", &R::bankConflicts},
+    {"bank_mispredicts", "pred.bank", "mispredicts",
+     &R::bankMispredicts},
+    {"bank_replications", "pred.bank", "replications",
+     &R::bankReplications},
+}};
+
+const std::array<S::Column, 9> S::kColumns = {{
+    {"cycle", &S::cycle},
+    {"uops", &S::uops},
+    {"ipc", &S::ipc},
+    {"replay_rate", &S::replayRate},
+    {"cht_mispredict_rate", &S::chtMispredictRate},
+    {"hmp_mispredict_rate", &S::hmpMispredictRate},
+    {"bank_mispredict_rate", &S::bankMispredictRate},
+    {"sched_occupancy", &S::schedOccupancy},
+    {"rob_occupancy", &S::robOccupancy},
+}};
 
 json::Value
 SimResult::toJson() const
@@ -50,9 +65,8 @@ SimResult::toJson() const
     json::Value v = json::Value::object();
     v.set("trace", trace);
     v.set("config", config);
-    forEachCounter(*this, [&v](const char *key, std::uint64_t n) {
-        v.set(key, n);
-    });
+    for (const CounterSpec &c : kCounters)
+        v.set(c.key, this->*c.field);
 
     // Derived ratios (NaN serialises as null per the convention in
     // results.hh / json.hh).
@@ -67,35 +81,16 @@ SimResult::toJson() const
     // plotting tool can zip any series against "cycle" directly).
     json::Value iv = json::Value::object();
     iv.set("interval_cycles", statsInterval);
-    json::Value cycle = json::Value::array();
-    json::Value uopsArr = json::Value::array();
-    json::Value ipcArr = json::Value::array();
-    json::Value replay = json::Value::array();
-    json::Value chtMis = json::Value::array();
-    json::Value hmpMis = json::Value::array();
-    json::Value bankMis = json::Value::array();
-    json::Value schedOcc = json::Value::array();
-    json::Value robOcc = json::Value::array();
-    for (const IntervalSample &s : intervals) {
-        cycle.push(s.cycle);
-        uopsArr.push(s.uops);
-        ipcArr.push(s.ipc);
-        replay.push(s.replayRate);
-        chtMis.push(s.chtMispredictRate);
-        hmpMis.push(s.hmpMispredictRate);
-        bankMis.push(s.bankMispredictRate);
-        schedOcc.push(s.schedOccupancy);
-        robOcc.push(s.robOccupancy);
+    for (const IntervalSample::Column &c : IntervalSample::kColumns) {
+        json::Value col = json::Value::array();
+        std::visit(
+            [&](auto field) {
+                for (const IntervalSample &s : intervals)
+                    col.push(s.*field);
+            },
+            c.field);
+        iv.set(c.key, std::move(col));
     }
-    iv.set("cycle", std::move(cycle));
-    iv.set("uops", std::move(uopsArr));
-    iv.set("ipc", std::move(ipcArr));
-    iv.set("replay_rate", std::move(replay));
-    iv.set("cht_mispredict_rate", std::move(chtMis));
-    iv.set("hmp_mispredict_rate", std::move(hmpMis));
-    iv.set("bank_mispredict_rate", std::move(bankMis));
-    iv.set("sched_occupancy", std::move(schedOcc));
-    iv.set("rob_occupancy", std::move(robOcc));
     v.set("intervals", std::move(iv));
 
     if (!histograms.isNull())
@@ -109,17 +104,15 @@ SimResult::walkState(stateio::Archive &a)
 {
     a("trace", trace);
     a("config", config);
-    forEachCounter(*this, [&a](const char *key, std::uint64_t &n) {
-        a(key, n);
-    });
+    for (const CounterSpec &c : kCounters)
+        a(c.key, this->*c.field);
     a("stats_interval", statsInterval);
     a.rows("intervals", intervals,
            [this](std::size_t i, stateio::Row &r) {
-               IntervalSample &s = intervals[i];
-               r(s.cycle)(s.uops)(s.ipc)(s.replayRate)(
-                   s.chtMispredictRate)(s.hmpMispredictRate)(
-                   s.bankMispredictRate)(s.schedOccupancy)(
-                   s.robOccupancy);
+               for (const IntervalSample::Column &c :
+                    IntervalSample::kColumns)
+                   std::visit([&](auto field) { r(intervals[i].*field); },
+                              c.field);
            });
     a("histograms", histograms);
 }

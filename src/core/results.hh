@@ -17,9 +17,11 @@
 #ifndef LRS_CORE_RESULTS_HH
 #define LRS_CORE_RESULTS_HH
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/state_io.hh"
@@ -53,6 +55,18 @@ struct IntervalSample
     double schedOccupancy = 0.0;
     /** Mean ROB fill fraction over the interval. */
     double robOccupancy = 0.0;
+
+    /** One column of the series: its JSON key and the field. */
+    struct Column
+    {
+        const char *key;
+        std::variant<std::uint64_t IntervalSample::*,
+                     double IntervalSample::*>
+            field;
+    };
+    /** Every field, in export order: the one list that toJson() and
+     *  the state walk read. */
+    static const std::array<Column, 9> kColumns;
 };
 
 struct SimResult
@@ -60,11 +74,11 @@ struct SimResult
     std::string trace;
     std::string config;
 
-    std::uint64_t cycles = 0;
-    std::uint64_t uops = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t branches = 0;
+    std::uint64_t cycles = 0;   ///< simulated cycles
+    std::uint64_t uops = 0;     ///< retired uops
+    std::uint64_t loads = 0;    ///< retired loads
+    std::uint64_t stores = 0;   ///< retired stores, counted at the STA
+    std::uint64_t branches = 0; ///< retired branches
     std::uint64_t branchMispredicts = 0;
 
     // --- load classification (section 2.1 terminology) ---
@@ -88,11 +102,12 @@ struct SimResult
     std::uint64_t specMisforwards = 0;
 
     // --- hit-miss prediction (section 2.2 terminology) ---
-    std::uint64_t ahPh = 0;
-    std::uint64_t ahPm = 0;
-    std::uint64_t amPh = 0;
-    std::uint64_t amPm = 0;
+    std::uint64_t ahPh = 0; ///< actual hit, predicted hit
+    std::uint64_t ahPm = 0; ///< actual hit, predicted miss
+    std::uint64_t amPh = 0; ///< actual miss, predicted hit
+    std::uint64_t amPm = 0; ///< actual miss, predicted miss
     std::uint64_t l1Misses = 0;     ///< includes dynamic misses
+    /** Loads that hit a line whose fill was still in flight. */
     std::uint64_t dynamicMisses = 0;
 
     // --- resource waste ---
@@ -121,6 +136,24 @@ struct SimResult
      * non-null, keeping histogram-off output byte-identical.
      */
     json::Value histograms;
+
+    /**
+     * One u64 counter, named once. `key` names it in toJson() and the
+     * state walk; `group` and `leaf` name it in the stats registry
+     * ("mem" + "load_misses" is mem.load_misses), where
+     * OooCore::registerStats() binds it. Some counters are spelled
+     * differently in the two (l1_misses / mem.load_misses); the
+     * goldens pin both.
+     */
+    struct CounterSpec
+    {
+        const char *key;
+        const char *group;
+        const char *leaf;
+        std::uint64_t SimResult::*field;
+    };
+    /** Every counter, in toJson() order. */
+    static const std::array<CounterSpec, 28> kCounters;
 
     /**
      * Retired uops per cycle. NaN when the result never ran

@@ -92,7 +92,9 @@ class Cache
 
     std::uint64_t numSets() const { return numSets_; }
 
-    // Aggregate statistics (over all access() calls).
+    // Aggregate statistics (over all access() calls): hits are
+    // serviced by a filled line, misses allocate a new line, dynamic
+    // misses find their line still in flight.
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t dynamicMisses() const { return dynMisses_; }

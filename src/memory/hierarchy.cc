@@ -15,15 +15,12 @@ MemoryHierarchy::registerStats(StatsGroup g)
     // the registry never outlives-or-mutates component internals.
     const auto level = [&](StatsGroup lg, const Cache *c) {
         lg.derived("hits",
-                   [c] { return static_cast<double>(c->hits()); },
-                   "accesses serviced by a filled line");
+                   [c] { return static_cast<double>(c->hits()); });
         lg.derived("misses",
-                   [c] { return static_cast<double>(c->misses()); },
-                   "accesses that allocated a new line");
-        lg.derived(
-            "dynamic_misses",
-            [c] { return static_cast<double>(c->dynamicMisses()); },
-            "accesses to lines still in flight");
+                   [c] { return static_cast<double>(c->misses()); });
+        lg.derived("dynamic_misses", [c] {
+            return static_cast<double>(c->dynamicMisses());
+        });
     };
     level(g.group("l1"), &l1_);
     level(g.group("l2"), &l2_);

@@ -68,22 +68,15 @@ Mob::markViolation(Ordinal o)
 void
 Mob::registerStats(StatsGroup g)
 {
-    g.bindCounter("inserted", &inserted_,
-                  "stores inserted into the window");
-    g.bindCounter("violations", &violations_,
-                  "stores that caused a wrong load ordering");
+    g.bindCounter("inserted", &inserted_);
+    g.bindCounter("violations", &violations_);
     g.derived("occupancy",
-              [this] { return static_cast<double>(count_); },
-              "stores currently in the window");
+              [this] { return static_cast<double>(count_); });
     // Only present in partial-address mode: the default (full-address)
     // registry must stay byte-identical to what the goldens pin.
     if (partialBits_ != 0) {
-        g.bindCounter("partial_alias_matches", &partialAliasMatches_,
-                      "loads stalled on a false partial-address "
-                      "(4K-alias) store match");
-        g.bindCounter("partial_true_matches", &partialTrueMatches_,
-                      "loads whose partial-address store match was a "
-                      "real overlap");
+        g.bindCounter("partial_alias_matches", &partialAliasMatches_);
+        g.bindCounter("partial_true_matches", &partialTrueMatches_);
     }
 }
 

@@ -177,7 +177,8 @@ class Mob
     void setPartialBits(unsigned bits) { partialBits_ = bits; }
     unsigned partialBits() const { return partialBits_; }
 
-    /** Loads whose partial match was a false (alias-only) match. */
+    /** Loads stalled on a false (alias-only, e.g. 4K-alias) partial
+     *  match. */
     std::uint64_t partialAliasMatches() const
     {
         return partialAliasMatches_;

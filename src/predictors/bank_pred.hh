@@ -75,11 +75,9 @@ class BankPredictor
     virtual void
     registerStats(StatsGroup g)
     {
-        g.derived("storage_bits",
-                  [this] {
-                      return static_cast<double>(storageBits());
-                  },
-                  "hardware budget of this predictor");
+        g.derived("storage_bits", [this] {
+            return static_cast<double>(storageBits());
+        });
     }
 
     /**

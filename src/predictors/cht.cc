@@ -401,10 +401,9 @@ Cht::name() const
 void
 Cht::registerStats(StatsGroup g)
 {
-    g.bindCounter("updates", &updates_, "training updates applied");
+    g.bindCounter("updates", &updates_);
     g.derived("storage_bits",
-              [this] { return static_cast<double>(storageBits()); },
-              "hardware budget of this organisation");
+              [this] { return static_cast<double>(storageBits()); });
 }
 
 void

@@ -91,11 +91,9 @@ class HitMissPredictor
     virtual void
     registerStats(StatsGroup g)
     {
-        g.derived("storage_bits",
-                  [this] {
-                      return static_cast<double>(storageBits());
-                  },
-                  "hardware budget of this predictor");
+        g.derived("storage_bits", [this] {
+            return static_cast<double>(storageBits());
+        });
     }
 
     /**

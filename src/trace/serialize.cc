@@ -148,18 +148,12 @@ repairStorePairs(std::vector<Uop> &uops, TraceReadStats &st)
 void
 TraceReadStats::registerStats(StatsGroup g)
 {
-    g.bindCounter("records_read", &recordsRead,
-                  "trace records accepted by the reader");
-    g.bindCounter("skipped_records", &skippedRecords,
-                  "malformed trace records dropped (recovery mode)");
-    g.bindCounter("resync_bytes", &resyncBytes,
-                  "bytes slid over re-locking record framing");
-    g.bindCounter("truncated_tail_bytes", &truncatedTailBytes,
-                  "partial-record bytes discarded at end of stream");
-    g.bindCounter("missing_records", &missingRecords,
-                  "records promised by the header but absent");
-    g.bindCounter("dropped_store_uops", &droppedStoreUops,
-                  "orphaned STA/STD halves dropped re-pairing stores");
+    g.bindCounter("records_read", &recordsRead);
+    g.bindCounter("skipped_records", &skippedRecords);
+    g.bindCounter("resync_bytes", &resyncBytes);
+    g.bindCounter("truncated_tail_bytes", &truncatedTailBytes);
+    g.bindCounter("missing_records", &missingRecords);
+    g.bindCounter("dropped_store_uops", &droppedStoreUops);
 }
 
 std::uint64_t

@@ -64,7 +64,8 @@ struct TraceReadOptions
 struct TraceReadStats
 {
     std::uint64_t recordsRead = 0;    ///< records accepted
-    std::uint64_t skippedRecords = 0; ///< malformed records dropped
+    /** Malformed records dropped (recovery mode). */
+    std::uint64_t skippedRecords = 0;
     std::uint64_t resyncBytes = 0;    ///< bytes slid over hunting framing
     std::uint64_t truncatedTailBytes = 0; ///< partial record at EOF
     /** Records promised by the header but missing from the stream. */

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <random>
@@ -23,6 +24,7 @@
 #include "core/snapshot.hh"
 #include "trace/champsim_reader.hh"
 #include "trace/library.hh"
+#include "tmp_path.hh"
 
 namespace lrs
 {
@@ -590,13 +592,13 @@ TEST(ChampSimSniff, RecognisesFixtureRejectsOthers)
     EXPECT_TRUE(looksLikeChampSimFile(kGolden));
     EXPECT_FALSE(looksLikeChampSimFile(kGolden + ".does-not-exist"));
 
-    const std::string txt =
-        ::testing::TempDir() + "champsim_sniff.txt";
+    const std::string txt = tmpPath("champsim_sniff.txt");
     {
         std::ofstream os(txt, std::ios::binary);
         os << "LRSJ1 00000000 {\"kind\":\"journal\"}\n";
     }
     EXPECT_FALSE(looksLikeChampSimFile(txt));
+    std::remove(txt.c_str());
 }
 
 // -------------------------------------------------- library integration
@@ -648,8 +650,7 @@ TEST(ChampSimLibrary, AdversarialFamiliesExist)
 
 TEST(ChampSimSnapshot, ContentIdentityGuardsRestore)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string snap = dir + "champsim_identity.snap";
+    const std::string snap = tmpPath("champsim_identity.snap");
 
     MachineConfig cfg;
     cfg.validateOrThrow();
@@ -678,6 +679,7 @@ TEST(ChampSimSnapshot, ContentIdentityGuardsRestore)
     ASSERT_EQ(t3->size(), trace->size());
     OooCore c3(cfg);
     EXPECT_THROW(loadSnapshotInto(snap, c3, *t3), ConfigError);
+    std::remove(snap.c_str());
 }
 
 } // namespace

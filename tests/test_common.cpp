@@ -242,19 +242,6 @@ TEST(BitUtils, Mix64Decorrelates)
     EXPECT_NE(a >> 32, b >> 32);
 }
 
-TEST(Counter, IncrementAndReset)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 4;
-    c.inc();
-    c.inc(10);
-    EXPECT_EQ(c.value(), 16u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(TextTable, AlignsColumns)
 {
     TextTable t({"a", "bbbb"});

@@ -21,17 +21,12 @@
 #include "core/flight_recorder.hh"
 #include "core/parallel.hh"
 #include "trace/library.hh"
+#include "tmp_path.hh"
 
 namespace lrs
 {
 namespace
 {
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + "lrs_flight_" + name;
-}
 
 void
 recordN(FlightRecorder &fr, std::uint64_t n)

@@ -163,7 +163,7 @@ TEST(Histogram, RegistryIntegration)
 {
     StatsRegistry reg;
     Log2Histogram &h =
-        reg.group("hist").log2hist("load_to_use", "test histogram");
+        reg.group("hist").log2hist("load_to_use");
     h.record(4);
     h.record(4);
     ASSERT_TRUE(reg.has("hist.load_to_use"));
@@ -171,8 +171,6 @@ TEST(Histogram, RegistryIntegration)
     const json::Value j = reg.toJson();
     EXPECT_EQ(
         j.at("hist").at("load_to_use").at("count").asU64(), 2u);
-    reg.reset();
-    EXPECT_EQ(h.count(), 0u);
 }
 
 /**

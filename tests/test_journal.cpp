@@ -18,17 +18,12 @@
 #include "common/crc.hh"
 #include "common/diag.hh"
 #include "common/journal.hh"
+#include "tmp_path.hh"
 
 namespace lrs
 {
 namespace
 {
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + "lrs_journal_" + name;
-}
 
 std::string
 slurp(const std::string &path)

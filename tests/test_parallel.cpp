@@ -28,6 +28,7 @@
 #include "trace/library.hh"
 
 #include "../bench/bench_util.hh"
+#include "tmp_path.hh"
 
 namespace lrs
 {
@@ -247,8 +248,7 @@ TEST(ParallelRunnerFixes, EnvU64RejectsOverflowAndNegatives)
 
 TEST(ParallelJsonReport, WritesAtomicallyToEnvPath)
 {
-    const std::string path =
-        testing::TempDir() + "lrs_test_report.json";
+    const std::string path = tmpPath("test_report.json");
     std::remove(path.c_str());
     setenv("LRS_BENCH_JSON", path.c_str(), 1);
 

@@ -35,17 +35,12 @@
 #include "core/runner.hh"
 #include "core/snapshot.hh"
 #include "trace/library.hh"
+#include "tmp_path.hh"
 
 namespace lrs
 {
 namespace
 {
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + "lrs_snapshot_" + name;
-}
 
 std::string
 slurp(const std::string &path)

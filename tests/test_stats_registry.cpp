@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the stats registry and the JSON layer underneath it:
- * registration styles (owned/bound/derived), uniform reset,
- * duplicate-name rejection, nested JSON export, and round-tripping
- * SimResult (including interval series) through the JSON parser.
+ * registration styles (bound/derived), duplicate-name rejection,
+ * nested JSON export, round-tripping SimResult (including interval
+ * series) through the JSON parser, and the core's registry agreeing
+ * with every SimResult counter it binds.
  */
 
 #include <gtest/gtest.h>
@@ -55,18 +56,6 @@ TEST(JsonValue, ParseErrorsReportOffset)
     EXPECT_THROW(json::Value::parse("{} x"), json::ParseError);
 }
 
-TEST(StatsRegistry, OwnedCounterRegisterAndReset)
-{
-    StatsRegistry reg;
-    Counter &c = reg.counter("core.uops", "retired uops");
-    c += 41;
-    ++c;
-    EXPECT_EQ(c.value(), 42u);
-    EXPECT_DOUBLE_EQ(reg.value("core.uops"), 42.0);
-    reg.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(StatsRegistry, BoundCounterTracksExternalSlot)
 {
     StatsRegistry reg;
@@ -74,8 +63,6 @@ TEST(StatsRegistry, BoundCounterTracksExternalSlot)
     reg.bindCounter("mem.hits", &slot);
     slot = 7;
     EXPECT_DOUBLE_EQ(reg.value("mem.hits"), 7.0);
-    reg.reset();
-    EXPECT_EQ(slot, 0u); // reset reaches through the binding
     EXPECT_THROW(reg.bindCounter("mem.null", nullptr),
                  std::logic_error);
 }
@@ -88,41 +75,44 @@ TEST(StatsRegistry, DerivedEvaluatedAtExport)
     EXPECT_DOUBLE_EQ(reg.value("rate"), 1.0);
     x = 2.5;
     EXPECT_DOUBLE_EQ(reg.value("rate"), 2.5);
-    reg.reset(); // derived stats are views; reset must not touch them
-    EXPECT_DOUBLE_EQ(reg.value("rate"), 2.5);
 }
 
 TEST(StatsRegistry, DuplicateNameThrows)
 {
     StatsRegistry reg;
-    reg.counter("a.b");
-    EXPECT_THROW(reg.counter("a.b"), std::logic_error);
     std::uint64_t slot = 0;
+    reg.bindCounter("a.b", &slot);
     EXPECT_THROW(reg.bindCounter("a.b", &slot), std::logic_error);
-    EXPECT_THROW(reg.counter(""), std::logic_error);
+    EXPECT_THROW(reg.derived("a.b", [] { return 0.0; }),
+                 std::logic_error);
+    EXPECT_THROW(reg.bindCounter("", &slot), std::logic_error);
 }
 
 TEST(StatsRegistry, GroupPrefixesAndNests)
 {
     StatsRegistry reg;
+    std::uint64_t hits = 0, misses = 0;
     StatsGroup mem = reg.group("mem");
     StatsGroup l1 = mem.group("l1");
-    l1.counter("hits");
-    mem.counter("misses");
+    EXPECT_EQ(l1.prefix(), "mem.l1");
+    l1.bindCounter("hits", &hits);
+    mem.bindCounter("misses", &misses);
     EXPECT_TRUE(reg.has("mem.l1.hits"));
     EXPECT_TRUE(reg.has("mem.misses"));
     EXPECT_FALSE(reg.has("l1.hits"));
-    const auto names = reg.names();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "mem.l1.hits"); // registration order
+    EXPECT_EQ(reg.size(), 2u);
+    // Registration order is export order.
+    EXPECT_EQ(reg.toJson().dump(),
+              R"({"mem":{"l1":{"hits":0},"misses":0}})");
 }
 
 TEST(StatsRegistry, JsonExportNestsDottedNames)
 {
     StatsRegistry reg;
-    reg.counter("mem.l1.hits") += 3;
-    reg.counter("mem.l1.misses") += 1;
-    reg.counter("core.cycles") += 10;
+    std::uint64_t hits = 3, misses = 1, cycles = 10;
+    reg.bindCounter("mem.l1.hits", &hits);
+    reg.bindCounter("mem.l1.misses", &misses);
+    reg.bindCounter("core.cycles", &cycles);
 
     const json::Value back = json::Value::parse(reg.toJson().dump(2));
     EXPECT_DOUBLE_EQ(
@@ -157,26 +147,8 @@ TEST(SimResult, JsonRoundTripWithIntervals)
 
     const json::Value doc = json::Value::parse(r.toJson().dump(2));
     EXPECT_EQ(doc.at("trace").asString(), r.trace);
-    const auto num = [&](const char *k) {
-        return static_cast<std::uint64_t>(doc.at(k).asDouble());
-    };
-    EXPECT_EQ(num("cycles"), r.cycles);
-    EXPECT_EQ(num("uops"), r.uops);
-    EXPECT_EQ(num("loads"), r.loads);
-    EXPECT_EQ(num("stores"), r.stores);
-    EXPECT_EQ(num("branches"), r.branches);
-    EXPECT_EQ(num("branch_mispredicts"), r.branchMispredicts);
-    EXPECT_EQ(num("not_conflicting"), r.notConflicting);
-    EXPECT_EQ(num("anc_pnc"), r.ancPnc);
-    EXPECT_EQ(num("anc_pc"), r.ancPc);
-    EXPECT_EQ(num("ac_pc"), r.acPc);
-    EXPECT_EQ(num("ac_pnc"), r.acPnc);
-    EXPECT_EQ(num("collision_penalties"), r.collisionPenalties);
-    EXPECT_EQ(num("order_violations"), r.orderViolations);
-    EXPECT_EQ(num("forwarded"), r.forwarded);
-    EXPECT_EQ(num("l1_misses"), r.l1Misses);
-    EXPECT_EQ(num("wasted_issues"), r.wastedIssues);
-    EXPECT_EQ(num("replayed_uops"), r.replayedUops);
+    for (const SimResult::CounterSpec &c : SimResult::kCounters)
+        EXPECT_EQ(doc.at(c.key).asU64(), r.*c.field) << c.key;
     EXPECT_DOUBLE_EQ(doc.at("derived").at("ipc").asDouble(), r.ipc());
 
     const json::Value &iv = doc.at("intervals");
@@ -191,6 +163,34 @@ TEST(SimResult, JsonRoundTripWithIntervals)
     }
     EXPECT_DOUBLE_EQ(iv.at("ipc").at(0).asDouble(),
                      r.intervals[0].ipc);
+}
+
+/** Every SimResult counter reads the same through the core's registry
+ *  as in the result, on a machine with a CHT, the chooser hit-miss
+ *  predictor and a sliced bank predictor, so every group the table
+ *  names is bound. */
+TEST(CoreRegistry, EveryCounterRowMatchesItsField)
+{
+    MachineConfig cfg;
+    cfg.scheme = OrderingScheme::Inclusive;
+    cfg.hmp = HmpKind::Chooser;
+    cfg.bankMode = BankMode::Sliced;
+    cfg.bankPred = BankPredKind::Addr;
+    auto trace = TraceLibrary::make(TraceLibrary::byName("wd", 20000));
+    OooCore core(cfg);
+    const SimResult r = core.run(*trace);
+    ASSERT_GT(r.bankMispredicts, 0u);
+    ASSERT_GT(r.acPc, 0u);
+
+    const StatsRegistry &reg = core.stats();
+    ASSERT_TRUE(reg.has("pred.cht.updates"));
+    ASSERT_TRUE(reg.has("pred.bank.storage_bits"));
+    for (const SimResult::CounterSpec &c : SimResult::kCounters) {
+        const std::string path = std::string(c.group) + "." + c.leaf;
+        ASSERT_TRUE(reg.has(path)) << path;
+        EXPECT_EQ(reg.value(path), static_cast<double>(r.*c.field))
+            << path;
+    }
 }
 
 /** The registry the core builds exposes every major component group. */

@@ -33,17 +33,12 @@
 #include "core/runner.hh"
 #include "core/supervisor.hh"
 #include "trace/library.hh"
+#include "tmp_path.hh"
 
 namespace lrs
 {
 namespace
 {
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + "lrs_supervisor_" + name;
-}
 
 /** Clear the process-wide interrupt flag however the test exits. */
 struct InterruptGuard

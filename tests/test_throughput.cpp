@@ -27,6 +27,7 @@
 #include "core/snapshot.hh"
 #include "trace/champsim_reader.hh"
 #include "trace/library.hh"
+#include "tmp_path.hh"
 
 namespace lrs
 {
@@ -230,8 +231,7 @@ TEST(ThroughputIdentity, SnapshotMidSkipRegionIsBitIdentical)
     // advanceTo() to land exactly on the requested cycle; the resumed
     // run must finish byte-identical to the uninterrupted one.
     const MachineConfig cfg = sparseConfig();
-    const std::string path =
-        testing::TempDir() + "lrs_throughput_midskip.snap";
+    const std::string path = tmpPath("throughput_midskip.snap");
 
     auto full_trace =
         TraceLibrary::make(TraceLibrary::byName("gcmark", 20000));

@@ -7,7 +7,8 @@
 # default path. A second (loose) gate times a telemetry-on run against
 # the off run to catch a pathologically expensive on-path.
 #
-# The goldens were captured from the seed build; the only permitted
+# The goldens were captured from the seed build (single_pred.* later,
+# from the build before SimResult's counter table); the only permitted
 # difference since is the "build" provenance block that now leads
 # every JSON export, which this script strips before comparing.
 #
@@ -73,6 +74,18 @@ cmp -s "$golden/single.txt" "$work/single.txt" \
 strip_build "$work/single.json" > "$work/single.stripped.json"
 cmp -s "$golden/single.json" "$work/single.stripped.json" \
     || fail "single-run JSON differs from golden (after strip)"
+
+# Traditional/always-hit above has no CHT and no bank predictor; this
+# run pins the registry groups they add (pred.cht between pred.hmp and
+# pred.bank) and the SimResult counters bound around them.
+"$sim" --trace wd --len 150000 --scheme inclusive --hmp chooser \
+    --bank-mode sliced --bank-pred addr --json "$work/single_pred.json" \
+    > "$work/single_pred.txt"
+cmp -s "$golden/single_pred.txt" "$work/single_pred.txt" \
+    || fail "predictor single-run table differs from golden"
+strip_build "$work/single_pred.json" > "$work/single_pred.stripped.json"
+cmp -s "$golden/single_pred.json" "$work/single_pred.stripped.json" \
+    || fail "predictor single-run JSON differs from golden (after strip)"
 
 "$sim" --batch "$golden/grid.ini" --jobs 2 --json "$work/batch.json" \
     > "$work/batch.txt" 2> /dev/null

@@ -255,6 +255,10 @@ usage(FILE *out, int code, const char *argv0)
         "(LRS_FAULT_BIT_RATE)\n"
         "  --fault-lat-rate R    per-access latency perturbation "
         "probability (LRS_FAULT_LAT_RATE)\n"
+        "                        (fault settings need a single run; "
+        "--compare-schemes\n"
+        "                        and --dump-trace take only the "
+        "trace corruption)\n"
         "resilient sweeps (docs/ROBUSTNESS.md, \"Sweep "
         "supervisor\"):\n"
         "  --journal PATH        append one crash-safe checkpoint "
@@ -792,6 +796,10 @@ main(int argc, char **argv)
     bool inject_trace_faults = false;
     TraceReadOptions read_opts;
     FaultConfig fault_cfg = FaultConfig::fromEnv();
+    // The --fault-*-rate flags given, if any (see the mode check).
+    const char *trace_rate_flag = nullptr;
+    const char *bit_rate_flag = nullptr;
+    const char *lat_rate_flag = nullptr;
 
     MachineConfig cfg;
     cfg.cht.trackDistance = true;
@@ -898,12 +906,16 @@ main(int argc, char **argv)
                 inject_trace_faults = true;
             else if (a == "--fault-seed")
                 fault_cfg.seed = parseUnsigned(next());
-            else if (a == "--fault-trace-rate")
+            else if (a == "--fault-trace-rate") {
                 fault_cfg.traceRate = parseRate(next());
-            else if (a == "--fault-bit-rate")
+                trace_rate_flag = "--fault-trace-rate";
+            } else if (a == "--fault-bit-rate") {
                 fault_cfg.bitRate = parseRate(next());
-            else if (a == "--fault-lat-rate")
+                bit_rate_flag = "--fault-bit-rate";
+            } else if (a == "--fault-lat-rate") {
                 fault_cfg.latRate = parseRate(next());
+                lat_rate_flag = "--fault-lat-rate";
+            }
             else if (a == "--help" || a == "-h")
                 usage(stdout, kExitOk, argv[0]);
             else {
@@ -1011,6 +1023,39 @@ main(int argc, char **argv)
             if (stray) {
                 std::fprintf(stderr, "%s needs --batch\n", stray);
                 usage(stderr, kExitUsage, argv[0]);
+            }
+        }
+        // Fault injection reaches only the modes that build an
+        // injector: a single run applies all of it, --compare-schemes
+        // and --dump-trace only the trace corruption (no core gets the
+        // injector), --batch and --families none. A setting the mode
+        // would ignore is named instead: a flag, or a nonzero
+        // LRS_FAULT_*_RATE.
+        {
+            const bool grid = !batch_path.empty() || families;
+            const bool no_core = grid || compare || !dump_path.empty();
+            const auto setBy = [](const char *flag, const char *env,
+                                  double rate) -> const char * {
+                return flag ? flag : rate > 0.0 ? env : nullptr;
+            };
+            const std::pair<const char *, bool> settings[] = {
+                {inject_trace_faults ? "--inject-trace-faults" : nullptr,
+                 grid},
+                {setBy(trace_rate_flag, "LRS_FAULT_TRACE_RATE",
+                       fault_cfg.traceRate),
+                 grid},
+                {setBy(bit_rate_flag, "LRS_FAULT_BIT_RATE",
+                       fault_cfg.bitRate),
+                 no_core},
+                {setBy(lat_rate_flag, "LRS_FAULT_LAT_RATE",
+                       fault_cfg.latRate),
+                 no_core},
+            };
+            for (const auto &[name, ignored] : settings) {
+                if (name && ignored) {
+                    std::fprintf(stderr, "%s needs a single run\n", name);
+                    usage(stderr, kExitUsage, argv[0]);
+                }
             }
         }
         if (sweep_opts.cellTimeoutMs && !sweep_opts.isolate) {
