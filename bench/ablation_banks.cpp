@@ -54,14 +54,10 @@ main()
     parallelFor(cells.size(), [&](std::size_t idx) {
         const Cell &c = cells[idx];
         auto trace = TraceLibrary::make(traces[c.ti]);
-        std::unique_ptr<BankPredictor> pred;
-        if (c.use_addr) {
-            pred = std::make_unique<AddressBankPredictor>(64, c.banks,
-                                                          1024);
-        } else {
-            pred = makePerBitBankPredictor(c.banks);
-        }
-        slots[idx] = analyzeBank(*trace, *pred, 64, c.banks);
+        const auto pred = makeBankPredictor(
+            c.use_addr ? BankPredKind::Addr : BankPredKind::A, c.banks,
+            64);
+        slots[idx] = analyzeBank(*trace, *pred);
     });
 
     std::size_t idx = 0;

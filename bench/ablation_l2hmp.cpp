@@ -13,6 +13,7 @@
  */
 
 #include "core/analysis.hh"
+#include "core/config_io.hh"
 
 #include "bench_util.hh"
 
@@ -56,7 +57,7 @@ main()
     std::vector<ThreadSwitchEstimate> slots(cells.size());
     parallelFor(cells.size(), [&](std::size_t idx) {
         auto trace = TraceLibrary::make(cells[idx].tp);
-        auto hmp = makeHmp(cells[idx].which);
+        auto hmp = makeHmp(parseHmpKind(cells[idx].which));
         slots[idx] = estimateThreadSwitch(*trace, *hmp);
     });
 

@@ -13,6 +13,7 @@
  */
 
 #include "core/analysis.hh"
+#include "core/config_io.hh"
 
 #include "bench_util.hh"
 
@@ -77,7 +78,7 @@ main()
     parallelFor(cells.size(), [&](std::size_t idx) {
         const Cell &c = cells[idx];
         auto trace = TraceLibrary::make(group_traces[c.gi][c.ti]);
-        auto hmp = makeHmp(preds[c.pi]);
+        auto hmp = makeHmp(parseHmpKind(preds[c.pi]));
         slots[idx] = analyzeHitMiss(*trace, *hmp);
     });
 

@@ -21,7 +21,7 @@ namespace
 {
 
 BankStats
-runGroup(TraceGroup g, const char *which)
+runGroup(TraceGroup g, BankPredKind kind)
 {
     // Analyse each trace of the group as one pool job; fold the
     // per-trace slots in trace order (byte-identical to the old
@@ -30,15 +30,7 @@ runGroup(TraceGroup g, const char *which)
     std::vector<BankStats> slots(traces.size());
     parallelFor(traces.size(), [&](std::size_t ti) {
         auto trace = TraceLibrary::make(traces[ti]);
-        std::unique_ptr<BankPredictor> pred;
-        if (std::string(which) == "A")
-            pred = makeBankPredictorA();
-        else if (std::string(which) == "B")
-            pred = makeBankPredictorB();
-        else if (std::string(which) == "C")
-            pred = makeBankPredictorC();
-        else
-            pred = makeAddressBankPredictor();
+        const auto pred = makeBankPredictor(kind, 2, 64);
         slots[ti] = analyzeBank(*trace, *pred);
     });
     BankStats agg;
@@ -64,7 +56,12 @@ main()
         {"SpecINT", TraceGroup::SpecInt95},
         {"SpecFP", TraceGroup::SpecFP95},
     };
-    const std::vector<const char *> preds = {"A", "B", "C", "Addr"};
+    const std::vector<std::pair<const char *, BankPredKind>> preds = {
+        {"A", BankPredKind::A},
+        {"B", BankPredKind::B},
+        {"C", BankPredKind::C},
+        {"Addr", BankPredKind::Addr},
+    };
 
     JsonReport jr("fig12_bank_metric");
     for (const auto &[label, g] : groups) {
@@ -72,8 +69,8 @@ main()
         TextTable t({"pred", "rate", "accuracy", "R", "pen=0",
                      "pen=1", "pen=2", "pen=4", "pen=6", "pen=8",
                      "pen=10"});
-        for (const char *which : preds) {
-            const BankStats st = runGroup(g, which);
+        for (const auto &[which, kind] : preds) {
+            const BankStats st = runGroup(g, kind);
             t.startRow();
             t.cell(which);
             t.cellPct(st.rate(), 1);

@@ -49,26 +49,20 @@ struct SlicedPipeStats
 SlicedPipeStats
 runSlicedPipe(const VecTrace &trace, BankPredictor &pred)
 {
-    auto *addr_pred = dynamic_cast<AddressBankPredictor *>(&pred);
     SlicedPipeStats st;
     for (const Uop &u : trace.uops()) {
         if (!u.isLoad())
             continue;
         ++st.loads;
-        const unsigned actual =
-            static_cast<unsigned>(u.addr / 64) % 2;
         const auto p = pred.predict(u.pc);
         if (p.valid) {
             ++st.steered;
-            if (p.bank != actual)
+            if (p.bank != pred.bankOf(u.addr))
                 ++st.mispredicted;
         } else {
             ++st.replicated;
         }
-        if (addr_pred)
-            addr_pred->updateAddr(u.pc, u.addr);
-        else
-            pred.update(u.pc, actual);
+        pred.update(u.pc, u.addr);
     }
     return st;
 }
@@ -90,32 +84,19 @@ main(int argc, char **argv)
 
     TextTable t({"pred", "KB", "rate", "accuracy", "metric",
                  "slots/load", "mispredicts"});
-    const char *preds[] = {"A", "B", "C", "Addr"};
-    for (const char *which : preds) {
-        std::unique_ptr<BankPredictor> pred;
-        if (std::string(which) == "A")
-            pred = makeBankPredictorA();
-        else if (std::string(which) == "B")
-            pred = makeBankPredictorB();
-        else if (std::string(which) == "C")
-            pred = makeBankPredictorC();
-        else
-            pred = makeAddressBankPredictor();
-
+    const std::pair<const char *, BankPredKind> preds[] = {
+        {"A", BankPredKind::A},
+        {"B", BankPredKind::B},
+        {"C", BankPredKind::C},
+        {"Addr", BankPredKind::Addr},
+    };
+    for (const auto &[which, kind] : preds) {
+        const auto pred = makeBankPredictor(kind, 2, 64);
         const auto stats = analyzeBank(*trace, *pred);
-
         // Fresh predictor for the sliced-pipe replay (the analysis
         // above trained this one).
-        std::unique_ptr<BankPredictor> pred2;
-        if (std::string(which) == "A")
-            pred2 = makeBankPredictorA();
-        else if (std::string(which) == "B")
-            pred2 = makeBankPredictorB();
-        else if (std::string(which) == "C")
-            pred2 = makeBankPredictorC();
-        else
-            pred2 = makeAddressBankPredictor();
-        const auto pipe = runSlicedPipe(*trace, *pred2);
+        const auto pipe =
+            runSlicedPipe(*trace, *makeBankPredictor(kind, 2, 64));
 
         t.startRow();
         t.cell(which);

@@ -16,6 +16,7 @@
 
 #include "common/stats.hh"
 #include "core/analysis.hh"
+#include "core/config_io.hh"
 #include "core/runner.hh"
 
 using namespace lrs;
@@ -36,7 +37,7 @@ main(int argc, char **argv)
     TextTable st({"predictor", "KB", "miss rate", "coverage (AM-PM)",
                   "false miss (AH-PM)"});
     for (const char *which : {"local", "chooser", "local+timing"}) {
-        auto hmp = makeHmp(which);
+        auto hmp = makeHmp(parseHmpKind(which));
         const auto s = analyzeHitMiss(*trace, *hmp);
         st.startRow();
         st.cell(which);

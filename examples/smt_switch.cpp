@@ -20,6 +20,7 @@
 
 #include "common/stats.hh"
 #include "core/analysis.hh"
+#include "core/config_io.hh"
 #include "trace/library.hh"
 
 using namespace lrs;
@@ -40,7 +41,7 @@ main(int argc, char **argv)
     TextTable qt({"predictor", "mem-miss rate", "coverage",
                   "false-switch rate"});
     for (const char *which : {"local", "chooser", "local+timing"}) {
-        auto hmp = makeHmp(which);
+        auto hmp = makeHmp(parseHmpKind(which));
         const auto st = analyzeHitMiss(*trace, *hmp, {}, 2.0,
                                        MissLevel::L2);
         qt.startRow();
@@ -60,7 +61,7 @@ main(int argc, char **argv)
         st.startRow();
         st.cell(which);
         for (const Cycle ovh : {5u, 10u, 20u, 40u}) {
-            auto hmp = makeHmp(which);
+            auto hmp = makeHmp(parseHmpKind(which));
             const auto est =
                 estimateThreadSwitch(*trace, *hmp, {}, ovh);
             st.cell(est.netSavedPerKiloLoad(), 1);

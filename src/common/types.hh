@@ -32,6 +32,16 @@ constexpr Cycle kCycleNever = std::numeric_limits<Cycle>::max();
 /** An invalid/absent address marker. */
 constexpr Addr kAddrInvalid = std::numeric_limits<Addr>::max();
 
+/**
+ * The cache bank of @p addr when lines of @p line_bytes are
+ * interleaved across @p num_banks banks.
+ */
+constexpr unsigned
+bankOfAddr(Addr addr, unsigned line_bytes, unsigned num_banks)
+{
+    return static_cast<unsigned>(addr / line_bytes) % num_banks;
+}
+
 } // namespace lrs
 
 #endif // LRS_COMMON_TYPES_HH

@@ -75,15 +75,13 @@ estimateThreadSwitch(const VecTrace &trace, HitMissPredictor &hmp,
 }
 
 BankStats
-analyzeBank(const VecTrace &trace, BankPredictor &pred,
-            unsigned line_bytes, unsigned num_banks)
+analyzeBank(const VecTrace &trace, BankPredictor &pred)
 {
     BankStats st;
     for (const Uop &u : trace.uops()) {
         if (!u.isLoad())
             continue;
-        const unsigned actual =
-            static_cast<unsigned>(u.addr / line_bytes) % num_banks;
+        const unsigned actual = pred.bankOf(u.addr);
 
         const auto p = pred.predict(u.pc);
         ++st.loads;
@@ -94,7 +92,7 @@ analyzeBank(const VecTrace &trace, BankPredictor &pred,
             else
                 ++st.wrong;
         }
-        pred.updateAddr(u.pc, u.addr, actual);
+        pred.update(u.pc, u.addr);
     }
     return st;
 }

@@ -136,11 +136,10 @@ struct BankStats
 };
 
 /**
- * Run @p pred over the loads of @p trace. The actual bank is the
- * line-interleaved bank of the effective address.
+ * Run @p pred over the loads of @p trace. The actual bank is the bank
+ * of the effective address under the predictor's geometry.
  */
-BankStats analyzeBank(const VecTrace &trace, BankPredictor &pred,
-                      unsigned line_bytes = 64, unsigned num_banks = 2);
+BankStats analyzeBank(const VecTrace &trace, BankPredictor &pred);
 
 } // namespace lrs
 

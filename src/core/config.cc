@@ -75,7 +75,8 @@ MachineConfig::validate() const
         bad("std_ports", "must be >= 1" + got(stdPorts));
 
     // Banked-cache pipeline. The per-port free lists are fixed-size
-    // arrays of 8; the per-bit predictor needs a power of two.
+    // arrays of 8; the bank predictors need a power of two (A, B and
+    // C predict log2(num_banks) bank-ID bits, none for one bank).
     if (numBanks < 1 || numBanks > 8 || !isPowerOf2(numBanks)) {
         bad("num_banks", "bank count must be a power of two in 1..8" +
                              got(numBanks));

@@ -19,7 +19,9 @@
 #include "common/diag.hh"
 #include "common/types.hh"
 #include "memory/hierarchy.hh"
+#include "predictors/bank_pred.hh"
 #include "predictors/cht.hh"
+#include "predictors/hitmiss.hh"
 
 namespace lrs
 {
@@ -64,26 +66,6 @@ enum class BankMode
 };
 
 const char *bankModeName(BankMode m);
-
-/** Which bank predictor the machine uses (section 4.3 configs). */
-enum class BankPredKind
-{
-    None,
-    A,    ///< local+gshare+gskew, unanimity
-    B,    ///< local+gshare+bimodal, unanimity
-    C,    ///< local+2*gshare+gskew, weighted
-    Addr, ///< stride address predictor
-};
-
-/** Hit-miss predictor selection for the core. */
-enum class HmpKind
-{
-    AlwaysHit,   ///< baseline: every load assumed to hit L1
-    Local,       ///< local-only predictor (2048 entries, history 8)
-    Chooser,     ///< hybrid local+gshare+gskew majority chooser
-    LocalTiming, ///< local + outstanding-miss timing information
-    Perfect,     ///< oracle hit-miss knowledge
-};
 
 const char *hmpKindName(HmpKind k);
 

@@ -112,38 +112,9 @@ OooCore::OooCore(const MachineConfig &cfg)
         cht_ = std::make_unique<Cht>(cp);
     }
 
-    switch (cfg_.hmp) {
-      case HmpKind::Local:
-        hmp_ = makeLocalHmp();
-        break;
-      case HmpKind::Chooser:
-        hmp_ = makeChooserHmp();
-        break;
-      case HmpKind::LocalTiming:
-        hmp_ = makeTimingLocalHmp();
-        break;
-      case HmpKind::AlwaysHit:
-      case HmpKind::Perfect:
-        hmp_.reset();
-        break;
-    }
-
-    switch (cfg_.bankPred) {
-      case BankPredKind::A:
-        bankPred_ = makeBankPredictorA();
-        break;
-      case BankPredKind::B:
-        bankPred_ = makeBankPredictorB();
-        break;
-      case BankPredKind::C:
-        bankPred_ = makeBankPredictorC();
-        break;
-      case BankPredKind::Addr:
-        bankPred_ = makeAddressBankPredictor();
-        break;
-      case BankPredKind::None:
-        break;
-    }
+    hmp_ = makeHmp(cfg_.hmp);
+    bankPred_ = makeBankPredictor(cfg_.bankPred, cfg_.numBanks,
+                                  cfg_.mem.l1.lineBytes);
 
     switch (cfg_.bankMode) {
       case BankMode::Conventional:
@@ -1099,7 +1070,7 @@ OooCore::executeLoad(int slot)
     // waiting for retirement would leave in-flight instances of the
     // same load unaccounted and make stride predictions lag.
     if (bankPred_)
-        bankPred_->updateAddr(u.pc, u.addr, bankOf(u.addr));
+        bankPred_->update(u.pc, u.addr);
     // The memory-pipe organisation adds its structural latency here
     // (crossbar/decision stage or second-level scheduler, Figure 4).
     Cycle agu_done = now_ + cfg_.aguLat + memPipeExtraLat_;
@@ -1400,7 +1371,7 @@ OooCore::executeEntry(int slot)
         mob_.staExecuted(robMobOrd_[slot], t);
         maybeTouchStore(robMobOrd_[slot]);
         if (bankPred_)
-            bankPred_->updateAddr(u.pc, u.addr, bankOf(u.addr));
+            bankPred_->update(u.pc, u.addr);
         break;
       }
       case UopClass::StoreData: {

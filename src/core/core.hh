@@ -421,8 +421,7 @@ class OooCore
     /** Bank of an address under the configured interleave. */
     unsigned bankOf(Addr addr) const
     {
-        return static_cast<unsigned>(addr / cfg_.mem.l1.lineBytes) %
-               cfg_.numBanks;
+        return bankOfAddr(addr, cfg_.mem.l1.lineBytes, cfg_.numBanks);
     }
 
     MachineConfig cfg_;

@@ -84,8 +84,7 @@ class Cache
     unsigned
     bankOf(Addr addr) const
     {
-        return static_cast<unsigned>(addr / params_.lineBytes) %
-               params_.numBanks;
+        return bankOfAddr(addr, params_.lineBytes, params_.numBanks);
     }
 
     Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }

@@ -74,13 +74,6 @@ LoadAddressPredictor::update(Addr pc, Addr addr)
 }
 
 void
-LoadAddressPredictor::reset()
-{
-    for (auto &e : table_)
-        e = Entry{};
-}
-
-void
 LoadAddressPredictor::walkState(stateio::Archive &a)
 {
     a.rows("table", table_.size(),

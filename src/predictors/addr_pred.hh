@@ -53,7 +53,6 @@ class LoadAddressPredictor
     /** Train with the actual effective address. */
     void update(Addr pc, Addr addr);
 
-    void reset();
     std::size_t storageBits() const;
     std::string name() const { return "stride-addr"; }
 

@@ -13,6 +13,15 @@
  *     (Local: 512 entries, 8-bit history; Gshare: 11-bit history;
  *      GSkew: 3 tables of 1024 entries, 17-bit history.)
  *
+ * Section 2.3 scales binary prediction beyond two banks: "each bit of
+ * the bank ID can be independently predicted and assigned a confidence
+ * rating. If the confidence level of a particular bit is low, the load
+ * will be sent to both banks". A, B and C therefore run one composite
+ * per bank-ID bit, and the prediction is withheld if any bit's
+ * composite declines; a one-bank machine has no bits and always names
+ * bank 0. The address predictor names the bank of the predicted
+ * address at any bank count.
+ *
  * A bank predictor may *decline* to predict (low confidence); such
  * loads are replicated to all banks. The paper's evaluation metric
  * combining prediction rate P, correct/wrong ratio R and the
@@ -22,23 +31,38 @@
 #ifndef LRS_PREDICTORS_BANK_PRED_HH
 #define LRS_PREDICTORS_BANK_PRED_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 
+#include "common/state_io.hh"
 #include "common/stats_registry.hh"
-#include "predictors/addr_pred.hh"
-#include "predictors/chooser.hh"
+#include "common/types.hh"
 
 namespace lrs
 {
 
+/** Which bank predictor the machine uses (section 4.3 configs). */
+enum class BankPredKind
+{
+    None,
+    A,    ///< local+gshare+gskew, unanimity
+    B,    ///< local+gshare+bimodal, unanimity
+    C,    ///< local+2*gshare+gskew, weighted
+    Addr, ///< stride address predictor
+};
+
 /**
- * Predicts which of two cache banks a load will access.
+ * Predicts which cache bank a load will access. The predictor knows
+ * the machine's bank geometry, so it trains on effective addresses.
  */
 class BankPredictor
 {
   public:
+    BankPredictor(unsigned num_banks, unsigned line_bytes)
+        : numBanks_(num_banks), lineBytes_(line_bytes)
+    {
+    }
+
     virtual ~BankPredictor() = default;
 
     struct Prediction
@@ -49,30 +73,26 @@ class BankPredictor
 
     virtual Prediction predict(Addr pc) const = 0;
 
-    /** Train with the actual bank. */
-    virtual void update(Addr pc, unsigned bank) = 0;
-
-    /**
-     * Train with the full effective address (address-based
-     * configurations need it; the default derives nothing more than
-     * the bank).
-     */
-    virtual void
-    updateAddr(Addr pc, Addr /*addr*/, unsigned bank)
-    {
-        update(pc, bank);
-    }
+    /** Train with the load's actual effective address. */
+    virtual void update(Addr pc, Addr addr) = 0;
 
     virtual std::size_t storageBits() const = 0;
     virtual std::string name() const = 0;
 
+    unsigned numBanks() const { return numBanks_; }
+
+    /** The bank @p addr lies in under this predictor's geometry. */
+    unsigned bankOf(Addr addr) const
+    {
+        return bankOfAddr(addr, lineBytes_, numBanks_);
+    }
+
     /**
-     * Register predictor-level stats under @p g (e.g. "pred.bank").
-     * The base registers the hardware budget; subclasses may extend.
-     * Outcome counts (mispredicts, replications) are scored by the
-     * core, which registers them alongside.
+     * Register predictor-level stats under @p g (e.g. "pred.bank"):
+     * the hardware budget. Outcome counts (mispredicts, replications)
+     * are scored by the core, which registers them alongside.
      */
-    virtual void
+    void
     registerStats(StatsGroup g)
     {
         g.derived("storage_bits", [this] {
@@ -80,167 +100,23 @@ class BankPredictor
         });
     }
 
-    /**
-     * Machine-snapshot support (common/state_io.hh). Default: nothing
-     * to walk (no stateless bank predictor exists today, but the
-     * interface mirrors HitMissPredictor's).
-     */
-    virtual void walkState(stateio::Archive & /*a*/) {}
-};
-
-/**
- * Bank predictor built from a binary composite (2 banks: taken maps
- * to bank 1).
- */
-class BinaryBankPredictor : public BankPredictor
-{
-  public:
-    BinaryBankPredictor(std::string name,
-                        std::unique_ptr<CompositePredictor> composite)
-        : name_(std::move(name)), composite_(std::move(composite))
-    {
-    }
-
-    Prediction
-    predict(Addr pc) const override
-    {
-        const auto m = composite_->predictMaybe(pc);
-        return {m.valid, m.taken ? 1u : 0u};
-    }
-
-    void
-    update(Addr pc, unsigned bank) override
-    {
-        composite_->update(pc, bank != 0);
-    }
-
-    std::size_t storageBits() const override
-    {
-        return composite_->storageBits();
-    }
-
-    std::string name() const override { return name_; }
-
-    void
-    walkState(stateio::Archive &a) override
-    {
-        a.component("composite", *composite_);
-    }
+    /** Machine-snapshot support (common/state_io.hh). */
+    virtual void walkState(stateio::Archive &a) = 0;
 
   private:
-    std::string name_;
-    std::unique_ptr<CompositePredictor> composite_;
-};
-
-/**
- * Bank predictor derived from the stride load-address predictor: the
- * predicted bank is the bank of the predicted effective address.
- */
-class AddressBankPredictor : public BankPredictor
-{
-  public:
-    /**
-     * @param line_bytes cache line size (bank interleave granularity)
-     * @param num_banks number of banks (power of two)
-     */
-    explicit AddressBankPredictor(unsigned line_bytes = 64,
-                                  unsigned num_banks = 2,
-                                  std::size_t entries = 1024)
-        : lineBytes_(line_bytes), numBanks_(num_banks), ap_(entries)
-    {
-    }
-
-    Prediction
-    predict(Addr pc) const override
-    {
-        const auto p = ap_.predict(pc);
-        if (!p.valid)
-            return {false, 0};
-        const unsigned bank =
-            static_cast<unsigned>(p.addr / lineBytes_) % numBanks_;
-        return {true, bank};
-    }
-
-    void
-    update(Addr /*pc*/, unsigned /*bank*/) override
-    {
-        // Needs the full address, not just the bank; use updateAddr().
-    }
-
-    void
-    updateAddr(Addr pc, Addr addr, unsigned /*bank*/) override
-    {
-        ap_.update(pc, addr);
-    }
-
-    /** Train with the actual effective address. */
-    void updateAddr(Addr pc, Addr addr) { ap_.update(pc, addr); }
-
-    std::size_t storageBits() const override
-    {
-        return ap_.storageBits();
-    }
-
-    std::string name() const override { return "addr"; }
-
-    void
-    walkState(stateio::Archive &a) override
-    {
-        a.component("ap", ap_);
-    }
-
-  private:
+    unsigned numBanks_;
     unsigned lineBytes_;
-    unsigned numBanks_;
-    LoadAddressPredictor ap_;
 };
 
 /**
- * Bank predictor for more than two banks, built the way section 2.3
- * proposes scaling binary prediction: "each bit of the bank ID can be
- * independently predicted and assigned a confidence rating. If the
- * confidence level of a particular bit is low, the load will be sent
- * to both banks". One binary composite per bank-ID bit; the combined
- * prediction is withheld if any bit's composite declines.
+ * Build the bank predictor @p kind for @p num_banks banks (a power of
+ * two) interleaved by @p line_bytes lines; null for None.
+ *
+ * @throws ConfigError when @p num_banks is not a power of two.
  */
-class PerBitBankPredictor : public BankPredictor
-{
-  public:
-    /**
-     * @param num_banks power-of-two bank count
-     * @param make_bit factory for the per-bit binary composite
-     */
-    PerBitBankPredictor(
-        unsigned num_banks,
-        const std::function<std::unique_ptr<CompositePredictor>()>
-            &make_bit);
-
-    Prediction predict(Addr pc) const override;
-    void update(Addr pc, unsigned bank) override;
-    std::size_t storageBits() const override;
-    std::string name() const override;
-
-    void walkState(stateio::Archive &a) override;
-
-    unsigned numBanks() const { return numBanks_; }
-
-  private:
-    unsigned numBanks_;
-    std::vector<std::unique_ptr<CompositePredictor>> bits_;
-};
-
-/** A PerBitBankPredictor using predictor-A-style composites per bit. */
-std::unique_ptr<PerBitBankPredictor>
-makePerBitBankPredictor(unsigned num_banks);
-
-/** Paper predictor A: local + gshare + gskew (unanimity). */
-std::unique_ptr<BankPredictor> makeBankPredictorA();
-/** Paper predictor B: local + gshare + bimodal (unanimity). */
-std::unique_ptr<BankPredictor> makeBankPredictorB();
-/** Paper predictor C: local + 2*gshare + gskew (weighted threshold). */
-std::unique_ptr<BankPredictor> makeBankPredictorC();
-/** The address-predictor-based bank predictor. */
-std::unique_ptr<AddressBankPredictor> makeAddressBankPredictor();
+std::unique_ptr<BankPredictor>
+makeBankPredictor(BankPredKind kind, unsigned num_banks,
+                  unsigned line_bytes);
 
 /**
  * The paper's bank-predictor quality metric (section 4.3):

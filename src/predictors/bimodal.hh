@@ -55,13 +55,6 @@ class BimodalPredictor : public BinaryPredictor
         table_[index(pc)].update(taken);
     }
 
-    void
-    reset() override
-    {
-        for (auto &c : table_)
-            c.set(0);
-    }
-
     std::size_t
     storageBits() const override
     {

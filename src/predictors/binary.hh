@@ -52,9 +52,6 @@ class BinaryPredictor
     /** Train with the actual outcome (also advances any history). */
     virtual void update(Addr pc, bool taken) = 0;
 
-    /** Forget everything. */
-    virtual void reset() = 0;
-
     /** Hardware budget of the predictor, in bits. */
     virtual std::size_t storageBits() const = 0;
 

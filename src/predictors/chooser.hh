@@ -83,13 +83,6 @@ class CompositePredictor : public BinaryPredictor
             c.pred->update(pc, taken);
     }
 
-    void
-    reset() override
-    {
-        for (auto &c : components_)
-            c.pred->reset();
-    }
-
     std::size_t storageBits() const override;
     std::string name() const override;
 

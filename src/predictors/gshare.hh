@@ -35,7 +35,6 @@ class GsharePredictor : public BinaryPredictor
                              unsigned counter_bits = 2,
                              std::uint8_t initial = 0)
         : histBits_((checkGshareParams(history_bits), history_bits)),
-          initial_(initial),
           pht_(std::size_t{1} << history_bits,
                SatCounter(counter_bits, initial))
     {
@@ -59,14 +58,6 @@ class GsharePredictor : public BinaryPredictor
     {
         pht_[index(pc)].update(taken);
         ghist_ = ((ghist_ << 1) | (taken ? 1 : 0)) & mask(histBits_);
-    }
-
-    void
-    reset() override
-    {
-        ghist_ = 0;
-        for (auto &c : pht_)
-            c.set(initial_);
     }
 
     std::size_t
@@ -103,7 +94,6 @@ class GsharePredictor : public BinaryPredictor
     }
 
     unsigned histBits_;
-    std::uint8_t initial_;
     std::uint64_t ghist_ = 0;
     std::vector<SatCounter> pht_;
 };

@@ -73,15 +73,6 @@ class GskewPredictor : public BinaryPredictor
         ghist_ = ((ghist_ << 1) | (taken ? 1 : 0)) & mask(histBits_);
     }
 
-    void
-    reset() override
-    {
-        ghist_ = 0;
-        for (auto &t : banks_)
-            for (auto &c : t)
-                c.set(0);
-    }
-
     std::size_t
     storageBits() const override
     {

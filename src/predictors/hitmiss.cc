@@ -1,6 +1,5 @@
 #include "predictors/hitmiss.hh"
 
-#include <stdexcept>
 #include <vector>
 
 #include "predictors/chooser.hh"
@@ -12,42 +11,30 @@ namespace lrs
 {
 
 std::unique_ptr<HitMissPredictor>
-makeLocalHmp()
+makeHmp(HmpKind kind)
 {
-    return std::make_unique<TableHmp>(
-        std::make_unique<LocalPredictor>(2048, 8));
-}
-
-std::unique_ptr<HitMissPredictor>
-makeChooserHmp()
-{
-    std::vector<CompositePredictor::Component> comps;
-    comps.push_back({std::make_unique<LocalPredictor>(512, 8), 1.0});
-    comps.push_back({std::make_unique<GsharePredictor>(11), 1.0});
-    comps.push_back({std::make_unique<GskewPredictor>(1024, 20), 1.0});
-    return std::make_unique<TableHmp>(
-        std::make_unique<CompositePredictor>(std::move(comps),
-                                             ChoosePolicy::Majority));
-}
-
-std::unique_ptr<HitMissPredictor>
-makeTimingLocalHmp()
-{
-    return std::make_unique<TimingHmp>(makeLocalHmp());
-}
-
-std::unique_ptr<HitMissPredictor>
-makeHmp(const std::string &which)
-{
-    if (which == "always-hit")
-        return std::make_unique<AlwaysHitHmp>();
-    if (which == "local")
-        return makeLocalHmp();
-    if (which == "chooser")
-        return makeChooserHmp();
-    if (which == "local+timing")
-        return makeTimingLocalHmp();
-    throw std::invalid_argument("unknown hit-miss predictor: " + which);
+    switch (kind) {
+      case HmpKind::Local:
+        return std::make_unique<TableHmp>(
+            std::make_unique<LocalPredictor>(2048, 8));
+      case HmpKind::Chooser: {
+        std::vector<CompositePredictor::Component> comps;
+        comps.push_back(
+            {std::make_unique<LocalPredictor>(512, 8), 1.0});
+        comps.push_back({std::make_unique<GsharePredictor>(11), 1.0});
+        comps.push_back(
+            {std::make_unique<GskewPredictor>(1024, 20), 1.0});
+        return std::make_unique<TableHmp>(
+            std::make_unique<CompositePredictor>(
+                std::move(comps), ChoosePolicy::Majority));
+      }
+      case HmpKind::LocalTiming:
+        return std::make_unique<TimingHmp>(makeHmp(HmpKind::Local));
+      case HmpKind::AlwaysHit:
+      case HmpKind::Perfect:
+        break;
+    }
+    return nullptr;
 }
 
 } // namespace lrs

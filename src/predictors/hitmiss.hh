@@ -31,6 +31,16 @@
 namespace lrs
 {
 
+/** Hit-miss predictor selection for the core. */
+enum class HmpKind
+{
+    AlwaysHit,   ///< baseline: every load assumed to hit L1
+    Local,       ///< local-only predictor (2048 entries, history 8)
+    Chooser,     ///< hybrid local+gshare+gskew majority chooser
+    LocalTiming, ///< local + outstanding-miss timing information
+    Perfect,     ///< oracle hit-miss knowledge
+};
+
 /**
  * Per-load L1 hit/miss predictor. "Taken" polarity is *miss*.
  */
@@ -237,17 +247,11 @@ class TimingHmp : public HitMissPredictor
     LoadAddressPredictor ap_;
 };
 
-/** The paper's local-only configuration (2048 entries, history 8). */
-std::unique_ptr<HitMissPredictor> makeLocalHmp();
-
-/** The paper's hybrid chooser (local 512 + gshare 11 + gskew, vote). */
-std::unique_ptr<HitMissPredictor> makeChooserHmp();
-
-/** Local-only wrapped with timing information (section 4.2 winner). */
-std::unique_ptr<HitMissPredictor> makeTimingLocalHmp();
-
-/** Build a hit-miss predictor by name ("local", "chooser", ...). */
-std::unique_ptr<HitMissPredictor> makeHmp(const std::string &which);
+/**
+ * Build the hit-miss predictor @p kind; null for AlwaysHit and
+ * Perfect, which the core models without a predictor.
+ */
+std::unique_ptr<HitMissPredictor> makeHmp(HmpKind kind);
 
 } // namespace lrs
 

@@ -64,14 +64,6 @@ class LocalPredictor : public BinaryPredictor
         h = ((h << 1) | (taken ? 1 : 0)) & mask(histBits_);
     }
 
-    void
-    reset() override
-    {
-        std::fill(histories_.begin(), histories_.end(), 0);
-        for (auto &c : pht_)
-            c.set(0);
-    }
-
     std::size_t
     storageBits() const override
     {

@@ -112,15 +112,6 @@ TEST(AddrPred, TagConflictReplacesEntry)
     EXPECT_FALSE(p.predict(0x4000).valid);
 }
 
-TEST(AddrPred, ResetForgets)
-{
-    LoadAddressPredictor p(256);
-    for (int i = 0; i < 8; ++i)
-        p.update(0x4000, 0x1000 + i * 8);
-    p.reset();
-    EXPECT_FALSE(p.predict(0x4000).valid);
-}
-
 TEST(AddrPred, StorageBitsScaleWithEntries)
 {
     EXPECT_GT(LoadAddressPredictor(2048).storageBits(),

@@ -42,7 +42,7 @@ syntheticLoads()
 TEST(AnalyzeHitMiss, CountsPartitionLoads)
 {
     auto trace = syntheticLoads();
-    auto hmp = makeHmp("local");
+    auto hmp = makeHmp(HmpKind::Local);
     const auto st = analyzeHitMiss(trace, *hmp);
     EXPECT_EQ(st.loads, 400u);
     EXPECT_EQ(st.ahPh + st.ahPm + st.amPh + st.amPm, st.loads);
@@ -62,7 +62,7 @@ TEST(AnalyzeHitMiss, AlwaysHitNeverPredictsMiss)
 TEST(AnalyzeHitMiss, LocalLearnsBimodalLoads)
 {
     auto trace = syntheticLoads();
-    auto hmp = makeHmp("local");
+    auto hmp = makeHmp(HmpKind::Local);
     const auto st = analyzeHitMiss(trace, *hmp);
     // Streaming pc misses every time -> local catches most of them.
     EXPECT_GT(st.coverage(), 0.8);
@@ -74,7 +74,7 @@ TEST(AnalyzeHitMiss, RealTraceSane)
 {
     auto trace =
         TraceLibrary::make(TraceLibrary::byName("wd", 30000));
-    auto hmp = makeHmp("chooser");
+    auto hmp = makeHmp(HmpKind::Chooser);
     const auto st = analyzeHitMiss(*trace, *hmp);
     EXPECT_GT(st.loads, 3000u);
     EXPECT_GT(st.missRate(), 0.005);
@@ -110,7 +110,7 @@ bankLoads()
 TEST(AnalyzeBank, StatsPartition)
 {
     auto trace = bankLoads();
-    auto pred = makeBankPredictorC();
+    auto pred = makeBankPredictor(BankPredKind::C, 2, 64);
     const auto st = analyzeBank(trace, *pred);
     EXPECT_EQ(st.loads, 600u);
     EXPECT_EQ(st.correct + st.wrong, st.predicted);
@@ -122,7 +122,7 @@ TEST(AnalyzeBank, StatsPartition)
 TEST(AnalyzeBank, CompositesLearnRegularStreams)
 {
     auto trace = bankLoads();
-    auto pred = makeBankPredictorC();
+    auto pred = makeBankPredictor(BankPredKind::C, 2, 64);
     const auto st = analyzeBank(trace, *pred);
     EXPECT_GT(st.rate(), 0.5);
     EXPECT_GT(st.accuracy(), 0.9);
@@ -131,7 +131,7 @@ TEST(AnalyzeBank, CompositesLearnRegularStreams)
 TEST(AnalyzeBank, AddressPredictorNearPerfectOnStrides)
 {
     auto trace = bankLoads();
-    auto pred = makeAddressBankPredictor();
+    auto pred = makeBankPredictor(BankPredKind::Addr, 2, 64);
     const auto st = analyzeBank(trace, *pred);
     EXPECT_GT(st.rate(), 0.8);
     EXPECT_GT(st.accuracy(), 0.97);
@@ -140,7 +140,7 @@ TEST(AnalyzeBank, AddressPredictorNearPerfectOnStrides)
 TEST(AnalyzeBank, MetricUsesMeasuredRateAndRatio)
 {
     auto trace = bankLoads();
-    auto pred = makeAddressBankPredictor();
+    auto pred = makeBankPredictor(BankPredKind::Addr, 2, 64);
     const auto st = analyzeBank(trace, *pred);
     EXPECT_NEAR(st.metric(0.0),
                 bankMetric(st.rate(), st.ratioR(), 0.0), 1e-12);
@@ -151,9 +151,9 @@ TEST(AnalyzeBank, RealTraceRatesInRange)
 {
     auto trace =
         TraceLibrary::make(TraceLibrary::byName("gcc", 30000));
-    for (auto make : {makeBankPredictorA, makeBankPredictorB,
-                      makeBankPredictorC}) {
-        auto pred = make();
+    for (const BankPredKind kind :
+         {BankPredKind::A, BankPredKind::B, BankPredKind::C}) {
+        auto pred = makeBankPredictor(kind, 2, 64);
         const auto st = analyzeBank(*trace, *pred);
         EXPECT_GT(st.rate(), 0.15) << pred->name();
         EXPECT_LT(st.rate(), 1.0) << pred->name();
@@ -166,12 +166,12 @@ TEST(AnalyzeL2, MemoryResidentTraceHasL2Misses)
     // TPC-style chases exceed the L2: some accesses go to memory.
     auto trace =
         TraceLibrary::make(TraceLibrary::byName("tpcc", 40000));
-    auto hmp = makeHmp("local");
+    auto hmp = makeHmp(HmpKind::Local);
     const auto l2 = analyzeHitMiss(*trace, *hmp, {}, 2.0,
                                    MissLevel::L2);
     EXPECT_GT(l2.misses, 50u);
     // L2 misses are a subset of L1 misses.
-    auto hmp2 = makeHmp("local");
+    auto hmp2 = makeHmp(HmpKind::Local);
     const auto l1 = analyzeHitMiss(*trace, *hmp2);
     EXPECT_LT(l2.misses, l1.misses);
 }
@@ -180,7 +180,7 @@ TEST(AnalyzeL2, CacheResidentTraceHasFewMemoryMisses)
 {
     auto trace =
         TraceLibrary::make(TraceLibrary::byName("wd", 40000));
-    auto hmp = makeHmp("local");
+    auto hmp = makeHmp(HmpKind::Local);
     const auto l2 = analyzeHitMiss(*trace, *hmp, {}, 2.0,
                                    MissLevel::L2);
     EXPECT_LT(l2.missRate(), 0.05);
@@ -202,7 +202,7 @@ TEST(ThreadSwitch, PositiveOnMemoryBoundTrace)
 {
     auto trace =
         TraceLibrary::make(TraceLibrary::byName("tpcc", 40000));
-    auto hmp = makeHmp("local");
+    auto hmp = makeHmp(HmpKind::Local);
     const auto est = estimateThreadSwitch(*trace, *hmp);
     EXPECT_GT(est.netSavedPerKiloLoad(), 0.0);
     EXPECT_EQ(est.memLatency, MemoryHierarchy({}).memLatency());

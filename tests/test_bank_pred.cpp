@@ -59,13 +59,20 @@ TEST(BankMetric, AccuratePredictorDegradesSlower)
     EXPECT_LT(rate_heavy_8, acc_heavy_8);
 }
 
-TEST(BinaryBankPredictor, LearnsAlternatingBanks)
+/** Line-start address of @p bank on a 64-byte-line machine. */
+Addr
+bankAddr(unsigned bank)
 {
-    auto pred = makeBankPredictorC();
+    return 0x10000 + 64 * Addr{bank};
+}
+
+TEST(CompositeBankPredictor, LearnsAlternatingBanks)
+{
+    auto pred = makeBankPredictor(BankPredKind::C, 2, 64);
     // Strided load alternating banks 0,1,0,1... is a period-2
     // pattern; history components learn it.
     for (int i = 0; i < 200; ++i)
-        pred->update(0x4000, i % 2);
+        pred->update(0x4000, bankAddr(i % 2));
     int correct = 0, predicted = 0;
     for (int i = 0; i < 100; ++i) {
         const auto p = pred->predict(0x4000);
@@ -73,15 +80,15 @@ TEST(BinaryBankPredictor, LearnsAlternatingBanks)
             ++predicted;
             correct += p.bank == static_cast<unsigned>(i % 2);
         }
-        pred->update(0x4000, i % 2);
+        pred->update(0x4000, bankAddr(i % 2));
     }
     EXPECT_GT(predicted, 80);
     EXPECT_GT(static_cast<double>(correct) / predicted, 0.95);
 }
 
-TEST(BinaryBankPredictor, UnanimityDeclinesOnRandomStream)
+TEST(CompositeBankPredictor, UnanimityDeclinesOnRandomStream)
 {
-    auto pred = makeBankPredictorA();
+    auto pred = makeBankPredictor(BankPredKind::A, 2, 64);
     Rng rng(5);
     int predicted = 0;
     const int n = 2000;
@@ -89,7 +96,7 @@ TEST(BinaryBankPredictor, UnanimityDeclinesOnRandomStream)
         const unsigned bank = static_cast<unsigned>(rng.below(2));
         if (pred->predict(0x4000).valid)
             ++predicted;
-        pred->update(0x4000, bank);
+        pred->update(0x4000, bankAddr(bank));
     }
     // On an unpredictable stream the unanimous composite should often
     // withhold its prediction.
@@ -98,50 +105,53 @@ TEST(BinaryBankPredictor, UnanimityDeclinesOnRandomStream)
 
 TEST(AddressBankPredictor, PredictsBankOfStridedStream)
 {
-    AddressBankPredictor pred(64, 2, 256);
+    auto pred = makeBankPredictor(BankPredKind::Addr, 2, 64);
     Addr a = 0x10000;
     for (int i = 0; i < 8; ++i) {
-        pred.updateAddr(0x4000, a);
+        pred->update(0x4000, a);
         a += 64;
     }
-    const auto p = pred.predict(0x4000);
+    const auto p = pred->predict(0x4000);
     ASSERT_TRUE(p.valid);
     EXPECT_EQ(p.bank, static_cast<unsigned>((a / 64) % 2));
 }
 
 TEST(AddressBankPredictor, StaysWithinOneBankForSmallStride)
 {
-    AddressBankPredictor pred(64, 2, 256);
+    auto pred = makeBankPredictor(BankPredKind::Addr, 2, 64);
     // Stride 8 within one line: bank stays put for 8 accesses.
     Addr a = 0x10000;
     for (int i = 0; i < 6; ++i) {
-        pred.updateAddr(0x4000, a);
+        pred->update(0x4000, a);
         a += 8;
     }
-    const auto p = pred.predict(0x4000);
+    const auto p = pred->predict(0x4000);
     ASSERT_TRUE(p.valid);
     EXPECT_EQ(p.bank, 0u);
 }
 
 TEST(AddressBankPredictor, DeclinesOnIrregularStream)
 {
-    AddressBankPredictor pred(64, 2, 256);
+    auto pred = makeBankPredictor(BankPredKind::Addr, 2, 64);
     Rng rng(17);
     for (int i = 0; i < 64; ++i)
-        pred.updateAddr(0x4000, 0x10000 + rng.below(4096) * 16);
-    EXPECT_FALSE(pred.predict(0x4000).valid);
+        pred->update(0x4000, 0x10000 + rng.below(4096) * 16);
+    EXPECT_FALSE(pred->predict(0x4000).valid);
 }
 
 TEST(BankFactories, PaperBudgetsAndNames)
 {
     // Paper: local 0.5KB, gshare 0.5KB, gskew 0.75KB -> composites
     // stay under ~2.5KB.
-    EXPECT_EQ(makeBankPredictorA()->name(), "A");
-    EXPECT_EQ(makeBankPredictorB()->name(), "B");
-    EXPECT_EQ(makeBankPredictorC()->name(), "C");
-    EXPECT_LE(makeBankPredictorA()->storageBits(), 8u * 4096);
-    EXPECT_LE(makeBankPredictorB()->storageBits(), 8u * 4096);
-    EXPECT_LE(makeBankPredictorC()->storageBits(), 8u * 4096);
+    for (const auto &[kind, name] :
+         {std::pair{BankPredKind::A, "A"}, std::pair{BankPredKind::B, "B"},
+          std::pair{BankPredKind::C, "C"}}) {
+        const auto pred = makeBankPredictor(kind, 2, 64);
+        EXPECT_EQ(pred->name(), name);
+        EXPECT_LE(pred->storageBits(), 8u * 4096);
+    }
+    EXPECT_EQ(makeBankPredictor(BankPredKind::None, 2, 64), nullptr);
+    EXPECT_THROW(makeBankPredictor(BankPredKind::A, 3, 64), ConfigError);
 }
 
 TEST(BankPredictorState, WalkRoundTripsEveryKind)
@@ -149,37 +159,34 @@ TEST(BankPredictorState, WalkRoundTripsEveryKind)
     // A trained predictor restored through its state walk must predict
     // and re-save identically; a walk over another geometry must be
     // refused rather than misread.
-    const auto build = [](int kind) -> std::unique_ptr<BankPredictor> {
-        switch (kind) {
-          case 0: return makeBankPredictorA();
-          case 1: return makeBankPredictorB();
-          case 2: return makeBankPredictorC();
-          case 3: return makeAddressBankPredictor();
-          default: return makePerBitBankPredictor(4);
-        }
-    };
-    for (int kind = 0; kind < 5; ++kind) {
-        auto trained = build(kind);
-        Rng rng(11);
-        for (int i = 0; i < 3000; ++i) {
-            const Addr pc = 0x4000 + rng.below(64) * 4;
-            const Addr addr = 0x10000 + rng.below(512) * 64;
-            trained->updateAddr(pc, addr,
-                                static_cast<unsigned>(addr / 64 % 4));
-        }
-        const json::Value st = stateio::save(*trained);
-        auto back = build(kind);
-        stateio::load(*back, st);
-        EXPECT_EQ(stateio::save(*back).dump(0), st.dump(0)) << kind;
-        for (Addr pc = 0x4000; pc < 0x4100; pc += 4) {
-            const auto a = trained->predict(pc);
-            const auto b = back->predict(pc);
-            EXPECT_EQ(a.valid, b.valid) << kind;
-            EXPECT_EQ(a.bank, b.bank) << kind;
+    for (const BankPredKind kind :
+         {BankPredKind::A, BankPredKind::B, BankPredKind::C,
+          BankPredKind::Addr}) {
+        for (const unsigned banks : {1u, 2u, 4u, 8u}) {
+            auto trained = makeBankPredictor(kind, banks, 64);
+            Rng rng(11);
+            for (int i = 0; i < 3000; ++i) {
+                trained->update(0x4000 + rng.below(64) * 4,
+                                0x10000 + rng.below(512) * 64);
+            }
+            const json::Value st = stateio::save(*trained);
+            auto back = makeBankPredictor(kind, banks, 64);
+            stateio::load(*back, st);
+            EXPECT_EQ(stateio::save(*back).dump(0), st.dump(0))
+                << trained->name() << " " << banks;
+            for (Addr pc = 0x4000; pc < 0x4100; pc += 4) {
+                const auto a = trained->predict(pc);
+                const auto b = back->predict(pc);
+                EXPECT_EQ(a.valid, b.valid) << trained->name();
+                EXPECT_EQ(a.bank, b.bank) << trained->name();
+                EXPECT_LT(a.bank, banks) << trained->name();
+            }
         }
     }
-    auto eight = makePerBitBankPredictor(8);
-    EXPECT_THROW(stateio::load(*eight, stateio::save(*build(4))),
+    auto eight = makeBankPredictor(BankPredKind::A, 8, 64);
+    EXPECT_THROW(stateio::load(*eight,
+                               stateio::save(*makeBankPredictor(
+                                   BankPredKind::A, 4, 64))),
                  ConfigError);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the Figure-4 memory-pipeline organisations (banked cache
  * modes in the core), the Store Barrier Cache ordering baseline, and
- * the per-bit multi-bank predictor.
+ * bank predictors beyond two banks.
  */
 
 #include <gtest/gtest.h>
@@ -153,6 +153,34 @@ TEST(BankModes, FourBankSlicedRuns)
     EXPECT_EQ(r.uops, 600u);
 }
 
+TEST(BankModes, AddressPredictorScalesPastTwoBanks)
+{
+    // Each static load strides four lines, so its bank is as
+    // predictable at 4 and 8 banks as at 2: the address predictor
+    // must name the bank under the machine's own interleave.
+    const auto two = runMode(stridedLoads(400, 64), BankMode::Sliced,
+                             BankPredKind::Addr, 2);
+    for (const unsigned banks : {4u, 8u}) {
+        const auto r = runMode(stridedLoads(400, 64), BankMode::Sliced,
+                               BankPredKind::Addr, banks);
+        EXPECT_EQ(r.uops, 800u);
+        EXPECT_LE(r.bankMispredicts, two.bankMispredicts + 10) << banks;
+    }
+}
+
+TEST(BankModes, OneBankSlicedRunsUnderEveryPredictor)
+{
+    // One bank means one pipe: every prediction must name bank 0.
+    for (const BankPredKind pred : {BankPredKind::A, BankPredKind::B,
+                                    BankPredKind::C, BankPredKind::Addr}) {
+        SimResult r;
+        EXPECT_NO_THROW(r = runMode(stridedLoads(300, 64),
+                                    BankMode::Sliced, pred, 1));
+        EXPECT_EQ(r.uops, 600u);
+        EXPECT_EQ(r.bankMispredicts, 0u);
+    }
+}
+
 TEST(StoreBarrier, LearnsToFenceViolatingStores)
 {
     // Recurrent collider: under StoreBarrier the violating store's
@@ -212,19 +240,26 @@ TEST(StoreBarrier, RunsLibraryTraceToCompletion)
     EXPECT_EQ(r.config, std::string("StoreBarrier/always-hit"));
 }
 
-TEST(PerBitBankPredictor, PredictsStableBanksPerBit)
+/** Line-start address of @p bank on a 64-byte-line machine. */
+Addr
+bankAddr(unsigned bank)
 {
-    auto p = makePerBitBankPredictor(4);
+    return 0x100000 + 64 * Addr{bank};
+}
+
+TEST(CompositeBankPredictor, PredictsStableBanksPerBit)
+{
+    auto p = makeBankPredictor(BankPredKind::A, 4, 64);
     for (int i = 0; i < 300; ++i)
-        p->update(0x4000, 3); // constant bank 3 (bits 11)
+        p->update(0x4000, bankAddr(3)); // constant bank 3 (bits 11)
     const auto pred = p->predict(0x4000);
     ASSERT_TRUE(pred.valid);
     EXPECT_EQ(pred.bank, 3u);
 }
 
-TEST(PerBitBankPredictor, RandomBitRuinsAccuracyNotJustRate)
+TEST(CompositeBankPredictor, RandomBitRuinsAccuracyNotJustRate)
 {
-    auto p = makePerBitBankPredictor(4);
+    auto p = makeBankPredictor(BankPredKind::A, 4, 64);
     // Low bit alternates (learnable), high bit is random: whatever
     // predictions escape the per-bit confidence gate can at best
     // coin-flip the high bit, so bank accuracy collapses toward 50%.
@@ -234,7 +269,7 @@ TEST(PerBitBankPredictor, RandomBitRuinsAccuracyNotJustRate)
                (static_cast<unsigned>(rng.below(2)) << 1);
     };
     for (int i = 0; i < 400; ++i)
-        p->update(0x4000, bank_at(i));
+        p->update(0x4000, bankAddr(bank_at(i)));
     int predicted = 0, correct = 0;
     for (int i = 0; i < 200; ++i) {
         const unsigned actual = bank_at(i);
@@ -243,23 +278,28 @@ TEST(PerBitBankPredictor, RandomBitRuinsAccuracyNotJustRate)
             ++predicted;
             correct += pred.bank == actual;
         }
-        p->update(0x4000, actual);
+        p->update(0x4000, bankAddr(actual));
     }
     if (predicted > 20) {
         EXPECT_LT(static_cast<double>(correct) / predicted, 0.75);
     }
 }
 
-TEST(PerBitBankPredictor, NameAndStorage)
+TEST(CompositeBankPredictor, NameAndStorage)
 {
-    auto p2 = makePerBitBankPredictor(2);
-    auto p8 = makePerBitBankPredictor(8);
-    EXPECT_EQ(p2->name(), "perbit-2banks");
-    EXPECT_EQ(p8->name(), "perbit-8banks");
+    auto p1 = makeBankPredictor(BankPredKind::A, 1, 64);
+    auto p2 = makeBankPredictor(BankPredKind::A, 2, 64);
+    auto p8 = makeBankPredictor(BankPredKind::A, 8, 64);
+    EXPECT_EQ(p2->name(), "A");
+    EXPECT_EQ(p8->name(), "A");
     EXPECT_EQ(p8->storageBits(), 3 * p2->storageBits());
     EXPECT_EQ(p8->numBanks(), 8u);
+    // One bank has no bank-ID bits: no storage, always bank 0.
+    EXPECT_EQ(p1->storageBits(), 0u);
+    const auto pred = p1->predict(0x4000);
+    EXPECT_TRUE(pred.valid);
+    EXPECT_EQ(pred.bank, 0u);
 }
-
 
 TEST(SpecForward, PairsCorrectlyOnLateAddressStore)
 {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/config_io.hh"
 #include "predictors/hitmiss.hh"
 #include "predictors/local.hh"
 
@@ -85,28 +86,36 @@ TEST(TimingHmp, NoHintFallsThrough)
 
 TEST(HmpFactory, BuildsAllNamedConfigurations)
 {
-    for (const char *name :
-         {"always-hit", "local", "chooser", "local+timing"}) {
-        auto hmp = makeHmp(name);
-        ASSERT_NE(hmp, nullptr) << name;
+    for (const HmpKind kind :
+         {HmpKind::AlwaysHit, HmpKind::Local, HmpKind::Chooser,
+          HmpKind::LocalTiming, HmpKind::Perfect}) {
+        auto hmp = makeHmp(kind);
+        // The core models always-hit and perfect without a predictor.
+        if (kind == HmpKind::AlwaysHit || kind == HmpKind::Perfect) {
+            EXPECT_EQ(hmp, nullptr) << hmpKindName(kind);
+            continue;
+        }
+        ASSERT_NE(hmp, nullptr) << hmpKindName(kind);
         EXPECT_EQ(hmp->name().find("unknown"), std::string::npos);
+        EXPECT_EQ(makeHmp(parseHmpKind(hmpKindName(kind)))->name(),
+                  hmp->name());
     }
-    EXPECT_THROW(makeHmp("nonsense"), std::invalid_argument);
+    EXPECT_THROW(parseHmpKind("nonsense"), std::invalid_argument);
 }
 
 TEST(HmpFactory, PaperBudgets)
 {
     // Paper section 2.2: local-only ~2KB; chooser < 2KB total.
-    const auto local = makeLocalHmp();
+    const auto local = makeHmp(HmpKind::Local);
     EXPECT_LE(local->storageBits(), 3 * 8 * 1024);
     EXPECT_GE(local->storageBits(), 1 * 8 * 1024);
-    const auto chooser = makeChooserHmp();
+    const auto chooser = makeHmp(HmpKind::Chooser);
     EXPECT_LE(chooser->storageBits(), 3 * 8 * 1024);
 }
 
 TEST(HmpChooser, MajorityRejectsSingleOutlier)
 {
-    auto hmp = makeChooserHmp();
+    auto hmp = makeHmp(HmpKind::Chooser);
     // Uniform always-miss training: all components agree.
     for (int i = 0; i < 100; ++i)
         hmp->update(0x4000, true, kAddrInvalid);

@@ -206,7 +206,7 @@ TEST(Integration, StatisticalVsPipelineMissRatesAgree)
     // rates (they use the same hierarchy model at different timing
     // resolutions).
     auto trace = TraceLibrary::make(TraceLibrary::byName("wd", kLen));
-    auto hmp = makeHmp("local");
+    auto hmp = makeHmp(HmpKind::Local);
     const auto st = analyzeHitMiss(*trace, *hmp);
     const auto r = runSim(*trace, base());
     const double stat_rate = st.missRate();

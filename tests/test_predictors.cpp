@@ -83,19 +83,6 @@ TEST_P(BinaryPredictorSuite, LearnsShortPeriodicPattern)
     EXPECT_GT(acc, 0.6);
 }
 
-TEST_P(BinaryPredictorSuite, ResetForgets)
-{
-    auto p = GetParam().make();
-    accuracyOnPattern(*p, 0x4000, {true}, 50);
-    p->reset();
-    // Immediately after reset a fresh prediction carries low
-    // confidence (no training).
-    const auto pred = p->predict(0x4000);
-    EXPECT_LE(pred.confidence, 1.0);
-    // And the predictor can relearn the opposite behaviour.
-    EXPECT_GT(accuracyOnPattern(*p, 0x4000, {false}, 50), 0.9);
-}
-
 TEST_P(BinaryPredictorSuite, StorageBitsPositive)
 {
     auto p = GetParam().make();

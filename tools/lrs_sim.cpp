@@ -250,7 +250,8 @@ usage(FILE *out, int code, const char *argv0)
         "  --fault-seed N        fault injector seed "
         "(LRS_FAULT_SEED)\n"
         "  --fault-trace-rate R  per-record corruption probability "
-        "(LRS_FAULT_TRACE_RATE)\n"
+        "(LRS_FAULT_TRACE_RATE;\n"
+        "                        needs --inject-trace-faults)\n"
         "  --fault-bit-rate R    per-load CHT bit-flip probability "
         "(LRS_FAULT_BIT_RATE)\n"
         "  --fault-lat-rate R    per-access latency perturbation "
@@ -1038,12 +1039,13 @@ main(int argc, char **argv)
                                   double rate) -> const char * {
                 return flag ? flag : rate > 0.0 ? env : nullptr;
             };
+            const char *trace_rate = setBy(
+                trace_rate_flag, "LRS_FAULT_TRACE_RATE",
+                fault_cfg.traceRate);
             const std::pair<const char *, bool> settings[] = {
                 {inject_trace_faults ? "--inject-trace-faults" : nullptr,
                  grid},
-                {setBy(trace_rate_flag, "LRS_FAULT_TRACE_RATE",
-                       fault_cfg.traceRate),
-                 grid},
+                {trace_rate, grid},
                 {setBy(bit_rate_flag, "LRS_FAULT_BIT_RATE",
                        fault_cfg.bitRate),
                  no_core},
@@ -1056,6 +1058,13 @@ main(int argc, char **argv)
                     std::fprintf(stderr, "%s needs a single run\n", name);
                     usage(stderr, kExitUsage, argv[0]);
                 }
+            }
+            // Only --inject-trace-faults corrupts the trace; a rate
+            // without it would be reported but never applied.
+            if (trace_rate && !inject_trace_faults) {
+                std::fprintf(stderr, "%s needs --inject-trace-faults\n",
+                             trace_rate);
+                usage(stderr, kExitUsage, argv[0]);
             }
         }
         if (sweep_opts.cellTimeoutMs && !sweep_opts.isolate) {
