@@ -117,7 +117,7 @@ BM_AddressPredictor(benchmark::State &state)
 void
 BM_CacheAccess(benchmark::State &state)
 {
-    Cache cache({"L1D", 16 * 1024, 4, 64, 5, 1});
+    Cache cache({"L1D", 16 * 1024, 4, 64, 5});
     Rng rng(11);
     Cycle now = 0;
     for (auto _ : state) {

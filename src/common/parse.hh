@@ -112,6 +112,22 @@ enumName(const EnumName<E> (&names)[N], E v)
 }
 
 /**
+ * The spellings parseEnumName() accepts from @p names, joined by '|'
+ * ("none|A|B|C|addr"): its error message and the --help text list them.
+ */
+template <typename E, std::size_t N>
+std::string
+enumSpellings(const EnumName<E> (&names)[N])
+{
+    std::string out;
+    for (const EnumName<E> &n : names) {
+        out += out.empty() ? "" : "|";
+        out += n.ini;
+    }
+    return out;
+}
+
+/**
  * The value spelt @p s in @p names.
  * @throws std::invalid_argument listing the accepted spellings.
  */
@@ -119,15 +135,12 @@ template <typename E, std::size_t N>
 E
 parseEnumName(const EnumName<E> (&names)[N], std::string_view s)
 {
-    std::string accepted;
     for (const EnumName<E> &n : names) {
         if (s == n.ini)
             return n.value;
-        accepted += accepted.empty() ? "" : "|";
-        accepted += n.ini;
     }
     throw std::invalid_argument("'" + std::string(s) +
-                                "' is not one of " + accepted);
+                                "' is not one of " + enumSpellings(names));
 }
 
 } // namespace lrs

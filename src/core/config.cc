@@ -56,10 +56,6 @@ MachineConfig::validate() const
                 ") cannot exceed the ROB (" + std::to_string(robSize) +
                 "): every waiting uop holds a ROB entry");
     }
-    if (branchHistBits < 1 || branchHistBits > 24) {
-        bad("branch_hist_bits",
-            "gshare history must be 1..24 bits" + got(branchHistBits));
-    }
 
     // Execution units: a pool of zero units deadlocks the scheduler
     // as soon as a uop of that class reaches the window.
@@ -85,28 +81,13 @@ MachineConfig::validate() const
         bad("bank_pred",
             "the sliced pipeline requires a bank predictor: without "
             "one every load is replicated to every pipe and the mode "
-            "degenerates (pick bank_pred a|b|c|addr)");
+            "degenerates (pick bank_pred A|B|C|addr)");
     }
 
     // Load-related speculation machinery.
     if (usesCht() || chtShadow) {
         for (Diag &d : cht.validate("config.cht"))
             diags.push_back(std::move(d));
-    }
-    if (scheme == OrderingScheme::StoreSets) {
-        if (ssitEntries == 0 || !isPowerOf2(ssitEntries)) {
-            bad("ssit_entries",
-                "SSIT size must be a nonzero power of two" +
-                    got(static_cast<long long>(ssitEntries)));
-        }
-        if (storeSetCount < 1)
-            bad("store_set_count", "must be >= 1 (got 0)");
-    }
-    if (scheme == OrderingScheme::StoreBarrier &&
-        (barrierEntries == 0 || !isPowerOf2(barrierEntries))) {
-        bad("barrier_entries",
-            "barrier cache size must be a nonzero power of two" +
-                got(static_cast<long long>(barrierEntries)));
     }
     if (stridePrefetch && (prefetchDegree < 1 || prefetchDegree > 64)) {
         bad("prefetch_degree",

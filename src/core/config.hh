@@ -79,7 +79,6 @@ struct MachineConfig
     int regPool = 128;
     /** Scheduling window (reservation stations). */
     int schedWindow = 32;
-    unsigned branchHistBits = 12;
     Cycle branchMispredictPenalty = 8;
 
     // Execution units.
@@ -88,14 +87,6 @@ struct MachineConfig
     int fpUnits = 1;
     int complexUnits = 2;
     int stdPorts = 2;
-
-    // Latencies.
-    Cycle intLat = 1;
-    Cycle fpLat = 3;
-    Cycle complexLat = 4;
-    Cycle branchLat = 1;
-    Cycle aguLat = 1;
-    Cycle stdLat = 1;
 
     // Load-related speculation machinery.
     OrderingScheme scheme = OrderingScheme::Traditional;
@@ -143,10 +134,6 @@ struct MachineConfig
     BankMode bankMode = BankMode::TrueMultiPorted;
     unsigned numBanks = 2;
     BankPredKind bankPred = BankPredKind::None;
-    /** Crossbar + decision-stage latency of the conventional pipe. */
-    Cycle conventionalExtraLat = 1;
-    /** Second-level-scheduler latency of the dual-scheduled pipe. */
-    Cycle dualSchedExtraLat = 2;
 
     /**
      * MOB partial-address disambiguation: compare only the low this
@@ -158,13 +145,6 @@ struct MachineConfig
      * comparison, timing byte-identical to the pre-existing model.
      */
     unsigned mobPartialBits = 0;
-
-    // Store Barrier Cache ([Hess95] baseline).
-    std::size_t barrierEntries = 2048;
-
-    // Store sets ([Chry98] baseline).
-    std::size_t ssitEntries = 4096;
-    std::size_t storeSetCount = 128;
 
     // Memory hierarchy.
     HierarchyParams mem;

@@ -69,7 +69,10 @@ member(MachineConfig &c)
 template <typename T>
 using FieldRef = T &(*)(MachineConfig &);
 
-/** One INI key and the MachineConfig field it reads and writes. */
+/**
+ * One INI key and the MachineConfig field it reads and writes, and
+ * the lrs_sim flag and --help text of the field, if it has a flag.
+ */
 struct Field
 {
     const char *key;
@@ -79,6 +82,8 @@ struct Field
                  FieldRef<BankMode>, FieldRef<BankPredKind>,
                  FieldRef<ChtKind>>
         ref;
+    const char *flag = nullptr;
+    const char *help = nullptr; ///< an enum's spellings are appended
 };
 
 using M = MachineConfig;
@@ -86,38 +91,51 @@ using H = HierarchyParams;
 
 // The one description of the INI format, in output order. INI read,
 // INI write (and so --dump-config and snapshot headers), grid files
-// and the lrs_sim config flags all go through this table.
+// and the lrs_sim config flags and their --help all go through this
+// table.
 const Field kFields[] = {
-    {"scheme", &member<&M::scheme>},
-    {"hmp", &member<&M::hmp>},
-    {"bank_mode", &member<&M::bankMode>},
-    {"bank_pred", &member<&M::bankPred>},
-    {"num_banks", &member<&M::numBanks>},
-    {"sched_window", &member<&M::schedWindow>},
+    {"scheme", &member<&M::scheme>, "--scheme", "memory ordering scheme"},
+    {"hmp", &member<&M::hmp>, "--hmp", "hit-miss predictor"},
+    {"bank_mode", &member<&M::bankMode>,
+     "--bank-mode", "memory pipeline organisation"},
+    {"bank_pred", &member<&M::bankPred>, "--bank-pred", "bank predictor"},
+    {"num_banks", &member<&M::numBanks>,
+     "--banks", "cache banks (power of two, <= 8)"},
+    {"sched_window", &member<&M::schedWindow>,
+     "--window", "scheduling window entries"},
     {"rob_size", &member<&M::robSize>},
     {"reg_pool", &member<&M::regPool>},
     {"fetch_width", &member<&M::fetchWidth>},
     {"retire_width", &member<&M::retireWidth>},
-    {"int_units", &member<&M::intUnits>},
-    {"mem_units", &member<&M::memUnits>},
+    {"int_units", &member<&M::intUnits>, "--int", "integer units"},
+    {"mem_units", &member<&M::memUnits>, "--mem", "memory units"},
     {"fp_units", &member<&M::fpUnits>},
     {"complex_units", &member<&M::complexUnits>},
     {"std_ports", &member<&M::stdPorts>},
     {"collision_penalty", &member<&M::collisionPenalty>},
-    {"mob_partial_bits", &member<&M::mobPartialBits>},
+    {"mob_partial_bits", &member<&M::mobPartialBits>, "--mob-partial-bits",
+     "MOB partial-address disambiguation width (0 = full addresses; 6..48 "
+     "enables the 4K-alias stall model and the mob.partial_* counters)"},
     {"branch_mispredict_penalty", &member<&M::branchMispredictPenalty>},
     {"replay_backoff", &member<&M::replayBackoff>},
     {"reschedule_penalty", &member<&M::reschedulePenalty>},
     {"ahpm_penalty", &member<&M::ahpmPenalty>},
-    {"stats_interval", &member<&M::statsInterval>},
+    {"stats_interval", &member<&M::statsInterval>,
+     "--stats-interval", "snapshot interval metrics every N cycles"},
     {"collect_histograms", &member<&M::collectHistograms>},
-    {"audit_interval", &member<&M::auditInterval>},
-    {"max_cycles", &member<&M::maxCycles>},
+    {"audit_interval", &member<&M::auditInterval>, "--audit-interval",
+     "audit ROB/window/MOB invariants every N cycles (0 = off; --audit "
+     "and LRS_AUDIT=1 set 8192)"},
+    {"max_cycles", &member<&M::maxCycles>, "--max-cycles",
+     "deterministic per-run cycle budget; exceeding it is a TIMEOUT "
+     "outcome (0 disables)"},
     {"exclusive_spec_forward", &member<&M::exclusiveSpecForward>},
     {"stride_prefetch", &member<&M::stridePrefetch>},
     {"prefetch_degree", &member<&M::prefetchDegree>},
-    {"cht_kind", &member<&M::cht, &ChtParams::kind>},
-    {"cht_entries", &member<&M::cht, &ChtParams::entries>},
+    {"cht_kind", &member<&M::cht, &ChtParams::kind>, "--cht",
+     "CHT organisation"},
+    {"cht_entries", &member<&M::cht, &ChtParams::entries>,
+     "--cht-entries", "CHT entries"},
     {"cht_assoc", &member<&M::cht, &ChtParams::assoc>},
     {"cht_counter_bits", &member<&M::cht, &ChtParams::counterBits>},
     {"cht_sticky", &member<&M::cht, &ChtParams::sticky>},
@@ -129,12 +147,13 @@ const Field kFields[] = {
     {"mem_latency", &member<&M::mem, &H::memLatency>},
 };
 
+/** The row whose column @p col (key or flag) is @p name, or null. */
 const Field *
-findField(const std::string &key)
+findRow(const char *Field::*col, std::string_view name)
 {
     const auto it = std::find_if(
         std::begin(kFields), std::end(kFields),
-        [&](const Field &f) { return key == f.key; });
+        [&](const Field &f) { return f.*col && name == f.*col; });
     return it == std::end(kFields) ? nullptr : it;
 }
 
@@ -182,6 +201,42 @@ fieldText(const Field &f, MachineConfig &cfg)
                 return std::to_string(field);
         },
         f.ref);
+}
+
+/**
+ * The --help entry of flag row @p f: "--flag ARG" and then its help
+ * text from column 24, wrapped to 78 columns before a space or after
+ * a '|', so that an enum's spelling list breaks between names.
+ */
+std::string
+flagHelp(const Field &f)
+{
+    constexpr std::size_t kTextCol = 24;
+    constexpr std::size_t kRoom = 78 - kTextCol;
+    std::string text = f.help;
+    const char *arg = "N";
+    std::visit(
+        [&](auto ref) {
+            MachineConfig c;
+            using T = std::remove_reference_t<decltype(ref(c))>;
+            if constexpr (std::is_enum_v<T>) {
+                arg = "NAME";
+                text += ": " + enumSpellings(namesOf(T{}));
+            }
+        },
+        f.ref);
+    std::string out = std::string("  ") + f.flag + " " + arg;
+    out.append(out.size() < kTextCol ? kTextCol - out.size() : 1, ' ');
+    std::string_view rest = text;
+    while (rest.size() > kRoom) {
+        std::size_t cut = kRoom;
+        while (cut > 0 && rest[cut] != ' ' && rest[cut - 1] != '|')
+            --cut;
+        cut = cut ? cut : kRoom; // one word wider than the column
+        out.append(rest.substr(0, cut)).append("\n").append(kTextCol, ' ');
+        rest.remove_prefix(cut + (rest[cut] == ' '));
+    }
+    return out.append(rest) + "\n";
 }
 
 std::string
@@ -248,10 +303,39 @@ void
 setMachineConfigKey(MachineConfig &cfg, const std::string &key,
                     const std::string &value)
 {
-    const Field *f = findField(key);
+    const Field *f = findRow(&Field::key, key);
     if (!f)
         throw std::invalid_argument("unknown config key: " + key);
     setField(*f, cfg, value);
+}
+
+bool
+isMachineConfigFlag(std::string_view flag)
+{
+    return findRow(&Field::flag, flag) != nullptr;
+}
+
+void
+setMachineConfigFlag(MachineConfig &cfg, std::string_view flag,
+                     const std::string &value)
+{
+    const Field *f = findRow(&Field::flag, flag);
+    if (!f) {
+        throw std::invalid_argument("unknown config flag: " +
+                                    std::string(flag));
+    }
+    setField(*f, cfg, value);
+}
+
+std::string
+machineConfigFlagHelp()
+{
+    std::string out;
+    for (const Field &f : kFields) {
+        if (f.flag)
+            out += flagHelp(f);
+    }
+    return out;
 }
 
 MachineConfig
@@ -276,7 +360,7 @@ machineConfigFromIni(std::istream &is, MachineConfig base)
         }
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
-        const Field *f = findField(key);
+        const Field *f = findRow(&Field::key, key);
         if (!f) {
             throw ConfigError(makeDiag(
                 DiagCode::ConfigUnknownKey, "config_io", key,

@@ -10,6 +10,7 @@
  *
  * Every key, its field and its spelling come from one table, kFields
  * in config_io.cc; its order is the order machineConfigToIni() writes.
+ * The same rows give the lrs_sim config flags and their --help text.
  */
 
 #ifndef LRS_CORE_CONFIG_IO_HH
@@ -17,6 +18,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/config.hh"
 
@@ -39,6 +41,24 @@ ChtKind parseChtKind(const std::string &s);
  */
 void setMachineConfigKey(MachineConfig &cfg, const std::string &key,
                          const std::string &value);
+
+/** Whether @p flag (e.g. "--window") is an lrs_sim config flag. */
+bool isMachineConfigFlag(std::string_view flag);
+
+/**
+ * Set the field that config flag @p flag sets from @p value, as
+ * setMachineConfigKey() does for the field's INI key.
+ *
+ * @throws std::invalid_argument on an unknown flag or a bad value.
+ */
+void setMachineConfigFlag(MachineConfig &cfg, std::string_view flag,
+                          const std::string &value);
+
+/**
+ * The --help lines of the config flags, in table order: each flag
+ * with its text, and an enum flag with the spellings it accepts.
+ */
+std::string machineConfigFlagHelp();
 
 /**
  * Apply "key = value" lines from @p is on top of @p base, then

@@ -27,6 +27,14 @@ validated(const MachineConfig &cfg)
     return cfg;
 }
 
+/** Global history of the front end's gshare branch predictor. */
+constexpr unsigned kBranchHistBits = 12;
+
+/** Crossbar + decision-stage latency of the conventional pipe. */
+constexpr Cycle kConventionalExtraLat = 1;
+/** Second-level-scheduler latency of the dual-scheduled pipe. */
+constexpr Cycle kDualSchedExtraLat = 2;
+
 } // namespace
 
 Cycle
@@ -91,7 +99,7 @@ gateHorizon(const Mob &mob, const MachineConfig &cfg, SeqNum seq,
 
 OooCore::OooCore(const MachineConfig &cfg)
     : cfg_(validated(cfg)), mem_(cfg.mem),
-      branchPred_(cfg.branchHistBits, 2, /*initial=weakly taken*/ 2),
+      branchPred_(kBranchHistBits, 2, /*initial=weakly taken*/ 2),
       rob_(cfg.robSize), robSeq_(cfg.robSize, 0),
       robState_(cfg.robSize, State::Waiting),
       robEst_(cfg.robSize, kCycleNever),
@@ -116,27 +124,18 @@ OooCore::OooCore(const MachineConfig &cfg)
     bankPred_ = makeBankPredictor(cfg_.bankPred, cfg_.numBanks,
                                   cfg_.mem.l1.lineBytes);
 
-    switch (cfg_.bankMode) {
-      case BankMode::Conventional:
-        memPipeExtraLat_ = cfg_.conventionalExtraLat;
-        break;
-      case BankMode::DualScheduled:
-        memPipeExtraLat_ = cfg_.dualSchedExtraLat;
-        break;
-      default:
-        memPipeExtraLat_ = 0;
-        break;
-    }
+    if (cfg_.bankMode == BankMode::Conventional)
+        memPipeExtraLat_ = kConventionalExtraLat;
+    else if (cfg_.bankMode == BankMode::DualScheduled)
+        memPipeExtraLat_ = kDualSchedExtraLat;
 
-    if (cfg_.scheme == OrderingScheme::StoreBarrier) {
-        barrierCache_ =
-            std::make_unique<BimodalPredictor>(cfg_.barrierEntries);
-    }
+    // The baselines keep their published table sizes: a 2048-entry
+    // barrier cache, a 4096-entry SSIT and 128 store sets.
+    if (cfg_.scheme == OrderingScheme::StoreBarrier)
+        barrierCache_ = std::make_unique<BimodalPredictor>();
 
-    if (cfg_.scheme == OrderingScheme::StoreSets) {
-        storeSets_ = std::make_unique<StoreSets>(cfg_.ssitEntries,
-                                                 cfg_.storeSetCount);
-    }
+    if (cfg_.scheme == OrderingScheme::StoreSets)
+        storeSets_ = std::make_unique<StoreSets>();
 
     if (cfg_.stridePrefetch)
         prefetcher_ = std::make_unique<LoadAddressPredictor>(1024);
@@ -1073,13 +1072,13 @@ OooCore::executeLoad(int slot)
         bankPred_->update(u.pc, u.addr);
     // The memory-pipe organisation adds its structural latency here
     // (crossbar/decision stage or second-level scheduler, Figure 4).
-    Cycle agu_done = now_ + cfg_.aguLat + memPipeExtraLat_;
+    Cycle agu_done = now_ + kAguLat + memPipeExtraLat_;
     const Cycle l1_lat = cfg_.mem.l1.latency;
     if (e.bankMispredicted) {
         // Sliced pipe, wrong bank: the load re-executes through the
         // correct pipe once the bank is known.
         ++res_.bankMispredicts;
-        agu_done += cfg_.aguLat + l1_lat;
+        agu_done += kAguLat + l1_lat;
     }
 
     // Partial-address disambiguation (mob_partial_bits > 0): the
@@ -1344,19 +1343,19 @@ OooCore::executeEntry(int slot)
     switch (u.cls) {
       case UopClass::IntAlu:
         robActual_[slot] = robEst_[slot] = robComplete_[slot] =
-            now_ + cfg_.intLat;
+            now_ + kIntLat;
         break;
       case UopClass::FpAlu:
         robActual_[slot] = robEst_[slot] = robComplete_[slot] =
-            now_ + cfg_.fpLat;
+            now_ + kFpLat;
         break;
       case UopClass::Complex:
         robActual_[slot] = robEst_[slot] = robComplete_[slot] =
-            now_ + cfg_.complexLat;
+            now_ + kComplexLat;
         break;
       case UopClass::Branch:
         robActual_[slot] = robEst_[slot] = robComplete_[slot] =
-            now_ + cfg_.branchLat;
+            now_ + kBranchLat;
         if (e.mispredictedBranch) {
             branchPending_ = false;
             fetchBlockedUntil_ = std::max(
@@ -1366,7 +1365,7 @@ OooCore::executeEntry(int slot)
         }
         break;
       case UopClass::StoreAddr: {
-        const Cycle t = now_ + cfg_.aguLat;
+        const Cycle t = now_ + kAguLat;
         robActual_[slot] = robEst_[slot] = robComplete_[slot] = t;
         mob_.staExecuted(robMobOrd_[slot], t);
         maybeTouchStore(robMobOrd_[slot]);
@@ -1375,7 +1374,7 @@ OooCore::executeEntry(int slot)
         break;
       }
       case UopClass::StoreData: {
-        const Cycle t = now_ + cfg_.stdLat;
+        const Cycle t = now_ + kStdLat;
         robActual_[slot] = robEst_[slot] = robComplete_[slot] = t;
         assert(e.isPairedStd);
         mob_.stdExecuted(robMobOrd_[slot], t);

@@ -107,6 +107,18 @@ Cycle gateHorizon(const Mob &mob, const MachineConfig &cfg, SeqNum seq,
 class OooCore
 {
   public:
+    /**
+     * Execution latencies of the paper's units (section 3.1), in
+     * cycles: integer, FP, complex, branch, address generation (STA
+     * and load) and store data.
+     */
+    static constexpr Cycle kIntLat = 1;
+    static constexpr Cycle kFpLat = 3;
+    static constexpr Cycle kComplexLat = 4;
+    static constexpr Cycle kBranchLat = 1;
+    static constexpr Cycle kAguLat = 1;
+    static constexpr Cycle kStdLat = 1;
+
     explicit OooCore(const MachineConfig &cfg);
     ~OooCore();
 

@@ -37,11 +37,6 @@ CacheParams::validate(const std::string &component) const
                     std::to_string(assoc) + " ways");
         }
     }
-    if (numBanks == 0 || !isPowerOf2(numBanks)) {
-        bad("num_banks", "bank count must be a nonzero power of two "
-                         "(got " +
-                             std::to_string(numBanks) + ")");
-    }
     return diags;
 }
 

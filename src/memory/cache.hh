@@ -33,8 +33,6 @@ struct CacheParams
     unsigned lineBytes = 64;
     /** Access latency of this level, in cycles. */
     Cycle latency = 5;
-    /** Number of independently addressed banks (1 = unbanked). */
-    unsigned numBanks = 1;
 
     /**
      * Every violated geometry constraint, all at once (empty =
@@ -79,13 +77,6 @@ class Cache
     void flush();
 
     const CacheParams &params() const { return params_; }
-
-    /** Bank index of @p addr (line-interleaved). */
-    unsigned
-    bankOf(Addr addr) const
-    {
-        return bankOfAddr(addr, params_.lineBytes, params_.numBanks);
-    }
 
     Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }
 

@@ -3,6 +3,9 @@
 namespace lrs
 {
 
+/** How long a serviced line stays in the recently-filled window. */
+constexpr Cycle kRecentFillWindow = 32;
+
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
     : params_(params), l1_(params.l1), l2_(params.l2)
 {
@@ -70,7 +73,7 @@ MemoryHierarchy::timingInfo(Addr addr, Cycle now) const
     if (p.present) {
         if (p.fillTime > now)
             info.outstandingMiss = true;
-        else if (now - p.fillTime <= params_.recentFillWindow)
+        else if (now - p.fillTime <= kRecentFillWindow)
             info.recentFill = true;
     }
     return info;

@@ -23,14 +23,10 @@ namespace lrs
 /** Parameters of the full data hierarchy. */
 struct HierarchyParams
 {
-    CacheParams l1 = {"L1D", 16 * 1024, 4, 64, /*latency=*/5,
-                      /*banks=*/1};
-    CacheParams l2 = {"L2", 256 * 1024, 4, 64, /*latency=*/7,
-                      /*banks=*/1};
+    CacheParams l1 = {"L1D", 16 * 1024, 4, 64, /*latency=*/5};
+    CacheParams l2 = {"L2", 256 * 1024, 4, 64, /*latency=*/7};
     /** Additional latency of main memory beyond L1+L2. */
     Cycle memLatency = 45;
-    /** How long a serviced line stays in the recently-filled window. */
-    Cycle recentFillWindow = 32;
 };
 
 /**

@@ -8,6 +8,9 @@
 namespace lrs
 {
 
+/** Partial tag width of the tagged tables. */
+constexpr unsigned kTagBits = 16;
+
 const char *
 chtKindName(ChtKind k)
 {
@@ -32,10 +35,6 @@ ChtParams::validate(const std::string &component) const
     if (counterBits < 1 || counterBits > 4) {
         bad("counter_bits", "counter width must be 1..4 bits (got " +
                                 std::to_string(counterBits) + ")");
-    }
-    if (tagBits < 1 || tagBits > 32) {
-        bad("tag_bits", "partial tag width must be 1..32 bits (got " +
-                            std::to_string(tagBits) + ")");
     }
     if (pathBits > 32) {
         bad("path_bits", "path-history slice must be <= 32 bits "
@@ -104,7 +103,7 @@ std::uint32_t
 Cht::tagOf(Addr pc) const
 {
     return static_cast<std::uint32_t>((pc >> (1 + setBits_)) &
-                                      mask(params_.tagBits));
+                                      mask(kTagBits));
 }
 
 std::size_t
@@ -323,7 +322,7 @@ Cht::corruptRandomBit(Rng &rng)
             e.valid = !e.valid;
             break;
           case 1:
-            e.tag ^= 1u << rng.below(params_.tagBits);
+            e.tag ^= 1u << rng.below(kTagBits);
             break;
           case 2:
             e.counter ^= static_cast<std::uint8_t>(
@@ -365,16 +364,16 @@ Cht::storageBits() const
     switch (params_.kind) {
       case ChtKind::Full:
         bits = params_.entries *
-               (1 + params_.tagBits + params_.counterBits + dist_bits);
+               (1 + kTagBits + params_.counterBits + dist_bits);
         break;
       case ChtKind::TagOnly:
-        bits = params_.entries * (1 + params_.tagBits + dist_bits);
+        bits = params_.entries * (1 + kTagBits + dist_bits);
         break;
       case ChtKind::Tagless:
         bits = params_.entries * (params_.counterBits + dist_bits);
         break;
       case ChtKind::Combined:
-        bits = params_.entries * (1 + params_.tagBits + dist_bits) +
+        bits = params_.entries * (1 + kTagBits + dist_bits) +
                params_.taglessEntries * params_.counterBits;
         break;
     }

@@ -73,8 +73,6 @@ struct ChtParams
     bool sticky = false;
     /** Keep the minimal collision distance (exclusive predictor). */
     bool trackDistance = false;
-    /** Partial tag width for tagged tables. */
-    unsigned tagBits = 16;
     /** Tagless-table entries for the Combined kind. */
     std::size_t taglessEntries = 4096;
     /** Clear the table every N updates (0 = never), cf. [Chry98]. */

@@ -18,7 +18,7 @@ CacheParams
 smallCache()
 {
     // 8 sets x 2 ways x 64B = 1KB.
-    return {"test", 1024, 2, 64, 3, 1};
+    return {"test", 1024, 2, 64, 3};
 }
 
 TEST(Cache, GeometryDerivation)
@@ -116,21 +116,10 @@ TEST(Cache, HitMissCounters)
     EXPECT_EQ(c.hits(), 2u);
 }
 
-TEST(Cache, BankInterleavingByLine)
-{
-    CacheParams p = smallCache();
-    p.numBanks = 2;
-    Cache c(p);
-    EXPECT_EQ(c.bankOf(0x0000), 0u);
-    EXPECT_EQ(c.bankOf(0x0040), 1u);
-    EXPECT_EQ(c.bankOf(0x0080), 0u);
-    EXPECT_EQ(c.bankOf(0x003f), 0u); // same line as 0x0
-}
-
 TEST(Cache, FullyAssociativeDegenerateCase)
 {
     // One set: size 1KB, 16 ways, 64B lines.
-    Cache c({"fa", 1024, 16, 64, 1, 1});
+    Cache c({"fa", 1024, 16, 64, 1});
     EXPECT_EQ(c.numSets(), 1u);
     for (int i = 0; i < 16; ++i)
         c.fill(static_cast<Addr>(i) * 64, static_cast<Cycle>(i));

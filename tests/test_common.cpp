@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common module: deterministic RNG, saturating
- * counters, sticky bits, bit utilities and the statistics package.
+ * counters, sticky bits, bit utilities, the bank-of-address rule and
+ * the statistics package.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "common/random.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
+#include "common/types.hh"
 
 namespace lrs
 {
@@ -240,6 +242,15 @@ TEST(BitUtils, Mix64Decorrelates)
     const auto b = mix64(1001);
     EXPECT_NE(a, b);
     EXPECT_NE(a >> 32, b >> 32);
+}
+
+TEST(BankOfAddr, InterleavesByLine)
+{
+    // Two banks of 64-byte lines.
+    EXPECT_EQ(bankOfAddr(0x0000, 64, 2), 0u);
+    EXPECT_EQ(bankOfAddr(0x0040, 64, 2), 1u);
+    EXPECT_EQ(bankOfAddr(0x0080, 64, 2), 0u);
+    EXPECT_EQ(bankOfAddr(0x003f, 64, 2), 0u); // same line as 0x0
 }
 
 TEST(TextTable, AlignsColumns)

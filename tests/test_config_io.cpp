@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for the machine-configuration INI I/O and the shared enum
- * parsers.
+ * Tests for the machine-configuration INI I/O, the lrs_sim config
+ * flags and their help, and the shared enum parsers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/parse.hh"
 #include "core/config_io.hh"
@@ -328,6 +332,158 @@ TEST(ConfigIo, GridJobsOutOfRangeIsAnErrorNotATruncation)
     std::stringstream ok;
     ok << "traces = wd\njobs = 4294967295\n";
     EXPECT_EQ(parseBatchGrid(ok, "test").jobs, 4294967295u);
+}
+
+// The lrs_sim config flags and the INI keys of the fields they set,
+// as cli_config_flags_match_ini spells them.
+const std::pair<const char *, const char *> kFlagKeys[] = {
+    {"--scheme", "scheme"},
+    {"--hmp", "hmp"},
+    {"--bank-mode", "bank_mode"},
+    {"--bank-pred", "bank_pred"},
+    {"--banks", "num_banks"},
+    {"--window", "sched_window"},
+    {"--int", "int_units"},
+    {"--mem", "mem_units"},
+    {"--cht", "cht_kind"},
+    {"--cht-entries", "cht_entries"},
+    {"--mob-partial-bits", "mob_partial_bits"},
+    {"--max-cycles", "max_cycles"},
+    {"--stats-interval", "stats_interval"},
+    {"--audit-interval", "audit_interval"},
+};
+
+std::vector<std::string>
+split(const std::string &s, char sep)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    for (std::string part; std::getline(ss, part, sep);)
+        out.push_back(part);
+    return out;
+}
+
+/**
+ * The spellings INI key @p key accepts, read from the parse error of
+ * a bad value; empty when the key is not an enum.
+ */
+std::vector<std::string>
+acceptedSpellings(const std::string &key)
+{
+    MachineConfig cfg;
+    try {
+        setMachineConfigKey(cfg, key, "?");
+    } catch (const std::invalid_argument &e) {
+        const std::string msg = e.what();
+        const std::string lead = "' is not one of ";
+        const auto at = msg.find(lead);
+        if (at == std::string::npos)
+            return {};
+        return split(msg.substr(at + lead.size()), '|');
+    }
+    ADD_FAILURE() << key << " accepted '?'";
+    return {};
+}
+
+/** The words of @p flag's entry in @p help: its line and continuations. */
+std::vector<std::string>
+helpEntryWords(const std::string &help, const std::string &flag)
+{
+    const std::string text = "\n" + help;
+    auto at = text.find("\n  " + flag + " ");
+    if (at == std::string::npos)
+        return {};
+    std::vector<std::string> words;
+    const std::string indent = "\n" + std::string(24, ' ');
+    do {
+        const auto end = text.find('\n', at + 1);
+        std::string line = text.substr(at + 1, end - at - 1);
+        for (char &c : line) {
+            if (c == '|' || c == ':')
+                c = ' ';
+        }
+        for (const std::string &w : split(line, ' ')) {
+            if (!w.empty())
+                words.push_back(w);
+        }
+        at = end;
+    } while (at != std::string::npos && text.compare(at, 25, indent) == 0);
+    return words;
+}
+
+TEST(ConfigFlags, HelpListsEveryFlagAndEverySpelling)
+{
+    const std::string help = machineConfigFlagHelp();
+    std::size_t entries = 0;
+    for (const std::string &line : split(help, '\n'))
+        entries += line.rfind("  --", 0) == 0;
+    EXPECT_EQ(entries, std::size(kFlagKeys)) << help;
+
+    std::size_t enum_rows = 0;
+    for (const auto &[flag, key] : kFlagKeys) {
+        const std::vector<std::string> words = helpEntryWords(help, flag);
+        ASSERT_FALSE(words.empty()) << flag << " missing from\n" << help;
+        const std::vector<std::string> spellings = acceptedSpellings(key);
+        enum_rows += !spellings.empty();
+        for (const std::string &s : spellings) {
+            EXPECT_NE(std::find(words.begin(), words.end(), s),
+                      words.end())
+                << flag << " help does not list '" << s << "'";
+        }
+    }
+    EXPECT_EQ(enum_rows, 5u); // scheme, hmp, bank mode and pred, cht
+}
+
+TEST(ConfigFlags, EachFlagSetsTheFieldOfItsIniKey)
+{
+    const std::string defaults = machineConfigToIni(MachineConfig{});
+    for (const auto &[flag, key] : kFlagKeys) {
+        EXPECT_TRUE(isMachineConfigFlag(flag)) << flag;
+        std::vector<std::string> values = acceptedSpellings(key);
+        if (values.empty())
+            values = {"3"};
+        bool changed = false;
+        for (const std::string &v : values) {
+            MachineConfig by_flag, by_key;
+            setMachineConfigFlag(by_flag, flag, v);
+            setMachineConfigKey(by_key, key, v);
+            const std::string ini = machineConfigToIni(by_flag);
+            EXPECT_EQ(ini, machineConfigToIni(by_key)) << flag << " " << v;
+            changed = changed || ini != defaults;
+        }
+        EXPECT_TRUE(changed) << flag << " set nothing";
+    }
+    for (const char *other : {"--trace", "--config", "--rob-size",
+                              "scheme", "--audit"}) {
+        EXPECT_FALSE(isMachineConfigFlag(other)) << other;
+        MachineConfig cfg;
+        EXPECT_THROW(setMachineConfigFlag(cfg, other, "1"),
+                     std::invalid_argument)
+            << other;
+    }
+}
+
+TEST(ConfigValidate, SlicedWithoutBankPredNamesSpellingsTheParserTakes)
+{
+    MachineConfig cfg;
+    cfg.bankMode = BankMode::Sliced;
+    const std::vector<Diag> diags = cfg.validate();
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].param, "bank_pred");
+    const std::string &msg = diags[0].message;
+    const std::string lead = "(pick bank_pred ";
+    const auto at = msg.find(lead);
+    ASSERT_NE(at, std::string::npos) << msg;
+    const auto end = msg.find(')', at);
+    ASSERT_NE(end, std::string::npos) << msg;
+    const std::string named =
+        msg.substr(at + lead.size(), end - at - lead.size());
+    EXPECT_EQ(named, "A|B|C|addr");
+    for (const std::string &s : split(named, '|')) {
+        BankPredKind k = BankPredKind::None;
+        EXPECT_NO_THROW(k = parseBankPredKind(s)) << s;
+        EXPECT_NE(k, BankPredKind::None) << s;
+    }
 }
 
 } // namespace

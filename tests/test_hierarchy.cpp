@@ -18,10 +18,9 @@ HierarchyParams
 params()
 {
     HierarchyParams p;
-    p.l1 = {"L1", 1024, 2, 64, 5, 1};
-    p.l2 = {"L2", 8192, 4, 64, 7, 1};
+    p.l1 = {"L1", 1024, 2, 64, 5};
+    p.l2 = {"L2", 8192, 4, 64, 7};
     p.memLatency = 40;
-    p.recentFillWindow = 16;
     return p;
 }
 

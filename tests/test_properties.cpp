@@ -66,7 +66,7 @@ class RefCache
 
 TEST(CacheProperty, MatchesReferenceLruOnRandomStream)
 {
-    CacheParams p{"t", 4096, 4, 64, 1, 1};
+    CacheParams p{"t", 4096, 4, 64, 1};
     Cache cache(p);
     RefCache ref(cache.numSets(), p.assoc, p.lineBytes);
 
@@ -90,7 +90,7 @@ TEST(CacheProperty, MatchesReferenceLruOnRandomStream)
 
 TEST(CacheProperty, InclusionNeverExceedsCapacity)
 {
-    CacheParams p{"t", 2048, 2, 64, 1, 1};
+    CacheParams p{"t", 2048, 2, 64, 1};
     Cache cache(p);
     Rng rng(7);
     Cycle now = 0;

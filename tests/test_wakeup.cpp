@@ -211,7 +211,8 @@ TEST(EventWakeup, StoreDataReopensAnOlderLoadBehindTheIssueWalk)
         // The gate opens when the STD's data is known, one cycle after
         // it issues.
         EXPECT_LT(t.issue[1], t.issue[2]);
-        EXPECT_EQ(t.issue[2], t.issue[3] + cfg.stdLat) << "skip=" << skip;
+        EXPECT_EQ(t.issue[2], t.issue[3] + OooCore::kStdLat)
+            << "skip=" << skip;
     }
 }
 

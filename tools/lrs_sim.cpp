@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -75,220 +76,107 @@ constexpr int kExitConfig = 3;
 constexpr int kExitIo = 4;
 constexpr int kExitInterrupted = 5;
 
-// Value flags that set one MachineConfig field, each with the INI key
-// it sets: they share the --config file's setter and strict parsing.
-constexpr std::pair<const char *, const char *> kConfigFlags[] = {
-    {"--scheme", "scheme"},
-    {"--hmp", "hmp"},
-    {"--bank-mode", "bank_mode"},
-    {"--bank-pred", "bank_pred"},
-    {"--banks", "num_banks"},
-    {"--window", "sched_window"},
-    {"--int", "int_units"},
-    {"--mem", "mem_units"},
-    {"--cht", "cht_kind"},
-    {"--cht-entries", "cht_entries"},
-    {"--mob-partial-bits", "mob_partial_bits"},
-    {"--max-cycles", "max_cycles"},
-    {"--stats-interval", "stats_interval"},
-    {"--audit-interval", "audit_interval"},
-};
-
-/** The INI key config flag @p flag sets, or null if it is not one. */
-const char *
-configFlagKey(const std::string &flag)
-{
-    for (const auto &[f, key] : kConfigFlags) {
-        if (flag == f)
-            return key;
-    }
-    return nullptr;
-}
-
 [[noreturn]] void
 usage(FILE *out, int code, const char *argv0)
 {
-    std::fprintf(
-        out,
-        "usage: %s [options]\n"
-        "  --trace NAME          named synthetic trace (e.g. wd, gcc,"
-        " swim, tpcc)\n"
-        "  --trace-file PATH     run a serialised trace file instead\n"
-        "  --champsim PATH       ingest a raw ChampSim input_instr "
-        "trace ('-' reads\n"
-        "                        stdin); hostile-input-proof — see "
-        "docs/TRACES.md\n"
-        "                        (--len bounds the instruction count; "
-        "--recover and\n"
-        "                        --bad-record-budget apply)\n"
-        "  --max-pages N         refuse a ChampSim trace touching more "
-        "distinct 4KiB\n"
-        "                        pages (default 1048576)\n"
-        "  --max-file-bytes N    refuse a ChampSim source larger than "
-        "N bytes\n"
-        "                        (default 2147483648)\n"
-        "  --len N               uops to generate (default 200000)\n"
-        "  --families            run the adversarial workload families "
-        "(spoiler4k,\n"
-        "                        flipper, gcmark) under a "
-        "predictor-active machine\n"
-        "                        and report per-family CHT/HMP/bank "
-        "accuracy (adds a\n"
-        "                        \"families\" block to --json)\n"
-        "  --scheme S            traditional|opportunistic|postponing|"
-        "inclusive|\n"
-        "                        exclusive|perfect|storebarrier|storesets\n"
-        "  --hmp H               always-hit|local|chooser|local+timing|"
-        "perfect\n"
-        "  --bank-mode M         multiported|conventional|dual|sliced\n"
-        "  --bank-pred P         none|A|B|C|addr\n"
-        "  --banks N             cache banks (power of two, <= 8)\n"
-        "  --window N            scheduling window entries\n"
-        "  --int N / --mem N     execution unit counts\n"
-        "  --cht KIND            full|tagonly|tagless|combined\n"
-        "  --cht-entries N       CHT entries\n"
-        "  --config PATH         load a machine config file (see "
-        "--dump-config)\n"
-        "  --dump-config         print the effective config as INI "
-        "and exit\n"
-        "  --compare-schemes     run all ordering schemes and report "
-        "speedups\n"
-        "  --batch PATH          run a (traces x schemes) grid from a "
-        "grid file\n"
-        "                        (keys: traces, schemes, len, jobs; "
-        "any other\n"
-        "                        \"key = value\" line is the shared "
-        "machine config)\n"
-        "  --jobs N              worker threads for --batch and "
-        "--compare-schemes\n"
-        "                        (default: LRS_JOBS, else hardware "
-        "concurrency;\n"
-        "                        results are identical for any N)\n"
-        "  --dump-trace PATH     write the generated trace and exit\n"
-        "  --json PATH           write the result (all counters, "
-        "interval series,\n"
-        "                        stats registry) as JSON; '-' writes "
-        "JSON to stdout\n"
-        "                        (human-readable output then goes to "
-        "stderr)\n"
-        "  --stats-interval N    snapshot interval metrics every N "
-        "cycles\n"
-        "  --trace-events PATH   record per-uop pipeline events and "
-        "write a Chrome\n"
-        "                        trace_event file (chrome://tracing / "
-        "Perfetto)\n"
-        "  --trace-buf N         event ring-buffer capacity "
-        "(default 262144)\n"
-        "telemetry (docs/OBSERVABILITY.md):\n"
-        "  --histograms          collect deterministic log2 "
-        "histograms (load-to-use\n"
-        "                        delay, replay distance, occupancy, "
-        "predictor\n"
-        "                        confidence); exported under "
-        "\"histograms\"\n"
-        "  --profile             time the simulator's own stages "
-        "(host clock) and\n"
-        "                        report the breakdown + uops/sec "
-        "(stderr and a\n"
-        "                        \"profile\" JSON block)\n"
-        "  --flight-recorder DIR keep a per-cell event ring during "
-        "--batch; a failed\n"
-        "                        cell leaves DIR/cell_N.flight.jsonl "
-        "(CRC-framed)\n"
-        "  --progress[=FD]       stream one JSON heartbeat line per "
-        "finished --batch\n"
-        "                        cell to FD (default 2, stderr)\n"
-        "  --check-journal PATH  validate a CRC-framed JSONL file "
-        "(checkpoint journal,\n"
-        "                        flight dump, or machine snapshot — "
-        "snapshots get the\n"
-        "                        full strict structural check); exit "
-        "nonzero on damage\n"
-        "machine snapshots (docs/ROBUSTNESS.md, \"Snapshots\"):\n"
-        "  --snapshot FILE       checkpoint the machine state to FILE "
-        "during a single\n"
-        "                        run (atomic tmp+rename; requires "
-        "--snapshot-after)\n"
-        "  --snapshot-after N    cycle to checkpoint at (the run then "
-        "continues to\n"
-        "                        completion as usual)\n"
-        "  --from-snapshot FILE  restore FILE instead of starting "
-        "cold and simulate\n"
-        "                        the remainder; stats are "
-        "bit-identical to the\n"
-        "                        uninterrupted run under the same "
-        "config\n"
-        "  --validate-snapshot   prove that contract: run everything "
-        "twice (full, and\n"
-        "                        through a save/restore at "
-        "--snapshot-after, default\n"
-        "                        half the run; for --batch: "
-        "warmup_snapshot or half,\n"
-        "                        per cell) and fail on any "
-        "non-identical statistic\n"
-        "                        (grid key warmup_snapshot=N warms "
-        "each trace once and\n"
-        "                        forks every scheme cell from the "
-        "checkpoint)\n"
-        "robustness (docs/ROBUSTNESS.md):\n"
-        "  --audit               audit ROB/window/MOB invariants "
-        "(LRS_AUDIT=1)\n"
-        "  --audit-interval N    audit every N cycles (implies "
-        "--audit; default 8192)\n"
-        "  --mob-partial-bits N  MOB partial-address disambiguation "
-        "width (0 = full\n"
-        "                        addresses; 6..48 enables the 4K-alias "
-        "stall model\n"
-        "                        and the mob.partial_* counters)\n"
-        "  --recover             skip malformed trace records instead "
-        "of aborting\n"
-        "  --bad-record-budget N abort after N skipped records "
-        "(default unlimited)\n"
-        "  --inject-trace-faults corrupt the trace through the fault "
-        "injector and\n"
-        "                        read it back in recovery mode\n"
-        "  --fault-seed N        fault injector seed "
-        "(LRS_FAULT_SEED)\n"
-        "  --fault-trace-rate R  per-record corruption probability "
-        "(LRS_FAULT_TRACE_RATE;\n"
-        "                        needs --inject-trace-faults)\n"
-        "  --fault-bit-rate R    per-load CHT bit-flip probability "
-        "(LRS_FAULT_BIT_RATE)\n"
-        "  --fault-lat-rate R    per-access latency perturbation "
-        "probability (LRS_FAULT_LAT_RATE)\n"
-        "                        (fault settings need a single run; "
-        "--compare-schemes\n"
-        "                        and --dump-trace take only the "
-        "trace corruption)\n"
-        "resilient sweeps (docs/ROBUSTNESS.md, \"Sweep "
-        "supervisor\"):\n"
-        "  --journal PATH        append one crash-safe checkpoint "
-        "record per finished\n"
-        "                        --batch cell (CRC-guarded JSONL, "
-        "fsync per record)\n"
-        "  --resume [PATH]       validate the journal against the "
-        "grid, skip cells it\n"
-        "                        records as OK, and keep appending to "
-        "it (PATH may be\n"
-        "                        omitted when --journal PATH names "
-        "the journal)\n"
-        "  --retries N           re-run FAILED/TIMEOUT/CRASHED cells "
-        "up to N extra times\n"
-        "  --isolate             fork each cell into a subprocess; a "
-        "crash (SIGSEGV,\n"
-        "                        abort) marks only that cell "
-        "CRASHED\n"
-        "  --cell-timeout-ms N   wall-clock watchdog per isolated "
-        "cell (SIGKILL +\n"
-        "                        TIMEOUT on expiry; 0 disables)\n"
-        "  --max-cycles N        deterministic per-run cycle budget; "
-        "exceeding it is a\n"
-        "                        TIMEOUT outcome (0 disables)\n"
-        "exit codes: 0 ok, 1 runtime/audit failure, 2 usage, "
-        "3 bad config, 4 I/O,\n"
-        "            5 interrupted (SIGINT/SIGTERM; resume with "
-        "--resume)\n",
-        argv0);
+    std::fprintf(out, "usage: %s [options]\n", argv0);
+    std::fputs(R"(trace selection:
+  --trace NAME          named synthetic trace (e.g. wd, gcc, swim, tpcc)
+  --trace-file PATH     run a serialised trace file instead
+  --champsim PATH       ingest a raw ChampSim input_instr trace ('-' reads
+                        stdin); hostile-input-proof — see docs/TRACES.md
+                        (--len bounds the instruction count; --recover and
+                        --bad-record-budget apply)
+  --max-pages N         refuse a ChampSim trace touching more distinct 4KiB
+                        pages (default 1048576)
+  --max-file-bytes N    refuse a ChampSim source larger than N bytes
+                        (default 2147483648)
+  --len N               uops to generate (default 200000)
+  --families            run the adversarial workload families (spoiler4k,
+                        flipper, gcmark) under a predictor-active machine
+                        and report per-family CHT/HMP/bank accuracy (adds a
+                        "families" block to --json)
+machine config (flags and --config files apply in command-line order):
+  --config PATH         load a machine config file (see --dump-config)
+  --dump-config         print the final config as INI and exit
+)",
+               out);
+    std::fputs(machineConfigFlagHelp().c_str(), out);
+    std::fputs(R"(runs and output:
+  --compare-schemes     run all ordering schemes and report speedups
+  --batch PATH          run a (traces x schemes) grid from a grid file
+                        (keys: traces, schemes, len, jobs; any other
+                        "key = value" line is the shared machine config)
+  --jobs N              worker threads for --batch and --compare-schemes
+                        (default: LRS_JOBS, else hardware concurrency;
+                        results are identical for any N)
+  --dump-trace PATH     write the generated trace and exit
+  --json PATH           write the result (all counters, interval series,
+                        stats registry) as JSON; '-' writes JSON to stdout
+                        (human-readable output then goes to stderr)
+  --trace-events PATH   record per-uop pipeline events and write a Chrome
+                        trace_event file (chrome://tracing / Perfetto)
+  --trace-buf N         event ring-buffer capacity (default 262144; needs
+                        --trace-events)
+telemetry (docs/OBSERVABILITY.md):
+  --histograms          collect deterministic log2 histograms (load-to-use
+                        delay, replay distance, occupancy, predictor
+                        confidence); exported under "histograms"
+  --profile             time the simulator's own stages (host clock) and
+                        report the breakdown + uops/sec (stderr and a
+                        "profile" JSON block)
+  --flight-recorder DIR keep a per-cell event ring during --batch; a failed
+                        cell leaves DIR/cell_N.flight.jsonl (CRC-framed)
+  --progress[=FD]       stream one JSON heartbeat line per finished --batch
+                        cell to FD (default 2, stderr)
+  --check-journal PATH  validate a CRC-framed JSONL file (checkpoint journal,
+                        flight dump, or machine snapshot — snapshots get the
+                        full strict structural check); exit nonzero on damage
+machine snapshots (docs/ROBUSTNESS.md, "Snapshots"):
+  --snapshot FILE       checkpoint the machine state to FILE during a single
+                        run (atomic tmp+rename; requires --snapshot-after)
+  --snapshot-after N    cycle to checkpoint at (the run then continues to
+                        completion as usual; needs --snapshot or
+                        --validate-snapshot)
+  --from-snapshot FILE  restore FILE instead of starting cold and simulate
+                        the remainder; stats are bit-identical to the
+                        uninterrupted run under the same config
+  --validate-snapshot   prove that contract: run everything twice (full, and
+                        through a save/restore at --snapshot-after, default
+                        half the run; for --batch: warmup_snapshot or half,
+                        per cell) and fail on any non-identical statistic
+                        (grid key warmup_snapshot=N warms each trace once and
+                        forks every scheme cell from the checkpoint)
+robustness (docs/ROBUSTNESS.md):
+  --audit               audit ROB/window/MOB invariants (LRS_AUDIT=1)
+  --recover             skip malformed trace records instead of aborting
+  --bad-record-budget N abort after N skipped records (default unlimited)
+  --inject-trace-faults corrupt the trace through the fault injector and
+                        read it back in recovery mode
+  --fault-seed N        fault injector seed (LRS_FAULT_SEED)
+  --fault-trace-rate R  per-record corruption probability
+                        (LRS_FAULT_TRACE_RATE; needs --inject-trace-faults)
+  --fault-bit-rate R    per-load CHT bit-flip probability (LRS_FAULT_BIT_RATE)
+  --fault-lat-rate R    per-access latency perturbation probability
+                        (LRS_FAULT_LAT_RATE)
+                        (fault settings need a single run; --compare-schemes
+                        and --dump-trace take only the trace corruption)
+resilient sweeps (docs/ROBUSTNESS.md, "Sweep supervisor"):
+  --journal PATH        append one crash-safe checkpoint record per finished
+                        --batch cell (CRC-guarded JSONL, fsync per record)
+  --resume [PATH]       validate the journal against the grid, skip cells it
+                        records as OK, and keep appending to it (PATH may be
+                        omitted when --journal PATH names the journal)
+  --retries N           re-run FAILED/TIMEOUT/CRASHED cells up to N extra
+                        times
+  --isolate             fork each cell into a subprocess; a crash (SIGSEGV,
+                        abort) marks only that cell CRASHED
+  --cell-timeout-ms N   wall-clock watchdog per isolated cell (SIGKILL +
+                        TIMEOUT on expiry; 0 disables)
+exit codes: 0 ok, 1 runtime/audit failure, 2 usage, 3 bad config, 4 I/O,
+            5 interrupted (SIGINT/SIGTERM; resume with --resume)
+)",
+               out);
     std::exit(code);
 }
 
@@ -780,19 +668,19 @@ main(int argc, char **argv)
     std::string dump_path;
     std::string json_path;
     std::string trace_events_path;
-    std::uint64_t trace_buf = PipelineTracer::kDefaultCapacity;
+    std::optional<std::uint64_t> trace_buf;
     std::uint64_t len = 200000;
     unsigned jobs_flag = 0;
     std::string batch_path;
     SweepOptions sweep_opts;
     bool compare = false;
+    bool dump_config = false;
     bool profile = false;
     std::string flight_dir;
     std::string check_journal_path;
     std::string snapshot_path;
     std::string from_snapshot;
-    std::uint64_t snapshot_after = 0;
-    bool snapshot_after_set = false;
+    std::optional<std::uint64_t> snapshot_after;
     bool validate_snapshot = false;
     bool inject_trace_faults = false;
     TraceReadOptions read_opts;
@@ -842,14 +730,11 @@ main(int argc, char **argv)
             else if (a == "--max-file-bytes")
                 cs_opts.maxFileBytes = parseUnsigned(next());
             else if (a == "--len") len = parseUnsigned(next());
-            else if (const char *key = configFlagKey(a))
-                setMachineConfigKey(cfg, key, next());
+            else if (isMachineConfigFlag(a))
+                setMachineConfigFlag(cfg, a, next());
             else if (a == "--config")
                 cfg = machineConfigFromFile(next(), cfg);
-            else if (a == "--dump-config") {
-                std::cout << machineConfigToIni(cfg);
-                return kExitOk;
-            }
+            else if (a == "--dump-config") dump_config = true;
             else if (a == "--compare-schemes") compare = true;
             else if (a == "--batch") batch_path = next();
             else if (a == "--jobs")
@@ -883,10 +768,8 @@ main(int argc, char **argv)
             else if (a == "--check-journal")
                 check_journal_path = next();
             else if (a == "--snapshot") snapshot_path = next();
-            else if (a == "--snapshot-after") {
+            else if (a == "--snapshot-after")
                 snapshot_after = parseUnsigned(next());
-                snapshot_after_set = true;
-            }
             else if (a == "--from-snapshot") from_snapshot = next();
             else if (a == "--validate-snapshot")
                 validate_snapshot = true;
@@ -894,8 +777,7 @@ main(int argc, char **argv)
             else if (a == "--json") json_path = next();
             else if (a == "--trace-events")
                 trace_events_path = next();
-            else if (a == "--trace-buf")
-                trace_buf = parseUnsigned(next());
+            else if (a == "--trace-buf") trace_buf = parseUnsigned(next());
             else if (a == "--audit") {
                 if (cfg.auditInterval == 0)
                     cfg.auditInterval = 8192;
@@ -925,6 +807,13 @@ main(int argc, char **argv)
             }
         }
         flag.clear();
+        if (dump_config) {
+            // The config every flag left, checked as --config checks
+            // a file.
+            cfg.validateOrThrow();
+            std::cout << machineConfigToIni(cfg);
+            return kExitOk;
+        }
         if (!check_journal_path.empty()) {
             // Offline CRC validation of any LRSJ1-framed file: a
             // checkpoint journal or a flight-recorder dump.
@@ -1005,27 +894,36 @@ main(int argc, char **argv)
         // (used by --compare-schemes), which reads LRS_JOBS.
         if (jobs_flag)
             ::setenv("LRS_JOBS", std::to_string(jobs_flag).c_str(), 1);
-        if (!snapshot_path.empty() && !snapshot_after_set) {
-            std::fprintf(stderr,
-                         "--snapshot needs --snapshot-after N\n");
-            usage(stderr, kExitUsage, argv[0]);
-        }
-        // Sweep flags outside the sweep they configure would be
-        // silently ignored; name the first one instead.
-        if (batch_path.empty()) {
-            const char *stray = nullptr;
-            if (sweep_opts.resume) stray = "--resume";
-            else if (!sweep_opts.journalPath.empty()) stray = "--journal";
-            else if (sweep_opts.retries) stray = "--retries";
-            else if (sweep_opts.isolate) stray = "--isolate";
-            else if (sweep_opts.cellTimeoutMs) stray = "--cell-timeout-ms";
-            else if (!flight_dir.empty()) stray = "--flight-recorder";
-            else if (sweep_opts.progressFd >= 0) stray = "--progress";
-            if (stray) {
-                std::fprintf(stderr, "%s needs --batch\n", stray);
+        // A flag whose work needs another flag or another mode would
+        // be silently ignored without it: name the first such flag.
+        const auto need = [&](bool missing, const char *flag,
+                              const char *what) {
+            if (missing) {
+                std::fprintf(stderr, "%s needs %s\n", flag, what);
                 usage(stderr, kExitUsage, argv[0]);
             }
-        }
+        };
+        need(!snapshot_path.empty() && !snapshot_after, "--snapshot",
+             "--snapshot-after N");
+        // runBatch takes no --snapshot-after.
+        need(snapshot_after &&
+                 (!batch_path.empty() ||
+                  (snapshot_path.empty() && !validate_snapshot)),
+             "--snapshot-after", "--snapshot or --validate-snapshot");
+        need(trace_buf && trace_events_path.empty(), "--trace-buf",
+             "--trace-events");
+        const bool no_batch = batch_path.empty();
+        need(no_batch && sweep_opts.resume, "--resume", "--batch");
+        need(no_batch && !sweep_opts.journalPath.empty(), "--journal",
+             "--batch");
+        need(no_batch && sweep_opts.retries, "--retries", "--batch");
+        need(no_batch && sweep_opts.isolate, "--isolate", "--batch");
+        need(no_batch && sweep_opts.cellTimeoutMs, "--cell-timeout-ms",
+             "--batch");
+        need(no_batch && !flight_dir.empty(), "--flight-recorder",
+             "--batch");
+        need(no_batch && sweep_opts.progressFd >= 0, "--progress",
+             "--batch");
         // Fault injection reaches only the modes that build an
         // injector: a single run applies all of it, --compare-schemes
         // and --dump-trace only the trace corruption (no core gets the
@@ -1053,31 +951,18 @@ main(int argc, char **argv)
                        fault_cfg.latRate),
                  no_core},
             };
-            for (const auto &[name, ignored] : settings) {
-                if (name && ignored) {
-                    std::fprintf(stderr, "%s needs a single run\n", name);
-                    usage(stderr, kExitUsage, argv[0]);
-                }
-            }
+            for (const auto &[name, ignored] : settings)
+                need(name && ignored, name, "a single run");
             // Only --inject-trace-faults corrupts the trace; a rate
             // without it would be reported but never applied.
-            if (trace_rate && !inject_trace_faults) {
-                std::fprintf(stderr, "%s needs --inject-trace-faults\n",
-                             trace_rate);
-                usage(stderr, kExitUsage, argv[0]);
-            }
+            need(trace_rate && !inject_trace_faults, trace_rate,
+                 "--inject-trace-faults");
         }
-        if (sweep_opts.cellTimeoutMs && !sweep_opts.isolate) {
-            std::fprintf(stderr, "--cell-timeout-ms needs --isolate "
-                                 "(in-process cells use "
-                                 "--max-cycles)\n");
-            usage(stderr, kExitUsage, argv[0]);
-        }
-        if (sweep_opts.resume && sweep_opts.journalPath.empty()) {
-            std::fprintf(stderr, "--resume needs a journal path "
-                                 "(operand or --journal PATH)\n");
-            usage(stderr, kExitUsage, argv[0]);
-        }
+        need(sweep_opts.cellTimeoutMs && !sweep_opts.isolate,
+             "--cell-timeout-ms",
+             "--isolate (in-process cells use --max-cycles)");
+        need(sweep_opts.resume && sweep_opts.journalPath.empty(),
+             "--resume", "a journal path (operand or --journal PATH)");
         if (!batch_path.empty())
             return runBatch(batch_path, jobs_flag, json_path,
                             sweep_opts, cfg.maxCycles,
@@ -1185,7 +1070,8 @@ main(int argc, char **argv)
             core.attachFaultInjector(&faults);
         std::unique_ptr<PipelineTracer> tracer;
         if (!trace_events_path.empty()) {
-            tracer = std::make_unique<PipelineTracer>(trace_buf);
+            tracer = std::make_unique<PipelineTracer>(
+                trace_buf.value_or(PipelineTracer::kDefaultCapacity));
             core.attachTracer(tracer.get());
         }
         const auto wall0 = std::chrono::steady_clock::now();
@@ -1199,9 +1085,9 @@ main(int argc, char **argv)
             r = core.finishRun();
         } else if (!snapshot_path.empty()) {
             core.beginRun(*trace);
-            core.advanceTo(*trace, snapshot_after);
+            core.advanceTo(*trace, *snapshot_after);
             writeSnapshot(snapshot_path, core, *trace,
-                          snapshot_after);
+                          *snapshot_after);
             std::fprintf(stderr, "snapshot: %s at cycle %llu\n",
                          snapshot_path.c_str(),
                          static_cast<unsigned long long>(core.now()));
@@ -1216,8 +1102,7 @@ main(int argc, char **argv)
                                 .count();
         if (validate_snapshot) {
             // Save/restore at --snapshot-after (default: half the run).
-            const Cycle stop =
-                snapshot_after_set ? snapshot_after : r.cycles / 2;
+            const Cycle stop = snapshot_after.value_or(r.cycles / 2);
             if (!snapshotRoundTripIdentical(
                     cfg, fault_cfg, *trace, stop,
                     std::filesystem::temp_directory_path().string() +
