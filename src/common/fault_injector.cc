@@ -1,66 +1,7 @@
 #include "common/fault_injector.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-
-#include "common/parse.hh"
-
 namespace lrs
 {
-
-namespace
-{
-
-double
-envRate(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    double d = fallback;
-    if (v)
-        tryParseRate(v, d); // a bad value leaves the fallback
-    return d;
-}
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    // Strict base-10 only: the old strtoull(.., 0) path accepted
-    // "-1" (wrapping to 2^64-1) and clamped out-of-range input to
-    // ULLONG_MAX without any errno check. Bad overrides now warn and
-    // keep the fallback instead of silently injecting with a
-    // nonsense seed or latency bound.
-    std::uint64_t n = 0;
-    if (!tryParseU64(v, n)) {
-        std::fprintf(stderr,
-                     "lrs: ignoring %s='%s' (want a base-10 unsigned "
-                     "64-bit integer); using %llu\n",
-                     name, v,
-                     static_cast<unsigned long long>(fallback));
-        return fallback;
-    }
-    return n;
-}
-
-} // namespace
-
-FaultConfig
-FaultConfig::fromEnv()
-{
-    FaultConfig cfg;
-    cfg.seed = envU64("LRS_FAULT_SEED", cfg.seed);
-    cfg.traceRate = envRate("LRS_FAULT_TRACE_RATE", cfg.traceRate);
-    cfg.bitRate = envRate("LRS_FAULT_BIT_RATE", cfg.bitRate);
-    cfg.latRate = envRate("LRS_FAULT_LAT_RATE", cfg.latRate);
-    cfg.maxLatencyDelta =
-        envU64("LRS_FAULT_LAT_MAX", cfg.maxLatencyDelta);
-    if (cfg.maxLatencyDelta == 0)
-        cfg.maxLatencyDelta = 1;
-    return cfg;
-}
 
 bool
 FaultInjector::corruptRecord(std::uint8_t *record, std::size_t size)

@@ -54,18 +54,6 @@ struct FaultConfig
     {
         return traceRate > 0.0 || bitRate > 0.0 || latRate > 0.0;
     }
-
-    /**
-     * Build a FaultConfig from the environment:
-     *   LRS_FAULT_SEED        (u64, default keeps the struct default)
-     *   LRS_FAULT_TRACE_RATE  (double in [0,1])
-     *   LRS_FAULT_BIT_RATE    (double in [0,1])
-     *   LRS_FAULT_LAT_RATE    (double in [0,1])
-     *   LRS_FAULT_LAT_MAX     (u64 cycles)
-     * Unset/malformed variables leave the field at its default, so an
-     * ordinary environment yields a disabled injector.
-     */
-    static FaultConfig fromEnv();
 };
 
 /**

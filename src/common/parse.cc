@@ -48,4 +48,13 @@ parseRate(std::string_view s)
     return v;
 }
 
+std::string
+trim(std::string_view s)
+{
+    const auto b = s.find_first_not_of(" \t\r");
+    if (b == std::string_view::npos)
+        return "";
+    return std::string(s.substr(b, s.find_last_not_of(" \t\r") - b + 1));
+}
+
 } // namespace lrs

@@ -89,6 +89,9 @@ bool tryParseRate(std::string_view s, double &out) noexcept;
  */
 double parseRate(std::string_view s);
 
+/** @p s without its leading and trailing spaces, tabs and CRs. */
+std::string trim(std::string_view s);
+
 /** One row of an enum's name table. */
 template <typename E>
 struct EnumName

@@ -8,7 +8,7 @@
  * A bug — or an injected fault — that breaks one of them usually does
  * not crash; it silently produces plausible-but-wrong timing. The
  * auditor makes such corruption *loud*: every `audit_interval` cycles
- * (or `--audit` / `LRS_AUDIT=1`) the core snapshots its state into an
+ * (or with `--audit`) the core snapshots its state into an
  * AuditView and StateAuditor::check() walks every invariant,
  * reporting each violation as a Diag with the offending sequence
  * numbers and the cycle it was caught.

@@ -125,7 +125,7 @@ const Field kFields[] = {
     {"collect_histograms", &member<&M::collectHistograms>},
     {"audit_interval", &member<&M::auditInterval>, "--audit-interval",
      "audit ROB/window/MOB invariants every N cycles (0 = off; --audit "
-     "and LRS_AUDIT=1 set 8192)"},
+     "sets 8192)"},
     {"max_cycles", &member<&M::maxCycles>, "--max-cycles",
      "deterministic per-run cycle budget; exceeding it is a TIMEOUT "
      "outcome (0 disables)"},
@@ -203,16 +203,10 @@ fieldText(const Field &f, MachineConfig &cfg)
         f.ref);
 }
 
-/**
- * The --help entry of flag row @p f: "--flag ARG" and then its help
- * text from column 24, wrapped to 78 columns before a space or after
- * a '|', so that an enum's spelling list breaks between names.
- */
+/** The --help entry of flag row @p f; an enum lists its spellings. */
 std::string
 flagHelp(const Field &f)
 {
-    constexpr std::size_t kTextCol = 24;
-    constexpr std::size_t kRoom = 78 - kTextCol;
     std::string text = f.help;
     const char *arg = "N";
     std::visit(
@@ -225,28 +219,7 @@ flagHelp(const Field &f)
             }
         },
         f.ref);
-    std::string out = std::string("  ") + f.flag + " " + arg;
-    out.append(out.size() < kTextCol ? kTextCol - out.size() : 1, ' ');
-    std::string_view rest = text;
-    while (rest.size() > kRoom) {
-        std::size_t cut = kRoom;
-        while (cut > 0 && rest[cut] != ' ' && rest[cut - 1] != '|')
-            --cut;
-        cut = cut ? cut : kRoom; // one word wider than the column
-        out.append(rest.substr(0, cut)).append("\n").append(kTextCol, ' ');
-        rest.remove_prefix(cut + (rest[cut] == ' '));
-    }
-    return out.append(rest) + "\n";
-}
-
-std::string
-trim(const std::string &s)
-{
-    const auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    const auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
+    return helpEntry(std::string(f.flag) + " " + arg, text);
 }
 
 } // namespace
@@ -325,6 +298,25 @@ setMachineConfigFlag(MachineConfig &cfg, std::string_view flag,
                                     std::string(flag));
     }
     setField(*f, cfg, value);
+}
+
+std::string
+helpEntry(std::string_view head, std::string_view text)
+{
+    constexpr std::size_t kTextCol = 24;
+    constexpr std::size_t kRoom = 78 - kTextCol;
+    std::string out = "  ";
+    out.append(head);
+    out.append(out.size() < kTextCol ? kTextCol - out.size() : 1, ' ');
+    while (text.size() > kRoom) {
+        std::size_t cut = kRoom;
+        while (cut > 0 && text[cut] != ' ' && text[cut - 1] != '|')
+            --cut;
+        cut = cut ? cut : kRoom; // one word wider than the column
+        out.append(text.substr(0, cut)).append("\n").append(kTextCol, ' ');
+        text.remove_prefix(cut + (text[cut] == ' '));
+    }
+    return out.append(text) + "\n";
 }
 
 std::string

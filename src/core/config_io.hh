@@ -61,6 +61,13 @@ void setMachineConfigFlag(MachineConfig &cfg, std::string_view flag,
 std::string machineConfigFlagHelp();
 
 /**
+ * One lrs_sim --help entry: @p head ("--flag ARG") from column 2 and
+ * @p text from column 24, wrapped to 78 columns before a space or
+ * after a '|', so that an enum's spelling list breaks between names.
+ */
+std::string helpEntry(std::string_view head, std::string_view text);
+
+/**
  * Apply "key = value" lines from @p is on top of @p base, then
  * validate the result. The keys are those machineConfigToIni() writes.
  *

@@ -1,6 +1,8 @@
 #include "core/grid.hh"
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,22 +20,11 @@ namespace
 
 /** Split a grid-file list value on commas and whitespace. */
 std::vector<std::string>
-splitList(const std::string &s)
+splitList(std::string s)
 {
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char c : s) {
-        if (c == ',' || c == ' ' || c == '\t') {
-            if (!cur.empty())
-                out.push_back(std::move(cur));
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(std::move(cur));
-    return out;
+    std::replace(s.begin(), s.end(), ',', ' ');
+    std::istringstream is(s);
+    return {std::istream_iterator<std::string>(is), {}};
 }
 
 [[noreturn]] void
@@ -60,9 +51,11 @@ parseKey(const std::string &origin, const std::string &key,
 } // namespace
 
 BatchGrid
-parseBatchGrid(std::istream &is, const std::string &origin)
+parseBatchGrid(std::istream &is, const std::string &origin,
+               const MachineConfig &base)
 {
     BatchGrid grid;
+    grid.base = base;
     std::ostringstream cfg_lines;
     std::string line;
     while (std::getline(is, line)) {
@@ -72,18 +65,11 @@ parseBatchGrid(std::istream &is, const std::string &origin)
             text.erase(hash);
         const auto eq = text.find('=');
         if (eq == std::string::npos) {
-            if (text.find_first_not_of(" \t\r") != std::string::npos)
+            if (!trim(text).empty())
                 cfg_lines << line << '\n'; // let the config parser
                                            // report the syntax error
             continue;
         }
-        auto trim = [](std::string s) {
-            const auto b = s.find_first_not_of(" \t\r");
-            if (b == std::string::npos)
-                return std::string();
-            const auto e = s.find_last_not_of(" \t\r");
-            return s.substr(b, e - b + 1);
-        };
         const std::string key = trim(text.substr(0, eq));
         const std::string value = trim(text.substr(eq + 1));
         if (key == "traces") {
@@ -125,20 +111,27 @@ parseBatchGrid(std::istream &is, const std::string &origin)
 }
 
 BatchGrid
-parseBatchGridFile(const std::string &path)
+parseBatchGridFile(const std::string &path, const MachineConfig &base)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is) {
         throw IoError(makeDiag(DiagCode::IoOpenFailed, "core.grid",
                                "path", "cannot open " + path));
     }
-    return parseBatchGrid(is, "batch file " + path);
+    return parseBatchGrid(is, "batch file " + path, base);
 }
 
 void
 buildGridJobs(const BatchGrid &grid, std::vector<SimJob> &jobs,
               std::vector<std::string> &keys)
 {
+    // The schemes axis sets each cell's scheme, so the base config's
+    // own scheme is read only by the warm-up run.
+    if (grid.base.scheme != MachineConfig{}.scheme && !grid.warmupSnapshot)
+        throwGrid(std::string("base scheme ") +
+                      orderingSchemeName(grid.base.scheme),
+                  "a base scheme needs warmup_snapshot, whose warm-up run "
+                  "alone reads it; the schemes axis sets each cell's");
     jobs.clear();
     keys.clear();
     jobs.reserve(grid.cells());

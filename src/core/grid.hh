@@ -10,7 +10,10 @@
  *   len     = 200000               # uops per generated trace
  *   jobs    = 4                    # optional pool-width hint
  *   sched_window = 64              # any machineConfigFromIni() key
- *                                  # becomes the shared base config
+ *                                  # is a layer over the base config
+ *
+ * The schemes axis sets each cell's scheme; a base scheme other than
+ * traditional, read only by the warm-up run, needs `warmup_snapshot`.
  *
  * Parsing and cell expansion live here — not in the CLI — because
  * the CLI, perfbench and the tests share one grammar, one cell-key
@@ -59,22 +62,27 @@ struct BatchGrid
 };
 
 /**
- * Parse grid text from @p is. @p origin names the source in
- * diagnostics ("batch file x.ini", "submission"). Throws ConfigError
- * on unknown keys, malformed values, or an empty trace list.
+ * Parse grid text from @p is. Its config lines apply on top of
+ * @p base, the config the grid starts from. @p origin names the
+ * source in diagnostics ("batch file x.ini"). Throws ConfigError on
+ * unknown keys, malformed values, an invalid base config or an empty
+ * trace list.
  */
 BatchGrid parseBatchGrid(std::istream &is,
-                         const std::string &origin = "grid");
+                         const std::string &origin = "grid",
+                         const MachineConfig &base = {});
 
 /** Parse the grid file at @p path (IoError if unreadable). */
-BatchGrid parseBatchGridFile(const std::string &path);
+BatchGrid parseBatchGridFile(const std::string &path,
+                             const MachineConfig &base = {});
 
 /**
  * Expand @p grid into its cells, trace-major (the grid order every
  * report prints): jobs[i] is (trace i/nschemes, scheme i%nschemes)
  * and keys[i] is "trace/scheme" — the stable identity the checkpoint
  * journal validates on resume. Throws ConfigError for an unknown
- * trace name.
+ * trace name, or for a base scheme other than traditional without
+ * `warmup_snapshot`: no run would read it.
  */
 void buildGridJobs(const BatchGrid &grid, std::vector<SimJob> &jobs,
                    std::vector<std::string> &keys);

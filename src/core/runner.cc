@@ -79,7 +79,7 @@ allSchemes()
 }
 
 std::vector<SimResult>
-runAllSchemes(const VecTrace &trace, MachineConfig cfg)
+runAllSchemes(const VecTrace &trace, MachineConfig cfg, unsigned workers)
 {
     const auto &schemes = allSchemes();
     std::vector<SimResult> out(schemes.size());
@@ -88,12 +88,15 @@ runAllSchemes(const VecTrace &trace, MachineConfig cfg)
     // its slot, so the vector is identical to the serial loop no
     // matter how many workers ran it (or whether this call was itself
     // a parallelFor() job, in which case it runs inline).
-    parallelFor(schemes.size(), [&](std::size_t i) {
-        MachineConfig c = cfg;
-        c.scheme = schemes[i];
-        VecTrace local = trace;
-        out[i] = runSim(local, c);
-    });
+    parallelFor(
+        schemes.size(),
+        [&](std::size_t i) {
+            MachineConfig c = cfg;
+            c.scheme = schemes[i];
+            VecTrace local = trace;
+            out[i] = runSim(local, c);
+        },
+        workers);
     return out;
 }
 

@@ -27,12 +27,14 @@ SimResult runSim(const TraceParams &params, const MachineConfig &cfg);
 /**
  * Run one trace under every ordering scheme (I-VI) with a shared
  * machine configuration; returns results in scheme order. The
- * schemes run concurrently through parallelFor() (honouring
- * LRS_JOBS); the returned vector is bit-identical to a serial loop
- * regardless of worker count — see docs/PARALLELISM.md.
+ * schemes run concurrently through parallelFor() on @p workers
+ * threads (0: LRS_JOBS, else hardware concurrency); the returned
+ * vector is bit-identical to a serial loop regardless of worker
+ * count — see docs/PARALLELISM.md.
  */
 std::vector<SimResult> runAllSchemes(const VecTrace &trace,
-                                     MachineConfig cfg);
+                                     MachineConfig cfg,
+                                     unsigned workers = 0);
 
 /** The scheme order used by runAllSchemes(). */
 const std::vector<OrderingScheme> &allSchemes();

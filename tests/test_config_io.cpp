@@ -266,6 +266,26 @@ TEST(Parse, TryParseU64IsStrictCanonicalBase10)
     EXPECT_EQ(v, 42u); // rejected parses leave the output untouched
 }
 
+TEST(Parse, TryParseRateTakesOneNumberInZeroOne)
+{
+    double v = 0.0;
+    EXPECT_TRUE(tryParseRate("0.25", v));
+    EXPECT_EQ(v, 0.25);
+    EXPECT_TRUE(tryParseRate("1", v));
+    EXPECT_EQ(v, 1.0);
+    EXPECT_TRUE(tryParseRate("0", v));
+    EXPECT_EQ(v, 0.0);
+
+    // Trailing garbage, signs, whitespace, NaN, values outside
+    // [0, 1] and overflow are rejected, never read as a nearby rate.
+    v = 0.5;
+    for (const char *bad : {"0.5abc", "-3", "nan", "7", "1e999", " 0.5",
+                            "+0.5", ""}) {
+        EXPECT_FALSE(tryParseRate(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 0.5) << "'" << bad << "'";
+    }
+}
+
 TEST(ConfigIo, IniRejectsSignedWrapAndNonCanonicalIntegers)
 {
     // `max_cycles = -1` once parsed as 2^64-1 via std::stoull —
@@ -311,6 +331,50 @@ TEST(ConfigIo, GridRejectsSignedWrapIntegers)
     const BatchGrid grid = parseBatchGrid(ok, "test");
     EXPECT_EQ(grid.len, 5000u);
     EXPECT_EQ(grid.warmupSnapshot, 1000u);
+}
+
+TEST(ConfigIo, GridConfigLinesLayerOverTheBaseConfig)
+{
+    MachineConfig base;
+    base.schedWindow = 8;
+    base.cht.trackDistance = true;
+    std::stringstream keeps("traces = wd\n");
+    const BatchGrid kept = parseBatchGrid(keeps, "test", base);
+    EXPECT_EQ(kept.base.schedWindow, 8u);
+    EXPECT_TRUE(kept.base.cht.trackDistance);
+    std::stringstream overrides("traces = wd\nsched_window = 64\n");
+    EXPECT_EQ(parseBatchGrid(overrides, "test", base).base.schedWindow, 64u);
+}
+
+TEST(ConfigIo, GridBaseSchemeNeedsWarmupSnapshot)
+{
+    // The schemes axis sets every cell's scheme; a base scheme, from
+    // the grid's own lines or from the config it starts from, is read
+    // only by the warm-up run.
+    std::vector<SimJob> jobs;
+    std::vector<std::string> keys;
+    for (const char *text :
+         {"traces = wd\nschemes = traditional\nscheme = perfect\n",
+          "traces = wd\nscheme = perfect\n"}) {
+        std::stringstream ss(text);
+        EXPECT_THROW(buildGridJobs(parseBatchGrid(ss, "test"), jobs, keys),
+                     ConfigError)
+            << text;
+    }
+    MachineConfig exclusive;
+    exclusive.scheme = OrderingScheme::Exclusive;
+    std::stringstream inherits("traces = wd\n");
+    EXPECT_THROW(
+        buildGridJobs(parseBatchGrid(inherits, "test", exclusive), jobs, keys),
+        ConfigError);
+
+    std::stringstream warm("traces = wd\nschemes = traditional\n"
+                           "scheme = inclusive\nwarmup_snapshot = 100\n");
+    const BatchGrid grid = parseBatchGrid(warm, "test");
+    buildGridJobs(grid, jobs, keys);
+    EXPECT_EQ(grid.base.scheme, OrderingScheme::Inclusive);
+    ASSERT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(jobs[0].cfg.scheme, OrderingScheme::Traditional);
 }
 
 TEST(ConfigIo, GridJobsOutOfRangeIsAnErrorNotATruncation)

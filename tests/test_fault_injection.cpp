@@ -205,45 +205,5 @@ TEST(FaultInjector, CorruptRandomBitKeepsChtUsable)
     SUCCEED();
 }
 
-TEST(FaultInjector, EnvOverridesRejectSignedWrap)
-{
-    // LRS_FAULT_SEED=-1 once wrapped to 2^64-1 through strtoull; a
-    // bad override must keep the default (with a stderr warning), not
-    // silently inject under a nonsense seed.
-    const FaultConfig defaults;
-    ::setenv("LRS_FAULT_SEED", "-1", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().seed, defaults.seed);
-    ::setenv("LRS_FAULT_SEED", "+7", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().seed, defaults.seed);
-    ::setenv("LRS_FAULT_SEED", " 7", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().seed, defaults.seed);
-    ::setenv("LRS_FAULT_SEED", "0xbeef", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().seed, defaults.seed);
-    ::setenv("LRS_FAULT_SEED", "18446744073709551616", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().seed, defaults.seed);
-    ::setenv("LRS_FAULT_SEED", "1234", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().seed, 1234u);
-    ::unsetenv("LRS_FAULT_SEED");
-
-    ::setenv("LRS_FAULT_LAT_MAX", "-3", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().maxLatencyDelta,
-              defaults.maxLatencyDelta);
-    ::unsetenv("LRS_FAULT_LAT_MAX");
-
-    // Rates share the --fault-*-rate flags' parser: one number in
-    // [0, 1]; anything else keeps the default.
-    for (const char *bad : {"0.5abc", "-3", "nan", "7", "1e999", " 0.5",
-                            "+0.5", ""}) {
-        ::setenv("LRS_FAULT_BIT_RATE", bad, 1);
-        EXPECT_EQ(FaultConfig::fromEnv().bitRate, defaults.bitRate)
-            << "'" << bad << "'";
-    }
-    ::setenv("LRS_FAULT_BIT_RATE", "0.25", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().bitRate, 0.25);
-    ::setenv("LRS_FAULT_BIT_RATE", "1", 1);
-    EXPECT_EQ(FaultConfig::fromEnv().bitRate, 1.0);
-    ::unsetenv("LRS_FAULT_BIT_RATE");
-}
-
 } // namespace
 } // namespace lrs

@@ -8,9 +8,11 @@
 # the off run to catch a pathologically expensive on-path.
 #
 # The goldens were captured from the seed build (single_pred.* later,
-# from the build before SimResult's counter table); the only permitted
-# difference since is the "build" provenance block that now leads
-# every JSON export, which this script strips before comparing.
+# from the build before SimResult's counter table; compare.*,
+# families.* and warm_fork.* from the build before lrs_sim's flag
+# table); the only permitted difference since is the "build"
+# provenance block that now leads every JSON export, which this script
+# strips before comparing.
 #
 # The speed of the cycle kernel itself is not gated here: perfbench
 # (`python3 perfbench/run.py --workload dense_cell`, see
@@ -51,29 +53,26 @@ fail() {
     exit 1
 }
 
-# Remove the top-level "build" provenance block (always the first
-# member, so the range is unambiguous at indent 2).
-strip_build() {
-    sed '/^  "build": {$/,/^  },$/d' "$1"
+# Compare $work/NAME.txt and $work/NAME.json with the goldens, after
+# removing the JSON's top-level "build" provenance block (always the
+# first member, so the range is unambiguous at indent 2).
+gate() {
+    cmp -s "$golden/$1.txt" "$work/$1.txt" \
+        || fail "$1 table differs from golden"
+    sed '/^  "build": {$/,/^  },$/d' "$work/$1.json" > "$work/$1.stripped.json"
+    cmp -s "$golden/$1.json" "$work/$1.stripped.json" \
+        || fail "$1 JSON differs from golden (after provenance strip)"
 }
 
 echo "check_overhead: byte-identity vs tools/golden (telemetry off)"
 
 LRS_TRACE_LEN=40000 LRS_JOBS=2 LRS_BENCH_JSON="$work/fig06.json" \
     "$fig06" > "$work/fig06.txt"
-cmp -s "$golden/fig06.txt" "$work/fig06.txt" \
-    || fail "fig06 table differs from golden"
-strip_build "$work/fig06.json" > "$work/fig06.stripped.json"
-cmp -s "$golden/fig06.json" "$work/fig06.stripped.json" \
-    || fail "fig06 JSON differs from golden (after provenance strip)"
+gate fig06
 
 "$sim" --trace wd --len 150000 --json "$work/single.json" \
     > "$work/single.txt"
-cmp -s "$golden/single.txt" "$work/single.txt" \
-    || fail "single-run table differs from golden"
-strip_build "$work/single.json" > "$work/single.stripped.json"
-cmp -s "$golden/single.json" "$work/single.stripped.json" \
-    || fail "single-run JSON differs from golden (after strip)"
+gate single
 
 # Traditional/always-hit above has no CHT and no bank predictor; this
 # run pins the registry groups they add (pred.cht between pred.hmp and
@@ -81,19 +80,27 @@ cmp -s "$golden/single.json" "$work/single.stripped.json" \
 "$sim" --trace wd --len 150000 --scheme inclusive --hmp chooser \
     --bank-mode sliced --bank-pred addr --json "$work/single_pred.json" \
     > "$work/single_pred.txt"
-cmp -s "$golden/single_pred.txt" "$work/single_pred.txt" \
-    || fail "predictor single-run table differs from golden"
-strip_build "$work/single_pred.json" > "$work/single_pred.stripped.json"
-cmp -s "$golden/single_pred.json" "$work/single_pred.stripped.json" \
-    || fail "predictor single-run JSON differs from golden (after strip)"
+gate single_pred
+
+# --compare-schemes and --families run their cells through the worker
+# pool.
+"$sim" --trace pm --len 15000 --compare-schemes \
+    --json "$work/compare.json" > "$work/compare.txt"
+gate compare
+"$sim" --families --len 20000 --json "$work/families.json" \
+    > "$work/families.txt"
+gate families
 
 "$sim" --batch "$golden/grid.ini" --jobs 2 --json "$work/batch.json" \
     > "$work/batch.txt" 2> /dev/null
-cmp -s "$golden/batch.txt" "$work/batch.txt" \
-    || fail "batch table differs from golden"
-strip_build "$work/batch.json" > "$work/batch.stripped.json"
-cmp -s "$golden/batch.json" "$work/batch.stripped.json" \
-    || fail "batch JSON differs from golden (after strip)"
+gate batch
+
+# Every cell forks from an Inclusive warm-up's checkpoint, which holds
+# the CHT's distances: this pins the config a --batch grid starts from.
+cp "$golden/warm_fork.grid" "$work/"
+"$sim" --batch "$work/warm_fork.grid" --json "$work/warm_fork.json" \
+    > "$work/warm_fork.txt" 2> /dev/null
+gate warm_fork
 
 if [ "$do_time" = 1 ]; then
     echo "check_overhead: wall-clock gate (telemetry on vs off)"

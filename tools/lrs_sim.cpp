@@ -14,6 +14,8 @@
  *   lrs_sim --trace-file gcc.lrstrc --hmp local+timing
  */
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -27,7 +29,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/buildinfo.hh"
 #include "common/diag.hh"
@@ -76,108 +82,65 @@ constexpr int kExitConfig = 3;
 constexpr int kExitIo = 4;
 constexpr int kExitInterrupted = 5;
 
-[[noreturn]] void
-usage(FILE *out, int code, const char *argv0)
+/**
+ * The runs lrs_sim makes, one per command line: a single run of one
+ * trace unless a run flag asks for another.
+ */
+enum Run : unsigned
 {
-    std::fprintf(out, "usage: %s [options]\n", argv0);
-    std::fputs(R"(trace selection:
-  --trace NAME          named synthetic trace (e.g. wd, gcc, swim, tpcc)
-  --trace-file PATH     run a serialised trace file instead
-  --champsim PATH       ingest a raw ChampSim input_instr trace ('-' reads
-                        stdin); hostile-input-proof — see docs/TRACES.md
-                        (--len bounds the instruction count; --recover and
-                        --bad-record-budget apply)
-  --max-pages N         refuse a ChampSim trace touching more distinct 4KiB
-                        pages (default 1048576)
-  --max-file-bytes N    refuse a ChampSim source larger than N bytes
-                        (default 2147483648)
-  --len N               uops to generate (default 200000)
-  --families            run the adversarial workload families (spoiler4k,
-                        flipper, gcmark) under a predictor-active machine
-                        and report per-family CHT/HMP/bank accuracy (adds a
-                        "families" block to --json)
-machine config (flags and --config files apply in command-line order):
-  --config PATH         load a machine config file (see --dump-config)
-  --dump-config         print the final config as INI and exit
-)",
-               out);
-    std::fputs(machineConfigFlagHelp().c_str(), out);
-    std::fputs(R"(runs and output:
-  --compare-schemes     run all ordering schemes and report speedups
-  --batch PATH          run a (traces x schemes) grid from a grid file
-                        (keys: traces, schemes, len, jobs; any other
-                        "key = value" line is the shared machine config)
-  --jobs N              worker threads for --batch and --compare-schemes
-                        (default: LRS_JOBS, else hardware concurrency;
-                        results are identical for any N)
-  --dump-trace PATH     write the generated trace and exit
-  --json PATH           write the result (all counters, interval series,
-                        stats registry) as JSON; '-' writes JSON to stdout
-                        (human-readable output then goes to stderr)
-  --trace-events PATH   record per-uop pipeline events and write a Chrome
-                        trace_event file (chrome://tracing / Perfetto)
-  --trace-buf N         event ring-buffer capacity (default 262144; needs
-                        --trace-events)
-telemetry (docs/OBSERVABILITY.md):
-  --histograms          collect deterministic log2 histograms (load-to-use
-                        delay, replay distance, occupancy, predictor
-                        confidence); exported under "histograms"
-  --profile             time the simulator's own stages (host clock) and
-                        report the breakdown + uops/sec (stderr and a
-                        "profile" JSON block)
-  --flight-recorder DIR keep a per-cell event ring during --batch; a failed
-                        cell leaves DIR/cell_N.flight.jsonl (CRC-framed)
-  --progress[=FD]       stream one JSON heartbeat line per finished --batch
-                        cell to FD (default 2, stderr)
-  --check-journal PATH  validate a CRC-framed JSONL file (checkpoint journal,
-                        flight dump, or machine snapshot — snapshots get the
-                        full strict structural check); exit nonzero on damage
-machine snapshots (docs/ROBUSTNESS.md, "Snapshots"):
-  --snapshot FILE       checkpoint the machine state to FILE during a single
-                        run (atomic tmp+rename; requires --snapshot-after)
-  --snapshot-after N    cycle to checkpoint at (the run then continues to
-                        completion as usual; needs --snapshot or
-                        --validate-snapshot)
-  --from-snapshot FILE  restore FILE instead of starting cold and simulate
-                        the remainder; stats are bit-identical to the
-                        uninterrupted run under the same config
-  --validate-snapshot   prove that contract: run everything twice (full, and
-                        through a save/restore at --snapshot-after, default
-                        half the run; for --batch: warmup_snapshot or half,
-                        per cell) and fail on any non-identical statistic
-                        (grid key warmup_snapshot=N warms each trace once and
-                        forks every scheme cell from the checkpoint)
-robustness (docs/ROBUSTNESS.md):
-  --audit               audit ROB/window/MOB invariants (LRS_AUDIT=1)
-  --recover             skip malformed trace records instead of aborting
-  --bad-record-budget N abort after N skipped records (default unlimited)
-  --inject-trace-faults corrupt the trace through the fault injector and
-                        read it back in recovery mode
-  --fault-seed N        fault injector seed (LRS_FAULT_SEED)
-  --fault-trace-rate R  per-record corruption probability
-                        (LRS_FAULT_TRACE_RATE; needs --inject-trace-faults)
-  --fault-bit-rate R    per-load CHT bit-flip probability (LRS_FAULT_BIT_RATE)
-  --fault-lat-rate R    per-access latency perturbation probability
-                        (LRS_FAULT_LAT_RATE)
-                        (fault settings need a single run; --compare-schemes
-                        and --dump-trace take only the trace corruption)
-resilient sweeps (docs/ROBUSTNESS.md, "Sweep supervisor"):
-  --journal PATH        append one crash-safe checkpoint record per finished
-                        --batch cell (CRC-guarded JSONL, fsync per record)
-  --resume [PATH]       validate the journal against the grid, skip cells it
-                        records as OK, and keep appending to it (PATH may be
-                        omitted when --journal PATH names the journal)
-  --retries N           re-run FAILED/TIMEOUT/CRASHED cells up to N extra
-                        times
-  --isolate             fork each cell into a subprocess; a crash (SIGSEGV,
-                        abort) marks only that cell CRASHED
-  --cell-timeout-ms N   wall-clock watchdog per isolated cell (SIGKILL +
-                        TIMEOUT on expiry; 0 disables)
-exit codes: 0 ok, 1 runtime/audit failure, 2 usage, 3 bad config, 4 I/O,
-            5 interrupted (SIGINT/SIGTERM; resume with --resume)
-)",
-               out);
-    std::exit(code);
+    kSingle = 1, kCompare = 2, kFamilies = 4, kBatch = 8, kDumpTrace = 16,
+    kDumpConfig = 32, kCheckJournal = 64,
+    /** Not a run: marks the kFlags row of a flag that asks for one. */
+    kAsks = 128,
+};
+
+/** How diagnostics and --help name each run, in bit order. */
+constexpr std::array<const char *, 7> kRunNames = {
+    "a single run", "--compare-schemes", "--families", "--batch",
+    "--dump-trace", "--dump-config",     "--check-journal"};
+
+constexpr unsigned kTraceRuns = kSingle | kCompare | kDumpTrace;
+constexpr unsigned kSimRuns = kSingle | kCompare | kFamilies | kBatch;
+/** The runs that read the machine config, and so its every layer. */
+constexpr unsigned kConfigRuns = kSimRuns | kDumpConfig;
+
+/** Everything the command line sets; every run reads it from here. */
+struct Options
+{
+    unsigned run = kSingle;
+    /** The machine the run starts from (main() sets it), then every
+     *  config layer in command-line order. */
+    MachineConfig cfg;
+    /** The operand of --batch, --dump-trace or --check-journal. */
+    std::string runPath;
+    /** The --batch grid; its base is cfg as --batch left it. */
+    BatchGrid grid;
+    std::string traceName = "wd";
+    std::string traceFile;
+    std::string champsimFile;
+    ChampSimReadOptions champsim;
+    TraceReadOptions read;
+    std::uint64_t len = 200000;
+    unsigned jobs = 0;
+    SweepOptions sweep;
+    std::string flightDir;
+    std::string jsonPath;
+    std::string traceEventsPath;
+    std::uint64_t traceBuf = PipelineTracer::kDefaultCapacity;
+    bool profile = false;
+    std::string snapshotPath;
+    std::optional<std::uint64_t> snapshotAfter;
+    std::string fromSnapshot;
+    bool validateSnapshot = false;
+    bool injectTraceFaults = false;
+    FaultConfig faults;
+};
+
+/** @p v as printf's %llu takes it. */
+unsigned long long
+ull(std::uint64_t v)
+{
+    return v;
 }
 
 void
@@ -188,81 +151,48 @@ printResult(FILE *out, const SimResult &r)
                        static_cast<double>(d)
                  : 0.0;
     };
+    const std::uint64_t cls = r.classifiedLoads();
     std::fprintf(out, "trace          %s\n", r.trace.c_str());
     std::fprintf(out, "config         %s\n", r.config.c_str());
-    std::fprintf(out, "cycles         %llu\n",
-                 static_cast<unsigned long long>(r.cycles));
-    std::fprintf(out, "uops           %llu (IPC %.2f)\n",
-                 static_cast<unsigned long long>(r.uops), r.ipc());
+    std::fprintf(out, "cycles         %llu\n", ull(r.cycles));
+    std::fprintf(out, "uops           %llu (IPC %.2f)\n", ull(r.uops),
+                 r.ipc());
     std::fprintf(out, "loads          %llu (%.1f%% of uops)\n",
-                 static_cast<unsigned long long>(r.loads),
-                 pct(r.loads, r.uops));
+                 ull(r.loads), pct(r.loads, r.uops));
     std::fprintf(out,
                  "  no-conflict  %.1f%%   ANC %.1f%%   AC %.1f%%\n",
-                 pct(r.notConflicting, r.classifiedLoads()),
-                 pct(r.ancPnc + r.ancPc, r.classifiedLoads()),
-                 pct(r.actuallyColliding(), r.classifiedLoads()));
+                 pct(r.notConflicting, cls), pct(r.ancPnc + r.ancPc, cls),
+                 pct(r.actuallyColliding(), cls));
     std::fprintf(out,
                  "  pred mix     AC-PC %.2f%%  AC-PNC %.2f%%  "
                  "ANC-PC %.2f%%\n",
-                 pct(r.acPc, r.classifiedLoads()),
-                 pct(r.acPnc, r.classifiedLoads()),
-                 pct(r.ancPc, r.classifiedLoads()));
+                 pct(r.acPc, cls), pct(r.acPnc, cls), pct(r.ancPc, cls));
     std::fprintf(out,
                  "  forwarded    %llu   penalized %llu   violations "
                  "%llu\n",
-                 static_cast<unsigned long long>(r.forwarded),
-                 static_cast<unsigned long long>(r.collisionPenalties),
-                 static_cast<unsigned long long>(r.orderViolations));
+                 ull(r.forwarded), ull(r.collisionPenalties),
+                 ull(r.orderViolations));
     std::fprintf(out,
                  "L1 misses      %llu (%.2f%% of loads, %llu "
                  "dynamic)\n",
-                 static_cast<unsigned long long>(r.l1Misses),
-                 pct(r.l1Misses, r.loads),
-                 static_cast<unsigned long long>(r.dynamicMisses));
+                 ull(r.l1Misses), pct(r.l1Misses, r.loads),
+                 ull(r.dynamicMisses));
     std::fprintf(out,
                  "hit-miss pred  AH-PH %llu  AH-PM %llu  AM-PH %llu  "
                  "AM-PM %llu\n",
-                 static_cast<unsigned long long>(r.ahPh),
-                 static_cast<unsigned long long>(r.ahPm),
-                 static_cast<unsigned long long>(r.amPh),
-                 static_cast<unsigned long long>(r.amPm));
+                 ull(r.ahPh), ull(r.ahPm), ull(r.amPh), ull(r.amPm));
     std::fprintf(out, "branches       %llu (%.2f%% mispredicted)\n",
-                 static_cast<unsigned long long>(r.branches),
-                 pct(r.branchMispredicts, r.branches));
+                 ull(r.branches), pct(r.branchMispredicts, r.branches));
     std::fprintf(out,
                  "issue waste    %llu wasted slots, %llu replayed "
                  "uops\n",
-                 static_cast<unsigned long long>(r.wastedIssues),
-                 static_cast<unsigned long long>(r.replayedUops));
+                 ull(r.wastedIssues), ull(r.replayedUops));
     if (r.bankConflicts || r.bankMispredicts || r.bankReplications) {
-        std::fprintf(
-            out,
-            "banked pipe    %llu conflicts, %llu mispredicts, "
-            "%llu replications\n",
-            static_cast<unsigned long long>(r.bankConflicts),
-            static_cast<unsigned long long>(r.bankMispredicts),
-            static_cast<unsigned long long>(r.bankReplications));
-    }
-}
-
-} // namespace
-
-namespace
-{
-
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os) {
-        throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim",
-                               "path", "cannot open " + path));
-    }
-    os << text;
-    if (!os) {
-        throw IoError(makeDiag(DiagCode::IoWriteFailed, "lrs_sim",
-                               "path", "write failed: " + path));
+        std::fprintf(out,
+                     "banked pipe    %llu conflicts, %llu mispredicts, "
+                     "%llu replications\n",
+                     ull(r.bankConflicts), ull(r.bankMispredicts),
+                     ull(r.bankReplications));
     }
 }
 
@@ -286,7 +216,35 @@ emitJson(const std::string &path, const json::Value &doc)
         std::cout << out.dump(2) << "\n";
         return;
     }
-    writeTextFile(path, out.dump(2));
+    std::ofstream os(path, std::ios::binary);
+    if (!os) {
+        throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim",
+                               "path", "cannot open " + path));
+    }
+    if (!(os << out.dump(2))) {
+        throw IoError(makeDiag(DiagCode::IoWriteFailed, "lrs_sim",
+                               "path", "write failed: " + path));
+    }
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    using namespace std::chrono;
+    return duration<double>(steady_clock::now() - t0).count();
+}
+
+/** Create @p dir, which flag @p param names, and its parents. */
+void
+makeDir(const std::string &dir, const char *param)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+        throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim", param,
+                               "cannot create " + dir + ": " +
+                                   ec.message()));
+    }
 }
 
 /**
@@ -303,23 +261,17 @@ emitJson(const std::string &path, const json::Value &doc)
  * still written), kExitRuntime if any cell finally failed.
  */
 int
-runBatch(const std::string &path, unsigned jobs_flag,
-         const std::string &json_path, SweepOptions sopts,
-         std::uint64_t max_cycles, bool histograms, bool profile,
-         const std::string &flight_dir, bool validate_snapshot)
+runBatch(const Options &opts)
 {
-    BatchGrid grid = parseBatchGridFile(path);
-    if (max_cycles)
-        grid.base.maxCycles = max_cycles;
-    if (histograms)
-        grid.base.collectHistograms = true;
-    const bool hist_on = grid.base.collectHistograms;
+    BatchGrid grid = opts.grid;
+    grid.base = opts.cfg;
 
     std::vector<SimJob> jobs;
     std::vector<std::string> keys;
     buildGridJobs(grid, jobs, keys);
 
-    sopts.workers = jobs_flag ? jobs_flag : grid.jobs;
+    SweepOptions sopts = opts.sweep;
+    sopts.workers = opts.jobs ? opts.jobs : grid.jobs;
 
     // Warm-once sampling: checkpoint each trace once under the base
     // config, then fork every scheme cell from the checkpoint. In
@@ -328,32 +280,19 @@ runBatch(const std::string &path, unsigned jobs_flag,
     // validation target is the bit-identity contract, and cross-scheme
     // forks are a deliberate protocol change, not bit-equivalence.
     std::string snap_dir;
-    if (grid.warmupSnapshot || validate_snapshot)
-        snap_dir = snapshotDirFor(grid, path);
-    if (grid.warmupSnapshot && !validate_snapshot) {
+    if (grid.warmupSnapshot || opts.validateSnapshot)
+        snap_dir = snapshotDirFor(grid, opts.runPath);
+    if (grid.warmupSnapshot && !opts.validateSnapshot) {
         const auto warm0 = std::chrono::steady_clock::now();
         prepareWarmupSnapshots(grid, snap_dir, sopts.workers);
         attachWarmupSnapshots(grid, snap_dir, jobs);
-        const double warm_wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - warm0)
-                .count();
-        std::fprintf(
-            stderr,
-            "warmup: %zu trace(s) checkpointed at cycle %llu in "
-            "%.2fs (%s); %zu cell(s) fork from the checkpoints\n",
-            grid.traces.size(),
-            static_cast<unsigned long long>(grid.warmupSnapshot),
-            warm_wall, snap_dir.c_str(), jobs.size());
-    } else if (validate_snapshot) {
-        std::error_code ec;
-        std::filesystem::create_directories(snap_dir, ec);
-        if (ec) {
-            throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim",
-                                   "validate-snapshot",
-                                   "cannot create " + snap_dir + ": " +
-                                       ec.message()));
-        }
+        std::fprintf(stderr,
+                     "warmup: %zu trace(s) checkpointed at cycle %llu in "
+                     "%.2fs (%s); %zu cell(s) fork from the checkpoints\n",
+                     grid.traces.size(), ull(grid.warmupSnapshot),
+                     secondsSince(warm0), snap_dir.c_str(), jobs.size());
+    } else if (opts.validateSnapshot) {
+        makeDir(snap_dir, "validate-snapshot");
     }
 
     // Chaos hook for tools/chaos_sweep.sh and the isolation tests:
@@ -371,26 +310,18 @@ runBatch(const std::string &path, unsigned jobs_flag,
     // fires, so even a cell SIGKILLed on entry leaves a CRC-valid
     // dump for the failure entry to reference.
     const auto flightPath = [&](std::size_t cell) {
-        return flight_dir + "/cell_" + std::to_string(cell) +
+        return opts.flightDir + "/cell_" + std::to_string(cell) +
                ".flight.jsonl";
     };
-    if (!flight_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(flight_dir, ec);
-        if (ec) {
-            throw IoError(makeDiag(DiagCode::IoOpenFailed, "lrs_sim",
-                                   "flight-recorder",
-                                   "cannot create " + flight_dir +
-                                       ": " + ec.message()));
-        }
-    }
+    if (!opts.flightDir.empty())
+        makeDir(opts.flightDir, "flight-recorder");
 
     SweepSupervisor sup(sopts);
     const auto wall0 = std::chrono::steady_clock::now();
     const std::vector<JobOutcome> outcomes =
         sup.run(jobs.size(), keys, [&](std::size_t cell, unsigned) {
             std::unique_ptr<FlightRecorder> fr;
-            if (!flight_dir.empty()) {
+            if (!opts.flightDir.empty()) {
                 fr = std::make_unique<FlightRecorder>();
                 fr->setIdentity(cell, keys[cell]);
                 fr->setDumpPath(flightPath(cell));
@@ -398,7 +329,7 @@ runBatch(const std::string &path, unsigned jobs_flag,
             if (cell == chaos_cell)
                 ::raise(chaos_sig);
             JobOutcome o = runOneSimJob(jobs[cell], fr.get());
-            if (validate_snapshot && o.status == CellStatus::Ok) {
+            if (opts.validateSnapshot && o.status == CellStatus::Ok) {
                 // Same-config save/restore must reproduce the full
                 // run's statistics bit for bit (every counter,
                 // interval sample and histogram bucket — doubles
@@ -426,10 +357,7 @@ runBatch(const std::string &path, unsigned jobs_flag,
                 fr->removeDump();
             return o;
         });
-    const double wall =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - wall0)
-            .count();
+    const double wall = secondsSince(wall0);
 
     bool any_gave_up = false;
     TextTable t({"trace", "scheme", "status", "cycles", "IPC",
@@ -448,9 +376,7 @@ runBatch(const std::string &path, unsigned jobs_flag,
         t.cell(trace);
         t.cell(scheme);
         if (!done) {
-            const bool cut =
-                o.code == diagCodeName(DiagCode::Interrupted);
-            if (!cut) {
+            if (o.code != diagCodeName(DiagCode::Interrupted)) {
                 any_gave_up = true;
                 std::fprintf(
                     stderr,
@@ -459,11 +385,10 @@ runBatch(const std::string &path, unsigned jobs_flag,
                     o.code.c_str(), o.attempts, o.error.c_str());
             }
             t.cell(cellStatusName(o.status));
-            t.cell("-");
-            t.cell("-");
-            t.cell("-");
+            for (int k = 0; k < 3; ++k)
+                t.cell("-");
             json::Value f = outcomeRecord(i, keys[i], o);
-            if (!flight_dir.empty()) {
+            if (!opts.flightDir.empty()) {
                 // A dump survives for any cell that got past arming
                 // the recorder — including a SIGKILLed child.
                 std::error_code ec;
@@ -477,8 +402,7 @@ runBatch(const std::string &path, unsigned jobs_flag,
         // grid's baseline column), matching --compare-schemes.
         const JobOutcome &base = outcomes[(i / nschemes) * nschemes];
         t.cell("OK");
-        t.cell(strprintf(
-            "%llu", static_cast<unsigned long long>(o.result.cycles)));
+        t.cell(strprintf("%llu", ull(o.result.cycles)));
         t.cell(o.result.ipc(), 2);
         if (base.status == CellStatus::Ok ||
             base.status == CellStatus::Skipped)
@@ -488,17 +412,17 @@ runBatch(const std::string &path, unsigned jobs_flag,
         rows.push(o.resultJson.isNull() ? o.result.toJson()
                                         : o.resultJson);
     }
-    t.print(json_path == "-" ? std::cerr : std::cout);
+    t.print(opts.jsonPath == "-" ? std::cerr : std::cout);
 
     // Fresh simulated uops this run (resumed cells did no host work).
     const SweepStats &ss = sup.sweepStats();
-    if (profile)
+    if (opts.profile)
         std::fputs(prof::reportText(ss.uops, wall).c_str(), stderr);
 
-    if (!json_path.empty()) {
+    if (!opts.jsonPath.empty()) {
         json::Value doc = json::Value::object();
         doc.set("grid", std::move(rows));
-        if (hist_on) {
+        if (grid.base.collectHistograms) {
             // Merge per-cell histograms serially in ascending cell-id
             // order — exact u64 adds, so the aggregate is
             // bit-identical for any worker count (the same
@@ -508,25 +432,19 @@ runBatch(const std::string &path, unsigned jobs_flag,
             std::vector<std::string> order;
             std::map<std::string, Log2Histogram> merged;
             for (const JobOutcome &o : outcomes) {
-                if (o.status != CellStatus::Ok &&
-                    o.status != CellStatus::Skipped)
-                    continue;
                 const json::Value *h =
                     o.resultJson.isObject()
                         ? o.resultJson.find("histograms")
                         : nullptr;
-                if (!h || !h->isObject())
+                if ((o.status != CellStatus::Ok &&
+                     o.status != CellStatus::Skipped) ||
+                    !h || !h->isObject())
                     continue;
-                for (const auto &m : h->members()) {
-                    auto it = merged.find(m.first);
-                    if (it == merged.end()) {
-                        order.push_back(m.first);
-                        merged.emplace(
-                            m.first, Log2Histogram::fromJson(m.second));
-                    } else {
-                        it->second.merge(
-                            Log2Histogram::fromJson(m.second));
-                    }
+                for (const auto &[name, hist] : h->members()) {
+                    const auto [it, fresh] = merged.try_emplace(name);
+                    if (fresh)
+                        order.push_back(name);
+                    it->second.merge(Log2Histogram::fromJson(hist));
                 }
             }
             json::Value hj = json::Value::object();
@@ -534,31 +452,28 @@ runBatch(const std::string &path, unsigned jobs_flag,
                 hj.set(name, merged.at(name).toJson());
             doc.set("histograms", std::move(hj));
         }
-        if (profile)
+        if (opts.profile)
             doc.set("profile", prof::reportJson(ss.uops, wall));
         if (fails.size())
             doc.set("failures", std::move(fails));
         if (sup.interrupted())
             doc.set("interrupted", true);
-        emitJson(json_path, doc);
+        emitJson(opts.jsonPath, doc);
     }
 
-    const auto u = [](std::uint64_t v) {
-        return static_cast<unsigned long long>(v);
-    };
     std::fprintf(stderr,
                  "sweep: %llu cells: %llu ok, %llu resumed, %llu "
                  "failed, %llu timeout, %llu crashed, %llu not-run; "
                  "%llu retries, %llu gave up\n",
-                 u(ss.cells), u(ss.ok), u(ss.skipped), u(ss.failed),
-                 u(ss.timeout), u(ss.crashed), u(ss.interrupted),
-                 u(ss.retries), u(ss.gaveUp));
+                 ull(ss.cells), ull(ss.ok), ull(ss.skipped),
+                 ull(ss.failed), ull(ss.timeout), ull(ss.crashed),
+                 ull(ss.interrupted), ull(ss.retries), ull(ss.gaveUp));
     if (sup.interrupted()) {
         if (!sopts.journalPath.empty()) {
             std::fprintf(stderr,
                          "sweep interrupted; continue with "
                          "--batch %s --resume %s\n",
-                         path.c_str(), sopts.journalPath.c_str());
+                         opts.runPath.c_str(), sopts.journalPath.c_str());
         } else {
             std::fprintf(stderr,
                          "sweep interrupted (no --journal: completed "
@@ -569,11 +484,20 @@ runBatch(const std::string &path, unsigned jobs_flag,
     return any_gave_up ? kExitRuntime : kExitOk;
 }
 
+/** The --families layer: every predictor engaged (CHT-based ordering,
+ *  chooser HMP, sliced banks with the stride bank predictor). */
+void
+familiesLayer(Options &o, const char *)
+{
+    o.cfg.scheme = OrderingScheme::Inclusive;
+    o.cfg.hmp = HmpKind::Chooser;
+    o.cfg.bankMode = BankMode::Sliced;
+    o.cfg.bankPred = BankPredKind::Addr;
+}
+
 /**
- * --families: run every adversarial workload family under a machine
- * with all three predictors engaged (CHT-based Inclusive ordering,
- * chooser HMP, sliced banks with the stride bank predictor) and report
- * how each predictor holds up per family. These workloads are built to
+ * --families: run every adversarial workload family and report how
+ * each predictor holds up per family. These workloads are built to
  * strain specific predictors — spoiler4k floods the CHT with
  * 4K-aliasing store/load fans, flipper phase-inverts collision and
  * hit/miss behaviour, gcmark drags a pointer-chase through a
@@ -581,14 +505,16 @@ runBatch(const std::string &path, unsigned jobs_flag,
  * robustness profile the JSON "families" block exports.
  */
 int
-runFamilies(MachineConfig cfg, std::uint64_t len,
-            const std::string &json_path)
+runFamilies(const Options &o)
 {
-    cfg.scheme = OrderingScheme::Inclusive;
-    cfg.hmp = HmpKind::Chooser;
-    cfg.bankMode = BankMode::Sliced;
-    cfg.bankPred = BankPredKind::Addr;
-    cfg.validateOrThrow();
+    static const char *const kAccuracyKeys[] = {
+        "cht_accuracy", "hmp_accuracy", "bank_accuracy"};
+    const std::vector<std::string> names =
+        TraceLibrary::names(TraceGroup::Adversarial);
+    std::vector<SimJob> jobs;
+    for (const std::string &name : names)
+        jobs.push_back({TraceLibrary::byName(name, o.len), o.cfg, {}});
+    const std::vector<JobOutcome> outcomes = runJobs(jobs, o.jobs);
 
     const auto ratio = [](std::uint64_t n, std::uint64_t d) {
         return d ? static_cast<double>(n) / static_cast<double>(d)
@@ -598,61 +524,528 @@ runFamilies(MachineConfig cfg, std::uint64_t len,
     TextTable t({"family", "cycles", "IPC", "CHT acc", "HMP acc",
                  "bank acc"});
     json::Value fam = json::Value::object();
-    for (const std::string &name :
-         TraceLibrary::names(TraceGroup::Adversarial)) {
-        const auto trace =
-            TraceLibrary::make(TraceLibrary::byName(name, len));
-        OooCore core(cfg);
-        const SimResult r = core.run(*trace);
-        const std::uint64_t cls = r.classifiedLoads();
-        const std::uint64_t hm = r.ahPh + r.ahPm + r.amPh + r.amPm;
-        const double cht_acc = ratio(r.ancPnc + r.acPc, cls);
-        const double hmp_acc = ratio(r.ahPh + r.amPm, hm);
-        const double bank_acc =
-            r.loads ? 1.0 - ratio(r.bankMispredicts, r.loads) : 0.0;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const JobOutcome &out = outcomes[i];
+        if (out.failed()) {
+            std::fprintf(stderr, "family %s %s [%s]: %s\n",
+                         names[i].c_str(), cellStatusName(out.status),
+                         out.code.c_str(), out.error.c_str());
+            return out.code == diagCodeName(DiagCode::Interrupted)
+                       ? kExitInterrupted
+                       : kExitRuntime;
+        }
+        const SimResult &r = out.result;
+        const double acc[] = {
+            ratio(r.ancPnc + r.acPc, r.classifiedLoads()),
+            ratio(r.ahPh + r.amPm, r.ahPh + r.ahPm + r.amPh + r.amPm),
+            r.loads ? 1.0 - ratio(r.bankMispredicts, r.loads) : 0.0};
         t.startRow();
-        t.cell(name);
-        t.cell(strprintf(
-            "%llu", static_cast<unsigned long long>(r.cycles)));
+        t.cell(names[i]);
+        t.cell(strprintf("%llu", ull(r.cycles)));
         t.cell(r.ipc(), 2);
-        t.cell(cht_acc, 4);
-        t.cell(hmp_acc, 4);
-        t.cell(bank_acc, 4);
         json::Value f = json::Value::object();
-        f.set("cht_accuracy", cht_acc);
-        f.set("hmp_accuracy", hmp_acc);
-        f.set("bank_accuracy", bank_acc);
+        for (std::size_t k = 0; k < std::size(acc); ++k) {
+            t.cell(acc[k], 4);
+            f.set(kAccuracyKeys[k], acc[k]);
+        }
         f.set("result", r.toJson());
-        fam.set(name, std::move(f));
+        fam.set(names[i], std::move(f));
     }
-    t.print(json_path == "-" ? std::cerr : std::cout);
-    if (!json_path.empty()) {
+    t.print(o.jsonPath == "-" ? std::cerr : std::cout);
+    if (!o.jsonPath.empty()) {
         json::Value doc = json::Value::object();
         doc.set("families", std::move(fam));
-        emitJson(json_path, doc);
+        emitJson(o.jsonPath, doc);
     }
     return kExitOk;
 }
 
 /**
- * Push the trace through the fault injector at the serialized-bytes
- * level (header protected) and read it back in recovery mode — the
- * end-to-end graceful-degradation path.
+ * A single run of @p trace: optionally restored from --from-snapshot,
+ * checkpointed at --snapshot-after and checked by --validate-snapshot.
  */
-std::unique_ptr<VecTrace>
-injectTraceFaults(const VecTrace &trace, FaultInjector &fi,
-                  const TraceReadOptions &opts, TraceReadStats &st)
+int
+runSingle(const Options &o, VecTrace &trace, FaultInjector &faults,
+          TraceReadStats &read_stats)
 {
-    std::stringstream ss;
-    writeTrace(ss, trace);
-    std::string bytes = ss.str();
-    fi.corruptBuffer(reinterpret_cast<std::uint8_t *>(bytes.data()),
-                     bytes.size(), traceHeaderBytes(trace.name()),
-                     kTraceRecordBytes);
-    std::stringstream back(bytes);
-    TraceReadOptions o = opts;
-    o.recover = true;
-    return readTrace(back, o, &st);
+    OooCore core(o.cfg);
+    // The reader/injector accounting joins the core's registry so
+    // one JSON document tells the whole robustness story
+    // ("trace.*", "fault.*", "audit.*").
+    read_stats.registerStats(core.stats().group("trace"));
+    faults.registerStats(core.stats().group("fault"));
+    if (faults.enabled())
+        core.attachFaultInjector(&faults);
+    std::unique_ptr<PipelineTracer> tracer;
+    if (!o.traceEventsPath.empty()) {
+        tracer = std::make_unique<PipelineTracer>(o.traceBuf);
+        core.attachTracer(tracer.get());
+    }
+    const auto wall0 = std::chrono::steady_clock::now();
+    // A restored run simulates only the remainder, bit-identically.
+    if (!o.fromSnapshot.empty())
+        loadSnapshotInto(o.fromSnapshot, core, trace);
+    else
+        core.beginRun(trace);
+    if (!o.snapshotPath.empty()) {
+        core.advanceTo(trace, *o.snapshotAfter);
+        writeSnapshot(o.snapshotPath, core, trace, *o.snapshotAfter);
+        std::fprintf(stderr, "snapshot: %s at cycle %llu\n",
+                     o.snapshotPath.c_str(), ull(core.now()));
+    }
+    core.advanceTo(trace);
+    const SimResult r = core.finishRun();
+    const double wall = secondsSince(wall0);
+    if (o.validateSnapshot) {
+        // Save/restore at --snapshot-after (default: half the run).
+        const Cycle stop = o.snapshotAfter.value_or(r.cycles / 2);
+        const bool same = snapshotRoundTripIdentical(
+            o.cfg, faults.config(), trace, stop,
+            std::filesystem::temp_directory_path().string() +
+                "/lrs_validate_" + std::to_string(::getpid()) + ".snap");
+        std::fprintf(stderr,
+                     same ? "validate-snapshot: OK — save/restore at cycle "
+                            "%llu is bit-identical\n"
+                          : "validate-snapshot: FAILED — round trip at "
+                            "cycle %llu diverged from the full run\n",
+                     ull(stop));
+        if (!same)
+            return kExitRuntime;
+    }
+    printResult(o.jsonPath == "-" ? stderr : stdout, r);
+    if (o.profile)
+        std::fputs(prof::reportText(r.uops, wall).c_str(), stderr);
+    if (!o.jsonPath.empty()) {
+        json::Value doc = r.toJson();
+        doc.set("registry", core.stats().toJson());
+        if (o.profile)
+            doc.set("profile", prof::reportJson(r.uops, wall));
+        emitJson(o.jsonPath, doc);
+    }
+    if (tracer)
+        tracer->writeChromeTrace(o.traceEventsPath);
+    return kExitOk;
+}
+
+/** The runs of one trace: single, --compare-schemes, --dump-trace. */
+int
+runTrace(const Options &o)
+{
+    FaultConfig fault_cfg = o.faults;
+    if (o.injectTraceFaults && fault_cfg.traceRate <= 0.0)
+        fault_cfg.traceRate = 0.01;
+    FaultInjector faults(fault_cfg);
+    TraceReadStats read_stats;
+
+    std::unique_ptr<VecTrace> trace;
+    if (!o.champsimFile.empty()) {
+        ChampSimReadOptions cs_opts = o.champsim;
+        cs_opts.read = o.read;
+        cs_opts.maxInstructions = o.len;
+        ChampSimTraceInfo cs_info;
+        trace = readChampSimFile(o.champsimFile, cs_opts, &read_stats,
+                                 &cs_info);
+        std::fprintf(stderr,
+                     "champsim: %llu instruction(s) -> %zu uops, %llu "
+                     "byte(s), %llu page(s), crc32 %08x\n",
+                     ull(cs_info.instructions), trace->size(),
+                     ull(cs_info.bytes), ull(cs_info.pages), cs_info.crc);
+    } else if (!o.traceFile.empty()) {
+        trace = readTraceFile(o.traceFile, o.read, &read_stats);
+    } else {
+        trace = TraceLibrary::make(TraceLibrary::byName(o.traceName, o.len));
+    }
+
+    if (o.injectTraceFaults) {
+        // Corrupt the serialized bytes (header protected) and read them
+        // back in recovery mode: the graceful-degradation path.
+        std::stringstream ss;
+        writeTrace(ss, *trace);
+        std::string bytes = ss.str();
+        faults.corruptBuffer(reinterpret_cast<std::uint8_t *>(bytes.data()),
+                             bytes.size(), traceHeaderBytes(trace->name()),
+                             kTraceRecordBytes);
+        std::stringstream back(bytes);
+        TraceReadOptions recover = o.read;
+        recover.recover = true;
+        trace = readTrace(back, recover, &read_stats);
+        std::fprintf(stderr,
+                     "fault injection: corrupted %llu records, reader "
+                     "skipped %llu (seed %llu)\n",
+                     ull(faults.traceFaults()),
+                     ull(read_stats.skippedRecords), ull(fault_cfg.seed));
+    }
+
+    if (o.run == kDumpTrace) {
+        writeTraceFile(o.runPath, *trace);
+        std::printf("wrote %zu uops to %s\n", trace->size(),
+                    o.runPath.c_str());
+        return kExitOk;
+    }
+    if (o.run == kSingle)
+        return runSingle(o, *trace, faults, read_stats);
+    // --compare-schemes: the trace under every ordering scheme.
+    const auto wall0 = std::chrono::steady_clock::now();
+    const auto results = runAllSchemes(*trace, o.cfg, o.jobs);
+    const double wall = secondsSince(wall0);
+    std::uint64_t total_uops = 0;
+    for (const auto &r : results)
+        total_uops += r.uops;
+    if (o.profile)
+        std::fputs(prof::reportText(total_uops, wall).c_str(), stderr);
+    const SimResult &base = results.front();
+    TextTable t({"scheme", "cycles", "IPC", "speedup"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        t.startRow();
+        t.cell(orderingSchemeName(allSchemes()[i]));
+        t.cell(strprintf("%llu", ull(results[i].cycles)));
+        t.cell(results[i].ipc(), 2);
+        t.cell(results[i].speedupOver(base), 3);
+    }
+    t.print(o.jsonPath == "-" ? std::cerr : std::cout);
+    if (!o.jsonPath.empty()) {
+        json::Value doc = json::Value::object();
+        json::Value schemes = json::Value::array();
+        for (const auto &r : results)
+            schemes.push(r.toJson());
+        doc.set("schemes", std::move(schemes));
+        if (o.profile)
+            doc.set("profile", prof::reportJson(total_uops, wall));
+        emitJson(o.jsonPath, doc);
+    }
+    return kExitOk;
+}
+
+/**
+ * --check-journal: offline CRC validation of any LRSJ1-framed file,
+ * a checkpoint journal, a flight-recorder dump or a machine snapshot.
+ */
+int
+checkJournal(const std::string &path)
+{
+    JournalReadStats jst;
+    const std::vector<json::Value> recs = readJournal(path, &jst);
+    // Wrong-format diagnosis before damage accounting: a file with
+    // zero valid records that does not even open with the "LRSJ1 "
+    // magic was never a journal — and the most common mix-up is
+    // pointing this at a raw ChampSim trace. (A real journal whose
+    // every record is damaged still starts with the magic and gets
+    // the damage report.)
+    if (recs.empty() && jst.badLines && !startsWithJournalMagic(path)) {
+        std::fprintf(stderr, "%s: not an LRSJ1 file%s\n", path.c_str(),
+                     looksLikeChampSimFile(path)
+                         ? " (looks like a raw ChampSim trace; run it "
+                           "with --champsim instead)"
+                         : "");
+        return kExitRuntime;
+    }
+    // A machine snapshot announces itself in its first record; those
+    // get the full strict structural check on top of line-level CRC
+    // validation.
+    const json::Value *kind =
+        !jst.badLines && !recs.empty() && recs.front().isObject()
+            ? recs.front().find("kind")
+            : nullptr;
+    if (kind && kind->isString() && kind->asString() == "lrs-snapshot") {
+        try {
+            const SnapshotImage img = readSnapshot(path);
+            std::printf("%s: valid snapshot (format v%llu, trace %s, "
+                        "cycle %llu, %zu section(s))\n",
+                        path.c_str(), ull(img.version),
+                        img.traceName.c_str(), ull(img.cycle),
+                        img.state.members().size());
+            return kExitOk;
+        } catch (const ConfigError &e) {
+            std::fprintf(stderr, "%s: invalid snapshot:\n%s\n",
+                         path.c_str(), e.what());
+            return kExitRuntime;
+        }
+    }
+    std::printf("%s: %zu valid record(s)\n", path.c_str(), recs.size());
+    if (jst.badLines) {
+        std::fprintf(
+            stderr,
+            "%s: %llu damaged line(s), %llu byte(s) dropped%s; first "
+            "damaged record: line %llu, byte offset %llu\n",
+            path.c_str(), ull(jst.badLines), ull(jst.droppedBytes),
+            jst.truncatedTail ? " (torn tail)" : "", ull(jst.firstBadLine),
+            ull(jst.firstBadOffset));
+        return kExitRuntime;
+    }
+    return kExitOk;
+}
+
+/** Store operand @p v in the Options field at member path @p Path: a
+ *  string as given, a rate in [0, 1], a strictly parsed integer, or
+ *  true for a flag that takes no operand. */
+template <auto... Path>
+void
+into(Options &o, const char *v)
+{
+    auto &field = (o .* ... .* Path);
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, bool>)
+        field = true;
+    else if constexpr (std::is_same_v<T, double>)
+        field = parseRate(v);
+    else if constexpr (std::is_same_v<T, std::string>)
+        field = v;
+    else if constexpr (std::is_same_v<T, std::optional<std::uint64_t>>)
+        field = parseUnsigned(v);
+    else
+        field = parseUnsigned<T>(v);
+}
+
+/** One lrs_sim flag. The parser, --help and the check that rejects a
+ *  flag its run would not read all come from these rows. */
+struct Flag
+{
+    const char *name; ///< null: a --help heading, held in help
+    /** Null: takes none. "[X]": optional, the next argument unless it
+     *  starts with '-'. "[=X]": optional and attached. */
+    const char *operand;
+    unsigned runs; ///< the runs that read it, | kAsks if it asks for one
+    /** Flags it depends on, any one of them. A flag given its optional
+     *  operand needs none: --resume PATH names the journal itself. */
+    std::array<const char *, 3> needs;
+    void (*set)(Options &, const char *value); ///< null: stores nothing
+    const char *help; ///< null: --help prints it with the config flags
+};
+
+using O = Options;
+using SO = SweepOptions;
+using RO = TraceReadOptions;
+using FC = FaultConfig;
+
+const Flag kFlags[] = {
+    {nullptr, nullptr, 0, {}, nullptr, "runs (one per command line):"},
+    {"--compare-schemes", nullptr, kCompare | kAsks, {}, nullptr,
+     "run one trace under every ordering scheme and report speedups"},
+    {"--families", nullptr, kFamilies | kAsks, {}, familiesLayer,
+     "report CHT/HMP/bank accuracy per adversarial family (spoiler4k, "
+     "flipper, gcmark); a config layer of scheme inclusive, hmp "
+     "chooser, bank_mode sliced and bank_pred addr"},
+    {"--batch", "PATH", kBatch | kAsks, {},
+     [](O &o, const char *v) {
+         o.runPath = v;
+         o.grid = parseBatchGridFile(v, o.cfg);
+         o.cfg = o.grid.base;
+     },
+     "run a (traces x schemes) grid file. Its keys: traces, schemes, "
+     "len, jobs, warmup_snapshot, snapshot_dir; any other line is a "
+     "config layer. Its layers start from cht_track_distance = 0"},
+    {"--dump-trace", "PATH", kDumpTrace | kAsks, {}, into<&O::runPath>,
+     "write the trace and exit"},
+    {"--dump-config", nullptr, kDumpConfig | kAsks, {}, nullptr,
+     "print the final config as INI and exit"},
+    {"--check-journal", "PATH", kCheckJournal | kAsks, {}, into<&O::runPath>,
+     "check a CRC-framed journal, flight dump or snapshot"},
+    {nullptr, nullptr, 0, {}, nullptr, "trace selection:"},
+    {"--trace", "NAME", kTraceRuns, {}, into<&O::traceName>,
+     "named synthetic trace (e.g. wd, gcc, swim, tpcc; default wd)"},
+    {"--trace-file", "PATH", kTraceRuns, {}, into<&O::traceFile>,
+     "run a serialised trace file instead"},
+    {"--champsim", "PATH", kTraceRuns, {}, into<&O::champsimFile>,
+     "ingest a raw ChampSim trace ('-' reads stdin; docs/TRACES.md)"},
+    {"--max-pages", "N", kTraceRuns, {"--champsim"},
+     into<&O::champsim, &ChampSimReadOptions::maxPages>,
+     "refuse a trace touching more 4KiB pages (default 1048576)"},
+    {"--max-file-bytes", "N", kTraceRuns, {"--champsim"},
+     into<&O::champsim, &ChampSimReadOptions::maxFileBytes>,
+     "refuse a larger source (default 2147483648)"},
+    {"--len", "N", kTraceRuns | kFamilies, {}, into<&O::len>,
+     "uops to generate, or ChampSim instructions (default 200000)"},
+    {nullptr, nullptr, 0, {}, nullptr, "output:"},
+    {"--json", "PATH", kSimRuns, {}, into<&O::jsonPath>,
+     "write the result as JSON; '-' writes it to stdout, text to stderr"},
+    {"--jobs", "N", kCompare | kFamilies | kBatch, {}, into<&O::jobs>,
+     "worker threads (default: the grid's jobs, else LRS_JOBS, else "
+     "the hardware's; results are identical for any N)"},
+    {"--trace-events", "PATH", kSingle, {}, into<&O::traceEventsPath>,
+     "write per-uop pipeline events as a Chrome trace_event file"},
+    {"--trace-buf", "N", kSingle, {"--trace-events"}, into<&O::traceBuf>,
+     "event ring-buffer capacity (default 262144)"},
+    {nullptr, nullptr, 0, {}, nullptr, "telemetry (docs/OBSERVABILITY.md):"},
+    {"--histograms", nullptr, kConfigRuns, {},
+     into<&O::cfg, &MachineConfig::collectHistograms>,
+     "collect deterministic log2 histograms; a config layer"},
+    {"--profile", nullptr, kSingle | kCompare | kBatch, {}, into<&O::profile>,
+     "time the simulator's own stages and report uops/sec"},
+    {"--flight-recorder", "DIR", kBatch, {}, into<&O::flightDir>,
+     "a failed cell leaves its event ring in DIR/cell_N.flight.jsonl"},
+    {"--progress", "[=FD]", kBatch, {},
+     [](O &o, const char *v) {
+         o.sweep.progressFd = v ? parseUnsigned<int>(v) : 2;
+     },
+     "stream a JSON heartbeat line per finished cell to FD (default 2)"},
+    {nullptr, nullptr, 0, {}, nullptr, "snapshots (docs/ROBUSTNESS.md):"},
+    {"--snapshot", "FILE", kSingle, {"--snapshot-after"},
+     into<&O::snapshotPath>, "checkpoint the machine to FILE, then run on"},
+    {"--snapshot-after", "N", kSingle, {"--snapshot", "--validate-snapshot"},
+     into<&O::snapshotAfter>, "cycle to checkpoint at"},
+    {"--from-snapshot", "FILE", kSingle, {}, into<&O::fromSnapshot>,
+     "restore FILE and simulate the remainder, bit-identically"},
+    {"--validate-snapshot", nullptr, kSingle | kBatch, {},
+     into<&O::validateSnapshot>,
+     "fail unless a save/restore at --snapshot-after (default half the "
+     "run; per batch cell, warmup_snapshot or half) is bit-identical"},
+    {nullptr, nullptr, 0, {}, nullptr, "robustness (docs/ROBUSTNESS.md):"},
+    {"--audit", nullptr, kConfigRuns, {},
+     [](O &o, const char *) {
+         if (o.cfg.auditInterval == 0)
+             o.cfg.auditInterval = 8192;
+     },
+     "audit invariants every 8192 cycles (unless --audit-interval); a "
+     "config layer"},
+    {"--recover", nullptr, kTraceRuns, {"--trace-file", "--champsim"},
+     into<&O::read, &RO::recover>, "skip malformed trace records"},
+    {"--bad-record-budget", "N", kTraceRuns,
+     {"--trace-file", "--champsim", "--inject-trace-faults"},
+     into<&O::read, &RO::badRecordBudget>,
+     "abort after N skipped records (default unlimited)"},
+    {"--inject-trace-faults", nullptr, kTraceRuns, {},
+     into<&O::injectTraceFaults>,
+     "corrupt the trace (rate 0.01 unless --fault-trace-rate) and read "
+     "it back in recovery mode"},
+    {"--fault-seed", "N", kTraceRuns,
+     {"--inject-trace-faults", "--fault-bit-rate", "--fault-lat-rate"},
+     into<&O::faults, &FC::seed>, "fault injector seed"},
+    {"--fault-trace-rate", "R", kTraceRuns, {"--inject-trace-faults"},
+     into<&O::faults, &FC::traceRate>, "per-record corruption probability"},
+    {"--fault-bit-rate", "R", kSingle, {}, into<&O::faults, &FC::bitRate>,
+     "per-load CHT bit-flip probability"},
+    {"--fault-lat-rate", "R", kSingle, {}, into<&O::faults, &FC::latRate>,
+     "per-access latency perturbation probability"},
+    {nullptr, nullptr, 0, {}, nullptr, "sweeps (docs/ROBUSTNESS.md):"},
+    {"--journal", "PATH", kBatch, {}, into<&O::sweep, &SO::journalPath>,
+     "append a crash-safe checkpoint record per finished cell"},
+    {"--resume", "[PATH]", kBatch, {"--journal"},
+     [](O &o, const char *v) {
+         o.sweep.resume = true;
+         o.sweep.journalPath = v ? v : o.sweep.journalPath;
+     },
+     "skip the cells the journal (PATH, else --journal's) holds as OK"},
+    {"--retries", "N", kBatch, {}, into<&O::sweep, &SO::retries>,
+     "re-run FAILED/TIMEOUT/CRASHED cells up to N extra times"},
+    {"--isolate", nullptr, kBatch, {}, into<&O::sweep, &SO::isolate>,
+     "fork each cell into a subprocess; a crash fails only that cell"},
+    {"--cell-timeout-ms", "N", kBatch, {"--isolate"},
+     into<&O::sweep, &SO::cellTimeoutMs>,
+     "wall-clock watchdog per isolated cell (0 disables)"},
+    {nullptr, nullptr, 0, {}, nullptr,
+     "machine config (its layers apply in command-line order):"},
+    {"--config", "PATH", kConfigRuns, {},
+     [](O &o, const char *v) { o.cfg = machineConfigFromFile(v, o.cfg); },
+     "load a machine config file (see --dump-config)"},
+    // --compare-schemes and the --batch schemes axis set each cell's
+    // scheme themselves.
+    {"--scheme", "NAME", kSingle | kFamilies | kDumpConfig, {},
+     [](O &o, const char *v) { setMachineConfigFlag(o.cfg, "--scheme", v); },
+     nullptr},
+};
+
+/** The row of every other config flag, a kFields row (config_io.cc). */
+const Flag kConfigFlag = {"", "VALUE", kConfigRuns, {}, nullptr, nullptr};
+
+const Flag *
+findFlag(std::string_view name)
+{
+    for (const Flag &f : kFlags) {
+        if (f.name && name == f.name)
+            return &f;
+    }
+    return isMachineConfigFlag(name) ? &kConfigFlag : nullptr;
+}
+
+/** "a, b or c": the @p names, up to a null, whose bit is in @p mask. */
+template <std::size_t N>
+std::string
+orList(const std::array<const char *, N> &names, unsigned mask = ~0u)
+{
+    std::vector<std::string> on;
+    for (std::size_t i = 0; i < N && names[i]; ++i) {
+        if (mask >> i & 1u)
+            on.push_back(names[i]);
+    }
+    std::string out;
+    for (std::size_t i = 0; i < on.size(); ++i)
+        out += (i == 0 ? "" : i + 1 < on.size() ? ", " : " or ") + on[i];
+    return out;
+}
+
+/** Print @p why, if any, then the help, and exit with @p code. */
+[[noreturn]] void
+usage(FILE *out, int code, const char *argv0, const std::string &why = "")
+{
+    if (!why.empty())
+        std::fprintf(out, "%s\n", why.c_str());
+    std::fprintf(out, "usage: %s [options]\n", argv0);
+    std::string note =
+        "config flags are for " + orList(kRunNames, kConfigRuns);
+    for (const Flag &f : kFlags) {
+        if (!f.name) {
+            std::fprintf(out, "%s\n", f.help);
+            continue;
+        }
+        std::string head = f.name, runs = orList(kRunNames, f.runs);
+        if (f.operand)
+            head += (f.operand[1] == '=' ? "" : " ") + std::string(f.operand);
+        if (f.needs[0])
+            runs += ", with " + orList(f.needs);
+        if (!f.help)
+            note += "; " + head + " only for " + runs;
+        else if (f.runs & kAsks)
+            std::fputs(helpEntry(head, f.help).c_str(), out);
+        else
+            std::fputs(helpEntry(head, f.help + (". For " + runs)).c_str(),
+                       out);
+    }
+    std::fputs(machineConfigFlagHelp().c_str(), out);
+    std::fputs(helpEntry("", "(" + note + ")").c_str(), out);
+    std::fputs("exit codes: 0 ok, 1 runtime/audit failure, 2 usage, 3 bad "
+               "config, 4 I/O,\n            5 interrupted (resume with "
+               "--resume)\n",
+               out);
+    std::exit(code);
+}
+
+/** A flag as given, and its operand (null if it took none). */
+using Given = std::tuple<std::string, const Flag *, const char *>;
+
+/**
+ * Set Options::run from @p given and return the usage error of the
+ * first flag, in command-line order, that asks for a second run, that
+ * the run does not read or whose dependency is missing, or "".
+ */
+std::string
+checkFlags(Options &o, const std::vector<Given> &given)
+{
+    const auto asks = [](const Given &g) {
+        return (std::get<1>(g)->runs & kAsks) != 0;
+    };
+    const auto first = std::find_if(given.begin(), given.end(), asks);
+    o.run = first == given.end() ? kSingle
+                                 : std::get<1>(*first)->runs & ~kAsks;
+    const auto isGiven = [&](const char *name) {
+        return name && std::any_of(given.begin(), given.end(),
+                                   [&](const Given &g) {
+                                       return std::get<0>(g) == name;
+                                   });
+    };
+    for (auto g = given.begin(); g != given.end(); ++g) {
+        const auto &[name, f, value] = *g;
+        const bool own_operand = value && f->operand && f->operand[0] == '[';
+        if (asks(*g) && g != first) {
+            return name + " conflicts with " + std::get<0>(*first) +
+                   ": lrs_sim makes one run per command line";
+        }
+        if (!(f->runs & o.run))
+            return name + " needs " + orList(kRunNames, f->runs);
+        if (f->needs[0] && !own_operand &&
+            std::none_of(f->needs.begin(), f->needs.end(), isGiven))
+            return name + " needs " + orList(f->needs);
+    }
+    return "";
 }
 
 } // namespace
@@ -660,43 +1053,6 @@ injectTraceFaults(const VecTrace &trace, FaultInjector &fi,
 int
 main(int argc, char **argv)
 {
-    std::string trace_name = "wd";
-    std::string trace_file;
-    std::string champsim_file;
-    bool families = false;
-    ChampSimReadOptions cs_opts;
-    std::string dump_path;
-    std::string json_path;
-    std::string trace_events_path;
-    std::optional<std::uint64_t> trace_buf;
-    std::uint64_t len = 200000;
-    unsigned jobs_flag = 0;
-    std::string batch_path;
-    SweepOptions sweep_opts;
-    bool compare = false;
-    bool dump_config = false;
-    bool profile = false;
-    std::string flight_dir;
-    std::string check_journal_path;
-    std::string snapshot_path;
-    std::string from_snapshot;
-    std::optional<std::uint64_t> snapshot_after;
-    bool validate_snapshot = false;
-    bool inject_trace_faults = false;
-    TraceReadOptions read_opts;
-    FaultConfig fault_cfg = FaultConfig::fromEnv();
-    // The --fault-*-rate flags given, if any (see the mode check).
-    const char *trace_rate_flag = nullptr;
-    const char *bit_rate_flag = nullptr;
-    const char *lat_rate_flag = nullptr;
-
-    MachineConfig cfg;
-    cfg.cht.trackDistance = true;
-    if (const char *v = std::getenv("LRS_AUDIT");
-        v && *v && std::string(v) != "0") {
-        cfg.auditInterval = 8192;
-    }
-
     {
         // SIGINT/SIGTERM request a cooperative stop: running cells
         // unwind, the journal stays consistent, and we exit with the
@@ -711,429 +1067,68 @@ main(int argc, char **argv)
         ::sigaction(SIGTERM, &sa, nullptr);
     }
 
-    // The flag being parsed, so that a bad value's error names it.
+    Options o;
+    std::vector<Given> given;
+    // The flag being applied, so that a bad value's error names it.
     std::string flag;
     try {
         for (int i = 1; i < argc; ++i) {
-            const std::string a = flag = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    usage(stderr, kExitUsage, argv[0]);
-                return argv[++i];
-            };
-            if (a == "--trace") trace_name = next();
-            else if (a == "--trace-file") trace_file = next();
-            else if (a == "--champsim") champsim_file = next();
-            else if (a == "--families") families = true;
-            else if (a == "--max-pages")
-                cs_opts.maxPages = parseUnsigned(next());
-            else if (a == "--max-file-bytes")
-                cs_opts.maxFileBytes = parseUnsigned(next());
-            else if (a == "--len") len = parseUnsigned(next());
-            else if (isMachineConfigFlag(a))
-                setMachineConfigFlag(cfg, a, next());
-            else if (a == "--config")
-                cfg = machineConfigFromFile(next(), cfg);
-            else if (a == "--dump-config") dump_config = true;
-            else if (a == "--compare-schemes") compare = true;
-            else if (a == "--batch") batch_path = next();
-            else if (a == "--jobs")
-                jobs_flag = parseUnsigned<unsigned>(next());
-            else if (a == "--journal")
-                sweep_opts.journalPath = next();
-            else if (a == "--resume") {
-                // The journal operand is optional so bare --resume
-                // composes with an explicit --journal PATH. The old
-                // unconditional next() consumed whatever followed —
-                // "--resume --progress=3" silently made
-                // "--progress=3" the journal path and re-ran the
-                // whole grid as fresh work.
-                sweep_opts.resume = true;
-                if (i + 1 < argc && argv[i + 1][0] != '-')
-                    sweep_opts.journalPath = argv[++i];
-            }
-            else if (a == "--retries")
-                sweep_opts.retries = parseUnsigned<unsigned>(next());
-            else if (a == "--isolate") sweep_opts.isolate = true;
-            else if (a == "--cell-timeout-ms")
-                sweep_opts.cellTimeoutMs = parseUnsigned(next());
-            else if (a == "--histograms")
-                cfg.collectHistograms = true;
-            else if (a == "--profile") profile = true;
-            else if (a == "--flight-recorder") flight_dir = next();
-            else if (a == "--progress") sweep_opts.progressFd = 2;
-            else if (a.rfind("--progress=", 0) == 0)
-                sweep_opts.progressFd =
-                    parseUnsigned<int>(a.substr(11));
-            else if (a == "--check-journal")
-                check_journal_path = next();
-            else if (a == "--snapshot") snapshot_path = next();
-            else if (a == "--snapshot-after")
-                snapshot_after = parseUnsigned(next());
-            else if (a == "--from-snapshot") from_snapshot = next();
-            else if (a == "--validate-snapshot")
-                validate_snapshot = true;
-            else if (a == "--dump-trace") dump_path = next();
-            else if (a == "--json") json_path = next();
-            else if (a == "--trace-events")
-                trace_events_path = next();
-            else if (a == "--trace-buf") trace_buf = parseUnsigned(next());
-            else if (a == "--audit") {
-                if (cfg.auditInterval == 0)
-                    cfg.auditInterval = 8192;
-            }
-            else if (a == "--recover") read_opts.recover = true;
-            else if (a == "--bad-record-budget")
-                read_opts.badRecordBudget = parseUnsigned(next());
-            else if (a == "--inject-trace-faults")
-                inject_trace_faults = true;
-            else if (a == "--fault-seed")
-                fault_cfg.seed = parseUnsigned(next());
-            else if (a == "--fault-trace-rate") {
-                fault_cfg.traceRate = parseRate(next());
-                trace_rate_flag = "--fault-trace-rate";
-            } else if (a == "--fault-bit-rate") {
-                fault_cfg.bitRate = parseRate(next());
-                bit_rate_flag = "--fault-bit-rate";
-            } else if (a == "--fault-lat-rate") {
-                fault_cfg.latRate = parseRate(next());
-                lat_rate_flag = "--fault-lat-rate";
-            }
-            else if (a == "--help" || a == "-h")
+            const std::string a = argv[i];
+            if (a == "--help" || a == "-h")
                 usage(stdout, kExitOk, argv[0]);
-            else {
-                std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-                usage(stderr, kExitUsage, argv[0]);
+            const auto eq = a.find('=');
+            const std::string name = a.substr(0, eq);
+            const Flag *f = findFlag(name);
+            const char *operand = f ? f->operand : nullptr;
+            // An optional operand is the next argument unless that is
+            // a flag, or attached with '=' ("[=X]").
+            const bool optional = operand && operand[0] == '[';
+            const bool attached = optional && operand[1] == '=';
+            if (!f || (eq != a.npos && !attached))
+                usage(stderr, kExitUsage, argv[0], "unknown option: " + a);
+            const char *value = eq != a.npos ? argv[i] + eq + 1 : nullptr;
+            if (operand && !attached) {
+                if (i + 1 < argc && !(optional && argv[i + 1][0] == '-'))
+                    value = argv[++i];
+                else if (!optional)
+                    usage(stderr, kExitUsage, argv[0]);
             }
+            given.emplace_back(name, f, value);
+        }
+        if (const std::string bad = checkFlags(o, given); !bad.empty())
+            usage(stderr, kExitUsage, argv[0], bad);
+        // lrs_sim's machine has the CHT track distances; a --batch
+        // grid starts from the library default, as perfbench's do.
+        o.cfg.cht.trackDistance = o.run != kBatch;
+        for (const auto &[name, f, value] : given) {
+            flag = name;
+            if (f == &kConfigFlag)
+                setMachineConfigFlag(o.cfg, name, value);
+            else if (f->set)
+                f->set(o, value);
         }
         flag.clear();
-        if (dump_config) {
-            // The config every flag left, checked as --config checks
-            // a file.
-            cfg.validateOrThrow();
-            std::cout << machineConfigToIni(cfg);
-            return kExitOk;
-        }
-        if (!check_journal_path.empty()) {
-            // Offline CRC validation of any LRSJ1-framed file: a
-            // checkpoint journal or a flight-recorder dump.
-            JournalReadStats jst;
-            const std::vector<json::Value> recs =
-                readJournal(check_journal_path, &jst);
-            // Wrong-format diagnosis before damage accounting: a file
-            // with zero valid records that does not even open with
-            // the "LRSJ1 " magic was never a journal — and the most
-            // common mix-up is pointing this at a raw ChampSim trace.
-            // (A real journal whose every record is damaged still
-            // starts with the magic and gets the damage report.)
-            if (recs.empty() && jst.badLines &&
-                !startsWithJournalMagic(check_journal_path)) {
-                const bool champsim =
-                    looksLikeChampSimFile(check_journal_path);
-                std::fprintf(stderr, "%s: not an LRSJ1 file%s\n",
-                             check_journal_path.c_str(),
-                             champsim
-                                 ? " (looks like a raw ChampSim trace; "
-                                   "run it with --champsim instead)"
-                                 : "");
-                return kExitRuntime;
-            }
-            // A machine snapshot announces itself in its first
-            // record; those get the full strict structural check on
-            // top of line-level CRC validation.
-            if (!jst.badLines && !recs.empty() &&
-                recs.front().isObject()) {
-                const json::Value *kind = recs.front().find("kind");
-                if (kind && kind->isString() &&
-                    kind->asString() == "lrs-snapshot") {
-                    try {
-                        const SnapshotImage img =
-                            readSnapshot(check_journal_path);
-                        std::printf(
-                            "%s: valid snapshot (format v%llu, trace "
-                            "%s, cycle %llu, %zu section(s))\n",
-                            check_journal_path.c_str(),
-                            static_cast<unsigned long long>(
-                                img.version),
-                            img.traceName.c_str(),
-                            static_cast<unsigned long long>(
-                                img.cycle),
-                            img.state.members().size());
-                        return kExitOk;
-                    } catch (const ConfigError &e) {
-                        std::fprintf(stderr,
-                                     "%s: invalid snapshot:\n%s\n",
-                                     check_journal_path.c_str(),
-                                     e.what());
-                        return kExitRuntime;
-                    }
-                }
-            }
-            std::printf("%s: %zu valid record(s)\n",
-                        check_journal_path.c_str(), recs.size());
-            if (jst.badLines) {
-                std::fprintf(
-                    stderr,
-                    "%s: %llu damaged line(s), %llu byte(s) "
-                    "dropped%s; first damaged record: line %llu, "
-                    "byte offset %llu\n",
-                    check_journal_path.c_str(),
-                    static_cast<unsigned long long>(jst.badLines),
-                    static_cast<unsigned long long>(jst.droppedBytes),
-                    jst.truncatedTail ? " (torn tail)" : "",
-                    static_cast<unsigned long long>(jst.firstBadLine),
-                    static_cast<unsigned long long>(
-                        jst.firstBadOffset));
-                return kExitRuntime;
-            }
-            return kExitOk;
-        }
-        if (profile)
+        if (o.sweep.resume && o.sweep.journalPath.empty())
+            usage(stderr, kExitUsage, argv[0],
+                  "--resume needs a journal path: --resume or --journal PATH");
+        // The config every layer left, checked as a --config file is.
+        if (o.run & kConfigRuns)
+            o.cfg.validateOrThrow();
+        if (o.profile)
             prof::setEnabled(true);
-        // --jobs also sizes the parallelFor() behind runAllSchemes
-        // (used by --compare-schemes), which reads LRS_JOBS.
-        if (jobs_flag)
-            ::setenv("LRS_JOBS", std::to_string(jobs_flag).c_str(), 1);
-        // A flag whose work needs another flag or another mode would
-        // be silently ignored without it: name the first such flag.
-        const auto need = [&](bool missing, const char *flag,
-                              const char *what) {
-            if (missing) {
-                std::fprintf(stderr, "%s needs %s\n", flag, what);
-                usage(stderr, kExitUsage, argv[0]);
-            }
-        };
-        need(!snapshot_path.empty() && !snapshot_after, "--snapshot",
-             "--snapshot-after N");
-        // runBatch takes no --snapshot-after.
-        need(snapshot_after &&
-                 (!batch_path.empty() ||
-                  (snapshot_path.empty() && !validate_snapshot)),
-             "--snapshot-after", "--snapshot or --validate-snapshot");
-        need(trace_buf && trace_events_path.empty(), "--trace-buf",
-             "--trace-events");
-        const bool no_batch = batch_path.empty();
-        need(no_batch && sweep_opts.resume, "--resume", "--batch");
-        need(no_batch && !sweep_opts.journalPath.empty(), "--journal",
-             "--batch");
-        need(no_batch && sweep_opts.retries, "--retries", "--batch");
-        need(no_batch && sweep_opts.isolate, "--isolate", "--batch");
-        need(no_batch && sweep_opts.cellTimeoutMs, "--cell-timeout-ms",
-             "--batch");
-        need(no_batch && !flight_dir.empty(), "--flight-recorder",
-             "--batch");
-        need(no_batch && sweep_opts.progressFd >= 0, "--progress",
-             "--batch");
-        // Fault injection reaches only the modes that build an
-        // injector: a single run applies all of it, --compare-schemes
-        // and --dump-trace only the trace corruption (no core gets the
-        // injector), --batch and --families none. A setting the mode
-        // would ignore is named instead: a flag, or a nonzero
-        // LRS_FAULT_*_RATE.
-        {
-            const bool grid = !batch_path.empty() || families;
-            const bool no_core = grid || compare || !dump_path.empty();
-            const auto setBy = [](const char *flag, const char *env,
-                                  double rate) -> const char * {
-                return flag ? flag : rate > 0.0 ? env : nullptr;
-            };
-            const char *trace_rate = setBy(
-                trace_rate_flag, "LRS_FAULT_TRACE_RATE",
-                fault_cfg.traceRate);
-            const std::pair<const char *, bool> settings[] = {
-                {inject_trace_faults ? "--inject-trace-faults" : nullptr,
-                 grid},
-                {trace_rate, grid},
-                {setBy(bit_rate_flag, "LRS_FAULT_BIT_RATE",
-                       fault_cfg.bitRate),
-                 no_core},
-                {setBy(lat_rate_flag, "LRS_FAULT_LAT_RATE",
-                       fault_cfg.latRate),
-                 no_core},
-            };
-            for (const auto &[name, ignored] : settings)
-                need(name && ignored, name, "a single run");
-            // Only --inject-trace-faults corrupts the trace; a rate
-            // without it would be reported but never applied.
-            need(trace_rate && !inject_trace_faults, trace_rate,
-                 "--inject-trace-faults");
-        }
-        need(sweep_opts.cellTimeoutMs && !sweep_opts.isolate,
-             "--cell-timeout-ms",
-             "--isolate (in-process cells use --max-cycles)");
-        need(sweep_opts.resume && sweep_opts.journalPath.empty(),
-             "--resume", "a journal path (operand or --journal PATH)");
-        if (!batch_path.empty())
-            return runBatch(batch_path, jobs_flag, json_path,
-                            sweep_opts, cfg.maxCycles,
-                            cfg.collectHistograms, profile,
-                            flight_dir, validate_snapshot);
-
-        if (families)
-            return runFamilies(cfg, len, json_path);
-
-        if (inject_trace_faults && fault_cfg.traceRate <= 0.0)
-            fault_cfg.traceRate = 0.01;
-
-        FaultInjector faults(fault_cfg);
-        TraceReadStats read_stats;
-
-        std::unique_ptr<VecTrace> trace;
-        ChampSimTraceInfo cs_info;
-        if (!champsim_file.empty()) {
-            cs_opts.read = read_opts;
-            cs_opts.maxInstructions = len;
-            trace = readChampSimFile(champsim_file, cs_opts,
-                                     &read_stats, &cs_info);
-            std::fprintf(
-                stderr,
-                "champsim: %llu instruction(s) -> %zu uops, %llu "
-                "byte(s), %llu page(s), crc32 %08x\n",
-                static_cast<unsigned long long>(cs_info.instructions),
-                trace->size(),
-                static_cast<unsigned long long>(cs_info.bytes),
-                static_cast<unsigned long long>(cs_info.pages),
-                cs_info.crc);
-        } else if (!trace_file.empty())
-            trace = readTraceFile(trace_file, read_opts, &read_stats);
-        else
-            trace = TraceLibrary::make(
-                TraceLibrary::byName(trace_name, len));
-
-        if (inject_trace_faults) {
-            trace = injectTraceFaults(*trace, faults, read_opts,
-                                      read_stats);
-            std::fprintf(stderr,
-                         "fault injection: corrupted %llu records, "
-                         "reader skipped %llu (seed %llu)\n",
-                         static_cast<unsigned long long>(
-                             faults.traceFaults()),
-                         static_cast<unsigned long long>(
-                             read_stats.skippedRecords),
-                         static_cast<unsigned long long>(
-                             fault_cfg.seed));
-        }
-
-        if (!dump_path.empty()) {
-            writeTraceFile(dump_path, *trace);
-            std::printf("wrote %zu uops to %s\n", trace->size(),
-                        dump_path.c_str());
+        switch (o.run) {
+          case kDumpConfig:
+            std::cout << machineConfigToIni(o.cfg);
             return kExitOk;
+          case kCheckJournal:
+            return checkJournal(o.runPath);
+          case kBatch:
+            return runBatch(o);
+          case kFamilies:
+            return runFamilies(o);
+          default:
+            return runTrace(o);
         }
-
-        if (compare) {
-            const auto wall0 = std::chrono::steady_clock::now();
-            const auto results = runAllSchemes(*trace, cfg);
-            const double wall =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wall0)
-                    .count();
-            std::uint64_t total_uops = 0;
-            for (const auto &r : results)
-                total_uops += r.uops;
-            if (profile)
-                std::fputs(
-                    prof::reportText(total_uops, wall).c_str(),
-                    stderr);
-            const SimResult &base = results.front();
-            TextTable t({"scheme", "cycles", "IPC", "speedup"});
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                t.startRow();
-                t.cell(orderingSchemeName(allSchemes()[i]));
-                t.cell(strprintf("%llu", static_cast<unsigned long long>(
-                                             results[i].cycles)));
-                t.cell(results[i].ipc(), 2);
-                t.cell(results[i].speedupOver(base), 3);
-            }
-            t.print(std::cout);
-            if (!json_path.empty()) {
-                json::Value doc = json::Value::object();
-                json::Value schemes = json::Value::array();
-                for (const auto &r : results)
-                    schemes.push(r.toJson());
-                doc.set("schemes", std::move(schemes));
-                if (profile)
-                    doc.set("profile",
-                            prof::reportJson(total_uops, wall));
-                emitJson(json_path, doc);
-            }
-            return kExitOk;
-        }
-
-        OooCore core(cfg);
-        // The reader/injector accounting joins the core's registry so
-        // one JSON document tells the whole robustness story
-        // ("trace.*", "fault.*", "audit.*").
-        read_stats.registerStats(core.stats().group("trace"));
-        faults.registerStats(core.stats().group("fault"));
-        if (faults.enabled())
-            core.attachFaultInjector(&faults);
-        std::unique_ptr<PipelineTracer> tracer;
-        if (!trace_events_path.empty()) {
-            tracer = std::make_unique<PipelineTracer>(
-                trace_buf.value_or(PipelineTracer::kDefaultCapacity));
-            core.attachTracer(tracer.get());
-        }
-        const auto wall0 = std::chrono::steady_clock::now();
-        SimResult r;
-        if (!from_snapshot.empty()) {
-            // Resume a checkpointed run: restore, then simulate only
-            // the remainder. Statistics come out bit-identical to the
-            // uninterrupted run under the same config.
-            loadSnapshotInto(from_snapshot, core, *trace);
-            core.advanceTo(*trace);
-            r = core.finishRun();
-        } else if (!snapshot_path.empty()) {
-            core.beginRun(*trace);
-            core.advanceTo(*trace, *snapshot_after);
-            writeSnapshot(snapshot_path, core, *trace,
-                          *snapshot_after);
-            std::fprintf(stderr, "snapshot: %s at cycle %llu\n",
-                         snapshot_path.c_str(),
-                         static_cast<unsigned long long>(core.now()));
-            core.advanceTo(*trace);
-            r = core.finishRun();
-        } else {
-            r = core.run(*trace);
-        }
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() -
-                                wall0)
-                                .count();
-        if (validate_snapshot) {
-            // Save/restore at --snapshot-after (default: half the run).
-            const Cycle stop = snapshot_after.value_or(r.cycles / 2);
-            if (!snapshotRoundTripIdentical(
-                    cfg, fault_cfg, *trace, stop,
-                    std::filesystem::temp_directory_path().string() +
-                        "/lrs_validate_" + std::to_string(::getpid()) +
-                        ".snap")) {
-                std::fprintf(stderr,
-                             "validate-snapshot: FAILED — round trip "
-                             "at cycle %llu diverged from the full "
-                             "run\n",
-                             static_cast<unsigned long long>(stop));
-                return kExitRuntime;
-            }
-            std::fprintf(stderr,
-                         "validate-snapshot: OK — save/restore at "
-                         "cycle %llu is bit-identical\n",
-                         static_cast<unsigned long long>(stop));
-        }
-        printResult(json_path == "-" ? stderr : stdout, r);
-        if (profile)
-            std::fputs(prof::reportText(r.uops, wall).c_str(),
-                       stderr);
-        if (!json_path.empty()) {
-            json::Value doc = r.toJson();
-            doc.set("registry", core.stats().toJson());
-            if (profile)
-                doc.set("profile", prof::reportJson(r.uops, wall));
-            emitJson(json_path, doc);
-        }
-        if (tracer)
-            tracer->writeChromeTrace(trace_events_path);
-        return kExitOk;
     } catch (const ConfigError &e) {
         std::fprintf(stderr, "config error:\n%s\n", e.what());
         return kExitConfig;
