@@ -31,8 +31,12 @@ main()
         traces.insert(traces.end(), part.begin(), part.end());
     }
 
-    TextTable t({"banks", "predictor", "rate", "accuracy",
-                 "metric(pen=2)"});
+    Report rep("ablation_banks",
+               {{"banks", "banks", Fmt::Int},
+                {"predictor", "predictor"},
+                {"rate", "rate", Fmt::Pct, 1},
+                {"accuracy", "accuracy", Fmt::Pct, 2},
+                {"metric(pen=2)", "metric_pen2", Fmt::Fixed, 3}});
     const std::vector<unsigned> bank_counts = {2u, 4u, 8u};
     const std::vector<bool> addr_variants = {false, true};
 
@@ -71,14 +75,11 @@ main()
                 agg.correct += st.correct;
                 agg.wrong += st.wrong;
             }
-            t.startRow();
-            t.cell(strprintf("%u", banks));
-            t.cell(use_addr ? "addr" : "per-bit(A)");
-            t.cellPct(agg.rate(), 1);
-            t.cellPct(agg.accuracy(), 2);
-            t.cell(agg.metric(2.0), 3);
+            rep.row({std::uint64_t{banks}, use_addr ? "addr" : "per-bit(A)",
+                     agg.rate(), agg.accuracy(), agg.metric(2.0)});
         }
     }
-    t.print(std::cout);
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

@@ -74,8 +74,12 @@ main()
 
     const auto traces = groupTraces(TraceGroup::SysmarkNT, 3);
 
-    TextTable t({"variant", "speedup", "AC-PNC%", "ANC-PC%",
-                 "penalized/kload"});
+    Report rep("ablation_cht",
+               {{"variant", "variant"},
+                {"speedup", "speedup", Fmt::Fixed, 3},
+                {"AC-PNC%", "ac_pnc_frac_conf", Fmt::Pct, 2},
+                {"ANC-PC%", "anc_pc_frac_conf", Fmt::Pct, 2},
+                {"penalized/kload", "penalized_per_kload", Fmt::Fixed, 1}});
 
     // One pool job per (variant × trace): the Traditional baseline
     // plus the variant run over the same generated trace. Slots are
@@ -113,13 +117,12 @@ main()
             pen += r.collisionPenalties;
             loads += r.loads;
         }
-        t.startRow();
-        t.cell(v.label);
-        t.cell(speedup / static_cast<double>(traces.size()), 3);
-        t.cellPct(conf ? static_cast<double>(ac_pnc) / conf : 0, 2);
-        t.cellPct(conf ? static_cast<double>(anc_pc) / conf : 0, 2);
-        t.cell(loads ? 1000.0 * pen / loads : 0, 1);
+        rep.row({v.label, speedup / static_cast<double>(traces.size()),
+                 conf ? static_cast<double>(ac_pnc) / conf : 0,
+                 conf ? static_cast<double>(anc_pc) / conf : 0,
+                 loads ? 1000.0 * pen / loads : 0});
     }
-    t.print(std::cout);
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

@@ -34,8 +34,13 @@ main()
         {"NT", TraceGroup::SysmarkNT},
     };
 
-    TextTable t({"group", "predictor", "mem-miss rate", "coverage",
-                 "false-switch", "net cycles/kload"});
+    Report rep("ablation_l2hmp",
+               {{"group", "group"},
+                {"predictor", "predictor"},
+                {"mem-miss rate", "mem_miss_rate", Fmt::Pct, 2},
+                {"coverage", "coverage", Fmt::Pct, 1},
+                {"false-switch", "false_switch_frac", Fmt::Pct, 2},
+                {"net cycles/kload", "net_cycles_per_kload", Fmt::Fixed, 1}});
     const std::vector<const char *> preds = {"local", "chooser"};
 
     // Flatten the (group × predictor × trace) estimation grid into
@@ -78,16 +83,13 @@ main()
                 agg.ahPh += est.stats.ahPh;
                 net += est.netSavedPerKiloLoad();
             }
-            t.startRow();
-            t.cell(label);
-            t.cell(which);
-            t.cellPct(agg.missRate(), 2);
-            t.cellPct(agg.coverage(), 1);
-            t.cellPct(agg.falseMissFrac(), 2);
-            t.cell(net / static_cast<double>(n_traces), 1);
+            rep.row({label, which, agg.missRate(), agg.coverage(),
+                     agg.falseMissFrac(),
+                     net / static_cast<double>(n_traces)});
         }
     }
-    t.print(std::cout);
+    rep.print(std::cout);
+    rep.write();
 
     std::cout << "\n'net cycles/kload' assumes a 20-cycle thread-"
                  "switch overhead against the\nconfigured main-memory "

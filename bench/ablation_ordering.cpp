@@ -37,8 +37,15 @@ main()
         OrderingScheme::Perfect,
     };
 
-    TextTable t({"trace", "StoreBarrier", "StoreSets", "Opportunistic",
-                 "Inclusive", "Exclusive", "Excl+fwd", "Perfect"});
+    Report rep("ablation_ordering",
+               {{"trace", "trace"},
+                {"StoreBarrier", "store_barrier", Fmt::Fixed, 3},
+                {"StoreSets", "store_sets", Fmt::Fixed, 3},
+                {"Opportunistic", "opportunistic", Fmt::Fixed, 3},
+                {"Inclusive", "inclusive", Fmt::Fixed, 3},
+                {"Exclusive", "exclusive", Fmt::Fixed, 3},
+                {"Excl+fwd", "exclusive_fwd", Fmt::Fixed, 3},
+                {"Perfect", "perfect", Fmt::Fixed, 3}});
     std::vector<std::vector<double>> per_scheme(7);
 
     // One pool job per trace; each job runs the full scheme set plus
@@ -71,24 +78,22 @@ main()
         const std::vector<SimResult> &results = slots[ti].results;
         const SimResult &fwd = slots[ti].fwd;
         const SimResult &base = results[0];
-        t.startRow();
-        t.cell(tp.name);
+        std::vector<json::Value> row = {tp.name};
         for (std::size_t i = 1; i < schemes.size(); ++i) {
             const double s = results[i].speedupOver(base);
             per_scheme[i < 6 ? i - 1 : 6].push_back(s);
-            t.cell(s, 3);
+            row.push_back(s);
             if (schemes[i] == OrderingScheme::Exclusive) {
                 const double sf = fwd.speedupOver(base);
                 per_scheme[5].push_back(sf);
-                t.cell(sf, 3);
+                row.push_back(sf);
             }
         }
+        rep.row(std::move(row));
     }
-    t.startRow();
-    t.cell("avg");
-    for (const auto &v : per_scheme)
-        t.cell(mean(v), 3);
-    t.print(std::cout);
+    rep.row(withMeans({"avg"}, per_scheme));
+    rep.print(std::cout);
+    rep.write();
 
     std::cout
         << "\nThe barrier cache fences every load behind a flagged "

@@ -33,8 +33,13 @@ main()
     for (auto &tp : traces)
         tp.pathCorrGlobalFrac = 0.5;
 
-    TextTable t({"entries", "pathBits", "speedup", "AC-PNC%",
-                 "ANC-PC%", "penalized/kload"});
+    Report rep("ablation_path_cht",
+               {{"entries", "entries", Fmt::Int},
+                {"pathBits", "path_bits", Fmt::Int},
+                {"speedup", "speedup", Fmt::Fixed, 3},
+                {"AC-PNC%", "ac_pnc_frac_conf", Fmt::Pct, 2},
+                {"ANC-PC%", "anc_pc_frac_conf", Fmt::Pct, 2},
+                {"penalized/kload", "penalized_per_kload", Fmt::Fixed, 1}});
     const std::pair<std::size_t, unsigned> sweep[] = {
         {2048, 0},  {2048, 2},  {2048, 4},
         {32768, 0}, {32768, 2}, {32768, 4},
@@ -78,15 +83,14 @@ main()
             pen += r.collisionPenalties;
             loads += r.loads;
         }
-        t.startRow();
-        t.cell(strprintf("%zu", entries));
-        t.cell(strprintf("%u", path_bits));
-        t.cell(speedup / static_cast<double>(traces.size()), 3);
-        t.cellPct(conf ? static_cast<double>(ac_pnc) / conf : 0, 2);
-        t.cellPct(conf ? static_cast<double>(anc_pc) / conf : 0, 2);
-        t.cell(loads ? 1000.0 * pen / loads : 0, 1);
+        rep.row({std::uint64_t{entries}, std::uint64_t{path_bits},
+                 speedup / static_cast<double>(traces.size()),
+                 conf ? static_cast<double>(ac_pnc) / conf : 0,
+                 conf ? static_cast<double>(anc_pc) / conf : 0,
+                 loads ? 1000.0 * pen / loads : 0});
     }
-    t.print(std::cout);
+    rep.print(std::cout);
+    rep.write();
 
     std::cout
         << "\nFinding: folding raw path bits into the CHT index HURTS "

@@ -28,8 +28,12 @@ main()
         {"TPC", TraceGroup::TPC},
     };
 
-    TextTable t({"group", "degree", "miss rate", "speedup",
-                 "prefetches/kload"});
+    Report rep("ablation_prefetch",
+               {{"group", "group"},
+                {"degree", "degree", Fmt::Int},
+                {"miss rate", "miss_rate", Fmt::Pct, 2},
+                {"speedup", "speedup", Fmt::Fixed, 3},
+                {"prefetches/kload", "prefetches_per_kload", Fmt::Fixed, 0}});
     const std::vector<unsigned> degrees = {0u, 1u, 2u, 4u};
 
     // Flatten the (group × degree × trace) grid into pool jobs (each
@@ -82,14 +86,11 @@ main()
                        static_cast<double>(r.loads);
             }
             const double n = static_cast<double>(n_traces);
-            t.startRow();
-            t.cell(label);
-            t.cell(strprintf("%u", degree));
-            t.cellPct(miss / n, 2);
-            t.cell(speedup / n, 3);
-            t.cell(pfk / n, 0);
+            rep.row({label, std::uint64_t{degree}, miss / n, speedup / n,
+                     pfk / n});
         }
     }
-    t.print(std::cout);
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

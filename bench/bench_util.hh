@@ -14,9 +14,8 @@
 #define LRS_BENCH_UTIL_HH
 
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
-#include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -64,16 +63,22 @@ paperCht()
     return c;
 }
 
-/** Arithmetic mean (the paper's per-group averages are arithmetic). */
-inline double
-mean(const std::vector<double> &v)
+/** The schemes of Figures 7 and 8 in column order, as indices into
+ *  runAllSchemes()'s results, whose 0 is Traditional: Postponing,
+ *  Opportunistic, Inclusive, Exclusive, Perfect. */
+constexpr std::size_t kFigSchemes[] = {2, 1, 3, 4, 5};
+
+/** @p row followed by the arithmetic mean of each of @p series, 0 for
+ *  an empty one (the paper's per-group averages are arithmetic). */
+inline std::vector<json::Value>
+withMeans(std::vector<json::Value> row,
+          const std::vector<std::vector<double>> &series)
 {
-    if (v.empty())
-        return 0.0;
-    double s = 0;
-    for (double x : v)
-        s += x;
-    return s / static_cast<double>(v.size());
+    for (const auto &v : series)
+        row.push_back(v.empty() ? 0.0
+                                : std::accumulate(v.begin(), v.end(), 0.0) /
+                                      static_cast<double>(v.size()));
+    return row;
 }
 
 inline void
@@ -84,62 +89,97 @@ printHeader(const std::string &title, const std::string &paper_note)
     std::cout << "trace length: " << traceLen() << " uops/trace\n\n";
 }
 
+/** How a Column prints its value in the table. */
+enum class Fmt
+{
+    Text,  ///< a string, as is
+    Int,   ///< an integer
+    Fixed, ///< a double with `decimals` decimals
+    Pct,   ///< a fraction as a percentage with `decimals` decimals
+};
+
+/** One column of a Report: its table header, its JSON key and its
+ *  table format. The JSON holds the raw value. */
+struct Column
+{
+    std::string header;
+    std::string key;
+    Fmt fmt = Fmt::Text;
+    int decimals = 0;
+};
+
 /**
- * Machine-readable companion to the text tables: each bench collects
- * its swept rows ({"label": value, metric: value, ...}) and writes
+ * A bench's results: each row is added once, as one value per column,
+ * and both the text table on stdout and the JSON document
  *
- *   {"bench": <name>, "trace_len": N, "rows": [...]}
+ *   {"build": {...}, "bench": <name>, "trace_len": N,
+ *    "rows": [{<key>: <value>, ...}, ...]}
  *
- * to $LRS_BENCH_JSON if set, else ./bench_results.json. The row flow
- * mirrors TextTable (beginRow() then value() per column), so a bench
- * fills both side by side. tools/bench_to_json.sh aggregates the
- * per-bench files into the repo-level BENCH_<pr>.json trajectory.
+ * are made from it. A non-finite number prints as "nan" or "inf" and
+ * is written as null. tools/bench_to_json.sh aggregates the per-bench
+ * files into one trajectory file.
  *
- * Thread-safety: every member locks an internal mutex, so pool
- * workers may append rows concurrently — though for deterministic
- * row order the benches aggregate serially, in job-id order, after
- * the pool barrier (docs/PARALLELISM.md). write() builds the file
- * next to the target and atomically rename()s it into place, so two
- * processes racing on the same $LRS_BENCH_JSON path end with one
- * intact document instead of an interleaved clobber.
+ * Benches add rows serially, after the pool barrier, in their loop
+ * order (docs/PARALLELISM.md).
  */
-class JsonReport
+class Report
 {
   public:
-    explicit JsonReport(std::string bench) : bench_(std::move(bench))
+    Report(std::string bench, std::vector<Column> columns)
+        : bench_(std::move(bench)), columns_(std::move(columns))
+    {}
+
+    /** Add a row: one value per column, in column order. */
+    void
+    row(std::vector<json::Value> values)
     {
-        rows_ = json::Value::array();
+        if (values.size() != columns_.size())
+            throw std::logic_error(bench_ + ": a row takes one value per "
+                                            "column");
+        rows_.push_back(std::move(values));
     }
 
-    /** Start a new row (finishing the previous one, if any). */
+    /** Print every row as one table. */
     void
-    beginRow()
+    print(std::ostream &os) const
     {
-        std::lock_guard<std::mutex> lk(m_);
-        flushRow();
-        cur_ = json::Value::object();
-        open_ = true;
+        table(0, 0, rows_.size()).print(os);
     }
 
-    template <typename T>
+    /**
+     * Print one table per run of rows with the same first column,
+     * under a "--- <value> ---" heading and without that column, each
+     * followed by a blank line.
+     */
     void
-    value(const std::string &key, T v)
+    printByGroup(std::ostream &os) const
     {
-        std::lock_guard<std::mutex> lk(m_);
-        if (!open_) {
-            flushRow();
-            cur_ = json::Value::object();
-            open_ = true;
+        for (std::size_t b = 0, e = 0; b < rows_.size(); b = e) {
+            const std::string &group = rows_[b][0].asString();
+            while (e < rows_.size() && rows_[e][0].asString() == group)
+                ++e;
+            os << "--- " << group << " ---\n";
+            table(1, b, e).print(os);
+            os << "\n";
         }
-        cur_.set(key, json::Value(v));
     }
 
-    /** Write the report atomically; returns the path written. */
+    /**
+     * Write the JSON to $LRS_BENCH_JSON if set, else to
+     * ./bench_results.json, atomically: two processes racing on one
+     * path end with one intact document. Throws IoError (also for a
+     * directory path). Returns the path written.
+     */
     std::string
-    write()
+    write() const
     {
-        std::lock_guard<std::mutex> lk(m_);
-        flushRow();
+        json::Value rows = json::Value::array();
+        for (const auto &values : rows_) {
+            json::Value row = json::Value::object();
+            for (std::size_t c = 0; c < columns_.size(); ++c)
+                row.set(columns_[c].key, values[c]);
+            rows.push(std::move(row));
+        }
         json::Value doc = json::Value::object();
         // Provenance leads the document (same contract as lrs_sim
         // --json): consumers that byte-compare bench output across
@@ -147,37 +187,42 @@ class JsonReport
         doc.set("build", buildProvenanceJson());
         doc.set("bench", bench_);
         doc.set("trace_len", traceLen());
-        doc.set("rows", std::move(rows_));
-        rows_ = json::Value::array();
+        doc.set("rows", std::move(rows));
 
         const char *env = std::getenv("LRS_BENCH_JSON");
-        const std::string path =
-            env && *env ? env : "bench_results.json";
-        std::error_code ec;
-        if (std::filesystem::is_directory(path, ec))
-            throw std::runtime_error(
-                "JsonReport: LRS_BENCH_JSON points at a directory: " +
-                path);
-
+        const std::string path = env && *env ? env : "bench_results.json";
         writeFileAtomically(path, doc.dump(2), "bench.report");
         return path;
     }
 
   private:
-    /** Caller must hold m_. */
-    void
-    flushRow()
+    /** The rows [@p begin, @p end) from column @p first on. */
+    TextTable
+    table(std::size_t first, std::size_t begin, std::size_t end) const
     {
-        if (open_)
-            rows_.push(std::move(cur_));
-        open_ = false;
+        std::vector<std::string> headers;
+        for (std::size_t c = first; c < columns_.size(); ++c)
+            headers.push_back(columns_[c].header);
+        TextTable t(std::move(headers));
+        for (std::size_t r = begin; r < end; ++r) {
+            t.startRow();
+            for (std::size_t c = first; c < columns_.size(); ++c) {
+                const Column &col = columns_[c];
+                const json::Value &v = rows_[r][c];
+                switch (col.fmt) {
+                  case Fmt::Text: t.cell(v.asString()); break;
+                  case Fmt::Int: t.cell(v.dump()); break;
+                  case Fmt::Fixed: t.cell(v.asDouble(), col.decimals); break;
+                  case Fmt::Pct: t.cellPct(v.asDouble(), col.decimals); break;
+                }
+            }
+        }
+        return t;
     }
 
-    std::mutex m_;
     std::string bench_;
-    json::Value rows_;
-    json::Value cur_;
-    bool open_ = false;
+    std::vector<Column> columns_;
+    std::vector<std::vector<json::Value>> rows_;
 };
 
 } // namespace lrs::benchutil

@@ -56,9 +56,13 @@ main()
         traces.insert(traces.end(), part.begin(), part.end());
     }
 
-    TextTable t({"pipeline", "rel. perf", "conflicts/kload",
-                 "mispred/kload", "replicated/kload"});
-    JsonReport jr("fig04_pipeline_compare");
+    Report rep("fig04_pipeline_compare",
+               {{"pipeline", "pipeline"},
+                {"rel. perf", "rel_perf", Fmt::Fixed, 3},
+                {"conflicts/kload", "conflicts_per_kload", Fmt::Fixed, 1},
+                {"mispred/kload", "mispredicts_per_kload", Fmt::Fixed, 1},
+                {"replicated/kload", "replications_per_kload", Fmt::Fixed,
+                 1}});
     std::vector<double> base_cycles;
 
     // The whole (mode × trace) grid runs on the pool; slots are
@@ -79,7 +83,7 @@ main()
     for (std::size_t m = 0; m < modes.size(); ++m) {
         const auto &ms = modes[m];
         double rel = 0.0;
-        double conf = 0.0, mis = 0.0, rep = 0.0;
+        double conf = 0.0, mis = 0.0, repl = 0.0;
         std::size_t i = 0;
         for (std::size_t ti = 0; ti < traces.size(); ++ti) {
             const SimResult &r = grid[m * traces.size() + ti];
@@ -90,24 +94,13 @@ main()
                 static_cast<double>(r.loads) / 1000.0;
             conf += r.bankConflicts / kloads;
             mis += r.bankMispredicts / kloads;
-            rep += r.bankReplications / kloads;
+            repl += r.bankReplications / kloads;
             ++i;
         }
         const double n = static_cast<double>(traces.size());
-        t.startRow();
-        t.cell(ms.label);
-        t.cell(rel / n, 3);
-        t.cell(conf / n, 1);
-        t.cell(mis / n, 1);
-        t.cell(rep / n, 1);
-        jr.beginRow();
-        jr.value("pipeline", ms.label);
-        jr.value("rel_perf", rel / n);
-        jr.value("conflicts_per_kload", conf / n);
-        jr.value("mispredicts_per_kload", mis / n);
-        jr.value("replications_per_kload", rep / n);
+        rep.row({ms.label, rel / n, conf / n, mis / n, repl / n});
     }
-    t.print(std::cout);
-    jr.write();
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

@@ -31,8 +31,12 @@ main()
     MachineConfig cfg;
     cfg.scheme = OrderingScheme::Traditional;
 
-    TextTable t({"group", "traces", "AC", "ANC", "no-conflict"});
-    JsonReport jr("fig05_load_classification");
+    Report rep("fig05_load_classification",
+               {{"group", "group"},
+                {"traces", "traces", Fmt::Int},
+                {"AC", "ac_frac", Fmt::Pct, 1},
+                {"ANC", "anc_frac", Fmt::Pct, 1},
+                {"no-conflict", "no_conflict_frac", Fmt::Pct, 1}});
 
     // Flatten the (group × trace) grid into pool jobs; per-group
     // aggregation below walks the slots in the original order.
@@ -58,20 +62,10 @@ main()
             nc += r.notConflicting;
         }
         const double n = static_cast<double>(ac + anc + nc);
-        t.startRow();
-        t.cell(traceGroupName(g));
-        t.cell(strprintf("%zu", traces.size()));
-        t.cellPct(ac / n, 1);
-        t.cellPct(anc / n, 1);
-        t.cellPct(nc / n, 1);
-        jr.beginRow();
-        jr.value("group", traceGroupName(g));
-        jr.value("traces", static_cast<std::uint64_t>(traces.size()));
-        jr.value("ac_frac", ac / n);
-        jr.value("anc_frac", anc / n);
-        jr.value("no_conflict_frac", nc / n);
+        rep.row({traceGroupName(g), std::uint64_t{traces.size()}, ac / n,
+                 anc / n, nc / n});
     }
-    t.print(std::cout);
-    jr.write();
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

@@ -23,8 +23,11 @@ main()
     const std::vector<int> windows = {8, 16, 32, 64, 128};
     const auto traces = groupTraces(TraceGroup::SysmarkNT, 4);
 
-    TextTable t({"window", "AC", "ANC", "no-conflict"});
-    JsonReport jr("fig06_window_sweep");
+    Report rep("fig06_window_sweep",
+               {{"window", "window", Fmt::Int},
+                {"AC", "ac_frac", Fmt::Pct, 1},
+                {"ANC", "anc_frac", Fmt::Pct, 1},
+                {"no-conflict", "no_conflict_frac", Fmt::Pct, 1}});
 
     // Submit the full (window × trace) grid, then aggregate the
     // slots per window in the original loop order.
@@ -39,7 +42,6 @@ main()
     const auto outcomes = runJobs(jobs);
 
     for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-        const int w = windows[wi];
         std::uint64_t ac = 0, anc = 0, nc = 0;
         for (std::size_t ti = 0; ti < traces.size(); ++ti) {
             const SimResult &r =
@@ -49,18 +51,9 @@ main()
             nc += r.notConflicting;
         }
         const double n = static_cast<double>(ac + anc + nc);
-        t.startRow();
-        t.cell(strprintf("%d", w));
-        t.cellPct(ac / n, 1);
-        t.cellPct(anc / n, 1);
-        t.cellPct(nc / n, 1);
-        jr.beginRow();
-        jr.value("window", w);
-        jr.value("ac_frac", ac / n);
-        jr.value("anc_frac", anc / n);
-        jr.value("no_conflict_frac", nc / n);
+        rep.row({windows[wi], ac / n, anc / n, nc / n});
     }
-    t.print(std::cout);
-    jr.write();
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

@@ -27,9 +27,13 @@ main()
     MachineConfig cfg;
     cfg.cht = paperCht();
 
-    TextTable t({"trace", "Postponing", "Opportunistic", "Inclusive",
-                 "Exclusive", "Perfect"});
-    JsonReport jr("fig07_ordering_speedup");
+    Report rep("fig07_ordering_speedup",
+               {{"trace", "trace"},
+                {"Postponing", "postponing", Fmt::Fixed, 3},
+                {"Opportunistic", "opportunistic", Fmt::Fixed, 3},
+                {"Inclusive", "inclusive", Fmt::Fixed, 3},
+                {"Exclusive", "exclusive", Fmt::Fixed, 3},
+                {"Perfect", "perfect", Fmt::Fixed, 3}});
     std::vector<std::vector<double>> per_scheme(5);
 
     // One pool job per trace (each job runs all six schemes; the
@@ -42,47 +46,17 @@ main()
     });
 
     for (std::size_t ti = 0; ti < traces.size(); ++ti) {
-        const auto &tp = traces[ti];
         const auto &results = all[ti];
-        const SimResult &base = results[0]; // Traditional
-        // runAllSchemes order: Trad, Opp, Post, Incl, Excl, Perfect.
-        const double opp = results[1].speedupOver(base);
-        const double post = results[2].speedupOver(base);
-        const double incl = results[3].speedupOver(base);
-        const double excl = results[4].speedupOver(base);
-        const double perf = results[5].speedupOver(base);
-        per_scheme[0].push_back(post);
-        per_scheme[1].push_back(opp);
-        per_scheme[2].push_back(incl);
-        per_scheme[3].push_back(excl);
-        per_scheme[4].push_back(perf);
-        t.startRow();
-        t.cell(tp.name);
-        t.cell(post, 3);
-        t.cell(opp, 3);
-        t.cell(incl, 3);
-        t.cell(excl, 3);
-        t.cell(perf, 3);
-        jr.beginRow();
-        jr.value("trace", tp.name);
-        jr.value("postponing", post);
-        jr.value("opportunistic", opp);
-        jr.value("inclusive", incl);
-        jr.value("exclusive", excl);
-        jr.value("perfect", perf);
+        std::vector<json::Value> row = {traces[ti].name};
+        for (std::size_t k = 0; k < std::size(kFigSchemes); ++k) {
+            const double s = results[kFigSchemes[k]].speedupOver(results[0]);
+            per_scheme[k].push_back(s);
+            row.push_back(s);
+        }
+        rep.row(std::move(row));
     }
-    t.startRow();
-    t.cell("NT_avg");
-    for (const auto &v : per_scheme)
-        t.cell(mean(v), 3);
-    jr.beginRow();
-    jr.value("trace", "NT_avg");
-    jr.value("postponing", mean(per_scheme[0]));
-    jr.value("opportunistic", mean(per_scheme[1]));
-    jr.value("inclusive", mean(per_scheme[2]));
-    jr.value("exclusive", mean(per_scheme[3]));
-    jr.value("perfect", mean(per_scheme[4]));
-    t.print(std::cout);
-    jr.write();
+    rep.row(withMeans({"NT_avg"}, per_scheme));
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

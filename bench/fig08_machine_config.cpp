@@ -51,9 +51,14 @@ main()
         {"EU4/MEM2", 4, 2},
     };
 
-    TextTable t({"group", "machine", "Postponing", "Opportunistic",
-                 "Inclusive", "Exclusive", "Perfect"});
-    JsonReport jr("fig08_machine_config");
+    Report rep("fig08_machine_config",
+               {{"group", "group"},
+                {"machine", "machine"},
+                {"Postponing", "postponing", Fmt::Fixed, 3},
+                {"Opportunistic", "opportunistic", Fmt::Fixed, 3},
+                {"Inclusive", "inclusive", Fmt::Fixed, 3},
+                {"Exclusive", "exclusive", Fmt::Fixed, 3},
+                {"Perfect", "perfect", Fmt::Fixed, 3}});
 
     // Gather the per-group trace subsets once, flatten the
     // (group × width × trace) grid into pool jobs — each runs all
@@ -99,31 +104,14 @@ main()
             std::vector<std::vector<double>> per_scheme(5);
             for (std::size_t ti = 0; ti < traces.size(); ++ti) {
                 const auto &results = all[idx++];
-                const SimResult &base = results[0];
-                per_scheme[0].push_back(
-                    results[2].speedupOver(base)); // Postponing
-                per_scheme[1].push_back(
-                    results[1].speedupOver(base)); // Opportunistic
-                per_scheme[2].push_back(results[3].speedupOver(base));
-                per_scheme[3].push_back(results[4].speedupOver(base));
-                per_scheme[4].push_back(results[5].speedupOver(base));
+                for (std::size_t k = 0; k < std::size(kFigSchemes); ++k)
+                    per_scheme[k].push_back(
+                        results[kFigSchemes[k]].speedupOver(results[0]));
             }
-            t.startRow();
-            t.cell(gs.label);
-            t.cell(ws.label);
-            for (const auto &v : per_scheme)
-                t.cell(mean(v), 3);
-            jr.beginRow();
-            jr.value("group", gs.label);
-            jr.value("machine", ws.label);
-            jr.value("postponing", mean(per_scheme[0]));
-            jr.value("opportunistic", mean(per_scheme[1]));
-            jr.value("inclusive", mean(per_scheme[2]));
-            jr.value("exclusive", mean(per_scheme[3]));
-            jr.value("perfect", mean(per_scheme[4]));
+            rep.row(withMeans({gs.label, ws.label}, per_scheme));
         }
     }
-    t.print(std::cout);
-    jr.write();
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

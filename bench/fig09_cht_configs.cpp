@@ -76,9 +76,14 @@ main()
 
     const auto traces = groupTraces(TraceGroup::SysmarkNT, 3);
 
-    TextTable t({"config", "AC-PNC%c", "AC-PC%c", "ANC-PNC%c",
-                 "ANC-PC%c", "ANC-PC%all", "AC-PNC%all"});
-    JsonReport jr("fig09_cht_configs");
+    Report rep("fig09_cht_configs",
+               {{"config", "config"},
+                {"AC-PNC%c", "ac_pnc_frac_conf", Fmt::Pct, 2},
+                {"AC-PC%c", "ac_pc_frac_conf", Fmt::Pct, 2},
+                {"ANC-PNC%c", "anc_pnc_frac_conf", Fmt::Pct, 2},
+                {"ANC-PC%c", "anc_pc_frac_conf", Fmt::Pct, 2},
+                {"ANC-PC%all", "anc_pc_frac_all", Fmt::Pct, 2},
+                {"AC-PNC%all", "ac_pnc_frac_all", Fmt::Pct, 2}});
 
     // Submit the (CHT variant × trace) grid through the pool, then
     // aggregate the slots per variant in the original order.
@@ -110,24 +115,10 @@ main()
         const double conf =
             static_cast<double>(ac_pnc + ac_pc + anc_pnc + anc_pc);
         const double all = static_cast<double>(loads);
-        t.startRow();
-        t.cell(spec.label);
-        t.cellPct(ac_pnc / conf, 2);
-        t.cellPct(ac_pc / conf, 2);
-        t.cellPct(anc_pnc / conf, 2);
-        t.cellPct(anc_pc / conf, 2);
-        t.cellPct(anc_pc / all, 2);
-        t.cellPct(ac_pnc / all, 2);
-        jr.beginRow();
-        jr.value("config", spec.label);
-        jr.value("ac_pnc_frac_conf", ac_pnc / conf);
-        jr.value("ac_pc_frac_conf", ac_pc / conf);
-        jr.value("anc_pnc_frac_conf", anc_pnc / conf);
-        jr.value("anc_pc_frac_conf", anc_pc / conf);
-        jr.value("anc_pc_frac_all", anc_pc / all);
-        jr.value("ac_pnc_frac_all", ac_pnc / all);
+        rep.row({spec.label, ac_pnc / conf, ac_pc / conf, anc_pnc / conf,
+                 anc_pc / conf, anc_pc / all, ac_pnc / all});
     }
-    t.print(std::cout);
-    jr.write();
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

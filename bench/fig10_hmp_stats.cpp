@@ -12,6 +12,8 @@
  * to 0.04%-0.2% while giving up little AM-PM; AM-PM : AH-PM >= 5:1.
  */
 
+#include <cmath>
+
 #include "core/analysis.hh"
 #include "core/config_io.hh"
 
@@ -46,9 +48,14 @@ main()
          {TraceGroup::Games, TraceGroup::Java, TraceGroup::TPC}},
     };
 
-    TextTable t({"group", "predictor", "AH-PM", "AM-PM", "MISSES",
-                 "coverage", "AMPM:AHPM"});
-    JsonReport jr("fig10_hmp_stats");
+    Report rep("fig10_hmp_stats",
+               {{"group", "group"},
+                {"predictor", "predictor"},
+                {"AH-PM", "ah_pm_frac", Fmt::Pct, 2},
+                {"AM-PM", "am_pm_frac", Fmt::Pct, 2},
+                {"MISSES", "miss_rate", Fmt::Pct, 2},
+                {"coverage", "coverage", Fmt::Pct, 1},
+                {"AMPM:AHPM", "ampm_per_ahpm", Fmt::Fixed, 1}});
 
     // Flatten the (group × predictor × trace) analysis grid into
     // pool jobs; aggregate the HmpStats slots in the original order.
@@ -97,27 +104,18 @@ main()
                 agg.amPh += st.amPh;
                 agg.amPm += st.amPm;
             }
-            t.startRow();
-            t.cell(gs.label);
-            t.cell(which);
-            t.cellPct(agg.falseMissFrac(), 2);
-            t.cellPct(agg.caughtFrac(), 2);
-            t.cellPct(agg.missRate(), 2);
-            t.cellPct(agg.coverage(), 1);
-            t.cell(agg.ahPm ? static_cast<double>(agg.amPm) /
-                                  static_cast<double>(agg.ahPm)
-                            : static_cast<double>(agg.amPm),
-                   1);
-            jr.beginRow();
-            jr.value("group", gs.label);
-            jr.value("predictor", which);
-            jr.value("ah_pm_frac", agg.falseMissFrac());
-            jr.value("am_pm_frac", agg.caughtFrac());
-            jr.value("miss_rate", agg.missRate());
-            jr.value("coverage", agg.coverage());
+            // The ratio convention of core/results.hh: with no AH-PM
+            // the ratio is inf, or nan without AM-PM either.
+            const double ratio =
+                agg.ahPm ? static_cast<double>(agg.amPm) /
+                               static_cast<double>(agg.ahPm)
+                : agg.amPm ? HUGE_VAL
+                           : std::nan("");
+            rep.row({gs.label, which, agg.falseMissFrac(), agg.caughtFrac(),
+                     agg.missRate(), agg.coverage(), ratio});
         }
     }
-    t.print(std::cout);
-    jr.write();
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

@@ -30,9 +30,12 @@ main()
         HmpKind::Perfect,
     };
 
-    TextTable t({"group", "local", "chooser", "local+timing",
-                 "perfect"});
-    JsonReport jr("fig11_hmp_speedup");
+    Report rep("fig11_hmp_speedup",
+               {{"group", "group"},
+                {"local", "local", Fmt::Fixed, 3},
+                {"chooser", "chooser", Fmt::Fixed, 3},
+                {"local+timing", "local_timing", Fmt::Fixed, 3},
+                {"perfect", "perfect", Fmt::Fixed, 3}});
     std::vector<std::vector<double>> overall(kinds.size());
 
     for (const auto &[label, g] : groups) {
@@ -66,28 +69,10 @@ main()
                 overall[k].push_back(s);
             }
         }
-        t.startRow();
-        t.cell(label);
-        for (const auto &v : per_kind)
-            t.cell(mean(v), 3);
-        jr.beginRow();
-        jr.value("group", label);
-        jr.value("local", mean(per_kind[0]));
-        jr.value("chooser", mean(per_kind[1]));
-        jr.value("local_timing", mean(per_kind[2]));
-        jr.value("perfect", mean(per_kind[3]));
+        rep.row(withMeans({label}, per_kind));
     }
-    t.startRow();
-    t.cell("Average");
-    for (const auto &v : overall)
-        t.cell(mean(v), 3);
-    jr.beginRow();
-    jr.value("group", "Average");
-    jr.value("local", mean(overall[0]));
-    jr.value("chooser", mean(overall[1]));
-    jr.value("local_timing", mean(overall[2]));
-    jr.value("perfect", mean(overall[3]));
-    t.print(std::cout);
-    jr.write();
+    rep.row(withMeans({"Average"}, overall));
+    rep.print(std::cout);
+    rep.write();
     return 0;
 }

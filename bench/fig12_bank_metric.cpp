@@ -63,33 +63,30 @@ main()
         {"Addr", BankPredKind::Addr},
     };
 
-    JsonReport jr("fig12_bank_metric");
+    const std::vector<int> penalties = {0, 1, 2, 4, 6, 8, 10};
+
+    std::vector<Column> columns = {
+        {"group", "group"},
+        {"pred", "pred"},
+        {"rate", "rate", Fmt::Pct, 1},
+        {"accuracy", "accuracy", Fmt::Pct, 2},
+        {"R", "ratio_r", Fmt::Fixed, 1},
+    };
+    for (const int pen : penalties)
+        columns.push_back({strprintf("pen=%d", pen),
+                           strprintf("metric_pen%d", pen), Fmt::Fixed, 3});
+    Report rep("fig12_bank_metric", std::move(columns));
     for (const auto &[label, g] : groups) {
-        std::cout << "--- " << label << " ---\n";
-        TextTable t({"pred", "rate", "accuracy", "R", "pen=0",
-                     "pen=1", "pen=2", "pen=4", "pen=6", "pen=8",
-                     "pen=10"});
         for (const auto &[which, kind] : preds) {
             const BankStats st = runGroup(g, kind);
-            t.startRow();
-            t.cell(which);
-            t.cellPct(st.rate(), 1);
-            t.cellPct(st.accuracy(), 2);
-            t.cell(st.ratioR(), 1);
-            for (const double pen : {0.0, 1.0, 2.0, 4.0, 6.0, 8.0,
-                                     10.0})
-                t.cell(std::max(0.0, st.metric(pen)), 3);
-            jr.beginRow();
-            jr.value("group", label);
-            jr.value("pred", which);
-            jr.value("rate", st.rate());
-            jr.value("accuracy", st.accuracy());
-            jr.value("ratio_r", st.ratioR());
-            jr.value("metric_pen4", std::max(0.0, st.metric(4.0)));
+            std::vector<json::Value> row = {label, which, st.rate(),
+                                            st.accuracy(), st.ratioR()};
+            for (const int pen : penalties)
+                row.push_back(std::max(0.0, st.metric(pen)));
+            rep.row(std::move(row));
         }
-        t.print(std::cout);
-        std::cout << "\n";
     }
-    jr.write();
+    rep.printByGroup(std::cout);
+    rep.write();
     return 0;
 }

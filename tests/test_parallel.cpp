@@ -4,10 +4,10 @@
  * aggregation-layer fixes that rode along with it: parallelFor()'s
  * determinism contract (bit-identical results for any worker count),
  * its edge cases (empty batches, more workers than jobs, throwing
- * jobs, nesting), and the hardened geomean()/envU64()/JsonReport
- * paths. Suite names start with "Parallel" so the whole group runs
- * under `ctest -R Parallel` (tools/run_sanitized.sh --tsan uses
- * this).
+ * jobs, nesting), the hardened geomean()/envU64() paths and the
+ * benches' Report. Suite names start with "Parallel" so the whole
+ * group runs under `ctest -R Parallel` (tools/run_sanitized.sh --tsan
+ * uses this).
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/diag.hh"
 #include "core/parallel.hh"
 #include "core/runner.hh"
 #include "trace/library.hh"
@@ -246,15 +247,14 @@ TEST(ParallelRunnerFixes, EnvU64RejectsOverflowAndNegatives)
     unsetenv("LRS_TEST_ENV_KNOB");
 }
 
-TEST(ParallelJsonReport, WritesAtomicallyToEnvPath)
+TEST(ParallelBenchReport, WritesAtomicallyToEnvPath)
 {
     const std::string path = tmpPath("test_report.json");
     std::remove(path.c_str());
     setenv("LRS_BENCH_JSON", path.c_str(), 1);
 
-    benchutil::JsonReport rep("unit");
-    rep.beginRow();
-    rep.value("k", 1.5);
+    benchutil::Report rep("unit", {{"k", "k", benchutil::Fmt::Fixed, 1}});
+    rep.row({1.5});
     EXPECT_EQ(rep.write(), path);
     unsetenv("LRS_BENCH_JSON");
 
@@ -268,16 +268,50 @@ TEST(ParallelJsonReport, WritesAtomicallyToEnvPath)
     std::remove(path.c_str());
 }
 
-TEST(ParallelJsonReport, DirectoryPathIsAnError)
+TEST(ParallelBenchReport, DirectoryPathIsAnError)
 {
-    // A directory target used to fail only after the stream silently
-    // wrote nothing; now it is rejected up front.
     setenv("LRS_BENCH_JSON", testing::TempDir().c_str(), 1);
-    benchutil::JsonReport rep("unit");
-    rep.beginRow();
-    rep.value("k", 1.0);
-    EXPECT_THROW(rep.write(), std::runtime_error);
+    benchutil::Report rep("unit", {{"k", "k", benchutil::Fmt::Fixed, 1}});
+    rep.row({1.0});
+    EXPECT_THROW(rep.write(), IoError);
     unsetenv("LRS_BENCH_JSON");
+}
+
+TEST(ParallelBenchReport, OneRowFeedsTableAndJson)
+{
+    // Each value is given once: the table formats it per column and
+    // the JSON holds it raw, a non-finite number as null.
+    using benchutil::Fmt;
+    benchutil::Report rep("unit", {{"name", "name"},
+                                   {"n", "count", Fmt::Int},
+                                   {"hit", "hit_frac", Fmt::Pct, 2},
+                                   {"ratio", "ratio", Fmt::Fixed, 1}});
+    rep.row({"gcc", 7, 0.1234, HUGE_VAL});
+    EXPECT_THROW(rep.row({"short"}), std::logic_error);
+
+    std::ostringstream table;
+    rep.print(table);
+    EXPECT_EQ(table.str(), "name  n  hit     ratio\n"
+                           "----------------------\n"
+                           "gcc   7  12.34%  inf  \n");
+
+    const std::string path = tmpPath("test_report_row.json");
+    setenv("LRS_BENCH_JSON", path.c_str(), 1);
+    rep.write();
+    unsetenv("LRS_BENCH_JSON");
+    std::ifstream is(path);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    std::remove(path.c_str());
+    const json::Value doc = json::Value::parse(ss.str());
+    ASSERT_EQ(doc.at("rows").size(), 1u);
+    const json::Value &row = doc.at("rows").at(0);
+    ASSERT_EQ(row.members().size(), 4u);
+    EXPECT_EQ(row.members()[0].first, "name");
+    EXPECT_EQ(row.at("name").asString(), "gcc");
+    EXPECT_EQ(row.at("count").asU64(), 7u);
+    EXPECT_EQ(row.at("hit_frac").asDouble(), 0.1234);
+    EXPECT_TRUE(row.at("ratio").isNull());
 }
 
 } // namespace

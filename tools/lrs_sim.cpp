@@ -90,14 +90,22 @@ enum Run : unsigned
 {
     kSingle = 1, kCompare = 2, kFamilies = 4, kBatch = 8, kDumpTrace = 16,
     kDumpConfig = 32, kCheckJournal = 64,
-    /** Not a run: marks the kFlags row of a flag that asks for one. */
-    kAsks = 128,
+    /** Not runs: a command line gives one flag of each of these marks
+     *  at most (kOneOf says why). kAsks marks a flag that asks for a
+     *  run, kSource one that names the trace, kSized one that sets or
+     *  fixes its length. */
+    kAsks = 128, kSource = 256, kSized = 512,
 };
 
 /** How diagnostics and --help name each run, in bit order. */
 constexpr std::array<const char *, 7> kRunNames = {
     "a single run", "--compare-schemes", "--families", "--batch",
     "--dump-trace", "--dump-config",     "--check-journal"};
+
+constexpr std::pair<unsigned, const char *> kOneOf[] = {
+    {kAsks, "lrs_sim makes one run per command line"},
+    {kSource, "a run reads one trace"},
+    {kSized, "a trace file holds its own length"}};
 
 constexpr unsigned kTraceRuns = kSingle | kCompare | kDumpTrace;
 constexpr unsigned kSimRuns = kSingle | kCompare | kFamilies | kBatch;
@@ -841,11 +849,11 @@ const Flag kFlags[] = {
     {"--check-journal", "PATH", kCheckJournal | kAsks, {}, into<&O::runPath>,
      "check a CRC-framed journal, flight dump or snapshot"},
     {nullptr, nullptr, 0, {}, nullptr, "trace selection:"},
-    {"--trace", "NAME", kTraceRuns, {}, into<&O::traceName>,
+    {"--trace", "NAME", kTraceRuns | kSource, {}, into<&O::traceName>,
      "named synthetic trace (e.g. wd, gcc, swim, tpcc; default wd)"},
-    {"--trace-file", "PATH", kTraceRuns, {}, into<&O::traceFile>,
-     "run a serialised trace file instead"},
-    {"--champsim", "PATH", kTraceRuns, {}, into<&O::champsimFile>,
+    {"--trace-file", "PATH", kTraceRuns | kSource | kSized, {},
+     into<&O::traceFile>, "run a serialised trace file instead"},
+    {"--champsim", "PATH", kTraceRuns | kSource, {}, into<&O::champsimFile>,
      "ingest a raw ChampSim trace ('-' reads stdin; docs/TRACES.md)"},
     {"--max-pages", "N", kTraceRuns, {"--champsim"},
      into<&O::champsim, &ChampSimReadOptions::maxPages>,
@@ -853,7 +861,7 @@ const Flag kFlags[] = {
     {"--max-file-bytes", "N", kTraceRuns, {"--champsim"},
      into<&O::champsim, &ChampSimReadOptions::maxFileBytes>,
      "refuse a larger source (default 2147483648)"},
-    {"--len", "N", kTraceRuns | kFamilies, {}, into<&O::len>,
+    {"--len", "N", kTraceRuns | kFamilies | kSized, {}, into<&O::len>,
      "uops to generate, or ChampSim instructions (default 200000)"},
     {nullptr, nullptr, 0, {}, nullptr, "output:"},
     {"--json", "PATH", kSimRuns, {}, into<&O::jsonPath>,
@@ -1014,8 +1022,9 @@ using Given = std::tuple<std::string, const Flag *, const char *>;
 
 /**
  * Set Options::run from @p given and return the usage error of the
- * first flag, in command-line order, that asks for a second run, that
- * the run does not read or whose dependency is missing, or "".
+ * first flag, in command-line order, that follows a flag of the same
+ * kOneOf mark, that the run does not read or whose dependency is
+ * missing, or "".
  */
 std::string
 checkFlags(Options &o, const std::vector<Given> &given)
@@ -1035,9 +1044,13 @@ checkFlags(Options &o, const std::vector<Given> &given)
     for (auto g = given.begin(); g != given.end(); ++g) {
         const auto &[name, f, value] = *g;
         const bool own_operand = value && f->operand && f->operand[0] == '[';
-        if (asks(*g) && g != first) {
-            return name + " conflicts with " + std::get<0>(*first) +
-                   ": lrs_sim makes one run per command line";
+        for (const auto &[mark, why] : kOneOf) {
+            const auto same = std::find_if(given.begin(), g, [&](auto &e) {
+                return std::get<1>(e)->runs & mark;
+            });
+            if (f->runs & mark && same != g)
+                return name + " conflicts with " + std::get<0>(*same) +
+                       ": " + why;
         }
         if (!(f->runs & o.run))
             return name + " needs " + orList(kRunNames, f->runs);
