@@ -50,7 +50,10 @@ SlicedPipeStats
 runSlicedPipe(const VecTrace &trace, BankPredictor &pred)
 {
     SlicedPipeStats st;
-    for (const Uop &u : trace.uops()) {
+    VecTrace cursor = trace;
+    cursor.reset();
+    while (const Uop *uop = cursor.next()) {
+        const Uop &u = *uop;
         if (!u.isLoad())
             continue;
         ++st.loads;

@@ -2,7 +2,7 @@
  * @file
  * Build provenance for JSON exports.
  *
- * Every `lrs_sim --json` document and bench JsonReport carries a
+ * Every `lrs_sim --json` document and benchutil::Report file carries a
  * "build" block identifying the binary that produced it — compiler id
  * and version, build type, sanitizer mode, and the git revision when
  * the build system could determine one — so BENCH_*.json entries in

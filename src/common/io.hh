@@ -11,8 +11,9 @@
  * the buffer is fully on its way or a real error stops it.
  *
  * Whole files that must never be seen half-written — the flight
- * recorder's dump, machine snapshots and bench JsonReport files — are
- * published through writeFileAtomically().
+ * recorder's dump, machine snapshots and the bench JSON that
+ * benchutil::Report (bench/bench_util.hh) writes — are published
+ * through writeFileAtomically().
  */
 
 #ifndef LRS_COMMON_IO_HH

@@ -11,9 +11,10 @@ analyzeHitMiss(const VecTrace &trace, HitMissPredictor &hmp,
     MemoryHierarchy hier(mem);
     HmpStats st;
 
-    const auto &uops = trace.uops();
-    for (std::size_t i = 0; i < uops.size(); ++i) {
-        const Uop &u = uops[i];
+    VecTrace cursor = trace;
+    cursor.reset();
+    for (std::size_t i = 0; const Uop *uop = cursor.next(); ++i) {
+        const Uop &u = *uop;
         const auto now =
             static_cast<Cycle>(static_cast<double>(i) / uops_per_cycle);
         if (u.isSta()) {
@@ -78,7 +79,10 @@ BankStats
 analyzeBank(const VecTrace &trace, BankPredictor &pred)
 {
     BankStats st;
-    for (const Uop &u : trace.uops()) {
+    VecTrace cursor = trace;
+    cursor.reset();
+    while (const Uop *uop = cursor.next()) {
+        const Uop &u = *uop;
         if (!u.isLoad())
             continue;
         const unsigned actual = pred.bankOf(u.addr);

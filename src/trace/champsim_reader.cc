@@ -213,7 +213,8 @@ readChampSimTrace(std::istream &is, const std::string &name,
     ChampSimTraceInfo local_info;
     ChampSimTraceInfo &in = info ? *info : local_info;
 
-    std::vector<Uop> uops;
+    TraceBuilder out;
+    std::vector<Uop> uops; // one record's uops
     std::unordered_set<std::uint64_t> pages;
 
     RecordFormat fmt;
@@ -221,12 +222,13 @@ readChampSimTrace(std::istream &is, const std::string &name,
     fmt.recordBytes = kChampSimRecordBytes;
     fmt.fault = recordFault;
     fmt.decode = [&](const std::uint8_t *p) {
-        const std::size_t before = uops.size();
+        uops.clear();
         decodeRecord(p, uops);
-        for (std::size_t i = before; i < uops.size(); ++i) {
-            if (!uops[i].isMem())
+        for (const Uop &u : uops) {
+            out.push(u);
+            if (!u.isMem())
                 continue;
-            pages.insert(uops[i].addr >> 12);
+            pages.insert(u.addr >> 12);
             if (pages.size() > opts.maxPages) {
                 throwTrace(DiagCode::TraceLimitExceeded, "max_pages",
                            "trace touches more than " +
@@ -266,7 +268,7 @@ readChampSimTrace(std::istream &is, const std::string &name,
             : std::numeric_limits<std::uint64_t>::max(),
         st);
 
-    if (uops.empty()) {
+    if (out.size() == 0) {
         if (in.bytes < kChampSimRecordBytes) {
             throwTrace(DiagCode::TraceTruncated, "size",
                        "source holds " + std::to_string(in.bytes) +
@@ -279,7 +281,7 @@ readChampSimTrace(std::istream &is, const std::string &name,
     }
 
     in.pages = pages.size();
-    auto trace = std::make_unique<VecTrace>(name, std::move(uops));
+    auto trace = out.finish(name);
     trace->setContentId(in.bytes, in.crc);
     return trace;
 }

@@ -118,30 +118,59 @@ remainingBytes(std::istream &is)
 }
 
 /**
- * Enforce the stream's structural invariant after recovery dropped
- * records: every STA is immediately followed by its STD and every STD
- * immediately follows its STA (the decomposition the generator emits
- * and the core's positional pairing assumes). Orphaned halves would
- * leave MOB stores that never complete — a guaranteed deadlock — so
- * they are dropped and accounted.
+ * Pushes a recovered stream into a TraceBuilder while enforcing its
+ * structural invariant: every STA is immediately followed by its STD
+ * and every STD immediately follows its STA (the decomposition the
+ * generator emits and the core's positional pairing assumes). Orphaned
+ * halves would leave MOB stores that never complete — a guaranteed
+ * deadlock — so they are dropped and accounted. An STA is held back
+ * until the next uop shows whether its STD survived.
  */
-void
-repairStorePairs(std::vector<Uop> &uops, TraceReadStats &st)
+class StorePairRepair
 {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < uops.size(); ++i) {
-        if (uops[i].isSta() && i + 1 < uops.size() &&
-            uops[i + 1].isStd()) {
-            uops[kept++] = uops[i];
-            uops[kept++] = uops[++i];
-        } else if (uops[i].isSta() || uops[i].isStd()) {
-            ++st.droppedStoreUops; // its other half was lost
+  public:
+    StorePairRepair(TraceBuilder &out, TraceReadStats &st)
+        : out_(out), st_(st)
+    {
+    }
+
+    void
+    push(const Uop &u)
+    {
+        if (held_) {
+            held_ = false;
+            if (u.isStd()) {
+                out_.push(sta_);
+                out_.push(u);
+                return;
+            }
+            ++st_.droppedStoreUops; // its STD was lost
+        }
+        if (u.isSta()) {
+            sta_ = u;
+            held_ = true;
+        } else if (u.isStd()) {
+            ++st_.droppedStoreUops; // its STA was lost
         } else {
-            uops[kept++] = uops[i];
+            out_.push(u);
         }
     }
-    uops.resize(kept);
-}
+
+    /** Account a lone STA left at the end of the stream. */
+    void
+    finish()
+    {
+        if (held_)
+            ++st_.droppedStoreUops;
+        held_ = false;
+    }
+
+  private:
+    TraceBuilder &out_;
+    TraceReadStats &st_;
+    Uop sta_;
+    bool held_ = false;
+};
 
 } // namespace
 
@@ -264,15 +293,17 @@ writeTrace(std::ostream &os, const VecTrace &trace)
     os.write(trace.name().data(),
              static_cast<std::streamsize>(trace.name().size()));
     put<std::uint64_t>(os, trace.size());
-    for (const Uop &u : trace.uops()) {
-        put<std::uint64_t>(os, u.pc);
-        put<std::uint8_t>(os, static_cast<std::uint8_t>(u.cls));
-        put<std::int8_t>(os, u.src1);
-        put<std::int8_t>(os, u.src2);
-        put<std::int8_t>(os, u.dst);
-        put<std::uint64_t>(os, u.addr);
-        put<std::uint8_t>(os, u.memSize);
-        put<std::uint8_t>(os, u.taken ? 1 : 0);
+    VecTrace cursor = trace;
+    cursor.reset();
+    while (const Uop *u = cursor.next()) {
+        put<std::uint64_t>(os, u->pc);
+        put<std::uint8_t>(os, static_cast<std::uint8_t>(u->cls));
+        put<std::int8_t>(os, u->src1);
+        put<std::int8_t>(os, u->src2);
+        put<std::int8_t>(os, u->dst);
+        put<std::uint64_t>(os, u->addr);
+        put<std::uint8_t>(os, u->memSize);
+        put<std::uint8_t>(os, u->taken ? 1 : 0);
     }
     if (!os) {
         throw IoError(makeDiag(DiagCode::IoWriteFailed,
@@ -326,16 +357,21 @@ readTrace(std::istream &is, const TraceReadOptions &opts,
 
     // A corrupted count must not drive allocation: reserve no more
     // records than the rest of the source can hold.
-    std::vector<Uop> uops;
     const std::uint64_t room = remainingBytes(is) / kTraceRecordBytes;
-    uops.reserve(static_cast<std::size_t>(std::min(count, room)));
+    TraceBuilder out(static_cast<std::size_t>(std::min(count, room)));
+    StorePairRepair repair(out, st);
     RecordFormat fmt;
     fmt.component = "trace.serialize";
     fmt.recordBytes = kTraceRecordBytes;
     fmt.firstOffset = traceHeaderBytes(name);
     fmt.fault = recordFault;
-    fmt.decode = [&uops](const std::uint8_t *p) {
-        uops.push_back(decodeRecord(p));
+    // Recovery may drop any record, so it repairs store pairs as it
+    // goes; a strict read keeps the stream exactly as written.
+    fmt.decode = [&](const std::uint8_t *p) {
+        if (opts.recover)
+            repair.push(decodeRecord(p));
+        else
+            out.push(decodeRecord(p));
     };
     fmt.tornTail = [count](std::uint64_t, std::uint64_t got) {
         return makeDiag(DiagCode::TraceTruncated, "trace.serialize",
@@ -350,15 +386,8 @@ readTrace(std::istream &is, const TraceReadOptions &opts,
         if (!opts.recover)
             throw TraceError(fmt.tornTail(0, got));
     }
-
-    if (opts.recover && (st.skippedRecords || st.missingRecords))
-        repairStorePairs(uops, st);
-    // Dropped records, or an unseekable source, leave slack the trace
-    // would otherwise keep for its lifetime.
-    uops.shrink_to_fit();
-
-    return std::make_unique<VecTrace>(std::move(name),
-                                      std::move(uops));
+    repair.finish();
+    return out.finish(std::move(name));
 }
 
 std::unique_ptr<VecTrace>

@@ -95,10 +95,9 @@ class Generator
           rng_(p.seed * 0x9e3779b97f4a7c15ULL + 3)
     {
         buildShapes();
-        out_.reserve(p_.length + 256);
     }
 
-    std::vector<Uop>
+    std::unique_ptr<VecTrace>
     run()
     {
         sp_ = kStackTop;
@@ -158,8 +157,7 @@ class Generator
                     emitAliasStorm(s);
             }
         }
-        out_.resize(p_.length);
-        return std::move(out_);
+        return out_.finish(p_.name);
     }
 
   private:
@@ -289,10 +287,12 @@ class Generator
 
     // ----- uop emission helpers -----
 
+    /** Append @p u; a construct that runs past the length is cut. */
     void
     emit(const Uop &u)
     {
-        out_.push_back(u);
+        if (out_.size() < p_.length)
+            out_.push(u);
     }
 
     void
@@ -686,7 +686,7 @@ class Generator
     const TraceParams &p_;
     Rng shapeRng_;
     Rng rng_;
-    std::vector<Uop> out_;
+    TraceBuilder out_{p_.length};
     Addr sp_ = kStackTop;
 
     std::vector<FuncShape> funcs_;
@@ -703,8 +703,7 @@ class Generator
 std::unique_ptr<VecTrace>
 generateTrace(const TraceParams &params)
 {
-    Generator gen(params);
-    return std::make_unique<VecTrace>(params.name, gen.run());
+    return Generator(params).run();
 }
 
 const char *

@@ -101,11 +101,15 @@ struct Uop
     bool isMem() const { return isLoad() || isSta(); }
     bool isBranch() const { return cls == UopClass::Branch; }
 
+    bool operator==(const Uop &) const = default;
+
     /** Debug rendering, e.g. "LD r3 <- [0x10000040] @pc=0x401000". */
     std::string toString() const;
 };
 
-static_assert(sizeof(Uop) == 24, "a trace holds 24 bytes per uop");
+static_assert(sizeof(Uop) == 24,
+              "a decoded uop (a cursor's, a ROB entry's, a static-uop "
+              "table row) is 24 bytes");
 
 } // namespace lrs
 

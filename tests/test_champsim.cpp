@@ -25,6 +25,7 @@
 #include "trace/champsim_reader.hh"
 #include "trace/library.hh"
 #include "tmp_path.hh"
+#include "trace_uops.hh"
 
 namespace lrs
 {
@@ -124,10 +125,11 @@ TEST(ChampSimDecode, MixedRecordOrderAndPcSharing)
     r.sreg[1] = 5;
     const auto t = read(bytesOf({r}));
     ASSERT_EQ(t->size(), 4u); // Load, STA, STD, Branch
-    const Uop &ld = t->uops()[0];
-    const Uop &sta = t->uops()[1];
-    const Uop &std_ = t->uops()[2];
-    const Uop &br = t->uops()[3];
+    const auto u = decodeAll(*t);
+    const Uop &ld = u[0];
+    const Uop &sta = u[1];
+    const Uop &std_ = u[2];
+    const Uop &br = u[3];
     EXPECT_EQ(ld.cls, UopClass::Load);
     EXPECT_EQ(ld.addr, 0x8000u);
     EXPECT_EQ(sta.cls, UopClass::StoreAddr);
@@ -136,8 +138,8 @@ TEST(ChampSimDecode, MixedRecordOrderAndPcSharing)
     EXPECT_EQ(br.cls, UopClass::Branch);
     EXPECT_TRUE(br.taken);
     // Instruction-granularity predictor indexing: one pc for all.
-    for (std::size_t i = 0; i < t->size(); ++i)
-        EXPECT_EQ(t->uops()[i].pc, 0x1234u);
+    for (const Uop &x : u)
+        EXPECT_EQ(x.pc, 0x1234u);
 }
 
 TEST(ChampSimDecode, StaStdAlwaysAdjacent)
@@ -146,11 +148,11 @@ TEST(ChampSimDecode, StaStdAlwaysAdjacent)
     r.dmem[0] = 0x9000;
     r.dmem[1] = 0xa000;
     r.smem[0] = 0x8000;
-    const auto t = read(bytesOf({r}));
-    for (std::size_t i = 0; i < t->size(); ++i) {
-        if (t->uops()[i].cls == UopClass::StoreAddr) {
-            ASSERT_LT(i + 1, t->size());
-            EXPECT_EQ(t->uops()[i + 1].cls, UopClass::StoreData);
+    const auto u = decodeAll(*read(bytesOf({r})));
+    for (std::size_t i = 0; i < u.size(); ++i) {
+        if (u[i].cls == UopClass::StoreAddr) {
+            ASSERT_LT(i + 1, u.size());
+            EXPECT_EQ(u[i + 1].cls, UopClass::StoreData);
         }
     }
 }
@@ -164,7 +166,7 @@ TEST(ChampSimDecode, RegisterMapping)
     sp.dreg[0] = 1;
     const auto t1 = read(bytesOf({sp}));
     ASSERT_EQ(t1->size(), 1u);
-    EXPECT_EQ(t1->uops()[0].src1, kStackPtrReg);
+    EXPECT_EQ(decodeAll(*t1)[0].src1, kStackPtrReg);
 
     for (unsigned raw = 1; raw < 64; ++raw) {
         if (raw == 6)
@@ -173,15 +175,15 @@ TEST(ChampSimDecode, RegisterMapping)
         r.sreg[0] = static_cast<std::uint8_t>(raw);
         const auto t = read(bytesOf({r}));
         ASSERT_EQ(t->size(), 1u);
-        EXPECT_NE(t->uops()[0].src1, kStackPtrReg) << "raw " << raw;
-        EXPECT_GE(t->uops()[0].src1, 0) << "raw " << raw;
+        EXPECT_NE(decodeAll(*t)[0].src1, kStackPtrReg) << "raw " << raw;
+        EXPECT_GE(decodeAll(*t)[0].src1, 0) << "raw " << raw;
     }
 
     Rec none; // all-zero registers: no operands
     const auto t0 = read(bytesOf({none}));
     ASSERT_EQ(t0->size(), 1u);
-    EXPECT_EQ(t0->uops()[0].src1, -1);
-    EXPECT_EQ(t0->uops()[0].dst, -1);
+    EXPECT_EQ(decodeAll(*t0)[0].src1, -1);
+    EXPECT_EQ(decodeAll(*t0)[0].dst, -1);
 }
 
 TEST(ChampSimDecode, HighRegistersRouteToFp)
@@ -191,9 +193,9 @@ TEST(ChampSimDecode, HighRegistersRouteToFp)
     r.dreg[0] = 41;
     const auto t = read(bytesOf({r}));
     ASSERT_EQ(t->size(), 1u);
-    EXPECT_EQ(t->uops()[0].cls, UopClass::FpAlu);
-    EXPECT_GE(t->uops()[0].dst, static_cast<std::int8_t>(kNumIntRegs));
-    EXPECT_LT(t->uops()[0].dst,
+    EXPECT_EQ(decodeAll(*t)[0].cls, UopClass::FpAlu);
+    EXPECT_GE(decodeAll(*t)[0].dst, static_cast<std::int8_t>(kNumIntRegs));
+    EXPECT_LT(decodeAll(*t)[0].dst,
               static_cast<std::int8_t>(kNumIntRegs + kNumFpRegs));
 }
 
@@ -640,9 +642,11 @@ TEST(ChampSimLibrary, AdversarialFamiliesExist)
     const auto b =
         TraceLibrary::make(TraceLibrary::byName("spoiler4k", 5000));
     ASSERT_EQ(a->size(), b->size());
+    const auto ua = decodeAll(*a);
+    const auto ub = decodeAll(*b);
     for (std::size_t i = 0; i < a->size(); ++i) {
-        EXPECT_EQ(a->uops()[i].pc, b->uops()[i].pc);
-        EXPECT_EQ(a->uops()[i].addr, b->uops()[i].addr);
+        EXPECT_EQ(ua[i].pc, ub[i].pc);
+        EXPECT_EQ(ua[i].addr, ub[i].addr);
     }
 }
 

@@ -82,7 +82,12 @@ TEST(SharedTrace, RunAllSchemesMatchesPerSchemeRunsAtAnyWorkerCount)
     else
         unsetenv("LRS_JOBS");
     // The caller's own cursor is untouched.
-    EXPECT_EQ(trace->next(), &trace->uops()[0]);
+    VecTrace fresh = *trace;
+    fresh.reset();
+    const Uop first = *fresh.next();
+    const Uop *u = trace->next();
+    ASSERT_NE(u, nullptr);
+    EXPECT_EQ(*u, first);
 }
 
 TEST(Integration, SchemeOrderingMatchesPaper)

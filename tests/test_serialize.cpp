@@ -15,6 +15,7 @@
 #include "trace/library.hh"
 #include "trace/serialize.hh"
 #include "tmp_path.hh"
+#include "trace_uops.hh"
 
 namespace lrs
 {
@@ -31,9 +32,11 @@ TEST(Serialize, RoundTripsGeneratedTrace)
 
     ASSERT_EQ(back->size(), orig->size());
     EXPECT_EQ(back->name(), orig->name());
+    const auto ua = decodeAll(*orig);
+    const auto ub = decodeAll(*back);
     for (std::size_t i = 0; i < orig->size(); ++i) {
-        const Uop &a = orig->uops()[i];
-        const Uop &b = back->uops()[i];
+        const Uop &a = ua[i];
+        const Uop &b = ub[i];
         ASSERT_EQ(a.pc, b.pc) << i;
         ASSERT_EQ(a.cls, b.cls) << i;
         ASSERT_EQ(a.src1, b.src1) << i;
@@ -203,7 +206,7 @@ TEST(Serialize, RecoveryNeverLeavesHalfAStore)
     std::stringstream is(bytes);
     auto back = readTrace(is, opts, &st);
     ASSERT_GT(st.skippedRecords, 0u);
-    const auto &uops = back->uops();
+    const auto uops = decodeAll(*back);
     for (std::size_t i = 0; i < uops.size(); ++i) {
         if (uops[i].isSta()) {
             ASSERT_LT(i + 1, uops.size()) << "trailing lone STA";
@@ -212,6 +215,48 @@ TEST(Serialize, RecoveryNeverLeavesHalfAStore)
             ASSERT_TRUE(i > 0 && uops[i - 1].isSta())
                 << "unpaired STD at " << i;
         }
+    }
+}
+
+TEST(Serialize, RecoveryDropsTheSurvivingHalfOfABrokenStorePair)
+{
+    // Recovery repairs pairs as it streams: corrupting one half of a
+    // store drops the other half too, and nothing around it.
+    std::vector<Uop> uops(7);
+    for (std::size_t i = 0; i < uops.size(); ++i)
+        uops[i].pc = 0x400 + 4 * i;
+    for (const std::size_t sta : {1, 4}) {
+        uops[sta].cls = UopClass::StoreAddr;
+        uops[sta].addr = 0x9000 + sta;
+        uops[sta].memSize = 8;
+        uops[sta + 1].cls = UopClass::StoreData;
+    }
+    uops[3].cls = UopClass::Load;
+    uops[3].addr = 0x9100;
+    uops[3].memSize = 4;
+    std::stringstream ss;
+    writeTrace(ss, VecTrace("pairs", uops));
+    const std::string clean = ss.str();
+    const std::size_t header = traceHeaderBytes("pairs");
+
+    TraceReadOptions opts;
+    opts.recover = true;
+    // Records 2 (the first STD) and then 4 (the second STA) broken.
+    for (const std::size_t bad : {2, 4}) {
+        std::string bytes = clean;
+        bytes[header + bad * kTraceRecordBytes + 8] = 0x7f;
+        std::stringstream is(bytes);
+        TraceReadStats st;
+        const auto back = readTrace(is, opts, &st);
+        EXPECT_EQ(st.skippedRecords, 1u) << bad;
+        EXPECT_EQ(st.droppedStoreUops, 1u) << bad;
+        std::vector<Uop> want;
+        for (std::size_t i = 0; i < uops.size(); ++i) {
+            const std::size_t pair = bad == 2 ? 1 : 4;
+            if (i != pair && i != pair + 1)
+                want.push_back(uops[i]);
+        }
+        EXPECT_EQ(decodeAll(*back), want) << bad;
     }
 }
 
@@ -257,7 +302,11 @@ TEST(Serialize, HugeHeaderCountDoesNotDriveAllocation)
     EXPECT_EQ(st.missingRecords, huge - 10);
     EXPECT_EQ(st.truncatedTailBytes, 0u);
     EXPECT_LE(back->size(), 10u);
-    EXPECT_LE(back->uops().capacity(), 10u);
+    // No more than a 10-uop trace's storage: every static uop distinct,
+    // every uop with an address, one checkpoint.
+    EXPECT_LE(back->store().bytes(),
+              10 * (sizeof(Uop) + sizeof(std::uint32_t) + sizeof(Addr)) +
+                  sizeof(std::size_t));
 }
 
 /** A stream buffer that refuses to seek, like a pipe. */
@@ -279,9 +328,19 @@ class UnseekableBuf : public std::stringbuf
     }
 };
 
+/** What @p s would hold with every capacity equal to its size. */
+std::size_t
+exactBytes(const TraceStore &s)
+{
+    return s.statics.size() * sizeof(Uop) +
+           s.words.size() * sizeof(std::uint32_t) +
+           s.addrs.size() * sizeof(Addr) +
+           s.marks.size() * sizeof(std::size_t);
+}
+
 TEST(Serialize, ReadTraceHoldsNoGrowthSlack)
 {
-    // The decoded uops are the trace's storage for its lifetime, so a
+    // The encoded uops are the trace's storage for its lifetime, so a
     // read must leave no spare capacity: a seekable source is reserved
     // from its size, and an unseekable one is shrunk after the read.
     auto orig = TraceLibrary::make(TraceLibrary::byName("gcc", 5000));
@@ -290,13 +349,14 @@ TEST(Serialize, ReadTraceHoldsNoGrowthSlack)
 
     std::stringstream seekable(ss.str());
     const auto a = readTrace(seekable);
-    EXPECT_EQ(a->uops().capacity(), a->size());
+    EXPECT_EQ(a->size(), orig->size());
+    EXPECT_EQ(a->store().bytes(), exactBytes(a->store()));
 
     UnseekableBuf buf(ss.str());
     std::istream pipe(&buf);
     const auto b = readTrace(pipe);
     EXPECT_EQ(b->size(), orig->size());
-    EXPECT_EQ(b->uops().capacity(), b->size());
+    EXPECT_EQ(b->store().bytes(), exactBytes(b->store()));
 }
 
 // ------------------------------------------- one contract, two formats

@@ -13,6 +13,7 @@
 #include "memory/mob.hh"
 #include "trace/library.hh"
 #include "trace/synthetic.hh"
+#include "trace_uops.hh"
 
 namespace lrs
 {
@@ -36,9 +37,11 @@ TEST(TraceGen, Deterministic)
     auto a = makeWd(20000);
     auto b = makeWd(20000);
     ASSERT_EQ(a->size(), b->size());
+    const auto ua = decodeAll(*a);
+    const auto ub = decodeAll(*b);
     for (std::size_t i = 0; i < a->size(); ++i) {
-        const Uop &x = a->uops()[i];
-        const Uop &y = b->uops()[i];
+        const Uop &x = ua[i];
+        const Uop &y = ub[i];
         ASSERT_EQ(x.pc, y.pc) << "at " << i;
         ASSERT_EQ(x.cls, y.cls) << "at " << i;
         ASSERT_EQ(x.addr, y.addr) << "at " << i;
@@ -53,16 +56,18 @@ TEST(TraceGen, DifferentSeedsDiffer)
     p2.seed ^= 0x5555;
     auto a = generateTrace(p1);
     auto b = generateTrace(p2);
+    const auto ua = decodeAll(*a);
+    const auto ub = decodeAll(*b);
     std::size_t same = 0;
     for (std::size_t i = 0; i < a->size(); ++i)
-        same += a->uops()[i].pc == b->uops()[i].pc;
+        same += ua[i].pc == ub[i].pc;
     EXPECT_LT(same, a->size());
 }
 
 TEST(TraceGen, StdImmediatelyFollowsSta)
 {
     auto t = makeWd();
-    const auto &u = t->uops();
+    const auto u = decodeAll(*t);
     for (std::size_t i = 0; i < u.size(); ++i) {
         if (u[i].isStd()) {
             ASSERT_GT(i, 0u);
@@ -77,7 +82,7 @@ TEST(TraceGen, StdImmediatelyFollowsSta)
 TEST(TraceGen, RegistersWithinArchitecturalRange)
 {
     auto t = makeWd();
-    for (const Uop &u : t->uops()) {
+    for (const Uop &u : decodeAll(*t)) {
         EXPECT_LT(u.dst, kNumArchRegs);
         EXPECT_LT(u.src1, kNumArchRegs);
         EXPECT_LT(u.src2, kNumArchRegs);
@@ -90,7 +95,7 @@ TEST(TraceGen, RegistersWithinArchitecturalRange)
 TEST(TraceGen, MemoryOpsHaveAddressesOthersDoNot)
 {
     auto t = makeWd();
-    for (const Uop &u : t->uops()) {
+    for (const Uop &u : decodeAll(*t)) {
         if (u.isLoad() || u.isSta()) {
             EXPECT_NE(u.addr, kAddrInvalid);
             EXPECT_GT(u.memSize, 0);
@@ -104,7 +109,7 @@ TEST(TraceGen, ClassMixRealistic)
 {
     auto t = makeWd(100000);
     std::map<UopClass, std::size_t> counts;
-    for (const Uop &u : t->uops())
+    for (const Uop &u : decodeAll(*t))
         ++counts[u.cls];
     const double n = static_cast<double>(t->size());
     const double loads = counts[UopClass::Load] / n;
@@ -127,7 +132,7 @@ TEST(TraceGen, PerPcRecurrence)
     auto t = makeWd(100000);
     std::set<Addr> pcs;
     std::size_t loads = 0;
-    for (const Uop &u : t->uops()) {
+    for (const Uop &u : decodeAll(*t)) {
         if (u.isLoad()) {
             ++loads;
             pcs.insert(u.pc);
@@ -142,7 +147,7 @@ TEST(TraceGen, RecurrentCollisionPairsExist)
     // Push/param-load and RMW reload pairs: some static load PC must
     // repeatedly read an address stored shortly before.
     auto t = makeWd(60000);
-    const auto &u = t->uops();
+    const auto u = decodeAll(*t);
     std::map<Addr, int> collider_counts; // load pc -> occurrences
     for (std::size_t i = 0; i < u.size(); ++i) {
         if (!u[i].isLoad())
@@ -171,7 +176,7 @@ TEST(TraceGen, BranchOutcomesMostlyPredictable)
     // most branches are taken.
     auto t = makeWd(60000);
     std::size_t taken = 0, total = 0;
-    for (const Uop &u : t->uops()) {
+    for (const Uop &u : decodeAll(*t)) {
         if (u.isBranch()) {
             ++total;
             taken += u.taken;
@@ -183,7 +188,7 @@ TEST(TraceGen, BranchOutcomesMostlyPredictable)
 TEST(TraceGen, StackAddressesBelowStackTop)
 {
     auto t = makeWd(30000);
-    for (const Uop &u : t->uops()) {
+    for (const Uop &u : decodeAll(*t)) {
         if (u.isMem() && u.addr >= 0x70000000ull) {
             EXPECT_LT(u.addr, 0x80000000ull);
         }
@@ -232,7 +237,7 @@ TEST(SharedTrace, CopySharesTheUops)
 {
     const auto t = makeWd(1000);
     const VecTrace copy = *t;
-    EXPECT_EQ(copy.uops().data(), t->uops().data());
+    EXPECT_EQ(&copy.store(), &t->store());
     EXPECT_EQ(copy.size(), t->size());
     EXPECT_EQ(copy.name(), t->name());
 }
@@ -240,20 +245,95 @@ TEST(SharedTrace, CopySharesTheUops)
 TEST(SharedTrace, EachCopyKeepsItsOwnCursor)
 {
     const auto t = makeWd(1000);
-    const auto &u = t->uops();
+    const auto u = decodeAll(*t);
     VecTrace a = *t;
     VecTrace b = a;
-    EXPECT_EQ(a.next(), &u[0]);
-    EXPECT_EQ(a.next(), &u[1]);
-    EXPECT_EQ(b.next(), &u[0]);
+    EXPECT_EQ(*a.next(), u[0]);
+    EXPECT_EQ(*a.next(), u[1]);
+    EXPECT_EQ(*b.next(), u[0]);
     b.seek(500);
-    EXPECT_EQ(a.next(), &u[2]);
-    EXPECT_EQ(b.next(), &u[500]);
+    EXPECT_EQ(*a.next(), u[2]);
+    EXPECT_EQ(*b.next(), u[500]);
     a.reset();
-    EXPECT_EQ(a.next(), &u[0]);
-    EXPECT_EQ(b.next(), &u[501]);
+    EXPECT_EQ(*a.next(), u[0]);
+    EXPECT_EQ(*b.next(), u[501]);
     // The original's cursor never moved.
-    EXPECT_EQ(t->next(), &u[0]);
+    EXPECT_EQ(*t->next(), u[0]);
+}
+
+TEST(SharedTrace, SeekMatchesStepping)
+{
+    // seek(n) then next() must return what n calls to next() from the
+    // start lead to, at every kind of position: the ends, and both
+    // sides of each address checkpoint.
+    constexpr std::size_t kEvery = TraceStore::kMarkEvery;
+    const auto t = makeWd(3 * kEvery + 100);
+    std::vector<std::size_t> at = {0, 1, t->size() - 1, t->size()};
+    for (std::size_t k = 1; k <= 3; ++k) {
+        at.push_back(k * kEvery - 1);
+        at.push_back(k * kEvery);
+        at.push_back(k * kEvery + 1);
+    }
+    for (const std::size_t n : at) {
+        VecTrace stepped = *t;
+        stepped.reset();
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_NE(stepped.next(), nullptr) << n;
+        VecTrace sought = *t;
+        sought.seek(n);
+        // A few uops on, so a wrong address position would show.
+        for (int i = 0; i < 40; ++i) {
+            const Uop *a = stepped.next();
+            const Uop *b = sought.next();
+            ASSERT_EQ(a == nullptr, b == nullptr) << n << "+" << i;
+            if (!a)
+                break;
+            ASSERT_EQ(*a, *b) << n << "+" << i;
+        }
+    }
+}
+
+TEST(TraceStore, HostileShapesRoundTrip)
+{
+    // Shapes the generator never emits must still decode exactly: a
+    // load without an address, a non-memory uop with one, a taken
+    // non-branch, and both outcomes of one branch pc.
+    Uop noaddr;
+    noaddr.pc = 0x100;
+    noaddr.cls = UopClass::Load;
+    noaddr.dst = 3;
+    noaddr.memSize = 8;
+    Uop alu;
+    alu.pc = 0x104;
+    alu.addr = 0x8000;
+    alu.src1 = 2;
+    Uop odd = alu;
+    odd.addr = kAddrInvalid;
+    odd.taken = true;
+    Uop taken;
+    taken.pc = 0x108;
+    taken.cls = UopClass::Branch;
+    taken.taken = true;
+    Uop fallthrough = taken;
+    fallthrough.taken = false;
+    Uop far = noaddr;
+    far.pc = ~Addr(0) - 1;
+    far.addr = 0;
+    const std::vector<Uop> uops = {noaddr, alu,   taken, fallthrough,
+                                   odd,    taken, far,   noaddr};
+    const VecTrace t("hostile", uops);
+    EXPECT_EQ(decodeAll(t), uops);
+    // noaddr/far, alu/odd and the two branch outcomes share statics.
+    EXPECT_EQ(t.store().statics.size(), 4u);
+    EXPECT_EQ(t.store().addrs.size(), 2u);
+}
+
+TEST(TraceStore, WdHoldsAtMostEightBytesPerUop)
+{
+    // Counted from the store's own capacities, not from the process:
+    // a uop costs a 4-byte word plus its address, if it has one.
+    const auto t = makeWd(200000);
+    EXPECT_LE(t->store().bytes(), 8 * t->size());
 }
 
 TEST(TraceLibrary, CatalogMatchesPaperCounts)
@@ -316,7 +396,7 @@ TEST_P(AllTracesSuite, GeneratesAndIsWellFormed)
         auto t = TraceLibrary::make(p);
         ASSERT_EQ(t->size(), 4000u) << p.name;
         std::size_t loads = 0;
-        for (const Uop &u : t->uops())
+        for (const Uop &u : decodeAll(*t))
             loads += u.isLoad();
         EXPECT_GT(loads, 200u) << p.name;
     }
