@@ -39,15 +39,17 @@ FaultInjector::corruptBuffer(std::uint8_t *data, std::size_t size,
     return corrupted;
 }
 
-void
-FaultInjector::registerStats(StatsGroup g)
+json::Value
+FaultInjector::statsJson() const
 {
-    g.bindCounter("trace_records_corrupted", &traceFaults_);
-    g.bindCounter("predictor_bit_flips", &bitFlips_);
-    g.bindCounter("latency_perturbs", &latencyPerturbs_);
-    g.derived("trace_rate", [this] { return cfg_.traceRate; });
-    g.derived("bit_rate", [this] { return cfg_.bitRate; });
-    g.derived("lat_rate", [this] { return cfg_.latRate; });
+    json::Value v = json::Value::object();
+    v.set("trace_records_corrupted", traceFaults_);
+    v.set("predictor_bit_flips", bitFlips_);
+    v.set("latency_perturbs", latencyPerturbs_);
+    v.set("trace_rate", cfg_.traceRate);
+    v.set("bit_rate", cfg_.bitRate);
+    v.set("lat_rate", cfg_.latRate);
+    return v;
 }
 
 } // namespace lrs

@@ -8,7 +8,7 @@
  * seed, so that every fault scenario is bit-reproducible. The intended
  * contract for the rest of the system is *recover or fail loudly* —
  * an injected fault must never silently change a result without a
- * trail in the stats registry ("fault.*", "trace.*") or a thrown
+ * trail in the exported counters ("fault.*", "trace.*") or a thrown
  * diagnostic.
  *
  * The three fault classes map to the three trust boundaries:
@@ -28,7 +28,7 @@
 
 #include "common/random.hh"
 #include "common/state_io.hh"
-#include "common/stats_registry.hh"
+#include "common/json.hh"
 #include "common/types.hh"
 
 namespace lrs
@@ -119,8 +119,9 @@ class FaultInjector
     std::uint64_t bitFlips() const { return bitFlips_; }
     std::uint64_t latencyPerturbs() const { return latencyPerturbs_; }
 
-    /** Register injected-fault counters under @p g ("fault.*"). */
-    void registerStats(StatsGroup g);
+    /** The injected-fault counters and rates ("fault.*" in lrs_sim's
+     *  single-run JSON). */
+    json::Value statsJson() const;
 
     /**
      * Machine-snapshot support (common/state_io.hh): the RNG stream

@@ -19,7 +19,7 @@
  * The reader half is a minimal recursive-descent parser covering the
  * subset the writer emits (all of RFC 8259 minus \u surrogate pairs,
  * which the stats layer never produces). It exists so tests can
- * round-trip registry/result exports instead of string-matching them.
+ * round-trip result and counter exports instead of string-matching them.
  */
 
 #ifndef LRS_COMMON_JSON_HH
@@ -56,7 +56,7 @@ class ParseError : public std::runtime_error
 
 /**
  * One JSON value. Objects preserve insertion order so exported stats
- * stay in registration order (stable diffs between runs).
+ * keep the order they were set in (stable diffs between runs).
  */
 class Value
 {

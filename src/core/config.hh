@@ -160,10 +160,9 @@ struct MachineConfig
 
     /**
      * Collect the telemetry histograms (load-to-use delay, replay
-     * distance, window/ROB/MOB occupancy, CHT/HMP confidence) under
-     * "hist.*" in the stats registry and in SimResult::histograms.
-     * Default off: the off path costs one null test per sample site
-     * and leaves every export byte-identical
+     * distance, window/ROB/MOB occupancy, CHT/HMP confidence) into
+     * SimResult::histograms. Default off: the off path costs one null
+     * test per sample site and leaves every export byte-identical
      * (tools/check_overhead.sh). Deterministic when on: histograms
      * record simulated quantities only, so grid aggregates are
      * bit-identical for any worker count (docs/OBSERVABILITY.md,

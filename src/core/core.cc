@@ -140,63 +140,70 @@ OooCore::OooCore(const MachineConfig &cfg)
     if (cfg_.stridePrefetch)
         prefetcher_ = std::make_unique<LoadAddressPredictor>(1024);
 
-    // Before registerStats(): the mob.partial_* counters register only
-    // when partial-address disambiguation is on.
     mob_.setPartialBits(cfg_.mobPartialBits);
 
-    registerStats();
+    // Telemetry histograms, default off (collect_histograms /
+    // --histograms): with them off the pointers stay null.
+    if (cfg_.collectHistograms) {
+        histStore_.resize(kHistograms.size());
+        for (std::size_t i = 0; i < kHistograms.size(); ++i)
+            this->*kHistograms[i].hist = &histStore_[i];
+    }
 }
 
 OooCore::~OooCore() = default;
 
-void
-OooCore::registerStats()
+json::Value
+OooCore::statsJson() const
 {
-    // Bind the SimResult counters of group g (SimResult::kCounters).
-    // Binding them a group at a time, between the component stats,
-    // keeps the registry's export order.
-    const auto bindResult = [this](StatsGroup g) {
-        for (const SimResult::CounterSpec &c : SimResult::kCounters) {
-            if (g.prefix() == c.group)
-                g.bindCounter(c.leaf, &(res_.*c.field));
-        }
+    const auto cache = [](const Cache &c) {
+        json::Value v = json::Value::object();
+        v.set("hits", c.hits());
+        v.set("misses", c.misses());
+        v.set("dynamic_misses", c.dynamicMisses());
+        return v;
+    };
+    const auto storage = [](std::size_t bits) {
+        json::Value v = json::Value::object();
+        v.set("storage_bits", static_cast<std::uint64_t>(bits));
+        return v;
     };
 
-    StatsGroup core = statsReg_.group("core");
-    bindResult(core);
-    core.derived("ipc", [this] { return res_.ipc(); });
-
-    StatsGroup sched = statsReg_.group("sched");
-    bindResult(sched);
-    bindResult(sched.group("class"));
-
-    StatsGroup mem = statsReg_.group("mem");
-    bindResult(mem);
-    mem_.registerStats(mem);
-    mob_.registerStats(mem.group("mob"));
-
-    StatsGroup pred = statsReg_.group("pred");
-    StatsGroup hmp = pred.group("hmp");
-    bindResult(hmp);
-    if (hmp_)
-        hmp_->registerStats(hmp);
-    if (cht_)
-        cht_->registerStats(pred.group("cht"));
-    StatsGroup bank = pred.group("bank");
-    bindResult(bank);
-    if (bankPred_)
-        bankPred_->registerStats(bank);
-
-    statsReg_.bindCounter("audit.checks", &auditChecks_);
-
-    // Telemetry histograms, default off (collect_histograms /
-    // --histograms). Registered last so the off path leaves every
-    // pre-existing export byte-identical.
-    if (cfg_.collectHistograms) {
-        StatsGroup hist = statsReg_.group("hist");
-        for (const HistogramSpec &spec : kHistograms)
-            this->*spec.hist = &hist.log2hist(spec.name);
+    json::Value mob = json::Value::object();
+    mob.set("inserted", mob_.inserted());
+    mob.set("violations", mob_.violationsMarked());
+    mob.set("occupancy", static_cast<std::uint64_t>(mob_.size()));
+    if (mob_.partialBits() != 0) {
+        mob.set("partial_alias_matches", mob_.partialAliasMatches());
+        mob.set("partial_true_matches", mob_.partialTrueMatches());
     }
+    json::Value mem = json::Value::object();
+    mem.set("l1", cache(mem_.l1()));
+    mem.set("l2", cache(mem_.l2()));
+    mem.set("mob", std::move(mob));
+
+    json::Value pred = json::Value::object();
+    if (hmp_)
+        pred.set("hmp", storage(hmp_->storageBits()));
+    if (cht_) {
+        json::Value cht = json::Value::object();
+        cht.set("updates", cht_->updates());
+        cht.set("storage_bits",
+                static_cast<std::uint64_t>(cht_->storageBits()));
+        pred.set("cht", std::move(cht));
+    }
+    if (bankPred_)
+        pred.set("bank", storage(bankPred_->storageBits()));
+
+    json::Value audit = json::Value::object();
+    audit.set("checks", auditChecks_);
+
+    json::Value v = json::Value::object();
+    v.set("mem", std::move(mem));
+    if (pred.size() != 0)
+        v.set("pred", std::move(pred));
+    v.set("audit", std::move(audit));
+    return v;
 }
 
 SimResult
@@ -446,8 +453,10 @@ OooCore::finishRun()
         snapshotInterval(); // flush the final partial interval
     if (cfg_.auditInterval)
         auditNow(); // the drained machine must also be sound
+    // Batch cells carry their histograms through the journal in the
+    // result.
     if (cfg_.collectHistograms)
-        exportHistograms();
+        res_.histograms = histogramsJson();
     return res_;
 }
 
@@ -623,15 +632,6 @@ OooCore::histogramsJson() const
     for (const HistogramSpec &spec : kHistograms)
         h.set(spec.name, (this->*spec.hist)->toJson());
     return h;
-}
-
-void
-OooCore::exportHistograms()
-{
-    // Mirror the "hist.*" registry subtree into the SimResult so
-    // batch cells carry their histograms through the journal/JSON
-    // path (results travel; the registry stays with the core).
-    res_.histograms = histogramsJson();
 }
 
 AuditView

@@ -27,7 +27,7 @@
 
 #include "common/fault_injector.hh"
 #include "common/histogram.hh"
-#include "common/stats_registry.hh"
+#include "common/json.hh"
 #include "core/auditor.hh"
 #include "core/config.hh"
 #include "core/flight_recorder.hh"
@@ -183,13 +183,13 @@ class OooCore
     void attachFlightRecorder(FlightRecorder *fr) { flight_ = fr; }
 
     /**
-     * The core's stats registry: every component's counters under
-     * dotted names ("core.*", "sched.*", "mem.*", "pred.*" — see
-     * docs/OBSERVABILITY.md). Bound counters alias the SimResult of
-     * the current/last run().
+     * The component counters a SimResult does not hold, read now:
+     * "mem" (l1, l2, mob), "pred" (hmp, cht, bank storage and the
+     * CHT's updates) and "audit" (checks). A predictor the machine
+     * lacks, and a group left empty, is absent; see
+     * docs/OBSERVABILITY.md, "Component counters".
      */
-    StatsRegistry &stats() { return statsReg_; }
-    const StatsRegistry &stats() const { return statsReg_; }
+    json::Value statsJson() const;
 
     /**
      * Attach a fault injector (not owned; nullptr detaches). While
@@ -277,9 +277,6 @@ class OooCore
     void renameStage(VecTrace &trace);
 
     // --- observability ---
-    /** Register every component's stats (constructor-time, once). */
-    void registerStats();
-
     /** Close the current interval and append an IntervalSample. */
     void snapshotInterval();
 
@@ -304,11 +301,8 @@ class OooCore
         }
     }
 
-    /** The "hist.*" distributions as one object (export, snapshot). */
+    /** The seven distributions as one object (export, snapshot). */
     json::Value histogramsJson() const;
-
-    /** Fill res_.histograms from the telemetry histograms (run end). */
-    void exportHistograms();
 
     /** Reset all seven telemetry histograms (no-op when off). */
     void resetHistograms();
@@ -578,14 +572,16 @@ class OooCore
     // --- observability state ---
     PipelineTracer *tracer_ = nullptr;   ///< not owned; may be null
     FlightRecorder *flight_ = nullptr;   ///< not owned; may be null
-    StatsRegistry statsReg_;
+    /** Storage of the seven histograms below; empty unless
+     *  cfg_.collectHistograms. */
+    std::vector<Log2Histogram> histStore_;
 
     /**
-     * Telemetry histograms (owned by statsReg_ under "hist.*"); all
+     * Telemetry histograms (in histStore_, in kHistograms order); all
      * null unless cfg_.collectHistograms, so the off path costs one
      * null test per sample site. Deterministic by construction: they
      * record simulated quantities only, never host state. kHistograms
-     * lists them once for registration, reset, export and snapshot.
+     * lists them once for allocation, reset, export and snapshot.
      */
     /** Cycles from load issue to data ready. */
     Log2Histogram *hLoadUse_ = nullptr;
@@ -604,7 +600,7 @@ class OooCore
     /** One telemetry histogram and the member that points at it. */
     struct HistogramSpec
     {
-        const char *name; ///< registry name under "hist."
+        const char *name; ///< key in SimResult::histograms
         Log2Histogram *OooCore::*hist;
     };
     static const std::array<HistogramSpec, 7> kHistograms;

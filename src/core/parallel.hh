@@ -17,7 +17,7 @@
  *  - jobs share nothing mutable: each job generates its own trace
  *    or takes its own cursor over a shared immutable one (a VecTrace
  *    copy), and constructs its own OooCore, whose
- *    StatsRegistry / fault / trace accounting are per-instance;
+ *    counters, histograms and fault accounting are per-instance;
  *  - aggregation (means, speedups, JSON rows) happens after the
  *    barrier, in job-id order — the same floating-point evaluation
  *    order as the serial loop it replaced.

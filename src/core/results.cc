@@ -10,41 +10,34 @@ using S = IntervalSample;
 } // namespace
 
 const std::array<R::CounterSpec, 28> R::kCounters = {{
-    {"cycles", "core", "cycles", &R::cycles},
-    {"uops", "core", "uops", &R::uops},
-    {"loads", "core", "loads", &R::loads},
-    {"stores", "core", "stores", &R::stores},
-    {"branches", "core", "branches", &R::branches},
-    {"branch_mispredicts", "core", "branch_mispredicts",
-     &R::branchMispredicts},
-    {"not_conflicting", "sched.class", "not_conflicting",
-     &R::notConflicting},
-    {"anc_pnc", "sched.class", "anc_pnc", &R::ancPnc},
-    {"anc_pc", "sched.class", "anc_pc", &R::ancPc},
-    {"ac_pc", "sched.class", "ac_pc", &R::acPc},
-    {"ac_pnc", "sched.class", "ac_pnc", &R::acPnc},
-    {"collision_penalties", "sched", "collision_penalties",
-     &R::collisionPenalties},
-    {"order_violations", "sched", "order_violations",
-     &R::orderViolations},
-    {"forwarded", "sched", "forwarded", &R::forwarded},
-    {"spec_forwards", "sched", "spec_forwards", &R::specForwards},
-    {"spec_misforwards", "sched", "spec_misforwards",
-     &R::specMisforwards},
-    {"ah_ph", "pred.hmp", "ah_ph", &R::ahPh},
-    {"ah_pm", "pred.hmp", "ah_pm", &R::ahPm},
-    {"am_ph", "pred.hmp", "am_ph", &R::amPh},
-    {"am_pm", "pred.hmp", "am_pm", &R::amPm},
-    {"l1_misses", "mem", "load_misses", &R::l1Misses},
-    {"dynamic_misses", "mem", "dynamic_misses", &R::dynamicMisses},
-    {"wasted_issues", "core", "wasted_issues", &R::wastedIssues},
-    {"replayed_uops", "core", "replayed_uops", &R::replayedUops},
-    {"prefetches", "core", "prefetches", &R::prefetches},
-    {"bank_conflicts", "pred.bank", "conflicts", &R::bankConflicts},
-    {"bank_mispredicts", "pred.bank", "mispredicts",
-     &R::bankMispredicts},
-    {"bank_replications", "pred.bank", "replications",
-     &R::bankReplications},
+    {"cycles", &R::cycles},
+    {"uops", &R::uops},
+    {"loads", &R::loads},
+    {"stores", &R::stores},
+    {"branches", &R::branches},
+    {"branch_mispredicts", &R::branchMispredicts},
+    {"not_conflicting", &R::notConflicting},
+    {"anc_pnc", &R::ancPnc},
+    {"anc_pc", &R::ancPc},
+    {"ac_pc", &R::acPc},
+    {"ac_pnc", &R::acPnc},
+    {"collision_penalties", &R::collisionPenalties},
+    {"order_violations", &R::orderViolations},
+    {"forwarded", &R::forwarded},
+    {"spec_forwards", &R::specForwards},
+    {"spec_misforwards", &R::specMisforwards},
+    {"ah_ph", &R::ahPh},
+    {"ah_pm", &R::ahPm},
+    {"am_ph", &R::amPh},
+    {"am_pm", &R::amPm},
+    {"l1_misses", &R::l1Misses},
+    {"dynamic_misses", &R::dynamicMisses},
+    {"wasted_issues", &R::wastedIssues},
+    {"replayed_uops", &R::replayedUops},
+    {"prefetches", &R::prefetches},
+    {"bank_conflicts", &R::bankConflicts},
+    {"bank_mispredicts", &R::bankMispredicts},
+    {"bank_replications", &R::bankReplications},
 }};
 
 const std::array<S::Column, 9> S::kColumns = {{

@@ -129,27 +129,21 @@ struct SimResult
 
     /**
      * Telemetry histograms (null unless collectHistograms was set):
-     * the "hist.*" registry subtree as a JSON object, carried in the
-     * result so batch cells ship their distributions through the
-     * journal and the grid merge (docs/OBSERVABILITY.md,
-     * "Histograms"). Exported as a "histograms" member only when
-     * non-null, keeping histogram-off output byte-identical.
+     * one member per distribution, carried in the result so batch
+     * cells ship their distributions through the journal and the
+     * grid merge (docs/OBSERVABILITY.md, "Histograms"). Exported as a
+     * "histograms" member only when non-null, keeping histogram-off
+     * output byte-identical.
      */
     json::Value histograms;
 
     /**
-     * One u64 counter, named once. `key` names it in toJson() and the
-     * state walk; `group` and `leaf` name it in the stats registry
-     * ("mem" + "load_misses" is mem.load_misses), where
-     * OooCore::registerStats() binds it. Some counters are spelled
-     * differently in the two (l1_misses / mem.load_misses); the
-     * goldens pin both.
+     * One u64 counter, named once: `key` names it in toJson() and in
+     * the state walk, the only two places it is exported.
      */
     struct CounterSpec
     {
         const char *key;
-        const char *group;
-        const char *leaf;
         std::uint64_t SimResult::*field;
     };
     /** Every counter, in toJson() order. */

@@ -1,8 +1,8 @@
 #include "core/tracer.hh"
 
 #include <fstream>
-#include <stdexcept>
 
+#include "common/diag.hh"
 #include "common/json.hh"
 #include "common/stats.hh"
 
@@ -96,13 +96,17 @@ void
 PipelineTracer::writeChromeTrace(const std::string &path) const
 {
     std::ofstream os(path, std::ios::binary);
-    if (!os)
-        throw std::runtime_error("tracer: cannot open " + path);
+    if (!os) {
+        throw IoError(makeDiag(DiagCode::IoOpenFailed, "tracer", "path",
+                               "cannot open " + path));
+    }
     const std::string doc = toChromeTrace();
     os.write(doc.data(),
              static_cast<std::streamsize>(doc.size()));
-    if (!os)
-        throw std::runtime_error("tracer: write failed: " + path);
+    if (!os) {
+        throw IoError(makeDiag(DiagCode::IoWriteFailed, "tracer", "path",
+                               "write failed: " + path));
+    }
 }
 
 } // namespace lrs

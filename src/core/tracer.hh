@@ -103,7 +103,7 @@ class PipelineTracer
      */
     std::string toChromeTrace() const;
 
-    /** Write toChromeTrace() to @p path; throws on I/O failure. */
+    /** Write toChromeTrace() to @p path; throws IoError on failure. */
     void writeChromeTrace(const std::string &path) const;
 
   private:

@@ -11,24 +11,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
 {
 }
 
-void
-MemoryHierarchy::registerStats(StatsGroup g)
-{
-    // The caches own their tallies; export them as derived views so
-    // the registry never outlives-or-mutates component internals.
-    const auto level = [&](StatsGroup lg, const Cache *c) {
-        lg.derived("hits",
-                   [c] { return static_cast<double>(c->hits()); });
-        lg.derived("misses",
-                   [c] { return static_cast<double>(c->misses()); });
-        lg.derived("dynamic_misses", [c] {
-            return static_cast<double>(c->dynamicMisses());
-        });
-    };
-    level(g.group("l1"), &l1_);
-    level(g.group("l2"), &l2_);
-}
-
 MemoryHierarchy::Access
 MemoryHierarchy::access(Addr addr, Cycle now)
 {

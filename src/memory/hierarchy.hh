@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <deque>
 
-#include "common/stats_registry.hh"
+#include "common/state_io.hh"
 #include "common/types.hh"
 #include "memory/cache.hh"
 
@@ -74,12 +74,6 @@ class MemoryHierarchy
     const Cache &l1() const { return l1_; }
     const Cache &l2() const { return l2_; }
     const HierarchyParams &params() const { return params_; }
-
-    /**
-     * Register both levels' access statistics under @p g (as
-     * "<g>.l1.*" and "<g>.l2.*").
-     */
-    void registerStats(StatsGroup g);
 
     /** Machine-snapshot support: both levels, exactly. */
     void

@@ -65,21 +65,6 @@ Mob::markViolation(Ordinal o)
     r.causedViolation = true;
 }
 
-void
-Mob::registerStats(StatsGroup g)
-{
-    g.bindCounter("inserted", &inserted_);
-    g.bindCounter("violations", &violations_);
-    g.derived("occupancy",
-              [this] { return static_cast<double>(count_); });
-    // Only present in partial-address mode: the default (full-address)
-    // registry must stay byte-identical to what the goldens pin.
-    if (partialBits_ != 0) {
-        g.bindCounter("partial_alias_matches", &partialAliasMatches_);
-        g.bindCounter("partial_true_matches", &partialTrueMatches_);
-    }
-}
-
 Mob::Ordinal
 Mob::storeOrdinal(SeqNum sta_seq) const
 {

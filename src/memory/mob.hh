@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/state_io.hh"
-#include "common/stats_registry.hh"
 #include "common/types.hh"
 
 namespace lrs
@@ -162,17 +161,14 @@ class Mob
     /** Ordinal of the in-window store @p sta_seq; kNoStore if none. */
     Ordinal storeOrdinal(SeqNum sta_seq) const;
 
-    /** Register this MOB's stats under @p g (e.g. "mem.mob"). */
-    void registerStats(StatsGroup g);
-
     /**
      * Enable partial-address disambiguation: queries through
      * partialAliasOlder() compare only the low @p bits of addresses,
      * the way a real MOB's narrow comparators do (and the way SPOILER
      * exploits — 4K-aliasing stores/loads match on the low 12+ bits
      * while the full addresses are disjoint). 0 = full addresses
-     * (default; nothing changes). Must be set before registerStats()
-     * so the partial counters appear only when the mode is active.
+     * (default; nothing changes). OooCore::statsJson() exports the
+     * partial counters only while the mode is active.
      */
     void setPartialBits(unsigned bits) { partialBits_ = bits; }
     unsigned partialBits() const { return partialBits_; }

@@ -35,7 +35,6 @@
 #include <string>
 
 #include "common/state_io.hh"
-#include "common/stats_registry.hh"
 #include "common/types.hh"
 
 namespace lrs
@@ -85,19 +84,6 @@ class BankPredictor
     unsigned bankOf(Addr addr) const
     {
         return bankOfAddr(addr, lineBytes_, numBanks_);
-    }
-
-    /**
-     * Register predictor-level stats under @p g (e.g. "pred.bank"):
-     * the hardware budget. Outcome counts (mispredicts, replications)
-     * are scored by the core, which registers them alongside.
-     */
-    void
-    registerStats(StatsGroup g)
-    {
-        g.derived("storage_bits", [this] {
-            return static_cast<double>(storageBits());
-        });
     }
 
     /** Machine-snapshot support (common/state_io.hh). */

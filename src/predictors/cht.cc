@@ -398,14 +398,6 @@ Cht::name() const
 }
 
 void
-Cht::registerStats(StatsGroup g)
-{
-    g.bindCounter("updates", &updates_);
-    g.derived("storage_bits",
-              [this] { return static_cast<double>(storageBits()); });
-}
-
-void
 Cht::walkState(stateio::Archive &a)
 {
     a.rows("tagged", tagged_.size(),

@@ -32,7 +32,6 @@
 #include "common/diag.hh"
 #include "common/state_io.hh"
 #include "common/parse.hh"
-#include "common/stats_registry.hh"
 #include "common/types.hh"
 
 namespace lrs
@@ -161,9 +160,6 @@ class Cht
 
     /** Training updates applied so far. */
     std::uint64_t updates() const { return updates_; }
-
-    /** Register this table's stats under @p g (e.g. "pred.cht"). */
-    void registerStats(StatsGroup g);
 
     /**
      * Machine-snapshot support (common/state_io.hh): every tagged

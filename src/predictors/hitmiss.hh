@@ -24,7 +24,6 @@
 #include <string>
 
 #include "common/state_io.hh"
-#include "common/stats_registry.hh"
 #include "predictors/addr_pred.hh"
 #include "predictors/binary.hh"
 
@@ -91,20 +90,6 @@ class HitMissPredictor
 
     virtual std::size_t storageBits() const = 0;
     virtual std::string name() const = 0;
-
-    /**
-     * Register predictor-level stats under @p g (e.g. "pred.hmp").
-     * The base registers the hardware budget; subclasses may extend.
-     * Outcome counts (AH-PH etc.) are scored by the core, which
-     * registers them alongside.
-     */
-    virtual void
-    registerStats(StatsGroup g)
-    {
-        g.derived("storage_bits", [this] {
-            return static_cast<double>(storageBits());
-        });
-    }
 
     /**
      * Machine-snapshot support (common/state_io.hh). The default suits

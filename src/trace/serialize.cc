@@ -174,15 +174,17 @@ class StorePairRepair
 
 } // namespace
 
-void
-TraceReadStats::registerStats(StatsGroup g)
+json::Value
+TraceReadStats::toJson() const
 {
-    g.bindCounter("records_read", &recordsRead);
-    g.bindCounter("skipped_records", &skippedRecords);
-    g.bindCounter("resync_bytes", &resyncBytes);
-    g.bindCounter("truncated_tail_bytes", &truncatedTailBytes);
-    g.bindCounter("missing_records", &missingRecords);
-    g.bindCounter("dropped_store_uops", &droppedStoreUops);
+    json::Value v = json::Value::object();
+    v.set("records_read", recordsRead);
+    v.set("skipped_records", skippedRecords);
+    v.set("resync_bytes", resyncBytes);
+    v.set("truncated_tail_bytes", truncatedTailBytes);
+    v.set("missing_records", missingRecords);
+    v.set("dropped_store_uops", droppedStoreUops);
+    return v;
 }
 
 std::uint64_t

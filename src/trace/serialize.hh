@@ -20,7 +20,7 @@
  *    damaged in place); otherwise the scan slides one byte at a time
  *    until a window parses (bytes inserted or removed). A partial
  *    record at end of stream is dropped. Every drop is accounted in
- *    TraceReadStats ("trace.*" in the stats registry), and the
+ *    TraceReadStats ("trace.*" in lrs_sim's JSON), and the
  *    bad-record budget turns "mostly good" into a hard failure —
  *    degradation is graceful but never silent.
  *
@@ -40,7 +40,7 @@
 #include <string>
 
 #include "common/diag.hh"
-#include "common/stats_registry.hh"
+#include "common/json.hh"
 #include "trace/stream.hh"
 
 namespace lrs
@@ -78,8 +78,8 @@ struct TraceReadStats
      */
     std::uint64_t droppedStoreUops = 0;
 
-    /** Bind these counters under @p g (conventionally "trace"). */
-    void registerStats(StatsGroup g);
+    /** These counters ("trace.*" in lrs_sim's single-run JSON). */
+    json::Value toJson() const;
 };
 
 /** One fixed-size record format, as scanRecords() sees it. */

@@ -381,8 +381,8 @@ TEST(Auditor, AuditedRunCompletesAndCounts)
     const SimResult r = core.run(*trace);
     EXPECT_EQ(r.uops, 20000u);
     // One audit per interval plus the final drained-machine audit.
-    EXPECT_GE(core.stats().value("audit.checks"),
-              static_cast<double>(r.cycles / 500));
+    EXPECT_GE(core.statsJson().at("audit").at("checks").asU64(),
+              r.cycles / 500);
 }
 
 TEST(Auditor, AuditedRunMatchesUnauditedRun)

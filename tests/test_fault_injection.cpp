@@ -97,14 +97,14 @@ TEST(FaultInjector, CorruptedTraceRecoversWithAccounting)
     EXPECT_GT(back->size(), 15000u); // most of the trace survives
 
     // The degraded trace must still simulate to completion, with the
-    // reader's accounting visible through the core's registry.
+    // reader's accounting in its export.
     MachineConfig cfg;
     cfg.scheme = OrderingScheme::Exclusive;
     OooCore core(cfg);
-    st.registerStats(core.stats().group("trace"));
     const SimResult r = core.run(*back);
     EXPECT_EQ(r.uops, back->size());
-    EXPECT_GT(core.stats().value("trace.skipped_records"), 0.0);
+    EXPECT_EQ(st.toJson().at("skipped_records").asU64(),
+              st.skippedRecords);
 }
 
 TEST(FaultInjector, ExhaustedBudgetFailsLoudly)

@@ -3,9 +3,8 @@
  * Tests of the deterministic telemetry histograms
  * (common/histogram.hh): log2 bucket boundaries, exact extrema/sums,
  * merge exactness (including above 2^53, where a double would lose
- * bits), JSON round-tripping, registry integration, and the headline
- * guarantee — a sweep grid's merged histograms are byte-identical for
- * any worker count.
+ * bits), JSON round-tripping, and the headline guarantee — a sweep
+ * grid's merged histograms are byte-identical for any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "common/histogram.hh"
-#include "common/stats_registry.hh"
 #include "core/supervisor.hh"
 #include "trace/library.hh"
 
@@ -157,20 +155,6 @@ TEST(Histogram, JsonNumberExactness)
     json::Value j(v);
     EXPECT_EQ(j.asU64(), v);
     EXPECT_EQ(json::Value::parse(j.dump()).asU64(), v);
-}
-
-TEST(Histogram, RegistryIntegration)
-{
-    StatsRegistry reg;
-    Log2Histogram &h =
-        reg.group("hist").log2hist("load_to_use");
-    h.record(4);
-    h.record(4);
-    ASSERT_TRUE(reg.has("hist.load_to_use"));
-    EXPECT_DOUBLE_EQ(reg.value("hist.load_to_use"), 2.0);
-    const json::Value j = reg.toJson();
-    EXPECT_EQ(
-        j.at("hist").at("load_to_use").at("count").asU64(), 2u);
 }
 
 /**

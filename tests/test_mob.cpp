@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/core.hh"
 #include "memory/mob.hh"
+#include "trace/library.hh"
 
 namespace lrs
 {
@@ -248,26 +250,30 @@ TEST_F(MobTest, PartialYoungestMatchWins)
 
 TEST_F(MobTest, PartialCountersRegisteredOnlyWhenActive)
 {
-    // Stats namespace stays byte-identical with the mode off: the
-    // mob.partial_* counters exist only when partialBits != 0.
-    StatsRegistry off;
-    Mob plain;
-    plain.registerStats(off.group("mob"));
-    EXPECT_FALSE(off.has("mob.partial_alias_matches"));
-    EXPECT_FALSE(off.has("mob.partial_true_matches"));
+    // The core's export stays byte-identical with the mode off: the
+    // mem.mob.partial_* counters appear only when partialBits != 0.
+    auto trace = TraceLibrary::make(TraceLibrary::byName("spoiler4k", 5000));
+    MachineConfig cfg;
+    OooCore plain(cfg);
+    plain.run(*trace);
+    const json::Value off = plain.statsJson().at("mem").at("mob");
+    EXPECT_FALSE(off.has("partial_alias_matches"));
+    EXPECT_FALSE(off.has("partial_true_matches"));
 
-    StatsRegistry on;
-    Mob partial;
-    partial.setPartialBits(12);
-    partial.registerStats(on.group("mob"));
-    ASSERT_TRUE(on.has("mob.partial_alias_matches"));
-    ASSERT_TRUE(on.has("mob.partial_true_matches"));
+    cfg.mobPartialBits = 12;
+    OooCore partial(cfg);
+    partial.run(*trace);
+    const json::Value on = partial.statsJson().at("mem").at("mob");
+    EXPECT_GT(on.at("partial_alias_matches").asU64(), 0u);
+    EXPECT_TRUE(on.has("partial_true_matches"));
 
-    partial.insert(10, 0x1000, 8);
-    partial.staExecuted(10, 0);
-    EXPECT_TRUE(partial.partialAliasOlder(20, 0x1000 + 4096, 8, 5));
-    EXPECT_EQ(on.value("mob.partial_alias_matches"), 1.0);
-    EXPECT_EQ(on.value("mob.partial_true_matches"), 0.0);
+    Mob mob;
+    mob.setPartialBits(12);
+    mob.insert(10, 0x1000, 8);
+    mob.staExecuted(10, 0);
+    EXPECT_TRUE(mob.partialAliasOlder(20, 0x1000 + 4096, 8, 5));
+    EXPECT_EQ(mob.partialAliasMatches(), 1u);
+    EXPECT_EQ(mob.partialTrueMatches(), 0u);
 }
 
 // ---- ring-buffer mechanics ----

@@ -369,8 +369,9 @@ TEST_P(EventWakeupAudit, EveryCycleAuditIsClean)
                     << orderingSchemeName(scheme) << "/"
                     << hmpKindName(hmp) << "/"
                     << bankModeName(p.mode);
-                EXPECT_GE(core.stats().value("audit.checks"),
-                          static_cast<double>(r.cycles));
+                EXPECT_GE(
+                    core.statsJson().at("audit").at("checks").asU64(),
+                    r.cycles);
             }
         }
     }

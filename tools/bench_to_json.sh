@@ -1,6 +1,6 @@
 #!/bin/sh
-# Run the figure benches and aggregate their per-bench JSON reports
-# into one trajectory file.
+# Run every figure and ablation bench and aggregate their per-bench
+# JSON reports into one trajectory file.
 #
 # Usage: tools/bench_to_json.sh [BUILD_DIR] [OUT_FILE]
 #
@@ -58,17 +58,16 @@ mkdir -p "$(dirname "$OUT")"
 TMPDIR_JSON=$(mktemp -d)
 trap 'rm -rf "$TMPDIR_JSON"' EXIT
 
-BENCHES="fig04_pipeline_compare fig05_load_classification \
-fig06_window_sweep fig07_ordering_speedup fig08_machine_config \
-fig09_cht_configs fig10_hmp_stats fig11_hmp_speedup fig12_bank_metric"
+# Every bench binary, found as tests/bench_smoke.sh finds them, so a
+# new fig or ablation bench joins both without an edit.
+BENCHES=""
+for exe in "$BUILD_DIR"/fig[0-9]* "$BUILD_DIR"/ablation_*; do
+    [ -f "$exe" ] && [ -x "$exe" ] && BENCHES="$BENCHES ${exe##*/}"
+done
 
 ran=0
 for b in $BENCHES; do
     exe="$BUILD_DIR/$b"
-    if [ ! -x "$exe" ]; then
-        echo "skip: $b (no binary at $exe)" >&2
-        continue
-    fi
     echo "running $b (LRS_TRACE_LEN=$LRS_TRACE_LEN)..." >&2
     LRS_BENCH_JSON="$TMPDIR_JSON/$b.json" "$exe" > /dev/null
     ran=$((ran + 1))

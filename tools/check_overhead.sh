@@ -10,9 +10,10 @@
 # The goldens were captured from the seed build (single_pred.* later,
 # from the build before SimResult's counter table; compare.*,
 # families.* and warm_fork.* from the build before lrs_sim's flag
-# table); the only permitted difference since is the "build"
-# provenance block that now leads every JSON export, which this script
-# strips before comparing.
+# table). Since then the "build" provenance block leads every JSON
+# export, which this script strips before comparing, and single.json
+# and single_pred.json were re-pinned when their "registry" block
+# stopped repeating the result's counters (lines deleted, none added).
 #
 # The speed of the cycle kernel itself is not gated here: perfbench
 # (`python3 perfbench/run.py --workload dense_cell`, see
@@ -74,9 +75,9 @@ gate fig06
     > "$work/single.txt"
 gate single
 
-# Traditional/always-hit above has no CHT and no bank predictor; this
-# run pins the registry groups they add (pred.cht between pred.hmp and
-# pred.bank) and the SimResult counters bound around them.
+# Traditional/always-hit above has no CHT, no hit-miss and no bank
+# predictor; this run pins the "registry" members they add
+# (pred.hmp, pred.cht and pred.bank) and the counters they move.
 "$sim" --trace wd --len 150000 --scheme inclusive --hmp chooser \
     --bank-mode sliced --bank-pred addr --json "$work/single_pred.json" \
     > "$work/single_pred.txt"

@@ -574,14 +574,9 @@ runFamilies(const Options &o)
  */
 int
 runSingle(const Options &o, VecTrace &trace, FaultInjector &faults,
-          TraceReadStats &read_stats)
+          const TraceReadStats &read_stats)
 {
     OooCore core(o.cfg);
-    // The reader/injector accounting joins the core's registry so
-    // one JSON document tells the whole robustness story
-    // ("trace.*", "fault.*", "audit.*").
-    read_stats.registerStats(core.stats().group("trace"));
-    faults.registerStats(core.stats().group("fault"));
     if (faults.enabled())
         core.attachFaultInjector(&faults);
     std::unique_ptr<PipelineTracer> tracer;
@@ -625,7 +620,13 @@ runSingle(const Options &o, VecTrace &trace, FaultInjector &faults,
         std::fputs(prof::reportText(r.uops, wall).c_str(), stderr);
     if (!o.jsonPath.empty()) {
         json::Value doc = r.toJson();
-        doc.set("registry", core.stats().toJson());
+        // The component counters the result lacks, with the reader's
+        // and the injector's accounting beside the core's audits, so
+        // one document tells the whole robustness story.
+        json::Value stats = core.statsJson();
+        stats.set("trace", read_stats.toJson());
+        stats.set("fault", faults.statsJson());
+        doc.set("registry", std::move(stats));
         if (o.profile)
             doc.set("profile", prof::reportJson(r.uops, wall));
         emitJson(o.jsonPath, doc);
