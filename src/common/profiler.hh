@@ -3,8 +3,8 @@
  * Host-time self-profiler for the simulator's own pipeline stages.
  *
  * Answers "where does the host CPU spend its wall time?" — the
- * measurement baseline any cycle-kernel optimisation (the planned SoA
- * refactor, ROADMAP item 1) is judged against. The core brackets each
+ * measurement baseline any cycle-kernel optimisation (the dense
+ * kernel, ROADMAP item 2) is judged against. The core brackets each
  * stage (rename/fetch, schedule, execute, commit, predictor lookup)
  * with a scoped RAII timer; `lrs_sim --profile` turns collection on
  * and reports a per-stage breakdown plus end-to-end uops/sec.

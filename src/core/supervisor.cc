@@ -1,5 +1,6 @@
 #include "core/supervisor.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <chrono>
@@ -32,10 +33,23 @@ throwJournalInvalid(const std::string &path, const std::string &why)
             "; delete it or point --resume at the right grid)"));
 }
 
+/** An outcome the supervisor decides itself: the cell left no record. */
+JobOutcome
+decided(CellStatus status, DiagCode code, std::string error,
+        unsigned attempts, int signal = 0)
+{
+    JobOutcome o;
+    o.status = status;
+    o.code = diagCodeName(code);
+    o.error = std::move(error);
+    o.attempts = attempts;
+    o.signal = signal;
+    return o;
+}
+
 /**
- * One guarded attempt: classifies what escapes @p runner, stamps the
- * attempt ordinal and fills the result document of an OK outcome —
- * shared by the in-process path and the isolated child.
+ * One attempt, in process or in the isolated child: what escapes
+ * @p runner is classified and an OK outcome's document filled.
  */
 JobOutcome
 runGuarded(const SweepSupervisor::CellRunner &runner, std::size_t cell,
@@ -47,9 +61,8 @@ runGuarded(const SweepSupervisor::CellRunner &runner, std::size_t cell,
     } catch (const std::exception &e) {
         classifyJobException(o, e);
     } catch (...) {
-        o.status = CellStatus::Failed;
-        o.code = diagCodeName(DiagCode::Internal);
-        o.error = "cell threw a non-std exception";
+        o = decided(CellStatus::Failed, DiagCode::Internal,
+                    "cell threw a non-std exception", attempt);
     }
     o.attempts = attempt;
     if (o.status == CellStatus::Ok && o.resultJson.isNull())
@@ -76,6 +89,112 @@ countOf(SweepStats &st, CellStatus s)
       case CellStatus::Skipped: break;
     }
     return st.skipped;
+}
+
+JobOutcome
+notStarted()
+{
+    return decided(CellStatus::Failed, DiagCode::Interrupted,
+                   "cell not started: sweep interrupted", 0);
+}
+
+[[noreturn]] void
+throwSysError(const char *call)
+{
+    throw IoError(makeDiag(DiagCode::IoOpenFailed, "core.supervisor", call,
+                           std::string(call) + "() failed: " +
+                               std::strerror(errno)));
+}
+
+/** One forked attempt: its pid, its result pipe and what it sent. */
+struct Child
+{
+    std::size_t cell;
+    pid_t pid;
+    int fd; ///< read end of the result pipe
+    std::chrono::steady_clock::time_point deadline; ///< watchdog
+    std::string buf;
+};
+
+/**
+ * Fork one attempt of @p cell: the child runs it and writes its record
+ * to the pipe, and a crash (SIGSEGV, abort()) kills only the child.
+ */
+Child
+forkCell(const SweepSupervisor::CellRunner &runner, std::size_t cell,
+         unsigned attempt, const std::string &key,
+         std::chrono::steady_clock::time_point deadline)
+{
+    int fds[2];
+    if (::pipe(fds) != 0)
+        throwSysError("pipe");
+    // Flush stdio so the child does not replay inherited buffers.
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::close(fds[0]);
+        const std::string text =
+            outcomeRecord(cell, key, runGuarded(runner, cell, attempt))
+                .dump(0);
+        ::_exit(writeFully(fds[1], text) ? 0 : 3); // 3: no result
+    }
+    const int err = errno;
+    ::close(fds[1]);
+    if (pid < 0) {
+        ::close(fds[0]);
+        errno = err;
+        throwSysError("fork");
+    }
+    return Child{cell, pid, fds[0], deadline, {}};
+}
+
+/** Read what @p c's pipe holds; false once it is closed (or broken). */
+bool
+readSome(Child &c)
+{
+    char chunk[4096];
+    const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
+    if (n > 0)
+        c.buf.append(chunk, static_cast<std::size_t>(n));
+    return n > 0 || (n < 0 && errno == EINTR);
+}
+
+/** SIGKILL @p c if @p kill, then close its pipe and reap it. */
+int
+reap(Child &c, bool kill)
+{
+    if (kill)
+        ::kill(c.pid, SIGKILL);
+    ::close(c.fd);
+    int st = 0;
+    while (::waitpid(c.pid, &st, 0) < 0 && errno == EINTR) {
+    }
+    return st;
+}
+
+/** The outcome of a child that closed its pipe and exited with @p st. */
+JobOutcome
+exitedOutcome(int st, const std::string &buf, unsigned attempt)
+{
+    // A sanitizer or runtime that turns a crash into a nonzero exit
+    // (ASan on SIGSEGV) is still CRASHED, just without a signal.
+    std::string why = "isolated cell exited with status " +
+                      std::to_string(WIFEXITED(st) ? WEXITSTATUS(st) : -1) +
+                      " without a result";
+    if (WIFSIGNALED(st)) {
+        why = "isolated cell killed by signal " +
+              std::to_string(WTERMSIG(st));
+    } else if (WIFEXITED(st) && WEXITSTATUS(st) == 0 && !buf.empty()) {
+        try {
+            return outcomeFromRecord(json::Value::parse(buf));
+        } catch (const std::exception &e) {
+            why = std::string("unparsable result from isolated cell: ") +
+                  e.what();
+        }
+    }
+    return decided(CellStatus::Crashed, DiagCode::CellCrashed, why,
+                   attempt, WIFSIGNALED(st) ? WTERMSIG(st) : 0);
 }
 
 } // namespace
@@ -200,11 +319,7 @@ SweepSupervisor::emitProgress()
             .count());
     const SweepStats &s = stats_;
     const std::uint64_t done = s.ok + s.failed + s.timeout + s.crashed;
-    // Journal-restored (skipped) cells are not fresh work: they must
-    // never count toward the rate or ETA, and their tally can never
-    // exceed the grid. A disagreement here would wrap the unsigned
-    // subtraction into a multi-exabyte ETA, so clamp defensively and
-    // assert in debug builds.
+    // Skipped cells are not fresh work; a miscount must not wrap ETA.
     assert(s.skipped + done <= s.cells &&
            "sweep progress counters exceed the grid size");
     const std::uint64_t accounted = s.skipped + done;
@@ -223,8 +338,7 @@ SweepSupervisor::emitProgress()
     hb.set("in_flight", inFlight_.load(std::memory_order_relaxed));
     hb.set("workers", static_cast<std::uint64_t>(workers_));
     hb.set("elapsed_ms", elapsedMs);
-    // ETA from the observed fresh-cell rate; null until the first
-    // cell finishes (no rate yet), 0 once nothing remains.
+    // ETA from the fresh-cell rate; null until a cell has finished.
     if (done == 0)
         hb.set("eta_ms", json::Value());
     else
@@ -236,172 +350,16 @@ SweepSupervisor::emitProgress()
                      : 0.0);
     std::string line = hb.dump(0);
     line.push_back('\n');
-    // One write per line so a consumer tailing the fd never sees a
-    // torn heartbeat; a failed write retires the stream for the rest
-    // of the sweep (the results are unaffected).
+    // One write per line, so a reader never sees a torn heartbeat.
     if (!writeFully(opts_.progressFd, line))
         progressDead_ = true;
 }
 
-JobOutcome
-SweepSupervisor::runIsolated(const CellRunner &runner, std::size_t cell,
-                             unsigned attempt, const std::string &key)
-{
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        throw IoError(makeDiag(DiagCode::IoOpenFailed,
-                               "core.supervisor", "pipe",
-                               std::string("pipe() failed: ") +
-                                   std::strerror(errno)));
-    }
-    // Flush stdio so the child does not replay inherited buffers.
-    std::fflush(stdout);
-    std::fflush(stderr);
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        const int err = errno;
-        ::close(fds[0]);
-        ::close(fds[1]);
-        throw IoError(makeDiag(DiagCode::IoOpenFailed,
-                               "core.supervisor", "fork",
-                               std::string("fork() failed: ") +
-                                   std::strerror(err)));
-    }
-    if (pid == 0) {
-        // Child: run the cell, stream the outcome, _exit. Any crash
-        // from here on (SIGSEGV, std::terminate, abort) kills only
-        // this process and the parent records the cell as CRASHED.
-        ::close(fds[0]);
-        const std::string text =
-            outcomeRecord(cell, key, runGuarded(runner, cell, attempt))
-                .dump(0);
-        if (!writeFully(fds[1], text))
-            ::_exit(3); // parent records CRASHED (no result)
-        ::close(fds[1]);
-        ::_exit(0);
-    }
-
-    // Parent: drain the pipe under the wall-clock watchdog.
-    ::close(fds[1]);
-    std::string buf;
-    bool timedOut = false;
-    bool interrupted = false;
-    const auto start = std::chrono::steady_clock::now();
-    for (;;) {
-        int waitMs = -1; // block
-        if (opts_.cellTimeoutMs) {
-            const auto elapsed =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            const auto remaining =
-                static_cast<long long>(opts_.cellTimeoutMs) - elapsed;
-            if (remaining <= 0) {
-                timedOut = true;
-                break;
-            }
-            waitMs = static_cast<int>(
-                remaining < 200 ? remaining : 200);
-        } else {
-            // Still poll in slices so an interrupt reaches a child
-            // that never writes.
-            waitMs = 200;
-        }
-        if (sweepInterruptRequested()) {
-            interrupted = true;
-            break;
-        }
-        struct pollfd pfd;
-        pfd.fd = fds[0];
-        pfd.events = POLLIN;
-        const int pr = ::poll(&pfd, 1, waitMs);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            break; // treat as EOF; waitpid decides the outcome
-        }
-        if (pr == 0)
-            continue; // slice expired; re-check deadline/interrupt
-        char chunk[4096];
-        const ssize_t n = ::read(fds[0], chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (n == 0)
-            break; // EOF: child finished writing
-        buf.append(chunk, static_cast<std::size_t>(n));
-    }
-    if (timedOut || interrupted)
-        ::kill(pid, SIGKILL);
-    ::close(fds[0]);
-    int st = 0;
-    while (::waitpid(pid, &st, 0) < 0 && errno == EINTR) {
-    }
-
-    // Outcomes the parent observes itself: the child left no record.
-    JobOutcome o;
-    o.attempts = attempt;
-    if (interrupted) {
-        o.status = CellStatus::Failed;
-        o.code = diagCodeName(DiagCode::Interrupted);
-        o.error = "isolated cell killed: sweep interrupted";
-        return o;
-    }
-    if (timedOut) {
-        o.status = CellStatus::Timeout;
-        o.code = diagCodeName(DiagCode::DeadlineExceeded);
-        o.error = "wall-clock watchdog (" +
-                  std::to_string(opts_.cellTimeoutMs) +
-                  " ms) expired; isolated cell killed";
-        return o;
-    }
-    o.status = CellStatus::Crashed;
-    o.code = diagCodeName(DiagCode::CellCrashed);
-    if (WIFSIGNALED(st)) {
-        o.signal = WTERMSIG(st);
-        o.error = "isolated cell killed by signal " +
-                  std::to_string(o.signal);
-        return o;
-    }
-    if (!WIFEXITED(st) || WEXITSTATUS(st) != 0 || buf.empty()) {
-        // A sanitizer or runtime that converts a crash into a
-        // nonzero exit (ASan on SIGSEGV) lands here: still CRASHED,
-        // just without a signal number.
-        o.error =
-            "isolated cell exited with status " +
-            std::to_string(WIFEXITED(st) ? WEXITSTATUS(st) : -1) +
-            " without a result";
-        return o;
-    }
-    try {
-        return outcomeFromRecord(json::Value::parse(buf));
-    } catch (const std::exception &e) {
-        o.error = std::string("unparsable result from isolated "
-                              "cell: ") +
-                  e.what();
-        return o;
-    }
-}
-
 void
-SweepSupervisor::runCell(std::size_t cell, unsigned attempt,
-                         const std::string &key,
-                         const CellRunner &runner, JobOutcome &out)
+SweepSupervisor::settle(std::size_t cell, unsigned attempt,
+                        const std::string &key, JobOutcome o,
+                        JobOutcome &out)
 {
-    JobOutcome o;
-    if (sweepInterruptRequested()) {
-        o.status = CellStatus::Failed;
-        o.code = diagCodeName(DiagCode::Interrupted);
-        o.error = "cell not started: sweep interrupted";
-        o.attempts = 0;
-    } else {
-        inFlight_.fetch_add(1, std::memory_order_relaxed);
-        o = opts_.isolate ? runIsolated(runner, cell, attempt, key)
-                          : runGuarded(runner, cell, attempt);
-        inFlight_.fetch_sub(1, std::memory_order_relaxed);
-    }
     // An interrupted attempt is neither journaled nor counted:
     // --resume re-runs the cell.
     const bool completed = !wasInterrupted(o);
@@ -418,9 +376,8 @@ SweepSupervisor::runCell(std::size_t cell, unsigned attempt,
             ++countOf(stats_, o.status);
             if (o.status == CellStatus::Ok)
                 stats_.uops += o.result.uops;
-            // Each record is one write()+fsync(); their order does
-            // not matter (ids key them), but the writer is not
-            // concurrency-safe.
+            // Ids key the records, so their order does not matter;
+            // the writer is not concurrency-safe, hence under m_.
             if (writer_)
                 writer_->append(rec);
         }
@@ -430,14 +387,84 @@ SweepSupervisor::runCell(std::size_t cell, unsigned attempt,
         emitProgress();
 }
 
-std::vector<JobOutcome>
-SweepSupervisor::run(const std::vector<SimJob> &cells,
-                     const std::vector<std::string> &keys)
+void
+SweepSupervisor::runIsolated(const std::vector<std::size_t> &pending,
+                             unsigned attempt,
+                             const std::vector<std::string> &keys,
+                             const CellRunner &runner,
+                             std::vector<JobOutcome> &outcomes)
 {
-    return run(cells.size(), keys,
-               [&cells](std::size_t i, unsigned) {
-                   return runOneSimJob(cells[i]);
-               });
+    using Clock = std::chrono::steady_clock;
+    const std::chrono::milliseconds limit(opts_.cellTimeoutMs);
+    const std::string watchdog = "wall-clock watchdog (" +
+                                 std::to_string(limit.count()) +
+                                 " ms) expired; isolated cell killed";
+    std::vector<Child> live;
+    std::size_t next = 0; // pending[next] is the next cell to fork
+    try {
+        while (next < pending.size() || !live.empty()) {
+            // After an interrupt no cell starts and every child dies.
+            const bool stop = sweepInterruptRequested();
+            for (; next < pending.size() &&
+                   (stop || live.size() < workers_);
+                 ++next) {
+                const std::size_t cell = pending[next];
+                if (stop)
+                    settle(cell, attempt, keys[cell], notStarted(),
+                           outcomes[cell]);
+                else
+                    live.push_back(forkCell(runner, cell, attempt,
+                                            keys[cell],
+                                            limit.count()
+                                                ? Clock::now() + limit
+                                                : Clock::time_point::max()));
+                inFlight_.store(live.size(), std::memory_order_relaxed);
+            }
+            // Sleep until a pipe is readable or closed, a watchdog is
+            // due or 200 ms pass (an interrupt must reach silent ones).
+            std::chrono::milliseconds wait(stop ? 0 : 200);
+            std::vector<pollfd> pfds;
+            for (const Child &c : live) {
+                pfds.push_back({c.fd, POLLIN, 0});
+                wait = std::clamp(std::chrono::ceil<decltype(wait)>(
+                                      c.deadline - Clock::now()),
+                                  decltype(wait)::zero(), wait);
+            }
+            if (::poll(pfds.data(), pfds.size(),
+                       static_cast<int>(wait.count())) < 0 &&
+                errno != EINTR)
+                throwSysError("poll");
+            const auto now = Clock::now();
+            // Downward: an erase shifts only the children already seen.
+            for (std::size_t k = live.size(); k-- > 0;) {
+                Child &c = live[k];
+                const bool kill = stop || now >= c.deadline;
+                if (!kill && (!pfds[k].revents || readSome(c)))
+                    continue; // still running, its pipe still open
+                const int st = reap(c, kill);
+                JobOutcome o =
+                    stop ? decided(CellStatus::Failed, DiagCode::Interrupted,
+                                   "isolated cell killed: sweep interrupted",
+                                   attempt)
+                    : kill ? decided(CellStatus::Timeout,
+                                     DiagCode::DeadlineExceeded, watchdog,
+                                     attempt)
+                           : exitedOutcome(st, c.buf, attempt);
+                // The child leaves the live set first, so the
+                // heartbeat's in_flight counts those still running.
+                const std::size_t cell = c.cell;
+                live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+                inFlight_.store(live.size(), std::memory_order_relaxed);
+                settle(cell, attempt, keys[cell], std::move(o),
+                       outcomes[cell]);
+            }
+        }
+    } catch (...) {
+        for (Child &c : live)
+            reap(c, /*kill=*/true);
+        inFlight_.store(0, std::memory_order_relaxed);
+        throw;
+    }
 }
 
 std::vector<JobOutcome>
@@ -484,18 +511,26 @@ SweepSupervisor::run(std::size_t n,
             break;
         if (attempt > 1)
             stats_.retries += pending.size();
-        parallelFor(
-            pending.size(),
-            [&](std::size_t k) {
-                const std::size_t cell = pending[k];
-                runCell(cell, attempt, keys[cell], runner,
-                        outcomes[cell]);
-            },
-            opts_.workers);
-        // Deterministic backoff ordering: the next round re-runs the
-        // survivors in ascending cell id, so any attempt-count-
-        // dependent behaviour (and the journal's retry trail) is
-        // reproducible for a given grid and retry budget.
+        if (opts_.isolate) {
+            runIsolated(pending, attempt, keys, runner, outcomes);
+        } else {
+            parallelFor(
+                pending.size(),
+                [&](std::size_t k) {
+                    const std::size_t cell = pending[k];
+                    JobOutcome o = notStarted();
+                    if (!sweepInterruptRequested()) {
+                        inFlight_.fetch_add(1, std::memory_order_relaxed);
+                        o = runGuarded(runner, cell, attempt);
+                        inFlight_.fetch_sub(1, std::memory_order_relaxed);
+                    }
+                    settle(cell, attempt, keys[cell], std::move(o),
+                           outcomes[cell]);
+                },
+                opts_.workers);
+        }
+        // The next round re-runs the survivors in ascending cell id,
+        // so the journal's retry trail is reproducible.
         std::vector<std::size_t> next;
         for (const std::size_t cell : pending) {
             const JobOutcome &o = outcomes[cell];

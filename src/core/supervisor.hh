@@ -1,50 +1,40 @@
 /**
  * @file
- * Resilient sweep supervisor: crash-safe batch grids over parallelFor().
+ * Resilient sweep supervisor: crash-safe batch grids, in process over
+ * parallelFor() threads or, under isolation, over forked children.
  *
- * The parallel engine (core/parallel.hh) made grids fast; this layer
- * makes them survivable. A SweepSupervisor runs N cells — by default
- * (trace × config) simulations, or any caller-supplied cell runner —
- * and wraps each with the robustness machinery a long grid needs:
+ * A SweepSupervisor runs N cells through a cell runner (lrs_sim's
+ * simulates one (trace × config) job) and gives each what a long grid
+ * needs:
  *
  *  - **checkpoint journal** (common/journal.hh): one CRC-guarded
- *    JSONL record per finished cell, appended and fsync()ed as cells
- *    complete, so a crash/SIGKILL loses at most the in-flight cells;
- *  - **resume**: with SweepOptions::resume the journal is validated
- *    against the grid (cell keys must match — a journal from a
- *    different grid is rejected loudly) and completed cells are
- *    restored as Skipped outcomes carrying the stored result JSON,
- *    making the final report byte-identical to an uninterrupted run;
- *  - **per-cell deadlines**: MachineConfig::maxCycles trips inside
- *    the core (deterministic, simulated cycles) and is reported as a
- *    TIMEOUT outcome; isolation mode adds an optional wall-clock
- *    watchdog for cells that wedge outside the simulated clock;
- *  - **bounded retries**: failed/timed-out/crashed cells re-run in
- *    deterministic rounds (ascending cell id per round, up to
- *    SweepOptions::retries extra attempts) so transient faults clear
- *    and only persistent failures surface (SweepStats::retries /
- *    SweepStats::gaveUp);
- *  - **subprocess isolation** (SweepOptions::isolate): each attempt
- *    forks; the child streams its outcome back over a pipe, and a
- *    SIGSEGV / std::terminate / abort() kills only that cell, which
- *    the parent records as CRASHED (with the signal) while the sweep
- *    continues;
- *  - **cooperative interruption**: when requestSweepInterrupt() fires
- *    (lrs_sim's SIGINT/SIGTERM handler), running cells unwind, queued
- *    cells are marked not-run, journaled work stands, and a later
- *    resume continues exactly where the interrupt landed;
- *  - **live progress stream** (SweepOptions::progressFd): one compact
- *    JSON heartbeat line per completed cell — done/total, per-status
- *    counts, ETA, aggregate uops/sec — for operators watching a long
- *    grid (docs/OBSERVABILITY.md, "Progress stream").
+ *    record per finished attempt, appended and fsync()ed, so a crash
+ *    loses at most the in-flight cells;
+ *  - **resume**: the journal is validated against the grid's cell keys
+ *    and its OK cells come back as Skipped outcomes carrying the
+ *    stored result JSON, so the report is byte-identical to an
+ *    uninterrupted run's;
+ *  - **deadlines**: MachineConfig::maxCycles trips inside the core (a
+ *    deterministic TIMEOUT); isolation adds a wall-clock watchdog;
+ *  - **bounded retries**: failed, timed-out and crashed cells re-run
+ *    in rounds, ascending cell id per round. A simulation cell is
+ *    deterministic, so there a retry can change only a CRASHED outcome
+ *    or a wall-clock TIMEOUT;
+ *  - **subprocess isolation** (SweepOptions::isolate): no pool thread
+ *    starts. The calling thread forks each attempt, keeps at most
+ *    `workers` children alive and watches their pipes, watchdogs and
+ *    the interrupt flag in one poll() loop. A crash kills only its
+ *    child, and the cell is recorded as CRASHED (with the signal).
+ *    Nothing is forked beside a running thread, so no child inherits
+ *    a lock (a sanitizer allocator's included) another thread held;
+ *  - **interruption**: after requestSweepInterrupt() (lrs_sim's
+ *    SIGINT/SIGTERM handler) running cells unwind or are killed and
+ *    queued ones are not run; a resume continues from there;
+ *  - **progress stream** (SweepOptions::progressFd).
  *
- * One record describes an outcome: outcomeRecord() encodes it for the
- * journal, the isolated child's pipe and lrs_sim's `failures` array,
- * and outcomeFromRecord() decodes it. One tally counts statuses:
- * SweepStats, updated as each attempt finishes, feeds the heartbeat
- * and lrs_sim's stderr `sweep:` line. See docs/ROBUSTNESS.md ("Sweep
- * supervisor") for the journal format and the front-end exit-code
- * contract.
+ * outcomeRecord() encodes an outcome for the journal, the child's pipe
+ * and lrs_sim's `failures` array. See docs/ROBUSTNESS.md ("Sweep
+ * supervisor") for the journal format and the exit-code contract.
  */
 
 #ifndef LRS_CORE_SUPERVISOR_HH
@@ -72,46 +62,30 @@ struct SweepOptions
     /** Checkpoint journal path; empty disables journaling. */
     std::string journalPath;
     /**
-     * Load the journal first and skip cells it records as OK. The
-     * journal must match the grid (same keys for the same ids) or
-     * the supervisor throws ConfigError (E_JOURNAL_INVALID). A
-     * missing journal file resumes an "empty" run: everything runs.
+     * Skip the journal's OK cells; another grid's journal throws
+     * ConfigError (E_JOURNAL_INVALID), a missing one runs every cell.
      */
     bool resume = false;
     /** Extra attempts for FAILED/TIMEOUT/CRASHED cells (0 = none). */
     unsigned retries = 0;
-    /** Fork each attempt into a subprocess (see file comment). */
+    /** Fork each attempt (file comment); run() needs one thread. */
     bool isolate = false;
-    /**
-     * Wall-clock watchdog per isolated attempt, in milliseconds; on
-     * expiry the child is SIGKILLed and the cell reported TIMEOUT.
-     * 0 disables. Only meaningful with isolate (in-process cells use
-     * the deterministic MachineConfig::maxCycles budget instead).
-     */
+    /** Wall-clock watchdog per isolated attempt, ms (0 = none). */
     std::uint64_t cellTimeoutMs = 0;
-    /** Worker threads (0 = LRS_JOBS / hardware concurrency). */
+    /** Threads, or live children under isolate (0: LRS_JOBS/cores). */
     unsigned workers = 0;
     /**
-     * Live progress stream: file descriptor to receive one compact
-     * JSON heartbeat line per completed cell (plus one before the
-     * first cell starts), carrying cells done/total, per-status
-     * counts, elapsed/ETA wall time and aggregate simulated-uop
-     * throughput (docs/OBSERVABILITY.md, "Progress stream"). -1 (the
-     * default) disables emission entirely. The stream reports host
-     * wall-clock time and is therefore *not* deterministic — it is an
-     * operator-facing side channel and never feeds results; write
-     * failures (closed pipe, full disk) silently stop the stream
-     * rather than failing the sweep.
+     * Fd for one JSON heartbeat per completed cell, plus one at the
+     * start (docs/OBSERVABILITY.md); -1 disables. Wall-clock, so not
+     * deterministic; a failed write stops the stream, not the sweep.
      */
     int progressFd = -1;
 };
 
 /**
- * Live status tally of one run(). Each attempt's outcome is counted as
- * it finishes and a retry's outcome replaces the count of the attempt
- * before it, so between attempts ok + failed + timeout + crashed is
- * the number of fresh cells finished. An interrupted attempt is not
- * counted. gaveUp and interrupted are filled when run() returns.
+ * Live status tally of one run(): each attempt is counted as it
+ * finishes, a retry replacing the attempt before it; an interrupted
+ * attempt is not counted. gaveUp and interrupted fill at the end.
  */
 struct SweepStats
 {
@@ -128,17 +102,15 @@ struct SweepStats
 };
 
 /**
- * The journal record of @p o as cell @p cell under @p key:
- * {"v":1,"cell","key","status","attempts"} then "result" for an OK
- * outcome, or "code", "error" and a nonzero "signal" otherwise.
+ * The journal record of @p o as cell @p cell under @p key: v, cell,
+ * key, status, attempts, then result (OK) or code, error, signal.
  */
 json::Value outcomeRecord(std::size_t cell, const std::string &key,
                           const JobOutcome &o);
 
 /**
- * Inverse of outcomeRecord(): status, attempts and either the result
- * document with its table summary (trace, config, cycles, uops) or
- * code/error/signal. Throws std::exception on a malformed record.
+ * Inverse of outcomeRecord(), with the result's table summary (trace,
+ * config, cycles, uops); throws std::exception on a malformed record.
  */
 JobOutcome outcomeFromRecord(const json::Value &rec);
 
@@ -146,10 +118,10 @@ class SweepSupervisor
 {
   public:
     /**
-     * One attempt of one cell. Receives the cell id and the attempt
-     * ordinal (1-based) and returns the outcome; exceptions escaping
-     * the runner are classified via classifyJobException(). Runners
-     * must be safe to call concurrently for distinct cells.
+     * One attempt (1-based) of one cell; escaping exceptions are
+     * classified via classifyJobException(). In process, runners run
+     * concurrently for distinct cells and must be safe to; under
+     * isolation each runs alone in its own child.
      */
     using CellRunner =
         std::function<JobOutcome(std::size_t cell, unsigned attempt)>;
@@ -161,15 +133,11 @@ class SweepSupervisor
     SweepSupervisor &operator=(const SweepSupervisor &) = delete;
 
     /**
-     * Run a simulation grid: cells[i] under the stable identity
-     * keys[i] (e.g. "wd/exclusive"). Keys are what resume validates,
-     * so they must be unique and derived from the grid contents, not
-     * from run-time state.
+     * Run cells 0..n-1 through @p runner under unique keys derived
+     * from the grid (e.g. "wd/exclusive"), which resume validates.
+     * Under isolate the process must hold one thread (lrs_sim's
+     * warm-up parallelFor() joins its threads before the sweep).
      */
-    std::vector<JobOutcome> run(const std::vector<SimJob> &cells,
-                                const std::vector<std::string> &keys);
-
-    /** Run @p n arbitrary cells through @p runner (tests, tooling). */
     std::vector<JobOutcome> run(std::size_t n,
                                 const std::vector<std::string> &keys,
                                 const CellRunner &runner);
@@ -185,21 +153,18 @@ class SweepSupervisor
     void loadJournal(std::vector<JobOutcome> &outcomes,
                      const std::vector<std::string> &keys);
 
-    /** Fork @p runner for one attempt; see file comment. */
-    JobOutcome runIsolated(const CellRunner &runner, std::size_t cell,
-                           unsigned attempt, const std::string &key);
+    /** One round of isolated attempts; see the file comment. */
+    void runIsolated(const std::vector<std::size_t> &pending,
+                     unsigned attempt,
+                     const std::vector<std::string> &keys,
+                     const CellRunner &runner,
+                     std::vector<JobOutcome> &outcomes);
 
-    /** One attempt, interrupt-aware, isolation-aware, journaled. */
-    void runCell(std::size_t cell, unsigned attempt,
-                 const std::string &key, const CellRunner &runner,
-                 JobOutcome &out);
+    /** Count, journal and report attempt outcome @p o into @p out. */
+    void settle(std::size_t cell, unsigned attempt,
+                const std::string &key, JobOutcome o, JobOutcome &out);
 
-    /**
-     * Emit one heartbeat line to opts_.progressFd (no-op when the
-     * stream is disabled or a previous write failed). The counts are
-     * read under m_, so concurrent cell completions produce whole,
-     * ordered lines.
-     */
+    /** One heartbeat line, read and written under m_ (whole lines). */
     void emitProgress();
 
     SweepOptions opts_;
@@ -210,7 +175,7 @@ class SweepSupervisor
     SweepStats stats_;
     bool progressDead_ = false; ///< a heartbeat write failed; stop
     unsigned workers_ = 0;      ///< resolved worker count
-    std::atomic<std::uint64_t> inFlight_{0}; ///< cells running now
+    std::atomic<std::uint64_t> inFlight_{0}; ///< cells/children running
     std::chrono::steady_clock::time_point start_;
 };
 

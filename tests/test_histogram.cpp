@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/histogram.hh"
+#include "core/runner.hh"
 #include "core/supervisor.hh"
 #include "trace/library.hh"
 
@@ -183,7 +184,10 @@ gridHistograms(unsigned workers)
     SweepOptions so;
     so.workers = workers;
     SweepSupervisor sup(so);
-    const std::vector<JobOutcome> outcomes = sup.run(jobs, keys);
+    const std::vector<JobOutcome> outcomes =
+        sup.run(jobs.size(), keys, [&jobs](std::size_t i, unsigned) {
+            return runOneSimJob(jobs[i]);
+        });
 
     std::vector<std::string> order;
     std::map<std::string, Log2Histogram> merged;

@@ -6,12 +6,10 @@
  * containment (an AuditError fails one cell, not the sweep), and —
  * in the SupervisorIsolate suite — the fork-per-cell isolation mode.
  *
- * Suite naming is deliberate: "ParallelSupervisor*" suites exercise
- * the supervisor over the thread pool and run under
- * `ctest -R Parallel` (tools/run_sanitized.sh --tsan); the fork-based
- * "SupervisorIsolate" suite is excluded from that TSan pass because
- * fork() inside an instrumented multithreaded process is outside
- * TSan's supported model (ASan/UBSan run it fine).
+ * Both suites run under every sanitizer pass: "ParallelSupervisor"
+ * exercises the supervisor over the thread pool, "SupervisorIsolate"
+ * its forked children, which the sweep's own thread forks while no
+ * other thread runs.
  */
 
 #include <gtest/gtest.h>
@@ -66,6 +64,16 @@ fakeCell(std::size_t cell)
     o.result.cycles = 1000 + cell;
     o.result.uops = 500;
     return o;
+}
+
+/** Sweep @p jobs as --batch does: cell i simulates jobs[i]. */
+std::vector<JobOutcome>
+sweepJobs(SweepSupervisor &sup, const std::vector<SimJob> &jobs,
+          const std::vector<std::string> &keys)
+{
+    return sup.run(jobs.size(), keys, [&jobs](std::size_t i, unsigned) {
+        return runOneSimJob(jobs[i]);
+    });
 }
 
 /** A small real (trace × scheme) grid, as --batch would build it. */
@@ -248,7 +256,7 @@ TEST(ParallelSupervisor, ResumeIsByteIdenticalToUninterruptedRun)
     std::string full;
     {
         SweepSupervisor sup(opts);
-        full = dumpResults(sup.run(jobs, keys));
+        full = dumpResults(sweepJobs(sup, jobs, keys));
     }
 
     // Simulate a crash after two cells: keep only the first two
@@ -276,7 +284,7 @@ TEST(ParallelSupervisor, ResumeIsByteIdenticalToUninterruptedRun)
         }
         ro.journalPath = scratch;
         SweepSupervisor sup(ro);
-        const auto resumed = sup.run(jobs, keys);
+        const auto resumed = sweepJobs(sup, jobs, keys);
         EXPECT_EQ(sup.sweepStats().skipped, 2u);
         EXPECT_EQ(dumpResults(resumed), full)
             << "workers=" << workers;
@@ -424,7 +432,7 @@ TEST(ParallelSupervisor, MaxCyclesBudgetIsDeterministicTimeout)
     SweepOptions opts;
     opts.workers = 1;
     SweepSupervisor sup(opts);
-    const auto outcomes = sup.run({job}, {"wd/Exclusive"});
+    const auto outcomes = sweepJobs(sup, {job}, {"wd/Exclusive"});
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].status, CellStatus::Timeout);
     EXPECT_EQ(outcomes[0].code, "E_DEADLINE_EXCEEDED");
@@ -745,6 +753,53 @@ TEST(SupervisorIsolate, CrashedCellIsContainedAndAttributed)
     std::remove(path.c_str());
 }
 
+TEST(SupervisorIsolate, ForksFromTheSweepThreadOnly)
+{
+    InterruptGuard guard;
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    SweepOptions opts;
+    opts.isolate = true;
+    opts.workers = 4;
+    opts.progressFd = fds[1];
+    SweepSupervisor sup(opts);
+    // Each child reports the thread count its parent had while it ran:
+    // a fork beside a running thread can inherit a lock that thread
+    // held, which no one in the child will ever release.
+    const auto outcomes = sup.run(
+        8, makeKeys(8), [](std::size_t cell, unsigned) {
+            JobOutcome o = fakeCell(cell);
+            o.result.cycles = 0;
+            std::ifstream status("/proc/" + std::to_string(getppid()) +
+                                 "/status");
+            for (std::string line; std::getline(status, line);)
+                if (line.rfind("Threads:", 0) == 0)
+                    o.result.cycles = std::stoull(line.substr(8));
+            return o;
+        });
+    close(fds[1]);
+    for (std::size_t i = 0; i < 8; ++i) {
+        ASSERT_EQ(outcomes[i].status, CellStatus::Ok) << outcomes[i].error;
+        EXPECT_EQ(outcomes[i].result.cycles, 1u) << "cell " << i;
+    }
+
+    // --jobs bounds the live children, and none outlives the sweep.
+    std::string stream;
+    char buf[4096];
+    for (ssize_t k; (k = read(fds[0], buf, sizeof buf)) > 0;)
+        stream.append(buf, static_cast<std::size_t>(k));
+    close(fds[0]);
+    json::Value last;
+    std::istringstream is(stream);
+    for (std::string line; std::getline(is, line);) {
+        last = json::Value::parse(line);
+        EXPECT_LE(last.at("in_flight").asU64(), 4u) << line;
+    }
+    ASSERT_TRUE(last.isObject());
+    EXPECT_EQ(last.at("done").asU64(), 8u);
+    EXPECT_EQ(last.at("in_flight").asU64(), 0u);
+}
+
 TEST(SupervisorIsolate, IsolatedResultMatchesInProcessByteForByte)
 {
     InterruptGuard guard;
@@ -756,12 +811,12 @@ TEST(SupervisorIsolate, IsolatedResultMatchesInProcessByteForByte)
     SweepOptions inproc;
     inproc.workers = 1;
     SweepSupervisor a(inproc);
-    const auto direct = a.run({job}, {"wd/Exclusive"});
+    const auto direct = sweepJobs(a, {job}, {"wd/Exclusive"});
 
     SweepOptions forked = inproc;
     forked.isolate = true;
     SweepSupervisor b(forked);
-    const auto isolated = b.run({job}, {"wd/Exclusive"});
+    const auto isolated = sweepJobs(b, {job}, {"wd/Exclusive"});
 
     ASSERT_EQ(direct[0].status, CellStatus::Ok);
     ASSERT_EQ(isolated[0].status, CellStatus::Ok) << isolated[0].error;

@@ -7,7 +7,7 @@
 # contains it (CRASHED row, siblings complete) and that a resume
 # converges to the same clean reference.
 #
-# Snapshot legs (docs/ROBUSTNESS.md, "Snapshots", fork-free): a
+# Snapshot legs (docs/ROBUSTNESS.md, "Snapshots"): a
 # warmup_snapshot grid must produce byte-identical reports for 1/2/8
 # workers while reusing the first run's checkpoints untouched; a
 # SIGKILL during the warmup-checkpointing phase must leave every
@@ -15,23 +15,19 @@
 # must converge to the clean reference, regenerating what the crash
 # destroyed.
 #
-# Usage: tools/chaos_sweep.sh [--no-isolate] [build-dir]
-#   --no-isolate  skip the fork-based leg (TSan does not support
-#                 fork() in instrumented multithreaded processes)
+# Usage: tools/chaos_sweep.sh [build-dir]
 #   build-dir     defaults to ./build
 #
 # Knob (optional):
 #   LRS_CHAOS_CRASH_SIG  signal the sacrificial cell raises (default
-#                        SIGSEGV; the ASan wrapper passes 9)
+#                        SIGSEGV; the sanitizer wrapper passes 9)
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 
-isolate=1
-if [ $# -gt 0 ] && [ "$1" = "--no-isolate" ]; then
-    isolate=0
-    shift
-fi
+# Bound in seconds on each run of the --isolate leg, so a hung child
+# fails the drill instead of stalling it.
+leg_s=300
 build_dir=${1:-"$repo_root/build"}
 sim="$build_dir/tools/lrs_sim"
 if [ ! -x "$sim" ]; then
@@ -89,47 +85,46 @@ for jobs in 1 2 8; do
         || fail "resumed JSON differs from clean run (jobs=$jobs)"
 done
 
-if [ "$isolate" = 1 ]; then
-    echo "chaos_sweep: crashing one cell under --isolate, then resume"
-    j="$work/jc.jsonl"
-    rc=0
-    LRS_CHAOS_CRASH_CELL=5 "$sim" --batch "$work/grid.ini" --jobs 2 \
-        --isolate --journal "$j" \
-        --flight-recorder "$work/flight" --json "$work/crash.json" \
-        > "$work/crash.txt" 2> "$work/crash.err" || rc=$?
-    [ "$rc" -eq 1 ] || fail "crashing sweep exited $rc, expected 1"
-    grep -q "CRASHED" "$work/crash.txt" \
-        || fail "crashed cell not reported CRASHED"
-    ok_rows=$(grep -c " OK " "$work/crash.txt" || true)
-    [ "$ok_rows" -eq 15 ] \
-        || fail "expected 15 completed siblings, saw $ok_rows"
-    # The crashed cell must leave a CRC-valid flight-recorder dump
-    # (armed before the chaos signal fires, even against SIGKILL),
-    # the failure entry in the batch JSON must reference it, and the
-    # 15 completed siblings must have cleaned theirs up.
-    fdump="$work/flight/cell_5.flight.jsonl"
-    [ -f "$fdump" ] \
-        || fail "crashed cell left no flight-recorder dump at $fdump"
-    "$sim" --check-journal "$fdump" > /dev/null \
-        || fail "flight-recorder dump failed CRC validation"
-    grep -q "flight_recorder" "$work/crash.json" \
-        || fail "batch JSON failure entry lacks flight_recorder path"
-    ndumps=$(ls "$work/flight" | wc -l)
-    [ "$ndumps" -eq 1 ] \
-        || fail "expected 1 surviving dump, saw $ndumps"
-    # Resume without the chaos hook: the crashed cell re-runs and the
-    # final report converges to the clean reference, byte for byte.
-    "$sim" --batch "$work/grid.ini" --jobs 2 --resume "$j" \
-        --json "$work/resc.json" \
-        > "$work/resc.txt" 2> "$work/resc.err"
-    cmp -s "$work/ref.txt" "$work/resc.txt" \
-        || fail "post-crash resumed table differs from clean run"
-    cmp -s "$work/ref.json" "$work/resc.json" \
-        || fail "post-crash resumed JSON differs from clean run"
-fi
+echo "chaos_sweep: crashing one cell under --isolate, then resume"
+j="$work/jc.jsonl"
+rc=0
+LRS_CHAOS_CRASH_CELL=5 timeout "$leg_s" "$sim" --batch "$work/grid.ini" \
+    --jobs 2 --isolate --journal "$j" \
+    --flight-recorder "$work/flight" --json "$work/crash.json" \
+    > "$work/crash.txt" 2> "$work/crash.err" || rc=$?
+[ "$rc" -ne 124 ] || fail "crashing sweep hung past ${leg_s}s"
+[ "$rc" -eq 1 ] || fail "crashing sweep exited $rc, expected 1"
+grep -q "CRASHED" "$work/crash.txt" \
+    || fail "crashed cell not reported CRASHED"
+ok_rows=$(grep -c " OK " "$work/crash.txt" || true)
+[ "$ok_rows" -eq 15 ] \
+    || fail "expected 15 completed siblings, saw $ok_rows"
+# The crashed cell must leave a CRC-valid flight-recorder dump
+# (armed before the chaos signal fires, even against SIGKILL),
+# the failure entry in the batch JSON must reference it, and the
+# 15 completed siblings must have cleaned theirs up.
+fdump="$work/flight/cell_5.flight.jsonl"
+[ -f "$fdump" ] \
+    || fail "crashed cell left no flight-recorder dump at $fdump"
+"$sim" --check-journal "$fdump" > /dev/null \
+    || fail "flight-recorder dump failed CRC validation"
+grep -q "flight_recorder" "$work/crash.json" \
+    || fail "batch JSON failure entry lacks flight_recorder path"
+ndumps=$(ls "$work/flight" | wc -l)
+[ "$ndumps" -eq 1 ] \
+    || fail "expected 1 surviving dump, saw $ndumps"
+# Resume without the chaos hook: the crashed cell re-runs and the
+# final report converges to the clean reference, byte for byte.
+timeout "$leg_s" "$sim" --batch "$work/grid.ini" --jobs 2 --resume "$j" \
+    --json "$work/resc.json" > "$work/resc.txt" 2> "$work/resc.err" \
+    || fail "post-crash resume failed or hung past ${leg_s}s"
+cmp -s "$work/ref.txt" "$work/resc.txt" \
+    || fail "post-crash resumed table differs from clean run"
+cmp -s "$work/ref.json" "$work/resc.json" \
+    || fail "post-crash resumed JSON differs from clean run"
 
 # ---------------------------------------------------------------------
-# Snapshot legs. Fork-free, so they run in both sanitizer passes.
+# Snapshot legs.
 # ---------------------------------------------------------------------
 
 echo "chaos_sweep: warmup-snapshot sweep byte-identity (jobs=1/2/8)"

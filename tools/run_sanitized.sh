@@ -7,12 +7,13 @@
 #   default   AddressSanitizer + UndefinedBehaviorSanitizer over the
 #             full suite
 #   --tsan    ThreadSanitizer (mutually exclusive with ASan) over the
-#             parallel sweep engine tests (ctest -R Parallel) and the
+#             parallel sweep engine tests (ctest -R Parallel), the
 #             other tests that run parallelFor() with several workers
 #             (warm-fork snapshots, the histogram grid merge, the
 #             profiler's per-thread blocks, runAllSchemes' machines
-#             reading one shared trace) — the data-race check for
-#             core/parallel.hh and its callers (docs/PARALLELISM.md)
+#             reading one shared trace) and the forking SupervisorIsolate
+#             suite — the data-race check for core/parallel.hh and its
+#             callers (docs/PARALLELISM.md)
 #
 # Usage: tools/run_sanitized.sh [--tsan] [build-dir] [extra ctest args...]
 #   default build dirs: build-san / build-tsan (kept separate from the
@@ -49,14 +50,12 @@ cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 4)"
 if [ "$mode" = "tsan" ]; then
     ctest --test-dir "$build_dir" --output-on-failure -j \
         "$(nproc 2>/dev/null || echo 4)" \
-        -R 'Parallel|Snapshot\.CrossSchemeWarmForkIsDeterministic|Histogram\.GridMergeIdenticalForAnyWorkerCount|Profiler\.CountsOfExitedThreadsAreKept|SharedTrace' \
+        -R 'Parallel|SupervisorIsolate|Snapshot\.CrossSchemeWarmForkIsDeterministic|Histogram\.GridMergeIdenticalForAnyWorkerCount|Profiler\.CountsOfExitedThreadsAreKept|SharedTrace' \
         "$@"
-    # Sweep-supervisor chaos drill without the --isolate leg: fork()
-    # in an instrumented multithreaded process is outside TSan's
-    # model. The fork-free legs (SIGKILL + --resume and the snapshot
-    # legs) still run and race the pool and supervisor threads under
-    # TSan.
-    "$repo_root/tools/chaos_sweep.sh" --no-isolate "$build_dir"
+    # Full chaos drill. --isolate forks from the sweep's only thread,
+    # so TSan keeps checking the children. The sacrificial cell raises
+    # SIGKILL, as in the ASan pass below.
+    LRS_CHAOS_CRASH_SIG=9 "$repo_root/tools/chaos_sweep.sh" "$build_dir"
     # Short hostile-input fuzz leg: the reader is single-threaded, so
     # this is a smoke check that the fuzz harness itself is
     # race-clean, not the main fuzz gate (that is the ASan leg).
